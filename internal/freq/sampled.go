@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"repro/internal/dist"
+	"repro/internal/itemtab"
 	"repro/internal/rng"
 	"repro/internal/stream"
 	"repro/internal/track"
@@ -51,9 +52,9 @@ type sampledSite struct {
 
 	p          float64
 	cellThresh float64
-	// cells holds per-cell state by value: one map probe per touch and no
+	// cells holds per-cell state inline: one probe per touch and no
 	// per-cell heap object to chase (or allocate on first touch).
-	cells map[uint64]sampledCell
+	cells itemtab.Table[sampledCell]
 	// cellBuf is the reusable CellsInto buffer for the per-update loop.
 	cellBuf []uint64
 
@@ -75,7 +76,6 @@ func newSampledSite(id int, eps float64, k int, mapper Mapper, src *rng.Xoshiro2
 		mapper: mapper,
 		src:    src,
 		sync:   sync,
-		cells:  make(map[uint64]sampledCell),
 	}
 }
 
@@ -106,21 +106,21 @@ func (s *sampledSite) Reset(r int64, out dist.Outbox) {
 		return
 	}
 	s.heavyKeys = s.heavyKeys[:0]
-	for c, st := range s.cells {
+	s.cells.Sweep(func(c uint64, st *sampledCell) bool {
 		if st.net == 0 {
-			delete(s.cells, c)
-			continue
+			return false
 		}
 		if float64(absI64(st.net)) >= s.cellThresh && out != nil {
 			s.heavyKeys = append(s.heavyKeys, c)
 		}
 		st.dplus = 0
 		st.dminus = 0
-		s.cells[c] = st
-	}
+		return true
+	})
 	slices.Sort(s.heavyKeys)
 	for _, c := range s.heavyKeys {
-		out.Send(dist.Msg{Kind: dist.KindFreqEnd, Site: s.id, Item: c, A: s.cells[c].net})
+		st, _ := s.cells.Get(c)
+		out.Send(dist.Msg{Kind: dist.KindFreqEnd, Site: s.id, Item: c, A: st.net})
 	}
 }
 
@@ -137,7 +137,7 @@ func (s *sampledSite) apply(u stream.Update, out dist.Outbox) bool {
 	}
 	s.cellBuf = s.mapper.CellsInto(s.cellBuf, u.Item)
 	for _, c := range s.cellBuf {
-		st := s.cells[c]
+		st := s.cells.Upsert(c)
 		st.net += u.Delta
 		if u.Delta > 0 {
 			st.dplus++
@@ -152,7 +152,6 @@ func (s *sampledSite) apply(u stream.Update, out dist.Outbox) bool {
 				sent = true
 			}
 		}
-		s.cells[c] = st
 	}
 	return sent
 }
@@ -173,7 +172,7 @@ func (s *sampledSite) OnUpdateBatch(us []stream.Update, out dist.Outbox) int {
 }
 
 // LiveCells returns the number of counters at the site.
-func (s *sampledSite) LiveCells() int { return len(s.cells) }
+func (s *sampledSite) LiveCells() int { return s.cells.Len() }
 
 // siteCell keys the coordinator's per-site per-cell estimates.
 type siteCell struct {

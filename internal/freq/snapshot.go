@@ -1,10 +1,6 @@
 package freq
 
-import (
-	"slices"
-
-	"repro/internal/track"
-)
+import "repro/internal/track"
 
 // AppendSnapshot implements track.InBlockSnapshotter: the F1 drift
 // estimator plus every live counter with its coordinator mirror, in sorted
@@ -17,14 +13,10 @@ func (s *freqSite) AppendSnapshot(b []byte) []byte {
 	b = track.AppendSnapFloat(b, s.f1Thresh)
 	b = track.AppendSnapInt(b, s.f1Drift)
 	b = track.AppendSnapInt(b, s.f1Delta)
-	keys := make([]uint64, 0, len(s.cells))
-	for c := range s.cells {
-		keys = append(keys, c)
-	}
-	slices.Sort(keys)
+	keys := s.cells.SortedKeys(nil)
 	b = track.AppendSnapUint(b, uint64(len(keys)))
 	for _, c := range keys {
-		st := s.cells[c]
+		st, _ := s.cells.Get(c)
 		b = track.AppendSnapUint(b, c)
 		b = track.AppendSnapInt(b, st.count)
 		b = track.AppendSnapInt(b, st.mirror)
@@ -32,7 +24,10 @@ func (s *freqSite) AppendSnapshot(b []byte) []byte {
 	return b
 }
 
-// RestoreSnapshot implements track.InBlockSnapshotter.
+// RestoreSnapshot implements track.InBlockSnapshotter. Cells must arrive
+// in strictly increasing order, as AppendSnapshot writes them: a repeated
+// cell would overwrite its first entry, and the blob would not re-encode
+// identically.
 func (s *freqSite) RestoreSnapshot(r *track.SnapReader) {
 	r.Tag(track.SnapTagFreq)
 	s.cellThresh = r.Float()
@@ -40,10 +35,14 @@ func (s *freqSite) RestoreSnapshot(r *track.SnapReader) {
 	s.f1Drift = r.Int()
 	s.f1Delta = r.Int()
 	n := r.Uint()
-	clear(s.cells)
-	for i := uint64(0); i < n && r.Err() == nil; i++ {
+	s.cells.Clear()
+	for i, prev := uint64(0), uint64(0); i < n && r.Err() == nil; i++ {
 		c := r.Uint()
-		s.cells[c] = &cellState{count: r.Int(), mirror: r.Int()}
+		if i > 0 && c <= prev {
+			r.Fail("freq cells not strictly increasing")
+		}
+		prev = c
+		*s.cells.Upsert(c) = cellState{count: r.Int(), mirror: r.Int()}
 	}
 }
 
@@ -54,15 +53,11 @@ func (s *freqSite) RestoreSnapshot(r *track.SnapReader) {
 // promote and this in-block layer is all the freq package contributes.
 func (c *freqCoord) AppendSnapshot(b []byte) []byte {
 	b = append(b, track.SnapTagFreqCoord)
-	keys := make([]uint64, 0, len(c.est))
-	for cell := range c.est {
-		keys = append(keys, cell)
-	}
-	slices.Sort(keys)
+	keys := c.est.SortedKeys(nil)
 	b = track.AppendSnapUint(b, uint64(len(keys)))
 	for _, cell := range keys {
 		b = track.AppendSnapUint(b, cell)
-		b = track.AppendSnapInt(b, c.est[cell])
+		b = track.AppendSnapInt(b, c.get(cell))
 	}
 	b = track.AppendSnapUint(b, uint64(len(c.f1Dhat)))
 	for _, v := range c.f1Dhat {
@@ -71,14 +66,19 @@ func (c *freqCoord) AppendSnapshot(b []byte) []byte {
 	return track.AppendSnapInt(b, c.f1Sum)
 }
 
-// RestoreSnapshot implements track.InBlockSnapshotter.
+// RestoreSnapshot implements track.InBlockSnapshotter, accepting only the
+// strictly increasing cell order AppendSnapshot writes.
 func (c *freqCoord) RestoreSnapshot(r *track.SnapReader) {
 	r.Tag(track.SnapTagFreqCoord)
 	n := r.Uint()
-	clear(c.est)
-	for i := uint64(0); i < n && r.Err() == nil; i++ {
+	c.est.Clear()
+	for i, prev := uint64(0), uint64(0); i < n && r.Err() == nil; i++ {
 		cell := r.Uint()
-		c.est[cell] = r.Int()
+		if i > 0 && cell <= prev {
+			r.Fail("freq coordinator cells not strictly increasing")
+		}
+		prev = cell
+		*c.est.Upsert(cell) = r.Int()
 	}
 	if m := r.Uint(); r.Err() == nil && m == uint64(len(c.f1Dhat)) {
 		for i := range c.f1Dhat {

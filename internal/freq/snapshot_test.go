@@ -1,0 +1,77 @@
+package freq
+
+import (
+	"testing"
+
+	"repro/internal/track"
+)
+
+// freqSitePayload hand-builds a freqSite snapshot layer holding the given
+// (cell, count, mirror) triples in the given order.
+func freqSitePayload(cells ...[3]int64) []byte {
+	b := []byte{track.SnapTagFreq}
+	b = track.AppendSnapFloat(b, 1)
+	b = track.AppendSnapFloat(b, 3)
+	b = track.AppendSnapInt(b, 0)
+	b = track.AppendSnapInt(b, 0)
+	b = track.AppendSnapUint(b, uint64(len(cells)))
+	for _, c := range cells {
+		b = track.AppendSnapUint(b, uint64(c[0]))
+		b = track.AppendSnapInt(b, c[1])
+		b = track.AppendSnapInt(b, c[2])
+	}
+	return b
+}
+
+// freqCoordPayload hand-builds a freqCoord snapshot layer over two sites
+// holding the given (cell, estimate) pairs in the given order.
+func freqCoordPayload(cells ...[2]int64) []byte {
+	b := []byte{track.SnapTagFreqCoord}
+	b = track.AppendSnapUint(b, uint64(len(cells)))
+	for _, c := range cells {
+		b = track.AppendSnapUint(b, uint64(c[0]))
+		b = track.AppendSnapInt(b, c[1])
+	}
+	b = track.AppendSnapUint(b, 2)
+	for range 3 { // two per-site drifts, then their sum
+		b = track.AppendSnapInt(b, 0)
+	}
+	return b
+}
+
+// TestFreqRestoreRejectsNonCanonical pins the canonical-decode rule for
+// both frequency layers: the encoders write cells strictly increasing, so a
+// repeated or out-of-order cell (which would silently overwrite an earlier
+// entry and re-encode differently) is a corrupt snapshot.
+func TestFreqRestoreRejectsNonCanonical(t *testing.T) {
+	site := map[string]struct {
+		payload []byte
+		ok      bool
+	}{
+		"increasing": {freqSitePayload([3]int64{2, 5, 1}, [3]int64{7, 0, 0}), true},
+		"repeated":   {freqSitePayload([3]int64{7, 5, 1}, [3]int64{7, 6, 0}), false},
+		"decreasing": {freqSitePayload([3]int64{7, 5, 1}, [3]int64{2, 6, 0}), false},
+	}
+	for name, tc := range site {
+		r := track.NewSnapReader(tc.payload)
+		newFreqSite(0, 0.1, ExactMapper{}).RestoreSnapshot(r)
+		if ok := r.Err() == nil && r.Len() == 0; ok != tc.ok {
+			t.Errorf("freqSite %s: accepted=%v (err %v), want %v", name, ok, r.Err(), tc.ok)
+		}
+	}
+	coord := map[string]struct {
+		payload []byte
+		ok      bool
+	}{
+		"increasing": {freqCoordPayload([2]int64{2, 5}, [2]int64{7, 0}), true},
+		"repeated":   {freqCoordPayload([2]int64{7, 5}, [2]int64{7, 6}), false},
+		"decreasing": {freqCoordPayload([2]int64{7, 5}, [2]int64{2, 6}), false},
+	}
+	for name, tc := range coord {
+		r := track.NewSnapReader(tc.payload)
+		newFreqCoord(2).RestoreSnapshot(r)
+		if ok := r.Err() == nil && r.Len() == 0; ok != tc.ok {
+			t.Errorf("freqCoord %s: accepted=%v (err %v), want %v", name, ok, r.Err(), tc.ok)
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"repro/internal/dist"
+	"repro/internal/itemtab"
 	"repro/internal/stream"
 	"repro/internal/track"
 )
@@ -25,7 +26,7 @@ type freqSite struct {
 	eps    float64 //varlint:volatile construction-time config; only the derived thresholds are live state
 	mapper Mapper  //varlint:volatile construction-time config; the restore target is built with the same mapper
 
-	cells map[uint64]*cellState
+	cells itemtab.Table[cellState]
 	// cellBuf is the reusable CellsInto buffer; per-update cell lookups
 	// must not allocate.
 	cellBuf []uint64 //varlint:volatile reusable scratch buffer
@@ -37,9 +38,9 @@ type freqSite struct {
 
 	// heavyKeys is the reusable sort buffer for block-end sweeps: heavy
 	// reports go out in cell order, so transcripts are deterministic
-	// rather than following map iteration order. Only reporting cells are
+	// rather than following table slot order. Only reporting cells are
 	// collected and sorted — the silent zero/delete sweep stays a single
-	// unordered map pass.
+	// pass over the table.
 	heavyKeys []uint64 //varlint:volatile reusable scratch buffer
 }
 
@@ -48,7 +49,6 @@ func newFreqSite(id int, eps float64, mapper Mapper) *freqSite {
 		id:     int32(id),
 		eps:    eps,
 		mapper: mapper,
-		cells:  make(map[uint64]*cellState),
 	}
 }
 
@@ -64,10 +64,9 @@ func (s *freqSite) Reset(r int64, out dist.Outbox) {
 	s.f1Drift = 0
 	s.f1Delta = 0
 	s.heavyKeys = s.heavyKeys[:0]
-	for c, st := range s.cells {
+	s.cells.Sweep(func(c uint64, st *cellState) bool {
 		if st.count == 0 {
-			delete(s.cells, c) // bound site memory to live counters
-			continue
+			return false // bound site memory to live counters
 		}
 		if float64(absI64(st.count)) >= s.cellThresh {
 			if out != nil {
@@ -77,10 +76,17 @@ func (s *freqSite) Reset(r int64, out dist.Outbox) {
 		} else {
 			st.mirror = 0 // the coordinator zeroed all unreported counters
 		}
-	}
+		return true
+	})
+	s.sendHeavy(out)
+}
+
+// sendHeavy reports the counters in heavyKeys absolutely, in cell order.
+func (s *freqSite) sendHeavy(out dist.Outbox) {
 	slices.Sort(s.heavyKeys)
 	for _, c := range s.heavyKeys {
-		out.Send(dist.Msg{Kind: dist.KindFreqEnd, Site: s.id, Item: c, A: s.cells[c].count})
+		st, _ := s.cells.Get(c)
+		out.Send(dist.Msg{Kind: dist.KindFreqEnd, Site: s.id, Item: c, A: st.count})
 	}
 }
 
@@ -99,11 +105,7 @@ func (s *freqSite) apply(u stream.Update, out dist.Outbox) bool {
 	// Per-counter deltas.
 	s.cellBuf = s.mapper.CellsInto(s.cellBuf, u.Item)
 	for _, c := range s.cellBuf {
-		st := s.cells[c]
-		if st == nil {
-			st = &cellState{}
-			s.cells[c] = st
-		}
+		st := s.cells.Upsert(c)
 		st.count += u.Delta
 		if d := st.count - st.mirror; float64(absI64(d)) >= s.cellThresh {
 			out.Send(dist.Msg{Kind: dist.KindFreqReport, Site: s.id, Item: c, A: d})
@@ -132,7 +134,7 @@ func (s *freqSite) OnUpdateBatch(us []stream.Update, out dist.Outbox) int {
 
 // LiveCells returns the number of counters currently held at the site, the
 // space quantity appendix H.0.2 is about.
-func (s *freqSite) LiveCells() int { return len(s.cells) }
+func (s *freqSite) LiveCells() int { return s.cells.Len() }
 
 // BootstrapAttach implements track.InBlockBootstrapper for mid-stream
 // attach (internal/query): the site's net per-item history is folded
@@ -147,33 +149,27 @@ func (s *freqSite) BootstrapAttach(st track.AttachState, out dist.Outbox) {
 	if s.f1Drift != 0 {
 		out.Send(dist.Msg{Kind: dist.KindDriftReport, Site: s.id, A: s.f1Drift})
 	}
-	for item, v := range st.Items {
-		if v == 0 {
-			continue
-		}
-		s.cellBuf = s.mapper.CellsInto(s.cellBuf, item)
-		for _, c := range s.cellBuf {
-			cs := s.cells[c]
-			if cs == nil {
-				cs = &cellState{}
-				s.cells[c] = cs
+	if st.Items != nil {
+		for item, v := range st.Items.Range {
+			if *v == 0 {
+				continue
 			}
-			cs.count += v
+			s.cellBuf = s.mapper.CellsInto(s.cellBuf, item)
+			for _, c := range s.cellBuf {
+				s.cells.Upsert(c).count += *v
+			}
 		}
 	}
 	s.heavyKeys = s.heavyKeys[:0]
-	for c, cs := range s.cells {
+	s.cells.Sweep(func(c uint64, cs *cellState) bool {
 		if cs.count == 0 {
-			delete(s.cells, c)
-			continue
+			return false
 		}
 		cs.mirror = cs.count
 		s.heavyKeys = append(s.heavyKeys, c)
-	}
-	slices.Sort(s.heavyKeys)
-	for _, c := range s.heavyKeys {
-		out.Send(dist.Msg{Kind: dist.KindFreqEnd, Site: s.id, Item: c, A: s.cells[c].count})
-	}
+		return true
+	})
+	s.sendHeavy(out)
 }
 
 // freqCoord is the in-block coordinator estimator: a merged counter table
@@ -181,21 +177,21 @@ func (s *freqSite) BootstrapAttach(st track.AttachState, out dist.Outbox) {
 // F1 drifts are a dense slice — k is fixed at construction and site ids
 // index it directly.
 type freqCoord struct {
-	est map[uint64]int64 // merged Σ_i f̂_ic
+	est itemtab.Table[int64] // merged Σ_i f̂_ic
 
 	f1Dhat []int64 // §3.3 d̂_i per site for F1, indexed by site id
 	f1Sum  int64
 }
 
 func newFreqCoord(k int) *freqCoord {
-	return &freqCoord{est: make(map[uint64]int64), f1Dhat: make([]int64, k)}
+	return &freqCoord{f1Dhat: make([]int64, k)}
 }
 
 // Reset implements track.InBlockCoord: zero every counter (unreported ones
 // stay zero; heavy ones are re-established by the KindFreqEnd reports that
 // follow the block broadcast) and restart the F1 drift estimator.
 func (c *freqCoord) Reset(r int64) {
-	clear(c.est)
+	c.est.Clear()
 	clear(c.f1Dhat)
 	c.f1Sum = 0
 }
@@ -209,10 +205,8 @@ func (c *freqCoord) OnMessage(m dist.Msg) {
 	case dist.KindDriftReport:
 		c.f1Sum += m.A - c.f1Dhat[m.Site]
 		c.f1Dhat[m.Site] = m.A
-	case dist.KindFreqReport:
-		c.est[m.Item] += m.A
-	case dist.KindFreqEnd:
-		c.est[m.Item] += m.A
+	case dist.KindFreqReport, dist.KindFreqEnd:
+		*c.est.Upsert(m.Item) += m.A
 	}
 }
 
@@ -220,7 +214,10 @@ func (c *freqCoord) OnMessage(m dist.Msg) {
 func (c *freqCoord) Drift() int64 { return c.f1Sum }
 
 // get reads a merged counter.
-func (c *freqCoord) get(cell uint64) int64 { return c.est[cell] }
+func (c *freqCoord) get(cell uint64) int64 {
+	v, _ := c.est.Get(cell)
+	return v
+}
 
 // Tracker is the coordinator handle for distributed item-frequency
 // tracking. It implements dist.CoordAlgo (Estimate returns the F1 estimate)
@@ -304,9 +301,9 @@ func New(k int, eps float64, mapper Mapper) (*Tracker, []dist.SiteAlgo) {
 		eps:        eps,
 		get:        inner.get,
 		cellsFn: func() map[uint64]int64 {
-			out := make(map[uint64]int64, len(inner.est))
-			for cell, v := range inner.est {
-				out[cell] = v
+			out := make(map[uint64]int64, inner.est.Len())
+			for cell, v := range inner.est.Range {
+				out[cell] = *v
 			}
 			return out
 		},

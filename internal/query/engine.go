@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/freq"
+	"repro/internal/itemtab"
 	"repro/internal/stream"
 	"repro/internal/track"
 )
@@ -190,7 +191,7 @@ func New(k int, specs []Spec) (*Coord, []dist.SiteAlgo, error) {
 	coord := &Coord{eng: eng}
 	sites := make([]*Site, k)
 	for i := range sites {
-		sites[i] = &Site{eng: eng, id: i, items: make(map[uint64]int64)}
+		sites[i] = &Site{eng: eng, id: i}
 	}
 	for _, spec := range specs {
 		q, err := buildQuery(k, spec)
@@ -472,16 +473,14 @@ type Site struct {
 	// The spine: everything a future attach might need to reconstruct.
 	updates     int64
 	plus, minus int64
-	items       map[uint64]int64
+	items       itemtab.Table[int64]
 
-	// One-item write-back cache over items: streams dominated by runs of
-	// a single item (walks, heavy zipf heads) hit it and skip the map
-	// probes that were ~12% of the engine profile; a miss costs the same
-	// two map operations the eager path paid. history() flushes it before
-	// reading the map.
-	cacheItem uint64 //varlint:volatile write-back cache; RestoreSnapshot invalidates it via cacheOK
-	cacheN    int64  //varlint:volatile write-back cache; RestoreSnapshot invalidates it via cacheOK
-	cacheOK   bool
+	// One-item pending-delta cache in front of items: cacheN is the net
+	// delta of cacheItem not yet folded into the table. A run of one item
+	// (scalar streams, walks, heavy zipf heads) only adds to it; switching
+	// items folds it in with one Upsert. Readers of items flush it first.
+	cacheItem uint64 //varlint:volatile pending-delta cache; AppendSnapshot flushes it, RestoreSnapshot empties it
+	cacheN    int64  //varlint:volatile pending-delta cache; AppendSnapshot flushes it, RestoreSnapshot empties it
 
 	// Scratch reused across OnUpdateBatch calls — filtered-view buffers
 	// and the send-capture sink — keeping the batched fan-out alloc-free
@@ -560,32 +559,30 @@ func (s *Site) spineMass(delta int64) {
 	s.minus += (-delta) & mask
 }
 
-// spineItem folds one item delta into the spine through the write-back
-// cache. The cached entry may shadow a stale value in the map until
-// flushItemCache writes it back.
+// spineItem folds one item delta into the spine through the pending-delta
+// cache.
 //
 //varlint:zeroalloc
 func (s *Site) spineItem(item uint64, delta int64) {
-	if s.cacheOK && item == s.cacheItem {
-		s.cacheN += delta
-		return
+	if item != s.cacheItem {
+		s.flushItemCache()
+		s.cacheItem = item
 	}
-	s.flushItemCache()
-	s.cacheItem, s.cacheN, s.cacheOK = item, s.items[item]+delta, true
+	s.cacheN += delta
 }
 
-// flushItemCache writes the cached item count back into the map (keeping
-// the eager path's delete-on-zero invariant).
+// flushItemCache folds the pending delta into items, deleting a count that
+// reaches zero: items holds exactly the nonzero net counts.
 func (s *Site) flushItemCache() {
-	if !s.cacheOK {
+	if s.cacheN == 0 {
 		return
 	}
-	if s.cacheN == 0 {
-		delete(s.items, s.cacheItem)
-	} else {
-		s.items[s.cacheItem] = s.cacheN
+	n := s.items.Upsert(s.cacheItem)
+	*n += s.cacheN
+	if *n == 0 {
+		s.items.Delete(s.cacheItem)
 	}
-	s.cacheOK = false
+	s.cacheN = 0
 }
 
 // flushPending releases a child's buffered send into the network.
@@ -880,17 +877,15 @@ func (s *Site) attach(qid int, out dist.Outbox) {
 func (s *Site) history(f *Filter) track.AttachState {
 	s.flushItemCache()
 	if f == nil {
-		return track.AttachState{Updates: s.updates, Plus: s.plus, Minus: s.minus, Items: s.items}
+		return track.AttachState{Updates: s.updates, Plus: s.plus, Minus: s.minus, Items: &s.items}
 	}
-	st := track.AttachState{}
-	for item, v := range s.items {
+	st := track.AttachState{Items: new(itemtab.Table[int64])}
+	for item, n := range s.items.Range {
 		if !f.Match(item) {
 			continue
 		}
-		if st.Items == nil {
-			st.Items = make(map[uint64]int64)
-		}
-		st.Items[item] = v
+		v := *n
+		*st.Items.Upsert(item) = v
 		if v > 0 {
 			st.Plus += v
 			st.Updates += v

@@ -9,11 +9,12 @@ import (
 )
 
 // TestEngineStepBatchZeroAlloc asserts the zero-alloc contract of the
-// engine's batched hot path: after warmup (map growth, scratch buffers,
+// engine's batched hot path: after warmup (table growth, scratch buffers,
 // early block boundaries), driving same-site runs through Sim.StepBatch —
-// engine demux, spine coalescing, child fan-out, capture/flush machinery
-// included — allocates nothing. Wired into the CI alloc-regression step
-// next to the Sim/sketch/stream suites.
+// engine demux, spine coalescing, child fan-out, capture/flush machinery,
+// and the frequency sites' per-cell counter tables included — allocates
+// nothing. Wired into the CI alloc-regression step next to the
+// Sim/sketch/stream suites.
 func TestEngineStepBatchZeroAlloc(t *testing.T) {
 	const k = 4
 	const warm, runs = 30_000, 4_000 // runs counts StepBatch calls, each a 64-update buffer
@@ -26,6 +27,8 @@ func TestEngineStepBatchZeroAlloc(t *testing.T) {
 		{Algo: "det", Eps: 0.1},
 		{Algo: "rand", Eps: 0.05, Seed: 5},
 		{Algo: "det", Eps: 0.1, Filter: filter},
+		{Algo: "freq", Eps: 0.2},
+		{Algo: "freq", Eps: 0.1, Filter: filter},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -55,5 +58,60 @@ func TestEngineStepBatchZeroAlloc(t *testing.T) {
 		}
 	}); a != 0 {
 		t.Fatalf("engine StepBatch allocated %v objects per %d-update buffer at steady state, want 0", a, bs)
+	}
+}
+
+// mixedSpecs are the eight queries of the benchmark's engine-mixed workload:
+// every tracker family, with and without item filters.
+const mixedSpecs = "det,eps=0.1;rand,eps=0.1;freq,eps=0.2;threshold,eps=0.1,tau=500;" +
+	"det,eps=0.05,filter=even;rand,eps=0.2,filter=odd;freq,eps=0.1,filter=mod:4:1;det,eps=0.2,filter=le:100"
+
+// BenchmarkEngineIngest is the engine layer's ingest cost through the
+// batched Sim path, per update: q1-walk is one query over a scalar stream
+// (every update has item 0, so the spine's item table stays cold);
+// q1-items is one query over a zipf item stream (the spine's per-item
+// counts on every update); q8-mixed is the engine-mixed query set over the
+// same items (spine, eight children, two frequency sites' counter tables).
+// The input is generated before the timer starts and fed round and round,
+// so only the engine and Sim delivery are timed.
+func BenchmarkEngineIngest(b *testing.B) {
+	const k = 8
+	items := func(n int) stream.Stream {
+		return stream.NewAssign(stream.NewItemGen(int64(n), 1<<12, 1.1, 0.1, 3), stream.NewSkewed(k, 1.0, 4))
+	}
+	cases := []struct {
+		name  string
+		specs string
+		input func(n int) stream.Stream
+	}{
+		{"q1-walk", "det,eps=0.1", func(n int) stream.Stream {
+			return stream.NewAssign(stream.MeanReverting(int64(n), 1<<10, 0.05, 3), stream.NewRoundRobin(k))
+		}},
+		{"q1-items", "det,eps=0.1", items},
+		{"q8-mixed", mixedSpecs, items},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			specs, err := query.ParseSpecs(c.specs)
+			if err != nil {
+				b.Fatal(err)
+			}
+			eng, sites, err := query.New(k, specs)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sim := dist.NewSim(eng, sites)
+			sim.SetClassifier(eng)
+			ups := stream.Collect(c.input(1 << 16))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; {
+				seg := ups[i%len(ups):]
+				seg = seg[:min(len(seg), b.N-i)]
+				n, _ := sim.StepBatch(seg)
+				i += n
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/update")
+		})
 	}
 }

@@ -2,7 +2,6 @@ package query
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/dist"
 	"repro/internal/track"
@@ -37,15 +36,12 @@ func (s *Site) AppendSnapshot(b []byte) ([]byte, error) {
 	b = track.AppendSnapInt(b, s.updates)
 	b = track.AppendSnapInt(b, s.plus)
 	b = track.AppendSnapInt(b, s.minus)
-	keys := make([]uint64, 0, len(s.items))
-	for item := range s.items {
-		keys = append(keys, item)
-	}
-	slices.Sort(keys)
+	keys := s.items.SortedKeys(nil)
 	b = track.AppendSnapUint(b, uint64(len(keys)))
 	for _, item := range keys {
+		n, _ := s.items.Get(item)
 		b = track.AppendSnapUint(b, item)
-		b = track.AppendSnapInt(b, s.items[item])
+		b = track.AppendSnapInt(b, n)
 	}
 	attached := 0
 	for _, ch := range s.children {
@@ -79,29 +75,41 @@ func (s *Site) AppendSnapshot(b []byte) ([]byte, error) {
 // are the dead predecessor's objects. Blobs for queries detached while the
 // snapshot sat on disk are skipped; a blob for a query the registry does
 // not know is an error (the restoring process must register the same specs
-// first).
+// first). Only what AppendSnapshot can write is accepted: spine items and
+// child query ids strictly increasing, and no zero spine count.
 func (s *Site) RestoreSnapshot(r *track.SnapReader) error {
 	r.Tag(track.SnapTagQuery)
 	s.updates = r.Int()
 	s.plus = r.Int()
 	s.minus = r.Int()
-	clear(s.items)
-	s.cacheOK = false
+	s.items.Clear()
+	s.cacheN = 0
 	nitems := r.Uint()
-	for i := uint64(0); i < nitems && r.Err() == nil; i++ {
-		item := r.Uint()
-		s.items[item] = r.Int()
+	for i, prev := uint64(0), uint64(0); i < nitems && r.Err() == nil; i++ {
+		item, n := r.Uint(), r.Int()
+		switch {
+		case i > 0 && item <= prev:
+			r.Fail("spine items not strictly increasing")
+		case n == 0:
+			r.Fail("zero spine count")
+		}
+		prev = item
+		*s.items.Upsert(item) = n
 	}
 	s.children = s.children[:0]
 	s.solo = nil
 	s.rebuilt = true
 	nchildren := r.Uint()
-	for i := uint64(0); i < nchildren && r.Err() == nil; i++ {
+	for i, prev := uint64(0), 0; i < nchildren && r.Err() == nil; i++ {
 		qid := int(r.Uint())
 		blob := r.Bytes(r.Uint())
+		if i > 0 && qid <= prev {
+			r.Fail("child query ids not strictly increasing")
+		}
 		if r.Err() != nil {
 			break
 		}
+		prev = qid
 		q := s.eng.get(qid)
 		if q == nil {
 			return fmt.Errorf("query: snapshot names unknown query %d (register the same specs before restoring)", qid)
@@ -361,7 +369,7 @@ func (c *Coord) SiteDead(site int) bool {
 // marked rebuilt: attach announcements build fresh child algorithms instead
 // of reusing the registry's, which belong to the dead predecessor.
 func (c *Coord) RebuildSite(id int) *Site {
-	return &Site{eng: c.eng, id: id, items: make(map[uint64]int64), rebuilt: true}
+	return &Site{eng: c.eng, id: id, rebuilt: true}
 }
 
 // BlockCoordFor returns query qid's block partitioner (nil for unknown

@@ -1,6 +1,9 @@
 package track
 
-import "repro/internal/dist"
+import (
+	"repro/internal/dist"
+	"repro/internal/itemtab"
+)
 
 // This file is the mid-stream attach machinery used by the multi-query
 // engine (internal/query): a tracking query registered at update t must
@@ -29,7 +32,7 @@ type AttachState struct {
 	Plus, Minus int64
 	// Items holds the site's net per-item counts, nil when the engine does
 	// not track item history. Only frequency estimators consume it.
-	Items map[uint64]int64
+	Items *itemtab.Table[int64]
 }
 
 // Net returns the site's net contribution Plus − Minus.

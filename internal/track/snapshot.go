@@ -191,7 +191,10 @@ func (r *SnapReader) Err() error { return r.err }
 // Len returns the number of unconsumed payload bytes.
 func (r *SnapReader) Len() int { return len(r.b) }
 
-func (r *SnapReader) fail(what string) {
+// Fail records a decode error (the first one sticks): restore code calls it
+// when a field is well-formed but not what the encoder could have written,
+// such as a key list out of order, so only canonical blobs are accepted.
+func (r *SnapReader) Fail(what string) {
 	if r.err == nil {
 		r.err = fmt.Errorf("track: truncated or corrupt snapshot (%s)", what)
 	}
@@ -203,34 +206,36 @@ func (r *SnapReader) Tag(want byte) {
 		return
 	}
 	if len(r.b) == 0 || r.b[0] != want {
-		r.fail(fmt.Sprintf("expected tag %q", want))
+		r.Fail(fmt.Sprintf("expected tag %q", want))
 		return
 	}
 	r.b = r.b[1:]
 }
 
-// Uint consumes a varint.
+// Uint consumes a varint. Overlong encodings (a multi-byte varint ending in
+// a zero byte) are rejected: the encoder never writes them, and accepting
+// them would let two blobs decode to the same state.
 func (r *SnapReader) Uint() uint64 {
 	if r.err != nil {
 		return 0
 	}
 	x, n := binary.Uvarint(r.b)
-	if n <= 0 {
-		r.fail("uvarint")
+	if n <= 0 || (n > 1 && r.b[n-1] == 0) {
+		r.Fail("uvarint")
 		return 0
 	}
 	r.b = r.b[n:]
 	return x
 }
 
-// Int consumes a zig-zag varint.
+// Int consumes a zig-zag varint (canonical, as Uint).
 func (r *SnapReader) Int() int64 {
 	if r.err != nil {
 		return 0
 	}
 	x, n := binary.Varint(r.b)
-	if n <= 0 {
-		r.fail("varint")
+	if n <= 0 || (n > 1 && r.b[n-1] == 0) {
+		r.Fail("varint")
 		return 0
 	}
 	r.b = r.b[n:]
@@ -248,7 +253,7 @@ func (r *SnapReader) Bytes(n uint64) []byte {
 		return nil
 	}
 	if uint64(len(r.b)) < n {
-		r.fail("sub-blob")
+		r.Fail("sub-blob")
 		return nil
 	}
 	out := r.b[:n:n]
@@ -345,6 +350,10 @@ func (s *randSite) RestoreSnapshot(r *SnapReader) {
 	var st [4]uint64
 	for i := range st {
 		st[i] = r.Uint()
+	}
+	if st == [4]uint64{} && r.Err() == nil {
+		// SetState would swap in its guard constant; no encoder writes this.
+		r.Fail("zero generator state")
 	}
 	s.src.SetState(st)
 }
@@ -451,7 +460,7 @@ func (c *detCoord) AppendSnapshot(b []byte) []byte {
 func (c *detCoord) RestoreSnapshot(r *SnapReader) {
 	r.Tag(snapTagDetCoord)
 	if n := r.Uint(); r.Err() == nil && n != uint64(len(c.dhat)) {
-		r.fail("detCoord site count")
+		r.Fail("detCoord site count")
 		return
 	}
 	for i := range c.dhat {
@@ -480,7 +489,7 @@ func (c *randCoord) RestoreSnapshot(r *SnapReader) {
 	r.Tag(snapTagRandCoord)
 	c.p = r.Float()
 	if n := r.Uint(); r.Err() == nil && n != uint64(len(c.dplus)) {
-		r.fail("randCoord site count")
+		r.Fail("randCoord site count")
 		return
 	}
 	for i := range c.dplus {
