@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"sync"
 
@@ -10,44 +11,35 @@ import (
 	"repro/internal/query"
 )
 
-// obsCfg carries the observability flags: -http (admin surface) and
-// -events-out (JSONL event trace dump). Either one enables event tracing.
-type obsCfg struct {
-	httpAddr  string
-	eventsOut string
-}
-
-func (o obsCfg) enabled() bool { return o.httpAddr != "" || o.eventsOut != "" }
-
 // admin wires the obs layer onto one run: an event ring shared by every
-// runtime incarnation the run goes through, an optional HTTP admin
-// server, and the final JSONL dump. A nil *admin is the disabled state —
-// every method no-ops — so runs without -http/-events-out install no
-// sinks and pay nothing.
+// runtime incarnation the run goes through, the -http admin server, and
+// the -events-out JSONL dump. A nil *admin is the disabled state — every
+// method no-ops — so runs with neither flag install no sinks and pay
+// nothing.
 type admin struct {
-	cfg  obsCfg
-	ring *obs.Ring
-	srv  *obs.Server
-	done bool
+	httpAddr, eventsOut string
+	out, errOut         io.Writer
+	ring                *obs.Ring
+	srv                 *obs.Server
+	done                bool
 
 	// mu serializes runtime access between the driver loop and the HTTP
-	// handlers. The TCP Coordinator is internally locked and does not
-	// need it; the single-threaded simulators (Sim, AsyncSim) do, as does
-	// runTCPKillCoord's coordinator rebinding. Callbacks handed to
-	// obs.Metrics take it through locked().
+	// handlers: AsyncSim is single-threaded, and a TCP takeover rebinds
+	// the coordinator and sites.
 	mu sync.Mutex
 }
 
-func newAdmin(cfg obsCfg) *admin {
-	if !cfg.enabled() {
+func newAdmin(httpAddr, eventsOut string, out, errOut io.Writer) *admin {
+	if httpAddr == "" && eventsOut == "" {
 		return nil
 	}
-	return &admin{cfg: cfg, ring: obs.NewRing(obs.DefaultRingCap)}
+	return &admin{httpAddr: httpAddr, eventsOut: eventsOut, out: out, errOut: errOut,
+		ring: obs.NewRing(obs.DefaultRingCap)}
 }
 
-// sink returns the event sink to install on a runtime: the ring's Emit,
-// or nil when observability is off (runtimes nil-check their sink, so
-// nil keeps their hot paths allocation-free).
+// sink returns the event sink to install on a runtime: nil when
+// observability is off, which keeps the runtimes' hot paths
+// allocation-free.
 func (a *admin) sink() dist.EventSink {
 	if a == nil {
 		return nil
@@ -55,55 +47,60 @@ func (a *admin) sink() dist.EventSink {
 	return a.ring.Emit
 }
 
-// lock/unlock guard driver-loop runtime access against HTTP reads; on a
-// nil or serverless admin they still take the (uncontended) mutex only
-// when observability is on at all.
-func (a *admin) lock() {
+// locked runs fn under the admin mutex.
+func (a *admin) locked(fn func()) {
 	if a != nil {
 		a.mu.Lock()
+		defer a.mu.Unlock()
 	}
-}
-
-func (a *admin) unlock() {
-	if a != nil {
-		a.mu.Unlock()
-	}
-}
-
-// locked runs fn under the admin mutex — the form the metrics/status
-// callbacks use.
-func (a *admin) locked(fn func()) {
-	a.lock()
-	defer a.unlock()
 	fn()
 }
 
-// serve starts the HTTP admin surface when -http was given. The metrics
-// registry gains the event ring and the Go runtime gauges; the chosen
-// address (real port even for ":0") is printed so scripts and smokes can
-// scrape it.
-func (a *admin) serve(m *obs.Metrics, status func() any) {
-	if a == nil || a.cfg.httpAddr == "" {
+// statusDoc is the /status JSON document. Estimate repeats query 0's.
+type statusDoc struct {
+	Estimate int64          `json:"estimate"`
+	Queries  []query.Status `json:"queries"`
+	Stats    dist.Stats     `json:"stats"`
+	PerQuery []dist.Stats   `json:"per_query"`
+}
+
+// serve starts the HTTP admin surface over the driver's runtime when -http
+// was given, and prints the chosen address (the real port even for ":0")
+// so scripts and smokes can scrape it. Every callback reads the runtime
+// under the admin mutex, which the driver holds while it drives.
+func (a *admin) serve(d *driver) {
+	if a == nil || a.httpAddr == "" {
 		return
 	}
-	m.Ring = a.ring
-	m.Runtime = true
-	srv, err := obs.Serve(a.cfg.httpAddr, obs.NewHandler(&obs.Admin{
-		Status:  status,
-		Metrics: m,
-		Ring:    a.ring,
-	}))
+	m := &obs.Metrics{
+		Stats:      func() (s dist.Stats) { a.locked(func() { s = d.rt.stats() }); return s },
+		Classes:    func() (c []dist.Stats) { a.locked(func() { c = d.rt.classStats() }); return c },
+		ClassLabel: "query",
+		Health:     func() (h obs.Health) { a.locked(func() { h = d.rt.health() }); return h },
+		Gauges:     func(emit func(string, string, float64)) { a.locked(func() { d.rt.gauges(emit) }) },
+		Ring:       a.ring,
+		Runtime:    true,
+	}
+	status := func() any {
+		var doc statusDoc
+		a.locked(func() { doc.Queries, doc.Stats, doc.PerQuery = d.status(), d.rt.stats(), d.rt.classStats() })
+		if len(doc.Queries) > 0 {
+			doc.Estimate = doc.Queries[0].Estimate
+		}
+		return doc
+	}
+	srv, err := obs.Serve(a.httpAddr, obs.NewHandler(&obs.Admin{Status: status, Metrics: m, Ring: a.ring}))
 	if err != nil {
-		fatalf("admin http on %s: %v", a.cfg.httpAddr, err)
+		fatalf("admin http on %s: %v", a.httpAddr, err)
 	}
 	a.srv = srv
-	fmt.Printf("admin surface on %s (/status /metrics /events /healthz /debug/pprof)\n", srv.URL())
+	fmt.Fprintf(a.out, "admin surface on %s (/status /metrics /events /healthz /debug/pprof)\n", srv.URL())
 }
 
 // finish shuts the admin server down gracefully (no leaked listener) and
 // dumps the retained event trace to -events-out. It is idempotent: the
-// fault smokes call it before their final asserts so a failing run still
-// leaves its trace behind, and the deferred call then no-ops.
+// driver calls it before its final asserts so a failing run still leaves
+// its trace behind, and the deferred call then no-ops.
 func (a *admin) finish() {
 	if a == nil || a.done {
 		return
@@ -111,87 +108,26 @@ func (a *admin) finish() {
 	a.done = true
 	if a.srv != nil {
 		if err := a.srv.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "varmon: admin shutdown: %v\n", err)
-		}
-		a.srv = nil
-	}
-	if a.cfg.eventsOut != "" {
-		f, err := os.Create(a.cfg.eventsOut)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		events := a.ring.Snapshot()
-		if err := obs.WriteJSONL(f, events); err != nil {
-			fatalf("writing events: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			fatalf("closing events: %v", err)
-		}
-		if ev := a.ring.Evicted(); ev > 0 {
-			fmt.Printf("wrote %d events to %s (%d older events evicted from the %d-deep ring)\n",
-				len(events), a.cfg.eventsOut, ev, obs.DefaultRingCap)
-		} else {
-			fmt.Printf("wrote %d events to %s\n", len(events), a.cfg.eventsOut)
+			fmt.Fprintf(a.errOut, "varmon: admin shutdown: %v\n", err)
 		}
 	}
-}
-
-// tcpHealth is the /healthz verdict for a TCP coordinator: degraded while
-// any site slot is presumed dead.
-func tcpHealth(coord *dist.Coordinator, k int) obs.Health {
-	for i := 0; i < k; i++ {
-		if coord.SiteDead(i) {
-			return obs.Health{Detail: fmt.Sprintf("site %d dead", i)}
-		}
+	if a.eventsOut == "" {
+		return
 	}
-	return obs.Health{OK: true}
-}
-
-// serveAsyncAdmin starts the admin surface over an AsyncSim run. The
-// simulator is single-threaded, so every callback fences access through
-// the admin mutex — the driver loop holds it across Step. eng is non-nil
-// in multi-query mode and adds the per-query metric families plus the
-// query table on /status.
-func serveAsyncAdmin(sim *dist.AsyncSim, k int, a *admin, eng *query.Coord) {
-	m := &obs.Metrics{
-		Stats: func() dist.Stats { a.lock(); defer a.unlock(); return sim.Stats() },
-		Gauges: func(emit func(name, help string, value float64)) {
-			a.lock()
-			now, pending := sim.Now(), sim.Pending()
-			a.unlock()
-			emit("virtual_time_ticks", "Simulator virtual clock.", float64(now))
-			emit("pending_events", "Undelivered events in the simulator heap.", float64(pending))
-		},
-		Health: func() obs.Health {
-			a.lock()
-			defer a.unlock()
-			if sim.CoordCrashed() {
-				return obs.Health{Detail: "coordinator crashed"}
-			}
-			for i := 0; i < k; i++ {
-				if sim.Crashed(i) {
-					return obs.Health{Detail: fmt.Sprintf("site %d crashed", i)}
-				}
-				if sim.Suspected(i) {
-					return obs.Health{Detail: fmt.Sprintf("site %d suspected dead", i)}
-				}
-			}
-			return obs.Health{OK: true}
-		},
+	f, err := os.Create(a.eventsOut)
+	if err != nil {
+		fatalf("%v", err)
 	}
-	status := func() any {
-		a.lock()
-		defer a.unlock()
-		return singleStatus{Estimate: sim.Estimate(), Stats: sim.Stats()}
+	events := a.ring.Snapshot()
+	if err := obs.WriteJSONL(f, events); err != nil {
+		fatalf("writing events: %v", err)
 	}
-	if eng != nil {
-		m.Classes = func() []dist.Stats { a.lock(); defer a.unlock(); return sim.ClassStats() }
-		m.ClassLabel = "query"
-		status = func() any {
-			a.lock()
-			defer a.unlock()
-			return liveStatus{Queries: eng.Status(), Stats: sim.Stats(), PerQuery: sim.ClassStats()}
-		}
+	if err := f.Close(); err != nil {
+		fatalf("closing events: %v", err)
 	}
-	a.serve(m, status)
+	evicted := ""
+	if ev := a.ring.Evicted(); ev > 0 {
+		evicted = fmt.Sprintf(" (%d older events evicted from the %d-deep ring)", ev, obs.DefaultRingCap)
+	}
+	fmt.Fprintf(a.out, "wrote %d events to %s%s\n", len(events), a.eventsOut, evicted)
 }

@@ -1,94 +1,106 @@
-// Command varmon demonstrates the library as a real distributed monitoring
-// service: a coordinator and k sites track a simulated update stream and
-// periodically print the coordinator's estimate against the true value.
+// Command varmon runs the library as a live distributed monitoring service:
+// a coordinator and k sites track an update stream and periodically print
+// the coordinator's estimate against the true value. Every run is one
+// driver over three independent choices:
 //
-// By default the run is live TCP on loopback with the deterministic
-// variability tracker of §3.3. With -net the run moves to the
-// fault-injecting asynchronous simulator (dist.AsyncSim) under the given
-// network model, adding staleness and loss counters to the report:
+//   - The query plan. -queries SPECS multiplexes Q tracking queries (mixed
+//     algorithms, ε's, item filters) over one shared runtime
+//     (internal/query) with per-query cost and error reporting; at=T
+//     attaches a query mid-stream, bootstrapping the history it missed.
+//     Without -queries, -eps E is the one-query plan 'det,eps=E'.
+//   - The runtime: live TCP on loopback, or with -net MODEL the
+//     deterministic fault-injecting simulator dist.AsyncSim, which adds
+//     staleness and loss counters.
+//   - The fault plan. -kill STEP:SITE kills the site right after update
+//     STEP; its updates buffer locally until a warm replacement restored
+//     from a snapshot taken at the kill takes the slot over and replays
+//     them (on TCP once the heartbeat detector's verdict stands, on
+//     AsyncSim 8 heartbeat periods after the crash tick). -kill-coord STEP
+//     kills the coordinator; at the next progress line a replacement takes
+//     over, warm with -standby (restored from the kill-time snapshot) or
+//     cold (rebuilt from what the sites re-report in the KindCoordTakeover
+//     handshake). On TCP the sites buffer and replay through the outage.
+//
+// For example:
 //
 //	varmon -net latency=8,jitter=2,drop=0.01,retrans=3
-//
-// With -queries the run becomes a multi-tenant monitor (internal/query):
-// Q concurrent tracking queries — mixed algorithms, ε's, item filters —
-// multiplexed over the one shared runtime, with per-query cost and error
-// reporting. Queries with an at=T option attach mid-stream, bootstrapping
-// the history they missed through the resync machinery:
-//
 //	varmon -stream zipf -queries 'det,eps=0.05;freq,eps=0.1;det,eps=0.1,filter=even;rand,eps=0.1,at=50000'
-//
-// -http ADDR serves the live admin surface on any runtime: GET /status
-// (JSON estimates and counters), /metrics (Prometheus text exposition,
-// aggregate plus per-query families), /events?n=K (the newest K traced
-// protocol events as JSONL), /healthz (503 while a site or the
-// coordinator is down), and /debug/pprof. ":0" binds an ephemeral port
-// and prints the one chosen. -events-out FILE dumps the retained event
-// trace as JSONL at exit; either flag enables tracing, and runs with
-// neither install no sinks and pay nothing.
-//
-// Workloads can be recorded while running (-record FILE, a streaming tee —
-// the run and the file see the identical updates) and replayed (-replay
-// FILE), including replaying with -record to re-encode an old trace.
-//
-// On live TCP, -hb INTERVAL arms failure detection: sites beacon
-// heartbeats and the coordinator declares a slot dead after -hb-miss
-// consecutive missed periods instead of aborting on its read error. Site
-// dials retry with exponential backoff up to -dial-timeout, so sites can
-// start before the coordinator listens. -kill STEP:SITE is the
-// crash-fault smoke: at update STEP the given site's process is killed
-// mid-stream; the run waits for the detector's verdict, keeps streaming
-// degraded (the victim's updates buffer locally), then dials a warm
-// replacement restored from a pre-kill snapshot into the dead slot,
-// replays the buffered updates, and exits nonzero unless the final
-// estimate is back inside ε:
-//
 //	varmon -n 20000 -hb 10ms -kill 8000:1
+//	varmon -n 20000 -net latency=2,drop=0.01,retrans=3,hb=8 -kill-coord 8000 -standby
 //
-// -kill-coord STEP is the coordinator-side mirror: at update STEP the
-// coordinator process is killed. Every site's updates buffer locally while
-// the slot is vacant, then a replacement coordinator comes up on a new
-// port (with -standby, warm: restored from a pre-kill snapshot; without,
-// cold: rebuilt purely from what the sites re-report through the
-// KindCoordTakeover handshake), all sites re-dial it, the buffered
-// backlogs replay, and the run exits nonzero unless exactly one
-// coordinator takeover happened and the final estimate is inside ε:
+// A fault plan arms failure detection the runtime lacks (-hb 25ms on TCP,
+// hb=8 on AsyncSim), and the run exits nonzero unless each planned
+// takeover happened exactly once and every deterministic query ends inside
+// its ε. On -net it needs an in-order model that retransmits its losses:
+// the takeover handshake assumes per-link FIFO and a delivered ack.
 //
-//	varmon -n 20000 -hb 10ms -kill-coord 8000 -standby
+// -snapshot-dir DIR persists the coordinator's self-verifying snapshot at
+// every progress interval it is up, and at a coordinator kill. -restore
+// DIR boots a coordinator from the newest snapshot in DIR that passes its
+// integrity hash (damaged files are skipped loudly), registering the
+// queries attached by the snapshot's step first: the standby under
+// -kill-coord -standby, else the initial coordinator, which then resumes
+// the snapshot's history — the printed exact value only matches when the
+// run continues the recorded stream.
 //
-// -snapshot-dir DIR persists the coordinator's self-verifying snapshot to
-// DIR at every progress interval (and at the pre-kill checkpoint with
-// -kill-coord); -restore DIR boots the coordinator from the newest
-// snapshot in DIR that still passes its integrity hash — damaged files
-// are skipped loudly, never silently restored. With -restore the
-// coordinator resumes the snapshot's accumulated history, so the printed
-// exact value only matches when the run continues the recorded stream.
+// -http ADDR serves the admin surface: /status (JSON estimates and
+// counters), /metrics (Prometheus text, aggregate and per-query),
+// /events?n=K (the newest K protocol events as JSONL), /healthz (503 while
+// a site or the coordinator is down), and /debug/pprof; ":0" picks a port
+// and prints it. -events-out FILE dumps the retained event trace at exit.
+// -record FILE tees the workload into a trace while running; -replay FILE
+// drives the run from one. On TCP, site dials retry with backoff up to
+// -dial-timeout, and -hb INTERVAL arms the heartbeat detector, which
+// declares a slot dead after -hb-miss missed periods.
 //
 // Usage:
 //
 //	varmon [-k 4] [-eps 0.1] [-n 100000] [-stream randwalk|biased|monotone|sawtooth|zipf] [-seed 1]
-//	       [-queries SPECS] [-http ADDR] [-events-out FILE] [-record FILE] [-replay FILE] [-net MODEL]
-//	       [-dial-timeout 2s] [-hb 0] [-hb-miss 3] [-kill STEP:SITE] [-takeover-after 0]
-//	       [-kill-coord STEP] [-standby] [-snapshot-dir DIR] [-restore DIR]
+//	       [-progress 10] [-queries SPECS] [-net MODEL] [-http ADDR] [-events-out FILE]
+//	       [-record FILE] [-replay FILE] [-dial-timeout 2s] [-hb 0] [-hb-miss 3]
+//	       [-kill STEP:SITE] [-kill-coord STEP] [-standby] [-snapshot-dir DIR] [-restore DIR]
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
+	"sort"
 	"strings"
 	"time"
 
 	"repro/internal/dist"
-	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/stream"
 	"repro/internal/track"
 )
 
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "varmon: "+format+"\n", args...)
-	os.Exit(1)
+func main() {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		e := err.(*exitError)
+		if e.msg != "" {
+			fmt.Fprintf(os.Stderr, "varmon: %s\n", e.msg)
+		}
+		os.Exit(e.code)
+	}
 }
+
+// exitError is a failed run: its message and exit status, 2 for input
+// varmon rejects and 1 for a run that went wrong.
+type exitError struct {
+	code int
+	msg  string
+}
+
+func (e *exitError) Error() string { return e.msg }
+
+// fatalf and usagef abort the run from the driver goroutine; run recovers
+// the panic into its returned error.
+func fatalf(format string, args ...any) { panic(&exitError{1, fmt.Sprintf(format, args...)}) }
+func usagef(format string, args ...any) { panic(&exitError{2, fmt.Sprintf(format, args...)}) }
 
 // streamClasses is the CLI's workload menu, in display order. zipf is the
 // item workload of appendix H (Zipf-distributed inserts with uniform
@@ -104,8 +116,6 @@ var streamClasses = []struct {
 	{"zipf", func(n int64, seed uint64) stream.Stream { return stream.NewItemGen(n, 4096, 1.1, 0.2, seed) }},
 }
 
-// makeStream resolves a -stream class name, or exits with a friendly error
-// naming the valid classes.
 func makeStream(class string, n int64, seed uint64) stream.Stream {
 	names := make([]string, len(streamClasses))
 	for i, c := range streamClasses {
@@ -114,9 +124,7 @@ func makeStream(class string, n int64, seed uint64) stream.Stream {
 			return c.make(n, seed)
 		}
 	}
-	fmt.Fprintf(os.Stderr, "varmon: unknown stream class %q (valid classes: %s)\n",
-		class, strings.Join(names, "|"))
-	os.Exit(2)
+	usagef("unknown stream class %q (valid classes: %s)", class, strings.Join(names, "|"))
 	return nil
 }
 
@@ -138,38 +146,92 @@ func (t *tee) Next() (stream.Update, bool) {
 	return u, ok
 }
 
-func main() {
-	var (
-		k         = flag.Int("k", 4, "number of sites")
-		eps       = flag.Float64("eps", 0.1, "relative error parameter (single-query mode)")
-		n         = flag.Int64("n", 100_000, "stream length")
-		seed      = flag.Uint64("seed", 1, "stream seed")
-		sclass    = flag.String("stream", "randwalk", "stream class: randwalk|biased|monotone|sawtooth|zipf")
-		refresh   = flag.Int64("progress", 10, "progress lines to print")
-		record    = flag.String("record", "", "tee the workload into this trace file while running")
-		replay    = flag.String("replay", "", "drive the run from a recorded trace file instead of a generator")
-		netFlag   = flag.String("net", "", "run on the async fault simulator under this model (e.g. latency=8,jitter=2,drop=0.01,retrans=3) instead of live TCP")
-		queries   = flag.String("queries", "", "multi-query mode: ';'-separated query specs, e.g. 'det,eps=0.1;freq,eps=0.2,filter=even;rand,eps=0.05,at=50000'")
-		httpAddr  = flag.String("http", "", "serve the live admin surface (/status /metrics /events /healthz /debug/pprof) on this address — works with every runtime; \":0\" picks a port and prints it")
-		eventsOut = flag.String("events-out", "", "dump the protocol event trace as JSONL to this file at exit")
-		dialTO    = flag.Duration("dial-timeout", 2*time.Second, "TCP site dial retry budget (exponential backoff with jitter)")
-		hb        = flag.Duration("hb", 0, "TCP failure detection: heartbeat interval (0 = off)")
-		hbMiss    = flag.Int("hb-miss", 3, "consecutive missed heartbeat periods before a slot is declared dead")
-		kill      = flag.String("kill", "", "crash-fault smoke (TCP single-query mode): kill site at 'STEP:SITE', e.g. 8000:1")
-		tkAfter   = flag.Duration("takeover-after", 0, "with -kill/-kill-coord: extra degraded time before the replacement comes up")
-		killCo    = flag.Int64("kill-coord", 0, "coordinator crash smoke (TCP single-query mode): kill the coordinator at this step and fail over")
-		standby   = flag.Bool("standby", false, "with -kill-coord: warm standby — restore the replacement coordinator from the pre-kill snapshot instead of booting cold")
-		snapDir   = flag.String("snapshot-dir", "", "TCP single-query mode: persist coordinator snapshots into this directory at every progress interval")
-		restDir   = flag.String("restore", "", "TCP single-query mode: boot the coordinator from the newest intact snapshot in this directory")
-	)
-	flag.Parse()
+// run is varmon with its arguments and output streams explicit; it
+// returns an *exitError instead of exiting.
+func run(args []string, stdout, stderr io.Writer) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			e, ok := r.(*exitError)
+			if !ok {
+				panic(r)
+			}
+			err = e
+		}
+	}()
+	d := &driver{out: stdout, errOut: stderr, ex: &exactMonitor{items: map[uint64]int64{}}}
+	fs := flag.NewFlagSet("varmon", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.IntVar(&d.k, "k", 4, "number of sites")
+	eps := fs.Float64("eps", 0.1, "relative error of the one-query plan 'det,eps=E' (without -queries)")
+	n := fs.Int64("n", 100_000, "stream length")
+	seed := fs.Uint64("seed", 1, "stream seed (and the -net model's)")
+	sclass := fs.String("stream", "randwalk", "stream class: randwalk|biased|monotone|sawtooth|zipf")
+	refresh := fs.Int64("progress", 10, "progress lines to print")
+	record := fs.String("record", "", "tee the workload into this trace file while running")
+	replay := fs.String("replay", "", "drive the run from a recorded trace file instead of a generator")
+	netFlag := fs.String("net", "", "run on the async fault simulator under this model (e.g. latency=8,jitter=2,drop=0.01,retrans=3) instead of live TCP")
+	queries := fs.String("queries", "", "query plan: ';'-separated specs, e.g. 'det,eps=0.1;freq,eps=0.2,filter=even;rand,eps=0.05,at=50000'")
+	httpAddr := fs.String("http", "", "serve the admin surface (/status /metrics /events /healthz /debug/pprof) here; \":0\" picks a port and prints it")
+	eventsOut := fs.String("events-out", "", "dump the protocol event trace as JSONL to this file at exit")
+	fs.DurationVar(&d.tcp.dialTimeout, "dial-timeout", 2*time.Second, "TCP site dial retry budget (exponential backoff with jitter)")
+	fs.DurationVar(&d.tcp.hb, "hb", 0, "TCP heartbeat interval (0 = off, or 25ms under a fault plan)")
+	fs.IntVar(&d.tcp.hbMiss, "hb-miss", 3, "consecutive missed heartbeat periods before a TCP slot is declared dead")
+	kill := fs.String("kill", "", "fault plan: kill site SITE right after update STEP, as 'STEP:SITE'")
+	fs.Int64Var(&d.coordAt, "kill-coord", 0, "fault plan: kill the coordinator right after this update")
+	fs.BoolVar(&d.standby, "standby", false, "with -kill-coord: the replacement is a warm standby restored from the kill-time snapshot, not a cold restart")
+	fs.StringVar(&d.snapDir, "snapshot-dir", "", "persist coordinator snapshots into this directory at every progress interval")
+	fs.StringVar(&d.restoreDir, "restore", "", "boot a coordinator (the -kill-coord -standby replacement, else the initial one) from the newest intact snapshot here")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return &exitError{code: 2}
+	}
+	if d.k < 1 {
+		usagef("-k must be >= 1, got %d", d.k)
+	}
+	if *refresh < 1 {
+		usagef("-progress must be >= 1, got %d", *refresh)
+	}
+	d.every = max(*n / *refresh, 1)
+	d.specs = []query.Spec{{Algo: "det", Eps: *eps}}
+	if d.multi = *queries != ""; d.multi {
+		if d.specs, err = query.ParseSpecs(*queries); err != nil {
+			usagef("%v", err)
+		}
+	}
+	d.order = attachOrder(d.specs)
+	if *kill != "" {
+		if _, err := fmt.Sscanf(*kill, "%d:%d", &d.killAt, &d.victim); err != nil {
+			usagef("-kill wants STEP:SITE, got %q", *kill)
+		}
+		if d.killAt < 1 || d.victim < 0 || d.victim >= d.k {
+			usagef("-kill %q: need STEP >= 1 and SITE in [0, %d)", *kill, d.k)
+		}
+	}
+	faults := d.killAt > 0 || d.coordAt > 0
+	if faults && d.tcp.hb <= 0 {
+		d.tcp.hb = 25 * time.Millisecond
+	}
+	if *netFlag != "" {
+		m, err := dist.ParseNetModel(*netFlag)
+		if err != nil {
+			usagef("%v", err)
+		}
+		if faults && (m.Reorder > 0 || m.Drop > 0 && m.Retrans == 0) {
+			usagef("-kill/-kill-coord on -net need an in-order model that retransmits its losses (no reorder=, and retrans= >= 1 with drop=): " +
+				"the takeover handshake assumes per-link FIFO and a delivered acknowledgement")
+		}
+		if faults && m.HeartbeatEvery == 0 {
+			m.HeartbeatEvery = 8
+		}
+		d.model = &m
+	}
 
-	gen := makeStream(*sclass, *n, *seed)
-
-	// The driven stream: replayed traces already carry site assignments
-	// (validated against -k below); generated workloads get round-robin.
-	var st stream.Stream
-	recordK := *k
+	// Replayed traces already carry site assignments (validated per
+	// update); generated workloads get round-robin.
+	var st stream.Stream = stream.NewAssign(makeStream(*sclass, *n, *seed), stream.NewRoundRobin(d.k))
+	recordK := d.k
 	if *replay != "" {
 		f, err := os.Open(*replay)
 		if err != nil {
@@ -180,91 +242,37 @@ func main() {
 		if err != nil {
 			fatalf("%v", err)
 		}
-		if tr.K() > *k {
+		if tr.K() > d.k {
 			fatalf("%s was recorded for %d sites; rerun with -k >= %d", *replay, tr.K(), tr.K())
 		}
 		if tr.K() == 0 {
-			fmt.Fprintf(os.Stderr, "varmon: %s predates the site-count header; site ids are validated per update\n", *replay)
+			fmt.Fprintf(stderr, "varmon: %s predates the site-count header; site ids are validated per update\n", *replay)
 		} else {
 			// A re-recorded copy stays valid for the k it was assigned
 			// over, not the (possibly larger) -k of this run.
 			recordK = tr.K()
 		}
 		st = tr
-	} else {
-		st = stream.NewAssign(gen, stream.NewRoundRobin(*k))
 	}
-
-	// Recording is a streaming tee around the (already assigned) run
-	// stream — never a re-assignment, never a Collect.
-	var recFile *os.File
 	var tw *stream.TraceWriter
+	var recFile *os.File
 	if *record != "" {
-		f, err := os.Create(*record)
-		if err != nil {
+		if recFile, err = os.Create(*record); err != nil {
 			fatalf("%v", err)
 		}
-		recFile = f
-		tw, err = stream.NewTraceWriter(f, recordK)
-		if err != nil {
+		defer recFile.Close()
+		if tw, err = stream.NewTraceWriter(recFile, recordK); err != nil {
 			fatalf("%v", err)
 		}
 		st = &tee{inner: st, tw: tw}
 	}
 
-	every := *n / *refresh
-	if every < 1 {
-		every = 1
-	}
-
-	var model *dist.NetModel
-	if *netFlag != "" {
-		m, err := dist.ParseNetModel(*netFlag)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		model = &m
-	}
-
-	adm := newAdmin(obsCfg{httpAddr: *httpAddr, eventsOut: *eventsOut})
-	opts := tcpOpts{dialTimeout: *dialTO, hb: *hb, hbMiss: *hbMiss}
-	if *kill != "" && (*queries != "" || model != nil) {
-		fatalf("-kill needs the single-query live TCP runtime (drop -queries and -net)")
-	}
-	if *killCo > 0 && (*queries != "" || model != nil) {
-		fatalf("-kill-coord needs the single-query live TCP runtime (drop -queries and -net)")
-	}
-	if *kill != "" && *killCo > 0 {
-		fatalf("-kill and -kill-coord are one fault apiece; pick one")
-	}
-	if *standby && *killCo == 0 {
-		fatalf("-standby only means something with -kill-coord")
-	}
-	if (*snapDir != "" || *restDir != "") && (*queries != "" || model != nil || *kill != "") {
-		fatalf("-snapshot-dir/-restore need the single-query live TCP runtime (drop -queries, -net and -kill)")
-	}
-	switch {
-	case *queries != "":
-		specs, err := query.ParseSpecs(*queries)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		if model != nil {
-			runQueriesAsync(st, *k, specs, every, *model, *seed, adm)
-		} else {
-			runQueriesTCP(st, *k, specs, every, opts, adm)
-		}
-	case model != nil:
-		runAsync(st, *k, *eps, every, *model, *seed, adm)
-	case *kill != "":
-		step, site := parseKill(*kill, *k)
-		runTCPKill(st, *k, *eps, every, opts, step, site, *tkAfter, adm)
-	case *killCo > 0:
-		runTCPKillCoord(st, *k, *eps, every, opts, *killCo, *standby, *snapDir, *restDir, *tkAfter, adm)
-	default:
-		runTCP(st, *k, *eps, every, opts, *snapDir, *restDir, adm)
-	}
-
+	d.adm = newAdmin(*httpAddr, *eventsOut, stdout, stderr)
+	defer d.adm.finish()
+	d.start(*seed)
+	defer d.rt.close()
+	d.adm.serve(d)
+	d.drive(st)
 	if tw != nil {
 		if err := tw.Flush(); err != nil {
 			fatalf("flushing trace: %v", err)
@@ -272,537 +280,388 @@ func main() {
 		if err := recFile.Close(); err != nil {
 			fatalf("closing trace: %v", err)
 		}
-		fmt.Printf("recorded %d updates to %s\n", tw.Count(), *record)
+		fmt.Fprintf(stdout, "recorded %d updates to %s\n", tw.Count(), *record)
 	}
+	return nil
 }
 
-// checkSite guards per-site indexing against out-of-range ids (a format-1
-// trace replayed with too small a -k, or a corrupt record).
-func checkSite(u stream.Update, k int) {
-	if u.Site < 0 || u.Site >= k {
-		fatalf("update %d is assigned to site %d, outside [0, %d); was the trace recorded with a larger -k?",
-			u.T, u.Site, k)
+// attachOrder lists spec indices in the order the driver registers them —
+// the initial queries in CLI order, then the at= attaches by attach step —
+// which is the order of query ids, so a restore can rebuild the registry
+// a snapshot was taken against.
+func attachOrder(specs []query.Spec) []int {
+	order := make([]int, len(specs))
+	for i := range order {
+		order[i] = i
 	}
+	sort.SliceStable(order, func(a, b int) bool {
+		return max(specs[order[a]].AttachAt, 0) < max(specs[order[b]].AttachAt, 0)
+	})
+	return order
 }
 
-// tcpOpts carries the live-TCP runtime knobs from the flag set.
-type tcpOpts struct {
-	dialTimeout time.Duration
-	hb          time.Duration // 0: failure detection off
-	hbMiss      int
+// driver runs one query plan on one runtime under one fault plan.
+type driver struct {
+	out, errOut io.Writer
+	k           int
+	every       int64          // updates per progress interval
+	multi       bool           // -queries: report per query
+	specs       []query.Spec   // in CLI order
+	order       []int          // spec indices in attach order (= query ids)
+	attached    int            // specs order[:attached] are registered
+	model       *dist.NetModel // nil: live TCP
+	tcp         tcpOpts
+	killAt      int64 // -kill step (0: none)
+	victim      int
+	coordAt     int64 // -kill-coord step (0: none)
+	standby     bool
+	snapDir     string
+	restoreDir  string
+	restored    bool // the initial coordinator booted from -restore
+	adm         *admin
+	ex          *exactMonitor
+	rt          runtime
+	reg, eng    *query.Coord // the registry the sites read; the serving coordinator
+	next        *query.Coord // the replacement while the coordinator is down
+	healAt      int64        // the update at which next takes over
 }
 
-// arm wires failure detection onto a freshly built coordinator+site set.
-func (o tcpOpts) arm(coord *dist.Coordinator, sites []*dist.NetSite) {
-	if o.hb <= 0 {
-		return
+// engine builds the engine with the first n queries of the attach order.
+func (d *driver) engine(n int) (*query.Coord, []dist.SiteAlgo) {
+	specs := make([]query.Spec, n)
+	for j := range specs {
+		specs[j] = d.specs[d.order[j]]
 	}
-	coord.SetFailureDetection(o.hb, o.hbMiss)
-	for _, s := range sites {
-		s.StartHeartbeats(o.hb)
+	c, sites, err := query.New(d.k, specs)
+	if err != nil {
+		usagef("%v", err)
 	}
+	return c, sites
 }
 
-// parseKill resolves a -kill STEP:SITE argument.
-func parseKill(spec string, k int) (int64, int) {
-	var step int64
-	var site int
-	if _, err := fmt.Sscanf(spec, "%d:%d", &step, &site); err != nil {
-		fatalf("-kill wants STEP:SITE, got %q", spec)
+// attachedBy counts the queries registered once update step has run.
+func (d *driver) attachedBy(step int64) int {
+	n := 0
+	for n < len(d.order) && d.specs[d.order[n]].AttachAt <= step {
+		n++
 	}
-	if step < 1 || site < 0 || site >= k {
-		fatalf("-kill %q: need STEP >= 1 and SITE in [0, %d)", spec, k)
-	}
-	return step, site
+	return n
 }
 
-func runTCP(st stream.Stream, k int, eps float64, every int64, opts tcpOpts, snapDir, restoreDir string, adm *admin) {
-	coordAlgo, siteAlgos := track.NewDeterministic(k, eps)
-	var coord *dist.Coordinator
-	var err error
-	if restoreDir != "" {
-		// Boot from the newest intact on-disk snapshot. The restored
-		// coordinator is a new incarnation of an old deployment, so it
-		// listens as a standby: epoch 1, announcing the takeover to every
-		// site that dials so their books fold through the handshake.
-		restored, step, skipped, rerr := restoreLatest(restoreDir, func() any {
-			a, _ := track.NewDeterministic(k, eps)
-			return a
-		})
-		for _, s := range skipped {
-			fmt.Fprintf(os.Stderr, "varmon: skipping damaged snapshot %s\n", s)
+// restore builds a coordinator from the newest intact snapshot in
+// -restore. The queries attached by the snapshot's step are registered (in
+// attach order) before it is decoded and any attached since after it, so
+// query ids line up with the sites'.
+func (d *driver) restore() (*query.Coord, []dist.SiteAlgo, int64) {
+	var sites []dist.SiteAlgo
+	algo, step, skipped, err := restoreLatest(d.restoreDir, func(step int64) any {
+		c, s := d.engine(d.attachedBy(step))
+		sites = s
+		return c
+	})
+	for _, s := range skipped {
+		fmt.Fprintf(d.errOut, "varmon: skipping damaged snapshot %s\n", s)
+	}
+	if err != nil {
+		fatalf("%v", err)
+	}
+	c := algo.(*query.Coord)
+	for j := d.attachedBy(step); j < d.attached; j++ {
+		if _, err := c.Attach(d.specs[d.order[j]], discard{}); err != nil {
+			fatalf("attach: %v", err)
 		}
-		if rerr != nil {
-			fatalf("%v", rerr)
-		}
-		coordAlgo = restored.(dist.CoordAlgo)
-		coord, err = dist.ListenCoordinatorStandby("127.0.0.1:0", k, coordAlgo, 1)
-		if err == nil {
-			fmt.Printf("coordinator restored from the step-%d snapshot in %s (f̂ resumes at %d)\n",
-				step, restoreDir, coordAlgo.Estimate())
-		}
+	}
+	return c, sites, step
+}
+
+// start builds the engine — from disk when -restore is not reserved for a
+// standby — and deploys it on the runtime.
+func (d *driver) start(seed uint64) {
+	d.attached = d.attachedBy(0)
+	var sites []dist.SiteAlgo
+	if d.restored = d.restoreDir != "" && !(d.coordAt > 0 && d.standby); d.restored {
+		var step int64
+		d.eng, sites, step = d.restore()
+		d.attached = d.attachedBy(step)
+		fmt.Fprintf(d.out, "coordinator restored from the step-%d snapshot in %s (f̂ resumes at %d)\n",
+			step, d.restoreDir, d.eng.Estimate())
 	} else {
-		coord, err = dist.ListenCoordinator("127.0.0.1:0", k, coordAlgo)
+		d.eng, sites = d.engine(d.attached)
 	}
-	if err != nil {
-		fatalf("listen: %v", err)
+	d.reg = d.eng
+	where := ""
+	if d.model != nil {
+		d.rt, where = newAsyncRuntime(d.eng, sites, *d.model, seed, d.restored, d.adm.sink()), "async simulator, net "+d.model.String()
+	} else {
+		t := newTCPRuntime(d.eng, sites, d.tcp, d.restored, d.adm.sink(), d.out, d.errOut)
+		d.rt, where = t, "coordinator on "+t.coord.Addr()
 	}
-	defer coord.Close()
-	fmt.Printf("coordinator listening on %s; %d sites connecting\n", coord.Addr(), k)
+	if d.killAt > 0 {
+		where += fmt.Sprintf("; killing site %d at step %d", d.victim, d.killAt)
+	}
+	if d.coordAt > 0 {
+		where += fmt.Sprintf("; killing the coordinator at step %d (%s)", d.coordAt, d.mode())
+	}
+	fmt.Fprintf(d.out, "%s: %d sites, %d queries (%d pending attach)\n", where, d.k, len(d.specs), len(d.specs)-d.attached)
+}
 
-	sites := dialSites(coord.Addr(), k, siteAlgos, opts.dialTimeout)
-	defer closeSites(sites)
-	opts.arm(coord, sites)
-	coord.SetEventSink(adm.sink())
-	adm.serve(&obs.Metrics{
-		Stats:  coord.Stats,
-		Health: func() obs.Health { return tcpHealth(coord, k) },
-	}, func() any {
-		return singleStatus{Estimate: coord.Estimate(), Stats: coord.Stats()}
-	})
-	defer adm.finish()
+func (d *driver) mode() string {
+	if d.standby {
+		return "warm standby"
+	}
+	return "cold restart"
+}
 
-	var f, steps int64
+// drive is the run loop. The admin mutex fences the runtime from
+// concurrent HTTP scrapes (a no-op without -http/-events-out).
+func (d *driver) drive(st stream.Stream) {
+	var steps, last int64
 	for {
 		u, ok := st.Next()
 		if !ok {
 			break
 		}
-		checkSite(u, k)
-		f += u.Delta
-		steps++
-		sites[u.Site].Update(u)
-		if u.T%every == 0 {
-			// Flush so the printed estimate reflects all sent messages.
-			barrierAll(sites, "barrier")
-			if snapDir != "" {
-				writeSnapshot(coord, coordAlgo, snapDir, u.T)
+		if u.Site < 0 || u.Site >= d.k {
+			fatalf("update %d is assigned to site %d, outside [0, %d); was the trace recorded with a larger -k?",
+				u.T, u.Site, d.k)
+		}
+		d.ex.apply(u)
+		steps, last = steps+1, u.T
+		d.adm.locked(func() {
+			d.rt.step(u)
+			if d.next != nil && u.T >= d.healAt {
+				d.heal(u.T)
 			}
-			est := coord.Estimate()
-			fmt.Printf("t=%-10d f=%-10d f̂=%-10d rel.err=%-8.5f msgs=%d\n",
-				u.T, f, est, relErr(f, est), coord.Stats().Total())
-		}
-	}
-
-	barrierAll(sites, "final barrier")
-	stats := coord.Stats()
-	fmt.Printf("\nfinal: f=%d f̂=%d | messages=%d (%.4f/update) wire bytes=%d\n",
-		f, coord.Estimate(), stats.Total(),
-		perStep(stats.Total(), steps), stats.Bytes)
-	if err := coord.Err(); err != nil {
-		fatalf("transport error: %v", err)
-	}
-}
-
-// runTCPKill is the crash-fault smoke: a real mid-stream process death on
-// live TCP, detector verdict, degraded streaming with the victim's updates
-// buffered locally, then a warm takeover restored from a pre-kill
-// snapshot. Exits nonzero if any leg fails or the final estimate misses ε.
-func runTCPKill(st stream.Stream, k int, eps float64, every int64, opts tcpOpts,
-	killStep int64, victim int, tkAfter time.Duration, adm *admin) {
-	if opts.hb <= 0 {
-		opts.hb = 25 * time.Millisecond // the smoke is pointless without a detector
-	}
-	coordAlgo, siteAlgos := track.NewDeterministic(k, eps)
-	coord, err := dist.ListenCoordinator("127.0.0.1:0", k, coordAlgo)
-	if err != nil {
-		fatalf("listen: %v", err)
-	}
-	defer coord.Close()
-	fmt.Printf("coordinator listening on %s; %d sites connecting; killing site %d at step %d\n",
-		coord.Addr(), k, victim, killStep)
-
-	sites := dialSites(coord.Addr(), k, siteAlgos, opts.dialTimeout)
-	defer closeSites(sites)
-	opts.arm(coord, sites)
-	coord.SetEventSink(adm.sink())
-	// Health rides the detector's verdict (thread-safe on the coordinator),
-	// not the driver loop's local phase flags.
-	adm.serve(&obs.Metrics{
-		Stats:  coord.Stats,
-		Health: func() obs.Health { return tcpHealth(coord, k) },
-	}, func() any {
-		return singleStatus{Estimate: coord.Estimate(), Stats: coord.Stats()}
-	})
-	defer adm.finish()
-
-	var f, steps int64
-	var snap []byte
-	var backlog []stream.Update
-	var verdictAt, killedAt time.Time
-	killed, deadSeen, tookOver := false, false, false
-	// A heartbeat already in flight when the victim dies can briefly
-	// rescind a dead verdict just after we act on it (the detector
-	// re-declares once the stale beacon drains, but by then the
-	// replacement has registered against a live-looking slot and the
-	// takeover hook never fires). Trust a verdict only once the drain
-	// window after the kill has passed and the verdict still stands.
-	verdictStands := func() bool {
-		return time.Since(killedAt) >= 2*opts.hb && coord.SiteDead(victim)
-	}
-	takeover := func() {
-		_, fresh := track.NewDeterministic(k, eps)
-		if err := track.RestoreSite(fresh[victim], snap); err != nil {
-			fatalf("restore: %v", err)
-		}
-		repl, err := dist.DialNetSiteRetry(coord.Addr(), victim, fresh[victim], opts.dialTimeout)
-		if err != nil {
-			fatalf("takeover dial: %v", err)
-		}
-		repl.StartHeartbeats(opts.hb)
-		repl.Inject(func(out dist.Outbox) {
-			fresh[victim].(dist.SiteTakeover).OnTakeover(out)
+			if u.T == d.killAt {
+				d.crashSite(u.T)
+			}
+			if u.T == d.coordAt {
+				d.crashCoord(u.T)
+			}
+			if d.next == nil {
+				d.attachDue(u.T)
+			}
+			if u.T%d.every == 0 {
+				d.progress(u.T)
+			}
 		})
-		for _, u := range backlog {
-			repl.Update(u)
-		}
-		sites[victim] = repl
-		tookOver = true
-		fmt.Printf("t=%-10d warm takeover: slot %d re-dialed, snapshot restored, %d buffered updates replayed\n",
-			steps, victim, len(backlog))
 	}
-	for {
-		u, ok := st.Next()
-		if !ok {
-			break
-		}
-		checkSite(u, k)
-		f += u.Delta
-		steps++
-		if !killed && steps == killStep {
-			// Quiesce the victim's connection, checkpoint it under its
-			// lock, then kill the process. Its share of the stream buffers
-			// locally (the durable queue a real deployment would hold).
-			if err := sites[victim].Barrier(); err != nil {
-				fatalf("pre-kill barrier: %v", err)
-			}
-			sites[victim].Inject(func(dist.Outbox) {
-				snap, err = track.SnapshotSite(siteAlgos[victim])
-			})
-			if err != nil {
-				fatalf("snapshot: %v", err)
-			}
-			sites[victim].Close()
-			killed = true
-			killedAt = time.Now()
-			fmt.Printf("t=%-10d killed site %d (snapshot: %d bytes)\n", steps, victim, len(snap))
-		}
-		if killed && !tookOver {
-			if !deadSeen && verdictStands() {
-				deadSeen = true
-				verdictAt = time.Now()
-				fmt.Printf("t=%-10d detector verdict: site %d dead (heartbeat misses: %d)\n",
-					steps, victim, coord.Stats().HeartbeatMisses)
-			}
-			if deadSeen && !coord.SiteDead(victim) {
-				// Stale in-flight beacon rescinded the verdict; wait for
-				// the detector to re-declare before splicing.
-				deadSeen = false
-			}
-			if deadSeen && time.Since(verdictAt) >= tkAfter {
-				takeover()
-			}
-		}
-		if killed && !tookOver && u.Site == victim {
-			backlog = append(backlog, u)
-			continue
-		}
-		sites[u.Site].Update(u)
-		if u.T%every == 0 {
-			est := coord.Estimate()
-			state := "healthy"
-			if killed && !tookOver {
-				state = "degraded"
-			}
-			fmt.Printf("t=%-10d f=%-10d f̂=%-10d rel.err=%-8.5f msgs=%-8d [%s]\n",
-				u.T, f, est, relErr(f, est), coord.Stats().Total(), state)
+	for _, at := range []int64{d.killAt, d.coordAt} {
+		if at > last {
+			fatalf("stream ended before fault step %d (only %d updates)", at, steps)
 		}
 	}
-	if !killed {
-		fatalf("stream ended before -kill step %d (only %d updates)", killStep, steps)
-	}
-	// A short stream can end mid-outage; the smoke still owes a takeover.
-	if !tookOver {
-		deadline := time.Now().Add(10 * time.Second)
-		for !verdictStands() {
-			if time.Now().After(deadline) {
-				fatalf("detector never declared site %d dead", victim)
-			}
-			time.Sleep(opts.hb)
+	var s dist.Stats
+	var class []dist.Stats
+	var qs []query.Status
+	d.adm.locked(func() {
+		if d.next != nil {
+			d.heal(last) // a short stream can end mid-outage; the plan still owes the takeover
 		}
-		takeover()
+		d.rt.quiesce(true)
+		s, class, qs = d.rt.stats(), d.rt.classStats(), d.status()
+	})
+	miss := d.report(s, class, qs, steps)
+	d.adm.finish() // before the asserts, so a failing run still dumps its trace
+	if d.killAt > 0 && s.Takeovers != 1 {
+		fatalf("expected exactly one takeover, saw %d", s.Takeovers)
 	}
-
-	barrierQuiesce(coord, sites, "final barrier")
-	adm.finish() // before the asserts, so a failing smoke still dumps its trace
-	stats := coord.Stats()
-	var hbSent int64
-	for _, s := range sites {
-		hbSent += s.Stats().HeartbeatsSent
+	if d.coordAt > 0 {
+		want := int64(1)
+		if d.restored {
+			want = 2 // booting from disk was a takeover too
+		}
+		if s.CoordTakeovers != want {
+			fatalf("expected %d coordinator takeover(s), saw %d", want, s.CoordTakeovers)
+		}
 	}
-	est := coord.Estimate()
-	fmt.Printf("\nfinal: f=%d f̂=%d rel.err=%.5f | messages=%d heartbeats sent/recv=%d/%d misses=%d takeovers=%d\n",
-		f, est, relErr(f, est), stats.Total(),
-		hbSent, stats.HeartbeatsRecv, stats.HeartbeatMisses, stats.Takeovers)
-	if err := coord.Err(); err != nil {
-		fatalf("transport error: %v", err)
+	if d.killAt > 0 || d.coordAt > 0 {
+		if miss != "" {
+			fatalf("%s after the takeover", miss)
+		}
+		if d.killAt > 0 {
+			fmt.Fprintln(d.out, "kill-and-takeover smoke passed")
+		}
+		if d.coordAt > 0 {
+			fmt.Fprintln(d.out, "coordinator kill-and-takeover smoke passed")
+		}
 	}
-	if stats.Takeovers != 1 {
-		fatalf("expected exactly one takeover, saw %d", stats.Takeovers)
-	}
-	if relErr(f, est) > eps+1e-9 {
-		fatalf("estimate %d vs exact %d misses ε=%g after takeover", est, f, eps)
-	}
-	fmt.Println("kill-and-takeover smoke passed")
 }
 
-// writeSnapshot checkpoints the coordinator under its own lock and
-// persists the blob, returning it for callers that also hold it in memory.
-func writeSnapshot(coord *dist.Coordinator, algo dist.CoordAlgo, dir string, step int64) []byte {
+// status reads every query's row under the coordinator's lock.
+func (d *driver) status() (qs []query.Status) {
+	d.rt.inject(func(dist.Outbox) { qs = d.eng.Status() })
+	return qs
+}
+
+// persist checkpoints the serving coordinator under its lock into
+// -snapshot-dir, returning the blob.
+func (d *driver) persist(t int64) []byte {
 	var blob []byte
 	var err error
-	coord.Inject(func(dist.Outbox) {
-		blob, err = track.SnapshotCoord(algo)
-	})
+	d.rt.inject(func(dist.Outbox) { blob, err = track.SnapshotCoord(d.eng) })
 	if err != nil {
 		fatalf("snapshot: %v", err)
 	}
-	if _, err := writeSnapshotFile(dir, step, blob); err != nil {
-		fatalf("persisting snapshot: %v", err)
+	if d.snapDir != "" {
+		if _, err := writeSnapshotFile(d.snapDir, t, blob); err != nil {
+			fatalf("persisting snapshot: %v", err)
+		}
 	}
 	return blob
 }
 
-// runTCPKillCoord is the coordinator-side crash smoke: the coordinator
-// process dies mid-stream, every site's share of the stream buffers
-// locally while the slot is vacant, then a replacement coordinator comes
-// up on a new port — warm (snapshot-restored) with -standby, cold
-// otherwise — announces its epoch, refolds the sites' books through the
-// KindCoordTakeover handshake as they re-dial, and replays the buffered
-// backlogs. Exits nonzero unless exactly one coordinator takeover happened
-// and the final estimate is back inside ε.
-func runTCPKillCoord(st stream.Stream, k int, eps float64, every int64, opts tcpOpts,
-	killStep int64, standby bool, snapDir, restoreDir string, tkAfter time.Duration, adm *admin) {
-	if opts.hb <= 0 {
-		opts.hb = 25 * time.Millisecond // arm the detector on both incarnations
-	}
-	coordAlgo, siteAlgos := track.NewDeterministic(k, eps)
-	coord, err := dist.ListenCoordinator("127.0.0.1:0", k, coordAlgo)
-	if err != nil {
-		fatalf("listen: %v", err)
-	}
-	defer func() { coord.Close() }()
-	mode := "cold restart"
-	if standby {
-		mode = "warm standby"
-	}
-	fmt.Printf("coordinator listening on %s; %d sites connecting; killing the coordinator at step %d (%s)\n",
-		coord.Addr(), k, killStep, mode)
-
-	sites := dialSites(coord.Addr(), k, siteAlgos, opts.dialTimeout)
-	defer func() { closeSites(sites) }()
-	opts.arm(coord, sites)
-	coord.SetEventSink(adm.sink())
-
-	// The outage spans one progress interval of buffered streaming, so the
-	// degraded window is visible in the report even on short runs.
-	outage := every
-	var f, steps int64
-	var snap []byte
-	backlog := make([][]stream.Update, k)
-	backlogged := 0
-	killed, revived := false, false
-	var killedAt time.Time
-
-	// The HTTP handlers race the driver goroutine for `coord` (rebound on
-	// revive) and the phase flags, so both sides go through the admin
-	// mutex; the driver's own unlocked reads are fine — it is the only
-	// writer.
-	snapshot := func() (*dist.Coordinator, bool) {
-		adm.lock()
-		defer adm.unlock()
-		return coord, killed && !revived
-	}
-	adm.serve(&obs.Metrics{
-		Stats: func() dist.Stats { c, _ := snapshot(); return c.Stats() },
-		Health: func() obs.Health {
-			c, down := snapshot()
-			if down {
-				return obs.Health{Detail: "coordinator down; sites buffering"}
-			}
-			return tcpHealth(c, k)
-		},
-	}, func() any {
-		c, _ := snapshot()
-		return singleStatus{Estimate: c.Estimate(), Stats: c.Stats()}
-	})
-	defer adm.finish()
-
-	revive := func() {
-		replacement, _ := track.NewDeterministic(k, eps)
-		if standby {
-			if restoreDir != "" {
-				// Boot from disk: the newest snapshot that still verifies.
-				restored, step, skipped, rerr := restoreLatest(restoreDir, func() any {
-					a, _ := track.NewDeterministic(k, eps)
-					return a
-				})
-				for _, s := range skipped {
-					fmt.Fprintf(os.Stderr, "varmon: skipping damaged snapshot %s\n", s)
-				}
-				if rerr != nil {
-					fatalf("%v", rerr)
-				}
-				replacement = restored.(dist.CoordAlgo)
-				fmt.Printf("t=%-10d standby restored from the step-%d snapshot in %s\n", steps, step, restoreDir)
-			} else if err := track.RestoreCoord(replacement, snap); err != nil {
-				fatalf("restore: %v", err)
+// attachDue registers every query whose attach step has passed. After a
+// coordinator takeover the sites still read the registry they were built
+// with, so the spec lands there first: an announcement must never reach a
+// site ahead of the spec it names.
+func (d *driver) attachDue(t int64) {
+	for d.attached < len(d.order) && d.specs[d.order[d.attached]].AttachAt <= t {
+		spec := d.specs[d.order[d.attached]]
+		if d.reg != d.eng {
+			if _, err := d.reg.Attach(spec, discard{}); err != nil {
+				fatalf("attach: %v", err)
 			}
 		}
-		next, err := dist.ListenCoordinatorStandby("127.0.0.1:0", k, replacement, 1)
+		var qid int
+		var err error
+		d.rt.inject(func(out dist.Outbox) { qid, err = d.eng.Attach(spec, out) })
 		if err != nil {
-			fatalf("standby listen: %v", err)
+			fatalf("attach: %v", err)
 		}
-		next.SetEventSink(adm.sink())
-		next.SetFailureDetection(opts.hb, opts.hbMiss)
-		for i := range sites {
-			s, err := dist.DialNetSiteRetry(next.Addr(), i, siteAlgos[i], opts.dialTimeout)
-			if err != nil {
-				fatalf("re-dial site %d: %v", i, err)
-			}
-			s.StartHeartbeats(opts.hb)
-			sites[i] = s
-		}
-		for i, b := range backlog {
-			for _, u := range b {
-				sites[i].Update(u)
-			}
-		}
-		adm.lock()
-		coord, coordAlgo = next, replacement
-		revived = true
-		adm.unlock()
-		fmt.Printf("t=%-10d coordinator takeover (%s): %d sites re-dialed %s, %d buffered updates replayed\n",
-			steps, mode, k, next.Addr(), backlogged)
+		d.attached++
+		fmt.Fprintf(d.out, "t=%-10d attached query %s (qid %d)\n", t, spec.Label(qid), qid)
 	}
-
-	for {
-		u, ok := st.Next()
-		if !ok {
-			break
-		}
-		checkSite(u, k)
-		f += u.Delta
-		steps++
-		if !killed && steps == killStep {
-			// Quiesce, checkpoint the coordinator under its lock, then kill
-			// it. The sites survive; their connections die with it.
-			barrierAll(sites, "pre-kill barrier")
-			coord.Inject(func(dist.Outbox) {
-				snap, err = track.SnapshotCoord(coordAlgo)
-			})
-			if err != nil {
-				fatalf("snapshot: %v", err)
-			}
-			if snapDir != "" {
-				if _, werr := writeSnapshotFile(snapDir, steps, snap); werr != nil {
-					fatalf("persisting snapshot: %v", werr)
-				}
-			}
-			coord.Close()
-			closeSites(sites)
-			adm.lock()
-			killed = true
-			adm.unlock()
-			killedAt = time.Now()
-			fmt.Printf("t=%-10d killed the coordinator (snapshot: %d bytes); buffering all sites' updates\n",
-				steps, len(snap))
-		}
-		if killed && !revived {
-			backlog[u.Site] = append(backlog[u.Site], u)
-			backlogged++
-			if steps >= killStep+outage && time.Since(killedAt) >= tkAfter {
-				revive() // replays the backlog, including this update
-			}
-		} else {
-			sites[u.Site].Update(u)
-		}
-		if u.T%every == 0 {
-			if killed && !revived {
-				fmt.Printf("t=%-10d f=%-10d f̂=(coordinator down) buffered=%d [degraded]\n", u.T, f, backlogged)
-			} else {
-				est := coord.Estimate()
-				fmt.Printf("t=%-10d f=%-10d f̂=%-10d rel.err=%-8.5f msgs=%d\n",
-					u.T, f, est, relErr(f, est), coord.Stats().Total())
-			}
-		}
-	}
-	if !killed {
-		fatalf("stream ended before -kill-coord step %d (only %d updates)", killStep, steps)
-	}
-	// A short stream can end mid-outage; the smoke still owes a takeover.
-	if !revived {
-		revive()
-	}
-
-	barrierQuiesce(coord, sites, "final barrier")
-	adm.finish() // before the asserts, so a failing smoke still dumps its trace
-	stats := coord.Stats()
-	est := coord.Estimate()
-	fmt.Printf("\nfinal: f=%d f̂=%d rel.err=%.5f | messages=%d epoch drops=%d coordinator takeovers=%d\n",
-		f, est, relErr(f, est), stats.Total(), stats.EpochDrops, stats.CoordTakeovers)
-	if err := coord.Err(); err != nil {
-		fatalf("transport error: %v", err)
-	}
-	if stats.CoordTakeovers != 1 {
-		fatalf("expected exactly one coordinator takeover, saw %d", stats.CoordTakeovers)
-	}
-	if relErr(f, est) > eps+1e-9 {
-		fatalf("estimate %d vs exact %d misses ε=%g after coordinator takeover", est, f, eps)
-	}
-	fmt.Println("coordinator kill-and-takeover smoke passed")
 }
 
-func runAsync(st stream.Stream, k int, eps float64, every int64, model dist.NetModel, seed uint64, adm *admin) {
-	coordAlgo, siteAlgos := track.NewDeterministic(k, eps)
-	sim := dist.NewAsyncSim(coordAlgo, siteAlgos, model, seed)
-	sim.Events = adm.sink()
-	serveAsyncAdmin(sim, k, adm, nil)
-	defer adm.finish()
-	fmt.Printf("async simulator: %d sites, net %s\n", k, model)
-
-	var f, steps int64
-	for {
-		u, ok := st.Next()
-		if !ok {
-			break
-		}
-		checkSite(u, k)
-		f += u.Delta
-		steps++
-		// The simulator is single-threaded; the admin mutex fences it from
-		// concurrent HTTP scrapes (a no-op without -http/-events-out).
-		adm.lock()
-		sim.Step(u)
-		if u.T%every == 0 {
-			est := sim.Estimate()
-			s := sim.Stats()
-			fmt.Printf("t=%-10d f=%-10d f̂=%-10d rel.err=%-8.5f msgs=%-8d stale(avg/max)=%.1f/%d dropped=%d\n",
-				u.T, f, est, relErr(f, est), s.Total(),
-				s.AvgStaleness(), s.StalenessMax, s.Dropped)
-		}
-		adm.unlock()
+// crashSite kills the -kill victim and hands the runtime a replacement
+// restored from a snapshot of the victim's current state.
+func (d *driver) crashSite(t int64) {
+	snap := d.rt.snapshotSite(d.victim)
+	fresh := d.reg.RebuildSite(d.victim)
+	if err := track.RestoreSite(fresh, snap); err != nil {
+		fatalf("restore: %v", err)
 	}
-	adm.lock()
-	sim.Flush()
-	stats := sim.Stats()
-	est, now := sim.Estimate(), sim.Now()
-	adm.unlock()
-	fmt.Printf("\nfinal: f=%d f̂=%d | messages=%d (%.4f/update) wire bytes=%d\n",
-		f, est, stats.Total(), perStep(stats.Total(), steps), stats.Bytes)
-	fmt.Printf("net: virtual time=%d delivered=%d dropped=%d retransmitted=%d staleness avg=%.1f max=%d\n",
-		now, stats.Delivered(), stats.Dropped, stats.Retransmitted,
-		stats.AvgStaleness(), stats.StalenessMax)
+	when := d.rt.crashSite(d.victim, fresh)
+	fmt.Fprintf(d.out, "t=%-10d killed site %d (snapshot: %d bytes); %s\n", t, d.victim, len(snap), when)
+}
+
+// crashCoord checkpoints and kills the coordinator; its replacement takes
+// over at the next progress line.
+func (d *driver) crashCoord(t int64) {
+	d.rt.quiesce(false)
+	snap := d.persist(t)
+	if d.standby && d.restoreDir != "" {
+		var step int64
+		d.next, _, step = d.restore()
+		fmt.Fprintf(d.out, "t=%-10d standby restored from the step-%d snapshot in %s\n", t, step, d.restoreDir)
+	} else if d.next, _ = d.engine(d.attached); d.standby {
+		if err := track.RestoreCoord(d.next, snap); err != nil {
+			fatalf("restore: %v", err)
+		}
+	}
+	d.healAt = (t/d.every + 1) * d.every
+	d.rt.crashCoord(d.next, d.healAt)
+	fmt.Fprintf(d.out, "t=%-10d killed the coordinator (snapshot: %d bytes); the %s takes over at t=%d\n",
+		t, len(snap), d.mode(), d.healAt)
+}
+
+func (d *driver) heal(t int64) {
+	detail := d.rt.healCoord()
+	d.eng, d.next = d.next, nil
+	fmt.Fprintf(d.out, "t=%-10d coordinator takeover (%s): %s\n", t, d.mode(), detail)
+}
+
+func (d *driver) progress(t int64) {
+	d.rt.quiesce(false)
+	line := fmt.Sprintf("t=%-10d f=%-10d", t, d.ex.f)
+	if d.next != nil {
+		fmt.Fprintln(d.out, line+" f̂=(coordinator down) [degraded]")
+		return
+	}
+	if d.snapDir != "" {
+		d.persist(t)
+	}
+	qs := d.status()
+	for _, q := range qs {
+		if d.multi {
+			line += fmt.Sprintf("  %s=%d", q.Name, q.Estimate)
+		} else {
+			line += fmt.Sprintf(" f̂=%-10d rel.err=%-8.5f", q.Estimate, relErr(d.ex.f, q.Estimate))
+		}
+	}
+	s := d.rt.stats()
+	line += fmt.Sprintf(" msgs=%d", s.Total())
+	if d.model != nil {
+		line += fmt.Sprintf(" stale(avg/max)=%.1f/%d dropped=%d", s.AvgStaleness(), s.StalenessMax, s.Dropped)
+	}
+	if h := d.rt.health(); !h.OK {
+		line += " [" + h.Detail + "]"
+	}
+	fmt.Fprintln(d.out, line)
+}
+
+// report prints the final report and describes the first deterministic
+// query outside its ε band, if any.
+func (d *driver) report(s dist.Stats, class []dist.Stats, qs []query.Status, steps int64) (miss string) {
+	if d.multi {
+		fmt.Fprintf(d.out, "\n%-12s %-10s %-7s %-10s %-10s %-9s %-6s %-9s %-11s %s\n",
+			"query", "algo", "eps", "estimate", "true", "rel.err", "in-ε", "msgs", "wire bytes", "note")
+	}
+	allOK := true
+	for qid, i := range d.order {
+		spec := d.specs[i]
+		if qid >= d.attached {
+			fmt.Fprintf(d.out, "%-12s %-10s %-7g never attached (at=%d > n)\n", spec.Label(i), spec.Algo, spec.Eps, spec.AttachAt)
+			continue
+		}
+		est, want := qs[qid].Estimate, d.ex.want(spec)
+		re := relErr(want, est)
+		ok := re <= spec.Eps+1e-9
+		if allOK = allOK && ok; !ok && spec.Algo == "det" && miss == "" {
+			miss = fmt.Sprintf("query %s: estimate %d vs exact %d misses ε=%g", spec.Label(qid), est, want, spec.Eps)
+		}
+		if !d.multi {
+			continue
+		}
+		var notes []string
+		if spec.Filter != nil {
+			notes = append(notes, "filter="+spec.Filter.Name)
+		}
+		if qs[qid].State != "" {
+			// The threshold promise is the two-sided decision, judged on
+			// the underlying tracked estimate above.
+			notes = append(notes, fmt.Sprintf("f %s τ=%d", qs[qid].State, spec.Tau))
+		}
+		if spec.AttachAt > 0 {
+			notes = append(notes, fmt.Sprintf("attached@%d", spec.AttachAt))
+		}
+		var cs dist.Stats
+		if qid < len(class) {
+			cs = class[qid]
+		}
+		fmt.Fprintf(d.out, "%-12s %-10s %-7g %-10d %-10d %-9.5f %-6v %-9d %-11d %s\n",
+			spec.Label(qid), spec.Algo, spec.Eps, est, want, re, ok, cs.Total(), cs.Bytes, strings.Join(notes, " "))
+	}
+	perStep := float64(s.Total()) / float64(max(steps, 1))
+	if d.multi {
+		if !allOK {
+			fmt.Fprintln(d.out, "WARNING: a query finished outside its ε band")
+		}
+		fmt.Fprintf(d.out, "\ntotal: %d messages (%.4f/update), %d wire bytes over one shared runtime\n", s.Total(), perStep, s.Bytes)
+	} else {
+		fmt.Fprintf(d.out, "\nfinal: f=%d f̂=%d rel.err=%.5f | messages=%d (%.4f/update) wire bytes=%d\n",
+			d.ex.f, qs[0].Estimate, relErr(d.ex.f, qs[0].Estimate), s.Total(), perStep, s.Bytes)
+	}
+	if d.model != nil {
+		fmt.Fprintf(d.out, "net: delivered=%d dropped=%d retransmitted=%d staleness avg=%.1f max=%d\n",
+			s.Delivered(), s.Dropped, s.Retransmitted, s.AvgStaleness(), s.StalenessMax)
+	}
+	if d.killAt > 0 || d.coordAt > 0 {
+		fmt.Fprintf(d.out, "faults: heartbeats sent/recv=%d/%d misses=%d takeovers=%d coordinator takeovers=%d epoch drops=%d\n",
+			s.HeartbeatsSent, s.HeartbeatsRecv, s.HeartbeatMisses, s.Takeovers, s.CoordTakeovers, s.EpochDrops)
+	}
+	return miss
 }
 
 // exactMonitor tracks the ground truth every query is judged against: the
@@ -810,10 +669,6 @@ func runAsync(st stream.Stream, k int, eps float64, every int64, model dist.NetM
 type exactMonitor struct {
 	f     int64
 	items map[uint64]int64
-}
-
-func newExactMonitor() *exactMonitor {
-	return &exactMonitor{items: make(map[uint64]int64)}
 }
 
 func (e *exactMonitor) apply(u stream.Update) {
@@ -841,304 +696,18 @@ func (e *exactMonitor) want(spec query.Spec) int64 {
 	return w
 }
 
-// queryPlan splits specs into the initially attached set and the pending
-// mid-stream attaches, preserving CLI order in the final report.
-type queryPlan struct {
-	specs []query.Spec
-	qid   []int // spec index -> query id, -1 until attached
-}
+// discard is the outbox of a registration whose announcement must not go
+// out: the spec lands in a registry, the wire stays quiet.
+type discard struct{}
 
-func newQueryPlan(specs []query.Spec) (*queryPlan, []query.Spec) {
-	p := &queryPlan{specs: specs, qid: make([]int, len(specs))}
-	var initial []query.Spec
-	for i, s := range specs {
-		if s.AttachAt > 0 {
-			p.qid[i] = -1
-			continue
-		}
-		p.qid[i] = len(initial)
-		initial = append(initial, s)
-	}
-	return p, initial
-}
-
-// due invokes attach for every pending spec whose attach point has passed.
-func (p *queryPlan) due(step int64, attach func(spec query.Spec) int) {
-	for i, s := range p.specs {
-		if p.qid[i] < 0 && step >= s.AttachAt {
-			p.qid[i] = attach(s)
-			fmt.Printf("t=%-10d attached query %s (qid %d)\n", step, s.Label(p.qid[i]), p.qid[i])
-		}
-	}
-}
-
-// report prints the final per-query table.
-func (p *queryPlan) report(eng *query.Coord, ex *exactMonitor, class []dist.Stats) {
-	fmt.Printf("\n%-12s %-10s %-7s %-10s %-10s %-9s %-6s %-9s %-11s %s\n",
-		"query", "algo", "eps", "estimate", "true", "rel.err", "in-ε", "msgs", "wire bytes", "note")
-	allOK := true
-	for i, spec := range p.specs {
-		qid := p.qid[i]
-		if qid < 0 {
-			fmt.Printf("%-12s %-10s %-7g never attached (at=%d > n)\n", spec.Label(i), spec.Algo, spec.Eps, spec.AttachAt)
-			continue
-		}
-		est, _ := eng.EstimateQuery(qid)
-		want := ex.want(spec)
-		re := relErr(want, est)
-		ok := re <= spec.Eps+1e-9
-		var notes []string
-		if spec.Filter != nil {
-			notes = append(notes, "filter="+spec.Filter.Name)
-		}
-		if st, isThresh := eng.ThresholdState(qid); isThresh {
-			// The threshold promise is the two-sided decision, judged on
-			// the underlying tracked estimate above.
-			notes = append(notes, fmt.Sprintf("f %s τ=%d", st, spec.Tau))
-		}
-		if spec.AttachAt > 0 {
-			notes = append(notes, fmt.Sprintf("attached@%d", spec.AttachAt))
-		}
-		note := strings.Join(notes, " ")
-		var msgs, bytes int64
-		if qid < len(class) {
-			msgs, bytes = class[qid].Total(), class[qid].Bytes
-		}
-		fmt.Printf("%-12s %-10s %-7g %-10d %-10d %-9.5f %-6v %-9d %-11d %s\n",
-			spec.Label(qid), spec.Algo, spec.Eps, est, want, re, ok, msgs, bytes, note)
-		if !ok {
-			allOK = false
-		}
-	}
-	if !allOK {
-		fmt.Println("WARNING: a query finished outside its ε band")
-	}
-}
-
-func dialSites(addr string, k int, siteAlgos []dist.SiteAlgo, timeout time.Duration) []*dist.NetSite {
-	sites := make([]*dist.NetSite, k)
-	for i := 0; i < k; i++ {
-		s, err := dist.DialNetSiteRetry(addr, i, siteAlgos[i], timeout)
-		if err != nil {
-			fatalf("dial site %d: %v", i, err)
-		}
-		sites[i] = s
-	}
-	return sites
-}
-
-func closeSites(sites []*dist.NetSite) {
-	for _, s := range sites {
-		s.Close()
-	}
-}
-
-func barrierAll(sites []*dist.NetSite, context string) {
-	for round := 0; round < 2; round++ {
-		for _, s := range sites {
-			if err := s.Barrier(); err != nil {
-				fatalf("%s: %v", context, err)
-			}
-		}
-	}
-}
-
-// barrierQuiesce flushes barrier rounds until the coordinator's counters
-// stop moving — a block collection is a multi-leg cascade, so a fixed
-// number of rounds is not enough for a consistent multi-query snapshot.
-// The round cap is a safety valve; hitting it means the report below may
-// be a mid-cascade snapshot, so say so instead of staying silent.
-func barrierQuiesce(coord *dist.Coordinator, sites []*dist.NetSite, context string) {
-	prev := dist.Stats{}
-	for round := 0; round < 16; round++ {
-		for _, s := range sites {
-			if err := s.Barrier(); err != nil {
-				fatalf("%s: %v", context, err)
-			}
-		}
-		// Heartbeat beacons keep the liveness counters moving forever;
-		// quiescence means the protocol counters stopped.
-		st := coord.Stats()
-		if st.WithoutLiveness() == prev.WithoutLiveness() {
-			return
-		}
-		prev = st
-	}
-	fmt.Fprintln(os.Stderr, "varmon: network still active after 16 barrier rounds; the report below may be a mid-cascade snapshot")
-}
-
-// liveStatus is the /status JSON document in multi-query mode.
-type liveStatus struct {
-	Queries  []query.Status `json:"queries"`
-	Stats    dist.Stats     `json:"stats"`
-	PerQuery []dist.Stats   `json:"per_query"`
-}
-
-// singleStatus is the /status JSON document for single-query runtimes.
-type singleStatus struct {
-	Estimate int64      `json:"estimate"`
-	Stats    dist.Stats `json:"stats"`
-}
-
-func runQueriesTCP(st stream.Stream, k int, specs []query.Spec, every int64, opts tcpOpts, adm *admin) {
-	plan, initial := newQueryPlan(specs)
-	eng, siteAlgos, err := query.New(k, initial)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	coord, err := dist.ListenCoordinator("127.0.0.1:0", k, eng)
-	if err != nil {
-		fatalf("listen: %v", err)
-	}
-	defer coord.Close()
-	coord.SetClassifier(eng)
-	fmt.Printf("multi-query coordinator on %s; %d sites, %d queries (%d pending attach)\n",
-		coord.Addr(), k, len(specs), len(specs)-len(initial))
-
-	sites := dialSites(coord.Addr(), k, siteAlgos, opts.dialTimeout)
-	defer closeSites(sites)
-	opts.arm(coord, sites)
-
-	coord.SetEventSink(adm.sink())
-	adm.serve(&obs.Metrics{
-		Stats:      coord.Stats,
-		Classes:    coord.ClassStats,
-		ClassLabel: "query",
-		Health:     func() obs.Health { return tcpHealth(coord, k) },
-	}, func() any {
-		var doc liveStatus
-		// eng is owned by the coordinator's lock; Inject serializes the read.
-		coord.Inject(func(dist.Outbox) { doc.Queries = eng.Status() })
-		doc.Stats = coord.Stats()
-		doc.PerQuery = coord.ClassStats()
-		return doc
-	})
-	defer adm.finish()
-
-	ex := newExactMonitor()
-	var steps int64
-	for {
-		u, ok := st.Next()
-		if !ok {
-			break
-		}
-		checkSite(u, k)
-		ex.apply(u)
-		steps++
-		sites[u.Site].Update(u)
-		plan.due(steps, func(spec query.Spec) int {
-			var qid int
-			coord.Inject(func(out dist.Outbox) {
-				var aerr error
-				if qid, aerr = eng.Attach(spec, out); aerr != nil {
-					err = aerr
-				}
-			})
-			if err != nil {
-				fatalf("attach: %v", err)
-			}
-			return qid
-		})
-		if u.T%every == 0 {
-			barrierAll(sites, "barrier")
-			var status []query.Status
-			coord.Inject(func(dist.Outbox) { status = eng.Status() })
-			line := fmt.Sprintf("t=%-10d f=%-8d", u.T, ex.f)
-			for _, q := range status {
-				line += fmt.Sprintf("  %s=%d", q.Name, q.Estimate)
-			}
-			fmt.Println(line)
-		}
-	}
-
-	barrierQuiesce(coord, sites, "final barrier")
-	stats := coord.Stats()
-	plan.report(eng, ex, coord.ClassStats())
-	fmt.Printf("\ntotal: %d messages (%.4f/update), %d wire bytes over one shared runtime\n",
-		stats.Total(), perStep(stats.Total(), steps), stats.Bytes)
-	if err := coord.Err(); err != nil {
-		fatalf("transport error: %v", err)
-	}
-}
-
-func runQueriesAsync(st stream.Stream, k int, specs []query.Spec, every int64, model dist.NetModel, seed uint64, adm *admin) {
-	plan, initial := newQueryPlan(specs)
-	eng, siteAlgos, err := query.New(k, initial)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	sim := dist.NewAsyncSim(eng, siteAlgos, model, seed)
-	sim.SetClassifier(eng)
-	sim.Events = adm.sink()
-	serveAsyncAdmin(sim, k, adm, eng)
-	defer adm.finish()
-	fmt.Printf("multi-query async simulator: %d sites, %d queries, net %s\n", k, len(specs), model)
-
-	ex := newExactMonitor()
-	var steps int64
-	for {
-		u, ok := st.Next()
-		if !ok {
-			break
-		}
-		checkSite(u, k)
-		ex.apply(u)
-		steps++
-		// Simulator and engine are single-threaded; the admin mutex fences
-		// them from concurrent HTTP scrapes (a no-op without -http/-events-out).
-		adm.lock()
-		sim.Step(u)
-		plan.due(steps, func(spec query.Spec) int {
-			var qid int
-			sim.Inject(func(out dist.Outbox) {
-				var aerr error
-				if qid, aerr = eng.Attach(spec, out); aerr != nil {
-					fatalf("attach: %v", aerr)
-				}
-			})
-			return qid
-		})
-		if u.T%every == 0 {
-			s := sim.Stats()
-			line := fmt.Sprintf("t=%-10d f=%-8d", u.T, ex.f)
-			for _, q := range eng.Status() {
-				line += fmt.Sprintf("  %s=%d", q.Name, q.Estimate)
-			}
-			line += fmt.Sprintf("  stale(avg/max)=%.1f/%d dropped=%d", s.AvgStaleness(), s.StalenessMax, s.Dropped)
-			fmt.Println(line)
-		}
-		adm.unlock()
-	}
-	adm.lock()
-	sim.Flush()
-	stats := sim.Stats()
-	classStats := sim.ClassStats()
-	now := sim.Now()
-	adm.unlock()
-	plan.report(eng, ex, classStats)
-	fmt.Printf("\ntotal: %d messages (%.4f/update), %d wire bytes | virtual time=%d dropped=%d retransmitted=%d staleness avg=%.1f max=%d\n",
-		stats.Total(), perStep(stats.Total(), steps), stats.Bytes,
-		now, stats.Dropped, stats.Retransmitted, stats.AvgStaleness(), stats.StalenessMax)
-}
-
-func perStep(total, steps int64) float64 {
-	if steps == 0 {
-		return 0
-	}
-	return float64(total) / float64(steps)
-}
+func (discard) Send(dist.Msg)        {}
+func (discard) SendTo(int, dist.Msg) {}
+func (discard) Broadcast(dist.Msg)   {}
 
 func relErr(f, est int64) float64 {
-	diff := f - est
-	if diff < 0 {
-		diff = -diff
+	diff := math.Abs(float64(f - est))
+	if f == 0 {
+		return diff
 	}
-	af := f
-	if af < 0 {
-		af = -af
-	}
-	if af == 0 {
-		return float64(diff)
-	}
-	return float64(diff) / float64(af)
+	return diff / math.Abs(float64(f))
 }

@@ -58,11 +58,11 @@ func snapshotSteps(dir string) ([]int64, error) {
 
 // restoreLatest boots a coordinator from the newest snapshot in dir whose
 // integrity check passes. Each candidate is restored into a fresh
-// algorithm from the factory, so a blob that fails mid-decode can never
-// leave the returned coordinator half-mutated. Damaged files are skipped
-// (and reported) rather than restored: an older intact checkpoint beats a
-// newer corrupt one.
-func restoreLatest(dir string, fresh func() any) (algo any, step int64, skipped []string, err error) {
+// algorithm the factory builds for the candidate's step, so a blob that
+// fails mid-decode can never leave the returned coordinator half-mutated.
+// Damaged files are skipped (and reported) rather than restored: an older
+// intact checkpoint beats a newer corrupt one.
+func restoreLatest(dir string, fresh func(step int64) any) (algo any, step int64, skipped []string, err error) {
 	steps, err := snapshotSteps(dir)
 	if err != nil {
 		return nil, 0, nil, err
@@ -77,7 +77,7 @@ func restoreLatest(dir string, fresh func() any) (algo any, step int64, skipped 
 			skipped = append(skipped, fmt.Sprintf("%s: %v", path, rerr))
 			continue
 		}
-		candidate := fresh()
+		candidate := fresh(s)
 		if rerr := track.RestoreCoord(candidate, blob); rerr != nil {
 			skipped = append(skipped, fmt.Sprintf("%s: %v", path, rerr))
 			continue

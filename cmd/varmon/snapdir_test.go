@@ -59,7 +59,7 @@ func TestSnapshotDirPicksNewestIntact(t *testing.T) {
 		t.Fatalf("write: %v", err)
 	}
 
-	fresh := func() any {
+	fresh := func(int64) any {
 		a, _ := track.NewDeterministic(k, 0.1)
 		return a
 	}
@@ -88,7 +88,7 @@ func TestSnapshotDirAllDamaged(t *testing.T) {
 	if _, err := writeSnapshotFile(dir, 100, blob); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	fresh := func() any {
+	fresh := func(int64) any {
 		a, _ := track.NewDeterministic(k, 0.1)
 		return a
 	}
@@ -104,7 +104,7 @@ func TestSnapshotDirAllDamaged(t *testing.T) {
 // TestSnapshotDirEmpty: an empty (or missing) directory is a boot error,
 // not a silent cold start.
 func TestSnapshotDirEmpty(t *testing.T) {
-	fresh := func() any {
+	fresh := func(int64) any {
 		a, _ := track.NewDeterministic(2, 0.1)
 		return a
 	}

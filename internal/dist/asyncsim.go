@@ -259,12 +259,6 @@ func NewAsyncSim(coord CoordAlgo, sites []SiteAlgo, model NetModel, seed uint64)
 		e := event{at: model.HeartbeatEvery, kind: evHbCheck}
 		s.pushEvent(&e)
 	}
-	if model.CrashAt > 0 {
-		if model.CrashSite >= len(sites) {
-			panic("dist: NetModel.CrashSite out of range")
-		}
-		s.ScheduleCrash(model.CrashSite, model.CrashAt)
-	}
 	return s
 }
 

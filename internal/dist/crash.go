@@ -2,9 +2,9 @@ package dist
 
 // Crash faults and warm takeover on AsyncSim.
 //
-// A crash (ScheduleCrash, or NetModel.CrashAt) kills a site's process at a
-// virtual tick: in-flight messages to and from it are lost, its local
-// stream updates accumulate in a durable queue, and — unlike the
+// A crash (ScheduleCrash) kills a site's process at a virtual tick:
+// in-flight messages to and from it are lost, its local stream updates
+// accumulate in a durable queue, and — unlike the
 // disconnect/rejoin churn of ScheduleDown/ScheduleUp — the same process
 // never comes back. The slot stays dead until ScheduleTakeover splices a
 // replacement in, at which point the runtime fires the control-plane hooks

@@ -2,6 +2,7 @@ package dist_test
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/dist"
@@ -57,11 +58,11 @@ func TestHeartbeatCrashFreeByteIdentical(t *testing.T) {
 // Dropped, not as staleness.
 func TestCrashDetectionAndDegradation(t *testing.T) {
 	const k, n, crashAt = 4, 30_000, 10_000
-	model := dist.NetModel{Latency: 2, HeartbeatEvery: 32, HeartbeatMiss: 3,
-		CrashAt: crashAt, CrashSite: 2}
+	model := dist.NetModel{Latency: 2, HeartbeatEvery: 32, HeartbeatMiss: 3}
 	coord, sites := track.NewDeterministic(k, 0.1)
 	bc := coord.(*track.BlockCoord)
 	sim := dist.NewAsyncSim(coord, sites, model, 5)
+	sim.ScheduleCrash(2, crashAt)
 	st := stream.NewAssign(stream.BiasedWalk(n, 0.3, 23), stream.NewRoundRobin(k))
 	var blocksAtDeath int64
 	dead := false
@@ -230,5 +231,21 @@ func TestZeroAllocHeartbeat(t *testing.T) {
 	}
 	if sim.Stats().HeartbeatsSent == 0 {
 		t.Fatalf("heartbeats were not flowing during the measurement")
+	}
+}
+
+// TestParseNetModelRejectsCrashKeys: crash faults are scheduled through
+// ScheduleCrash (varmon maps -kill onto it), not through the network model,
+// so the model syntax has no crash keys — they fail like any unknown key
+// instead of reaching NewAsyncSim with an out-of-range site.
+func TestParseNetModelRejectsCrashKeys(t *testing.T) {
+	for _, s := range []string{"crashat=10", "crashsite=9", "crashat=10,crashsite=9,hb=4"} {
+		if _, err := dist.ParseNetModel(s); err == nil || !strings.Contains(err.Error(), "bad -net field") {
+			t.Errorf("ParseNetModel(%q) = %v, want the unknown-key error", s, err)
+		}
+	}
+	m, err := dist.ParseNetModel("latency=8,jitter=2,drop=0.01,retrans=3,hb=4")
+	if err != nil || m.String() != "latency=8,jitter=2,drop=0.01,retrans=3,hb=4" {
+		t.Errorf("ParseNetModel round trip = %q, %v", m.String(), err)
 	}
 }

@@ -53,13 +53,6 @@ type NetModel struct {
 	// this many consecutive check intervals without a heartbeat. 0 means
 	// the default 3.
 	HeartbeatMiss int
-	// CrashAt, when > 0, crash-faults site CrashSite at that virtual tick:
-	// the process dies — in-flight messages to and from it are lost, its
-	// local updates buffer in a durable queue, and the slot stays dead
-	// until a replacement is spliced in (ScheduleTakeover). Distinct from
-	// ScheduleDown, after which the same process rejoins as itself.
-	CrashAt   int64
-	CrashSite int
 }
 
 // Gap returns the effective update spacing (UpdateGap with its default
@@ -93,7 +86,7 @@ func (m NetModel) rto() int64 {
 func (m NetModel) check() error {
 	if m.Latency < 0 || m.Jitter < 0 || m.Reorder < 0 || m.RTO < 0 ||
 		m.Retrans < 0 || m.UpdateGap < 0 || m.HeartbeatEvery < 0 ||
-		m.HeartbeatMiss < 0 || m.CrashAt < 0 || m.CrashSite < 0 {
+		m.HeartbeatMiss < 0 {
 		return fmt.Errorf("dist: NetModel durations and counts must be non-negative")
 	}
 	if m.Drop < 0 || m.Drop > 1 {
@@ -137,10 +130,6 @@ func (m NetModel) String() string {
 	if m.HeartbeatMiss > 0 {
 		parts = append(parts, fmt.Sprintf("hbmiss=%d", m.HeartbeatMiss))
 	}
-	if m.CrashAt > 0 {
-		parts = append(parts, fmt.Sprintf("crashat=%d", m.CrashAt))
-		parts = append(parts, fmt.Sprintf("crashsite=%d", m.CrashSite))
-	}
 	return strings.Join(parts, ",")
 }
 
@@ -148,7 +137,7 @@ func (m NetModel) String() string {
 var netModelKeys = map[string]bool{
 	"latency": true, "jitter": true, "reorder": true, "drop": true,
 	"rto": true, "retrans": true, "gap": true,
-	"hb": true, "hbmiss": true, "crashat": true, "crashsite": true,
+	"hb": true, "hbmiss": true,
 }
 
 // ParseNetModel parses the comma-separated key=value syntax shared by the
@@ -175,8 +164,6 @@ func ParseNetModel(s string) (NetModel, error) {
 			m.Retrans, err = strconv.Atoi(v)
 		case "hbmiss":
 			m.HeartbeatMiss, err = strconv.Atoi(v)
-		case "crashsite":
-			m.CrashSite, err = strconv.Atoi(v)
 		default:
 			var n int64
 			n, err = strconv.ParseInt(v, 10, 64)
@@ -193,8 +180,6 @@ func ParseNetModel(s string) (NetModel, error) {
 				m.UpdateGap = n
 			case "hb":
 				m.HeartbeatEvery = n
-			case "crashat":
-				m.CrashAt = n
 			}
 		}
 		if err != nil {

@@ -67,7 +67,8 @@ func (c *freqCoord) AppendSnapshot(b []byte) []byte {
 }
 
 // RestoreSnapshot implements track.InBlockSnapshotter, accepting only the
-// strictly increasing cell order AppendSnapshot writes.
+// strictly increasing cell order AppendSnapshot writes and a drift vector
+// sized for this coordinator's sites.
 func (c *freqCoord) RestoreSnapshot(r *track.SnapReader) {
 	r.Tag(track.SnapTagFreqCoord)
 	n := r.Uint()
@@ -80,10 +81,12 @@ func (c *freqCoord) RestoreSnapshot(r *track.SnapReader) {
 		prev = cell
 		*c.est.Upsert(cell) = r.Int()
 	}
-	if m := r.Uint(); r.Err() == nil && m == uint64(len(c.f1Dhat)) {
-		for i := range c.f1Dhat {
-			c.f1Dhat[i] = r.Int()
-		}
-		c.f1Sum = r.Int()
+	if m := r.Uint(); r.Err() == nil && m != uint64(len(c.f1Dhat)) {
+		r.Fail("freq coordinator site count")
+		return
 	}
+	for i := range c.f1Dhat {
+		c.f1Dhat[i] = r.Int()
+	}
+	c.f1Sum = r.Int()
 }

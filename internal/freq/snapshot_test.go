@@ -59,13 +59,18 @@ func TestFreqRestoreRejectsNonCanonical(t *testing.T) {
 			t.Errorf("freqSite %s: accepted=%v (err %v), want %v", name, ok, r.Err(), tc.ok)
 		}
 	}
+	// A drift vector sized for another k used to be skipped silently, so
+	// the blob decoded as zeros and re-encoded with the right size.
+	short := freqCoordPayload([2]int64{2, 5})
+	short = append(short[:len(short)-4], 1)
 	coord := map[string]struct {
 		payload []byte
 		ok      bool
 	}{
-		"increasing": {freqCoordPayload([2]int64{2, 5}, [2]int64{7, 0}), true},
-		"repeated":   {freqCoordPayload([2]int64{7, 5}, [2]int64{7, 6}), false},
-		"decreasing": {freqCoordPayload([2]int64{7, 5}, [2]int64{2, 6}), false},
+		"increasing":         {freqCoordPayload([2]int64{2, 5}, [2]int64{7, 0}), true},
+		"repeated":           {freqCoordPayload([2]int64{7, 5}, [2]int64{7, 6}), false},
+		"decreasing":         {freqCoordPayload([2]int64{7, 5}, [2]int64{2, 6}), false},
+		"short drift vector": {short, false},
 	}
 	for name, tc := range coord {
 		r := track.NewSnapReader(tc.payload)

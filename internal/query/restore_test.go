@@ -2,6 +2,7 @@ package query_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"hash/fnv"
 	"testing"
 
@@ -81,6 +82,70 @@ func TestEngineSiteRestoreRejectsNonCanonical(t *testing.T) {
 	}
 }
 
+// skipVarints returns the offset just past n varints starting at pos.
+func skipVarints(t *testing.T, b []byte, pos, n int) int {
+	t.Helper()
+	for ; n > 0; n-- {
+		_, w := binary.Uvarint(b[pos:])
+		if w <= 0 {
+			t.Fatalf("malformed varint at %d", pos)
+		}
+		pos += w
+	}
+	return pos
+}
+
+// TestEngineCoordRestoreRejectsNonCanonical: every boolean in a coordinator
+// blob is written as the varint 0 or 1, so a flag decoding to 2 is corrupt.
+// Reading it as "== 1" would accept the blob and re-encode it as 0 — two
+// blobs for one state. Covered: the engine's dead-slot and detached marks,
+// and the det child's collecting, replied, and dead-site flags.
+func TestEngineCoordRestoreRejectsNonCanonical(t *testing.T) {
+	const k = 2
+	specs := []query.Spec{{Algo: "det", Eps: 0.1}}
+	eng, sites, err := query.New(k, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := dist.NewSim(eng, sites)
+	for _, u := range itemStream(500, k, 5) {
+		sim.Step(u)
+	}
+	snap, err := track.SnapshotCoord(eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := snap[4 : len(snap)-8]
+
+	// Engine layout: tag, k, k dead flags, query count, then per query its
+	// id, detached flag, blob length, and blob. The det child's blob: tag,
+	// k, r, f(n_j), t_j, t̂, collecting, replies, fΔ, then per site its
+	// replied and dead flags.
+	dead := skipVarints(t, payload, 1, 1)
+	detached := skipVarints(t, payload, dead, k+2)
+	child := skipVarints(t, payload, detached, 2)
+	collecting := skipVarints(t, payload, child+1, 5)
+	replied := skipVarints(t, payload, collecting, 3)
+	flags := map[string]int{
+		"engine dead": dead, "detached": detached,
+		"collecting": collecting, "replied": replied, "dead site": replied + 1,
+	}
+	for name, pos := range flags {
+		if payload[pos] > 1 {
+			t.Fatalf("%s: offset %d holds %d, not a flag", name, pos, payload[pos])
+		}
+		bad := append([]byte(nil), payload...)
+		bad[pos] = 2
+		fresh, _, err := query.New(k, specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := track.RestoreCoord(fresh, wrapSnap(bad)); err == nil {
+			t.Errorf("%s flag = 2 accepted", name)
+		}
+	}
+}
+
 // fuzzEngineSpecs cover every child snapshot layer a site can hold.
 var fuzzEngineSpecs = "det,eps=0.1;rand,eps=0.1,seed=3;freq,eps=0.2;freq,eps=0.1,filter=odd;threshold,eps=0.1,tau=300"
 
@@ -121,6 +186,51 @@ func FuzzRestoreEngineSite(f *testing.F) {
 			return
 		}
 		again, err := track.SnapshotSite(site)
+		if err != nil {
+			t.Fatalf("accepted blob does not re-snapshot: %v", err)
+		}
+		if !bytes.Equal(again, blob) {
+			t.Fatalf("accepted blob re-encodes differently:\n got %x\nwant %x", again, blob)
+		}
+	})
+}
+
+// FuzzRestoreEngineCoord is FuzzRestoreEngineSite's coordinator mirror:
+// arbitrary payloads, framed to reach the decoders, restored into a fresh
+// engine coordinator over the same specs. The decoder must never panic, and
+// any blob it accepts must re-encode byte for byte. Seeds are real
+// coordinator snapshots at several points of a run.
+func FuzzRestoreEngineCoord(f *testing.F) {
+	const k = 3
+	specs, err := query.ParseSpecs(fuzzEngineSpecs)
+	if err != nil {
+		f.Fatal(err)
+	}
+	eng, sites, err := query.New(k, specs)
+	if err != nil {
+		f.Fatal(err)
+	}
+	sim := dist.NewSim(eng, sites)
+	for i, u := range itemStream(6_000, k, 43) {
+		sim.Step(u)
+		if i%1_500 == 0 {
+			snap, err := track.SnapshotCoord(eng)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(snap[4 : len(snap)-8])
+		}
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		fresh, _, err := query.New(k, specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob := wrapSnap(payload)
+		if track.RestoreCoord(fresh, blob) != nil {
+			return
+		}
+		again, err := track.SnapshotCoord(fresh)
 		if err != nil {
 			t.Fatalf("accepted blob does not re-snapshot: %v", err)
 		}

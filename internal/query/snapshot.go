@@ -214,29 +214,35 @@ func (c *Coord) AppendSnapshot(b []byte) ([]byte, error) {
 // RestoreSnapshot implements track.CoordSnapshotter. The restoring process
 // builds the engine with query.New over the same specs first; each blob
 // section is then restored in place into the registered query's coordinator
-// (so the engine's cached fast-path pointers stay valid). A blob for a query
-// the registry does not know is an error; a blob marked detached freezes the
-// query exactly as Detach would, minus the broadcast — the sites already
-// know.
+// (so the engine's cached fast-path pointers stay valid). The blob must
+// cover exactly the registered queries, in query-id order, as AppendSnapshot
+// writes them: a section for a query the registry does not know is an
+// error, and so is a registered query the blob leaves out. A section marked
+// detached freezes the query exactly as Detach would, minus the broadcast —
+// the sites already know.
 func (c *Coord) RestoreSnapshot(r *track.SnapReader) error {
 	r.Tag(track.SnapTagQueryCoord)
 	if k := r.Uint(); r.Err() == nil && k != uint64(c.eng.k) {
 		return fmt.Errorf("query: coordinator snapshot is for k=%d, restoring into k=%d", k, c.eng.k)
 	}
 	for i := range c.eng.dead {
-		c.eng.dead[i] = r.Uint() == 1
+		c.eng.dead[i] = r.Bool()
 	}
 	qs := c.eng.snapshot()
 	nq := r.Uint()
 	for i := uint64(0); i < nq && r.Err() == nil; i++ {
-		qid := int(r.Uint())
-		detached := r.Uint() == 1
+		qid := r.Uint()
+		detached := r.Bool()
 		blob := r.Bytes(r.Uint())
 		if r.Err() != nil {
 			break
 		}
-		if qid < 0 || qid >= len(qs) {
+		if qid >= uint64(len(qs)) {
 			return fmt.Errorf("query: snapshot names unknown query %d (register the same specs before restoring)", qid)
+		}
+		if qid != i {
+			r.Fail("query ids not dense and increasing")
+			break
 		}
 		q := qs[qid]
 		cs, ok := q.coord.(track.CoordSnapshotter)
@@ -259,6 +265,9 @@ func (c *Coord) RestoreSnapshot(r *track.SnapReader) error {
 				c.eng.est0.Store(nil)
 			}
 		}
+	}
+	if r.Err() == nil && nq != uint64(len(qs)) {
+		r.Fail("query count")
 	}
 	return r.Err()
 }

@@ -242,6 +242,16 @@ func (r *SnapReader) Int() int64 {
 	return x
 }
 
+// Bool consumes a flag, which the encoders write as the varint 0 or 1;
+// anything larger is non-canonical and fails the read.
+func (r *SnapReader) Bool() bool {
+	x := r.Uint()
+	if x > 1 {
+		r.Fail("flag")
+	}
+	return x == 1
+}
+
 // Float consumes a float64 bit pattern.
 func (r *SnapReader) Float() float64 { return math.Float64frombits(r.Uint()) }
 
@@ -422,12 +432,12 @@ func (c *BlockCoord) RestoreSnapshot(r *SnapReader) error {
 	c.fnj = r.Int()
 	c.tj = r.Int()
 	c.that = r.Int()
-	c.collecting = r.Uint() == 1
+	c.collecting = r.Bool()
 	c.replies = int(r.Int())
 	c.fDelta = r.Int()
 	for i := 0; i < c.k; i++ {
-		c.replied[i] = r.Uint() == 1
-		c.deadSite[i] = r.Uint() == 1
+		c.replied[i] = r.Bool()
+		c.deadSite[i] = r.Bool()
 		c.replySeq[i] = r.Int()
 		c.foldedCi[i] = r.Int()
 		c.foldedFi[i] = r.Int()
