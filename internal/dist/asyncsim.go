@@ -39,26 +39,19 @@ type AsyncSim struct {
 	// Event.Now is the virtual tick.
 	Events EventSink
 
+	// ledger attributes deliveries AND drops, retransmissions, and
+	// staleness to per-class counters when a classifier is installed, so
+	// the per-class Stats sum exactly to the aggregate even under faults.
+	ledger
 	coord CoordAlgo
 	sites []SiteAlgo
 	model NetModel
 	src   *rng.Xoshiro256
 
-	stats Stats
-	now   int64 // virtual clock
-	curT  int64 // stream T of the latest arrived update
-	seq   uint64
-	heap  eventHeap
-
-	// classifier, when non-nil, attributes deliveries AND drops,
-	// retransmissions, and staleness to per-class counters, so the
-	// per-class Stats sum exactly to the aggregate even under faults.
-	// classScratch keeps the classifier's *Msg argument off the event —
-	// an interface call would otherwise make every processed event escape
-	// to the heap (see Sim.classify).
-	classifier   Classifier
-	classStats   []Stats
-	classScratch Msg
+	now  int64 // virtual clock
+	curT int64 // stream T of the latest arrived update
+	seq  uint64
+	heap eventHeap
 
 	// linkAt[i] is the latest delivery time scheduled on link i (site i →
 	// coordinator for i < k, coordinator → site i−k otherwise): the FIFO
@@ -66,21 +59,17 @@ type AsyncSim struct {
 	linkAt []int64
 	down   []bool
 
-	// Crash-fault state. crashed marks slots whose process died; epoch is
-	// the slot incarnation stamped onto every delivery (see event.epoch);
+	// Crash-fault state. live is the failure detector and takeover
+	// policy; its ended flag marks slots whose process died. epoch is the
+	// slot incarnation stamped onto every delivery (see event.epoch);
 	// backlog is the durable local update queue of a dead slot, replayed
 	// into the replacement at takeover; replacement holds the algorithm a
-	// ScheduleTakeover will splice in. suspected, lastSeen, and hbRun are
-	// the failure detector's verdict, last-heartbeat tick, and consecutive
-	// miss run per site; closing stops the self-rescheduling heartbeat
-	// chains so Flush terminates.
-	crashed     []bool
+	// ScheduleTakeover will splice in; closing stops the self-rescheduling
+	// heartbeat chains so Flush terminates.
+	live        liveness
 	epoch       []uint32
 	backlog     [][]stream.Update
 	replacement []SiteAlgo
-	suspected   []bool
-	lastSeen    []int64
-	hbRun       []int
 	closing     bool
 
 	// Coordinator crash-fault state, mirroring the per-site fields above:
@@ -226,7 +215,9 @@ func NewAsyncSim(coord CoordAlgo, sites []SiteAlgo, model NetModel, seed uint64)
 	if coord == nil || len(sites) == 0 {
 		panic("dist: NewAsyncSim needs a coordinator and at least one site")
 	}
-	model.validate()
+	if err := model.check(); err != nil {
+		panic(err.Error())
+	}
 	s := &AsyncSim{
 		coord:       coord,
 		sites:       sites,
@@ -234,30 +225,26 @@ func NewAsyncSim(coord CoordAlgo, sites []SiteAlgo, model NetModel, seed uint64)
 		src:         rng.New(seed),
 		linkAt:      make([]int64, 2*len(sites)),
 		down:        make([]bool, len(sites)),
-		crashed:     make([]bool, len(sites)),
 		epoch:       make([]uint32, len(sites)),
 		backlog:     make([][]stream.Update, len(sites)),
 		replacement: make([]SiteAlgo, len(sites)),
-		suspected:   make([]bool, len(sites)),
-		lastSeen:    make([]int64, len(sites)),
-		hbRun:       make([]int, len(sites)),
 	}
+	s.live = newLiveness(s, &s.stats, len(sites))
+	// A beacon is overdue one full interval beyond its cadence plus the
+	// link latency it rides.
+	s.live.arm(2*model.HeartbeatEvery+model.Latency, model.HeartbeatMiss)
 	s.coordOut = &asyncOutbox{s: s, from: CoordID}
 	s.siteOut = make([]*asyncOutbox, len(sites))
 	s.batchSites = make([]BatchSiteAlgo, len(sites))
 	for i := range sites {
 		s.siteOut[i] = &asyncOutbox{s: s, from: int32(i)}
-		if b, ok := sites[i].(BatchSiteAlgo); ok {
-			s.batchSites[i] = b
-		}
+		s.batchSites[i], _ = sites[i].(BatchSiteAlgo)
 	}
 	if model.HeartbeatEvery > 0 {
 		for i := range sites {
-			e := event{at: model.HeartbeatEvery, kind: evHeartbeat, to: int32(i)}
-			s.pushEvent(&e)
+			s.schedule(evHeartbeat, int32(i), model.HeartbeatEvery)
 		}
-		e := event{at: model.HeartbeatEvery, kind: evHbCheck}
-		s.pushEvent(&e)
+		s.schedule(evHbCheck, CoordID, model.HeartbeatEvery)
 	}
 	return s
 }
@@ -266,66 +253,31 @@ func NewAsyncSim(coord CoordAlgo, sites []SiteAlgo, model NetModel, seed uint64)
 // everything the network owes before then, hands u to its site, and
 // processes all events due at the arrival tick (under the zero model, the
 // whole triggered cascade — Sim.Step's drain).
-func (s *AsyncSim) Step(u stream.Update) {
-	arrival := u.T * s.model.Gap()
-	s.runUntil(arrival)
-	if arrival > s.now {
-		s.now = arrival
-	}
-	s.curT = u.T
-	s.ingest(u)
-	for s.heap.len() > 0 && s.heap.ev[0].at <= s.now {
-		e := s.heap.pop()
-		s.process(&e)
-	}
-}
+func (s *AsyncSim) Step(u stream.Update) { s.stepOne(u, u.T*s.model.Gap()) }
 
 // Run drives an entire stream through the simulator and returns the number
 // of updates processed. It does not Flush: messages still in flight after
 // the last arrival stay pending until Flush is called.
-func (s *AsyncSim) Run(st stream.Stream) int64 {
-	var steps int64
-	for {
-		u, ok := st.Next()
-		if !ok {
-			return steps
-		}
-		s.Step(u)
-		steps++
-	}
-}
+func (s *AsyncSim) Run(st stream.Stream) int64 { return runStream(s, st) }
 
 // stepOne is Step with activity reporting: it returns whether any event
 // was processed during the call (when false, no OnMessage ran, so
 // coordinator-derived state such as Estimate is unchanged).
 func (s *AsyncSim) stepOne(u stream.Update, arrival int64) bool {
-	active := false
-	for s.heap.len() > 0 && s.heap.ev[0].at < arrival {
-		e := s.heap.pop()
-		if e.at > s.now {
-			s.now = e.at
-		}
-		s.process(&e)
-		active = true
-	}
+	active := s.runUntil(arrival)
 	if arrival > s.now {
 		s.now = arrival
 	}
 	s.curT = u.T
 	s.ingest(u)
-	for s.heap.len() > 0 && s.heap.ev[0].at <= s.now {
-		e := s.heap.pop()
-		s.process(&e)
-		active = true
-	}
-	return active
+	return s.runUntil(s.now+1) || active
 }
 
 // ingest hands one arrived update to its site — or, when the slot is
 // crashed, appends it to the slot's durable local queue for replay at
 // takeover (the site process is dead; its data source is not).
 func (s *AsyncSim) ingest(u stream.Update) {
-	if s.crashed[u.Site] {
+	if s.live.slots[u.Site].ended {
 		s.backlog[u.Site] = append(s.backlog[u.Site], u)
 		return
 	}
@@ -353,7 +305,7 @@ func (s *AsyncSim) StepBatch(us []stream.Update) (int, bool) {
 	gap := s.model.Gap()
 	arrival := u.T * gap
 	b := s.batchSites[u.Site]
-	if b == nil || s.crashed[u.Site] ||
+	if b == nil || s.live.slots[u.Site].ended ||
 		(s.heap.len() > 0 && s.heap.ev[0].at < arrival) {
 		return 1, s.stepOne(u, arrival)
 	}
@@ -394,13 +346,7 @@ func (s *AsyncSim) StepBatch(us []stream.Update) (int, bool) {
 		s.send(from, CoordID, m)
 	}
 	s.capture.msgs = s.capture.msgs[:0]
-	active := false
-	for s.heap.len() > 0 && s.heap.ev[0].at <= s.now {
-		e := s.heap.pop()
-		s.process(&e)
-		active = true
-	}
-	return n, active
+	return n, s.runUntil(s.now + 1)
 }
 
 // RunBatch drives an entire stream through the batched ingest path,
@@ -408,21 +354,7 @@ func (s *AsyncSim) StepBatch(us []stream.Update) (int, bool) {
 // StepBatch. A nil or empty buf gets a default-sized one. The end state is
 // byte-identical to Run; it does not Flush.
 func (s *AsyncSim) RunBatch(st stream.Stream, buf []stream.Update) int64 {
-	if len(buf) == 0 {
-		buf = make([]stream.Update, 256)
-	}
-	var steps int64
-	for {
-		n := stream.NextBatch(st, buf)
-		if n == 0 {
-			return steps
-		}
-		for i := 0; i < n; {
-			c, _ := s.StepBatch(buf[i:n])
-			i += c
-		}
-		steps += int64(n)
-	}
+	return runBatched(s, st, buf)
 }
 
 // Flush runs the event loop to exhaustion — every in-flight delivery,
@@ -441,30 +373,25 @@ func (s *AsyncSim) Flush() {
 	}
 }
 
-// runUntil delivers every event strictly before tick t.
-func (s *AsyncSim) runUntil(t int64) {
+// runUntil processes every event strictly before tick t, advancing the
+// clock to each, and reports whether any ran. runUntil(s.now+1) processes
+// everything due at the current tick (under the zero model, the whole
+// triggered cascade).
+func (s *AsyncSim) runUntil(t int64) bool {
+	active := false
 	for s.heap.len() > 0 && s.heap.ev[0].at < t {
 		e := s.heap.pop()
 		if e.at > s.now {
 			s.now = e.at
 		}
 		s.process(&e)
+		active = true
 	}
+	return active
 }
 
 // Estimate returns the coordinator's current estimate f̂.
 func (s *AsyncSim) Estimate() int64 { return s.coord.Estimate() }
-
-// Stats returns the communication counters so far.
-func (s *AsyncSim) Stats() Stats { return s.stats }
-
-// SetClassifier installs a per-class Stats attribution (see Classifier).
-// Install it before driving updates so no message goes unattributed.
-func (s *AsyncSim) SetClassifier(c Classifier) { s.classifier = c }
-
-// ClassStats returns a snapshot of the per-class counters, indexed by
-// class. Nil when no classifier is installed.
-func (s *AsyncSim) ClassStats() []Stats { return copyStats(s.classStats) }
 
 // Inject runs fn with the coordinator's outbox at the current virtual time
 // and then processes everything due at that tick — the hook for
@@ -473,10 +400,7 @@ func (s *AsyncSim) ClassStats() []Stats { return copyStats(s.classStats) }
 // any others: they can be delayed, dropped, and retransmitted.
 func (s *AsyncSim) Inject(fn func(Outbox)) {
 	fn(s.coordOut)
-	for s.heap.len() > 0 && s.heap.ev[0].at <= s.now {
-		e := s.heap.pop()
-		s.process(&e)
-	}
+	s.runUntil(s.now + 1)
 }
 
 // Now returns the current virtual time in ticks.
@@ -490,8 +414,7 @@ func (s *AsyncSim) Down(site int) bool { return s.down[site] }
 
 // ScheduleDown partitions site's link at virtual tick at.
 func (s *AsyncSim) ScheduleDown(site int, at int64) {
-	e := event{at: at, kind: evDown, to: int32(site)}
-	s.pushEvent(&e)
+	s.schedule(evDown, int32(site), at)
 }
 
 // ScheduleUp restores site's link at virtual tick at, firing the resync
@@ -499,7 +422,12 @@ func (s *AsyncSim) ScheduleDown(site int, at int64) {
 // them; messages the hooks emit travel through the modeled network like any
 // others.
 func (s *AsyncSim) ScheduleUp(site int, at int64) {
-	e := event{at: at, kind: evUp, to: int32(site)}
+	s.schedule(evUp, int32(site), at)
+}
+
+// schedule pushes a bare event of kind for node to at tick at.
+func (s *AsyncSim) schedule(kind eventKind, to int32, at int64) {
+	e := event{at: at, kind: kind, to: to}
 	s.pushEvent(&e)
 }
 
@@ -572,13 +500,14 @@ func (s *AsyncSim) linkDown(e *event) bool {
 // process handles one popped event at the current virtual time.
 func (s *AsyncSim) process(e *event) {
 	switch e.kind {
+	case evDeliver:
+		s.deliver(e)
 	case evDown:
 		s.down[e.to] = true
-		return
 	case evUp:
 		s.down[e.to] = false
 		site := int(e.to)
-		if s.crashed[site] || s.coordCrashed {
+		if s.live.slots[site].ended || s.coordCrashed {
 			// No resync with a dead endpoint: the takeover handshake is
 			// what re-establishes shared state once a replacement arrives.
 			return
@@ -589,30 +518,25 @@ func (s *AsyncSim) process(e *event) {
 		if r, ok := s.sites[site].(SiteRejoiner); ok {
 			r.OnRejoin(s.siteOut[site])
 		}
-		return
 	case evCrash:
 		s.processCrash(e)
-		return
 	case evTakeover:
 		s.processTakeover(e)
-		return
 	case evCoordCrash:
 		s.processCoordCrash(e)
-		return
 	case evCoordTakeover:
 		s.processCoordTakeover(e)
-		return
 	case evHeartbeat:
 		s.processHeartbeat(e)
-		return
 	case evHbArrive:
 		s.processHbArrive(e)
-		return
 	case evHbCheck:
 		s.processHbCheck(e)
-		return
 	}
+}
 
+// deliver makes one delivery attempt at the current virtual time.
+func (s *AsyncSim) deliver(e *event) {
 	// A delivery crossing a crashed slot, or belonging to a previous
 	// incarnation of either endpoint (sent before a crash or a takeover of
 	// the site or of the coordinator), is lost for good with no
@@ -622,19 +546,9 @@ func (s *AsyncSim) process(e *event) {
 	// the per-class exact-sum property covers it — which is what separates
 	// incarnation losses from the fault model's network losses below.
 	end := s.siteEnd(e.from, e.to)
-	if s.crashed[end] || s.epoch[end] != e.epoch ||
+	if s.live.slots[end].ended || s.epoch[end] != e.epoch ||
 		s.coordCrashed || e.cepoch != s.coordEpoch {
-		s.stats.Dropped++
-		s.stats.EpochDrops++
-		if s.classifier != nil {
-			cs := s.classSlotOf(e)
-			cs.Dropped++
-			cs.EpochDrops++
-		}
-		if s.Events != nil {
-			s.Events(Event{Kind: EvEpochDrop, T: s.curT, Now: s.now,
-				Site: end, To: e.to, Item: e.msg.Item, A: e.msg.A, B: e.msg.B})
-		}
+		s.lose(e, EvEpochDrop)
 		return
 	}
 
@@ -647,39 +561,15 @@ func (s *AsyncSim) process(e *event) {
 	}
 	if lost {
 		if e.attempt <= s.model.Retrans {
-			s.stats.Retransmitted++
-			if s.classifier != nil {
-				s.classSlotOf(e).Retransmitted++
-			}
+			s.retransmitted(&e.msg)
 			s.transmit(e, s.now+s.model.rto())
 		} else {
-			s.stats.Dropped++
-			if s.classifier != nil {
-				s.classSlotOf(e).Dropped++
-			}
-			if s.Events != nil {
-				s.Events(Event{Kind: EvDrop, T: s.curT, Now: s.now,
-					Site: s.siteEnd(e.from, e.to), To: e.to,
-					Item: e.msg.Item, A: e.msg.A, B: e.msg.B})
-			}
+			s.lose(e, EvDrop)
 		}
 		return
 	}
 
-	lag := s.now - e.sent
-	s.stats.StalenessSum += lag
-	if lag > s.stats.StalenessMax {
-		s.stats.StalenessMax = lag
-	}
-	s.stats.add(&e.msg, e.to)
-	if s.classifier != nil {
-		cs := s.classSlotOf(e)
-		cs.StalenessSum += lag
-		if lag > cs.StalenessMax {
-			cs.StalenessMax = lag
-		}
-		cs.add(&s.classScratch, e.to)
-	}
+	s.delivered(&e.msg, e.to, s.now-e.sent)
 	if s.Recorder != nil {
 		s.Recorder(TranscriptEntry{T: s.curT, To: e.to, Msg: e.msg})
 	}
@@ -693,13 +583,21 @@ func (s *AsyncSim) process(e *event) {
 	}
 }
 
-// classSlotOf returns the per-class slot for e's message, routing the
-// classifier call through the scratch copy so e never escapes. After the
-// call classScratch holds e's message.
-func (s *AsyncSim) classSlotOf(e *event) *Stats {
-	s.classScratch = e.msg
-	return classSlot(&s.classStats, s.classifier.Class(&s.classScratch))
+// lose accounts a delivery lost for good and traces it as kind: EvEpochDrop
+// for incarnation gating, EvDrop for the network.
+func (s *AsyncSim) lose(e *event, kind EventKind) {
+	s.dropped(&e.msg, kind == EvEpochDrop)
+	if s.Events != nil {
+		s.Events(Event{Kind: kind, T: s.curT, Now: s.now, Site: s.siteEnd(e.from, e.to),
+			To: e.to, Item: e.msg.Item, A: e.msg.A, B: e.msg.B})
+	}
 }
+
+// liveCoord implements livenessHost.
+func (s *AsyncSim) liveCoord() (CoordAlgo, Outbox) { return s.coord, s.coordOut }
+
+// liveTrace implements livenessHost.
+func (s *AsyncSim) liveTrace() (EventSink, int64, int64) { return s.Events, s.curT, s.now }
 
 // asyncOutbox routes messages for node `from` through the modeled network.
 type asyncOutbox struct {

@@ -103,3 +103,60 @@ func TestSimStepZeroAllocTraced(t *testing.T) {
 		t.Fatalf("Sim.Step with an event ring installed allocated %v objects/op, want 0", a)
 	}
 }
+
+// TestAsyncSimLivenessEventsAddressed: every liveness and takeover event
+// is addressed to the coordinator, whose detector and control plane
+// produced it — on AsyncSim exactly as on TCP. AsyncSim used to leave To at
+// 0, so an /events dump showed them addressed to site 0.
+func TestAsyncSimLivenessEventsAddressed(t *testing.T) {
+	const k, n, eps = 4, 30_000, 0.1
+	model := dist.NetModel{Latency: 2, HeartbeatEvery: 16, HeartbeatMiss: 3}
+	coord, sites := track.NewDeterministic(k, eps)
+	sim := dist.NewAsyncSim(coord, sites, model, 5)
+	seen := map[dist.EventKind]int{}
+	sim.Events = func(e dist.Event) {
+		switch e.Kind {
+		case dist.EvHeartbeatMiss, dist.EvSiteDead, dist.EvSiteAlive, dist.EvSiteCrash,
+			dist.EvTakeover, dist.EvCoordCrash, dist.EvCoordTakeover:
+			seen[e.Kind]++
+			if e.To != dist.CoordID {
+				t.Errorf("%v event for site %d addressed to %d, want CoordID", e.Kind, e.Site, e.To)
+			}
+		}
+	}
+	// A partition outlasting the miss budget (dead, then rescinded), a
+	// site crash with a cold takeover, and a coordinator crash with a
+	// restored standby.
+	sim.ScheduleDown(1, 2_000)
+	sim.ScheduleUp(1, 2_000+10*model.HeartbeatEvery)
+	_, fresh := track.NewDeterministic(k, eps)
+	sim.ScheduleCrash(2, 8_000)
+	sim.ScheduleTakeover(2, 8_000+8*model.HeartbeatEvery, fresh[2])
+	st := stream.NewAssign(stream.BiasedWalk(n, 0.3, 29), stream.NewRoundRobin(k))
+	for i := 0; ; i++ {
+		u, ok := st.Next()
+		if !ok {
+			break
+		}
+		sim.Step(u)
+		if i == 16_000 {
+			snap, err := track.SnapshotCoord(coord)
+			if err != nil {
+				t.Fatal(err)
+			}
+			standby, _ := track.NewDeterministic(k, eps)
+			if err := track.RestoreCoord(standby, snap); err != nil {
+				t.Fatal(err)
+			}
+			sim.ScheduleCoordCrash(sim.Now() + 1)
+			sim.ScheduleCoordTakeover(sim.Now()+8*model.HeartbeatEvery, standby)
+		}
+	}
+	sim.Flush()
+	for _, k := range []dist.EventKind{dist.EvHeartbeatMiss, dist.EvSiteDead, dist.EvSiteAlive,
+		dist.EvSiteCrash, dist.EvTakeover, dist.EvCoordCrash, dist.EvCoordTakeover} {
+		if seen[k] == 0 {
+			t.Errorf("scenario emitted no %v event", k)
+		}
+	}
+}

@@ -130,42 +130,22 @@ type Coordinator struct {
 	k    int
 	algo CoordAlgo
 
-	mu           sync.Mutex
-	conns        []*connWriter
-	stats        Stats
-	classifier   Classifier
-	classStats   []Stats
-	classScratch Msg // see Sim.classify; guarded by mu like the tables
-	events       EventSink
-	err          error
-	closed       bool
+	mu     sync.Mutex
+	ledger // guarded by mu
+	conns  []*connWriter
+	events EventSink
+	err    error
+	closed bool
 
-	// Failure detection (SetFailureDetection): a checker goroutine declares
-	// a site dead after fdMiss consecutive overdue heartbeat intervals and
-	// fires the algorithm's CoordFailureHandler hook. While enabled, losing
-	// a site connection is a tolerated fault rather than a transport error:
-	// frames to an unconnected slot count as Dropped, and a re-dial for a
-	// dead slot is a takeover. fdStop is non-nil exactly when enabled.
-	fdEvery  time.Duration
-	fdMiss   int
-	fdStop   chan struct{}
-	lastSeen []time.Time
-	hbRun    []int
-	dead     []bool
-	// seenSinceTk[i] records whether any heartbeat from site i arrived since
-	// the slot's last takeover: a replacement that loses its first connection
-	// before beaconing and re-dials is the same logical takeover, so the
-	// second dial must not count again (see Stats.Takeovers).
-	seenSinceTk []bool
-	// lost[i] records that slot i's registered connection went away (read
-	// or write failure) while detection was armed. A re-registration into a
-	// lost slot is a takeover splice even when the dead verdict was
-	// rescinded in between: a beacon that was already in flight when the
-	// site died can briefly flip the verdict back, but it cannot revive the
-	// vanished connection, so the next hello is still a replacement and the
-	// takeover hook must run (and the count move) exactly as if the verdict
-	// had stood.
-	lost []bool
+	// Failure detection (SetFailureDetection): a checker goroutine sweeps
+	// the liveness core, whose times are nanoseconds since start. While
+	// enabled, losing a site connection is a tolerated fault rather than a
+	// transport error: it ends the slot's incarnation, frames to an
+	// unconnected slot count as Dropped, and a re-dial for a dead or ended
+	// slot is a takeover. fdStop is non-nil exactly when enabled.
+	live   liveness
+	start  time.Time
+	fdStop chan struct{}
 
 	// Standby mode (ListenCoordinatorStandby): the coordinator is a
 	// replacement for a dead predecessor, and each site's first registration
@@ -180,17 +160,7 @@ type Coordinator struct {
 // ListenCoordinator starts a coordinator for k sites on addr (use port 0
 // for an ephemeral port) and accepts site connections in the background.
 func ListenCoordinator(addr string, k int, algo CoordAlgo) (*Coordinator, error) {
-	if k <= 0 {
-		return nil, errors.New("dist: ListenCoordinator needs k > 0")
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	c := &Coordinator{ln: ln, k: k, algo: algo, conns: make([]*connWriter, k)}
-	c.wg.Add(1)
-	go c.acceptLoop()
-	return c, nil
+	return listenCoordinator(addr, k, algo, false, 0)
 }
 
 // ListenCoordinatorStandby starts a standby coordinator: a replacement for
@@ -203,16 +173,24 @@ func ListenCoordinator(addr string, k int, algo CoordAlgo) (*Coordinator, error)
 // DialNetSiteRetry, replaying whatever frames they buffered while the old
 // coordinator was down after their dial returns.
 func ListenCoordinatorStandby(addr string, k int, algo CoordAlgo, epoch int64) (*Coordinator, error) {
+	return listenCoordinator(addr, k, algo, true, epoch)
+}
+
+func listenCoordinator(addr string, k int, algo CoordAlgo, standby bool, epoch int64) (*Coordinator, error) {
 	if k <= 0 {
-		return nil, errors.New("dist: ListenCoordinatorStandby needs k > 0")
+		return nil, errors.New("dist: a coordinator needs k > 0")
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	c := &Coordinator{ln: ln, k: k, algo: algo, conns: make([]*connWriter, k),
-		standbyEpoch: epoch, announced: make([]bool, k)}
-	c.stats.CoordTakeovers = 1
+	c := &Coordinator{ln: ln, k: k, algo: algo, conns: make([]*connWriter, k), start: time.Now()}
+	c.live = newLiveness(c, &c.stats, k)
+	c.live.redials = true
+	if standby {
+		c.standbyEpoch, c.announced = epoch, make([]bool, k)
+		c.stats.CoordTakeovers = 1
+	}
 	c.wg.Add(1)
 	go c.acceptLoop()
 	return c, nil
@@ -256,7 +234,7 @@ func (c *Coordinator) serve(conn net.Conn) {
 		return
 	}
 	if c.conns[id] != nil {
-		if c.fdStop == nil || !c.dead[id] {
+		if c.fdStop == nil || !c.live.slots[id].dead {
 			c.mu.Unlock()
 			conn.Close()
 			return
@@ -273,34 +251,17 @@ func (c *Coordinator) serve(conn net.Conn) {
 	w := newConnWriter(conn)
 	c.conns[id] = w
 	if c.fdStop != nil {
-		c.lastSeen[id] = time.Now()
-		if c.dead[id] || c.lost[id] {
-			// A replacement process took over the dead slot. Clear the
-			// death verdict and run the control-plane hook before any of
-			// the new connection's frames are read, so the hook's output
-			// (attach re-announcements) is queued ahead of the replies the
-			// replacement's own announcement will trigger. Count the
-			// takeover only if the slot was seen alive since the last one:
-			// a replacement whose first connection died before it ever
-			// beaconed re-dials as the same logical takeover.
-			c.dead[id] = false
-			c.lost[id] = false
-			c.hbRun[id] = 0
-			if c.seenSinceTk[id] {
-				c.stats.Takeovers++
-			}
-			c.seenSinceTk[id] = false
-			c.traceLocked(EvTakeover, int32(id), 0, 0)
-			if h, ok := c.algo.(CoordTakeoverHandler); ok {
-				h.OnSiteTakeover(id, coordOutbox{c})
-			}
-		}
+		// Into a dead or ended slot this is a takeover, spliced before any
+		// of the new connection's frames are read, so the hook's output
+		// (attach re-announcements) is queued ahead of the replies the
+		// replacement's own announcement will trigger.
+		c.live.splice(id, c.clock(), 0, 0)
 	}
 	if c.announced != nil && !c.announced[id] {
 		// Standby mode: the coordinator-side takeover announcement is the
 		// first frame a re-connecting site receives.
 		c.announced[id] = true
-		c.traceLocked(EvCoordTakeover, int32(id), c.standbyEpoch, 0)
+		c.live.emit(EvCoordTakeover, int32(id), c.standbyEpoch, 0)
 		if t, ok := c.algo.(CoordTakeover); ok {
 			t.OnCoordTakeover(id, c.standbyEpoch, coordOutbox{c})
 		}
@@ -309,47 +270,13 @@ func (c *Coordinator) serve(conn net.Conn) {
 	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()
-		w.loop(func(err error) {
-			// A failed write to a site is the same event as the read-side
-			// disconnect below: under failure detection it is the fault
-			// being tolerated (the detector decides whether the site is
-			// dead), not a transport error. Unregister the slot so later
-			// frames count as Dropped instead of queueing to a dead socket.
-			c.mu.Lock()
-			if c.fdStop == nil {
-				c.failLocked(err)
-			}
-			if c.conns[id] == w {
-				c.conns[id] = nil
-				if c.fdStop != nil {
-					c.lost[id] = true
-				}
-			}
-			c.mu.Unlock()
-		})
+		w.loop(func(err error) { c.unregister(id, w, err) })
 	}()
 
 	for {
 		m, err := readFrame(conn)
 		if err != nil {
-			// Unregister so later traffic to this site surfaces as a
-			// "message to unconnected site" error instead of being
-			// silently discarded while still counted in Stats. Under
-			// failure detection a lost site connection is the fault being
-			// tolerated, not a transport error — the detector decides
-			// whether the site is dead, and writes to the empty slot count
-			// as Dropped.
-			c.mu.Lock()
-			if c.fdStop == nil {
-				c.failLocked(err)
-			}
-			if c.conns[id] == w {
-				c.conns[id] = nil
-				if c.fdStop != nil {
-					c.lost[id] = true
-				}
-			}
-			c.mu.Unlock()
+			c.unregister(id, w, err)
 			w.close(time.Now().Add(closeDrainTimeout))
 			conn.Close()
 			return
@@ -361,25 +288,11 @@ func (c *Coordinator) serve(conn net.Conn) {
 		//varlint:kinds KindAttach,KindCoordTakeover,KindCountReport,KindDetach,KindDriftReport,KindFreqEnd,KindFreqReport,KindNewBlock,KindStateReply,KindStateRequest,KindTakeover,KindValueReport
 		switch m.Kind {
 		case kindHeartbeat:
+			// A beacon on the original connection: a real crash kills the
+			// connection, and its replacement re-enters through the splice
+			// above, so a dead verdict rescinded here was a stall.
 			c.mu.Lock()
-			c.stats.HeartbeatsRecv++
-			if c.fdStop != nil {
-				c.lastSeen[id] = time.Now()
-				c.seenSinceTk[id] = true
-				if c.dead[id] {
-					// The declared-dead site still beacons on its original
-					// connection: the verdict was a false positive (a stall,
-					// not a crash). Rescind it — a real crash kills the
-					// connection, and its replacement re-enters through the
-					// re-dial takeover path above, never through here.
-					c.dead[id] = false
-					c.hbRun[id] = 0
-					c.traceLocked(EvSiteAlive, int32(id), 0, 0)
-					if h, ok := c.algo.(CoordRecoverHandler); ok {
-						h.OnSiteAlive(id, coordOutbox{c})
-					}
-				}
-			}
+			c.live.beat(id, c.clock())
 			c.mu.Unlock()
 		case kindBarrier:
 			// This goroutine already enqueued (under c.mu, in arrival
@@ -390,13 +303,31 @@ func (c *Coordinator) serve(conn net.Conn) {
 			w.enqueue(Msg{Kind: kindBarrierAck, Site: int32(id), A: m.A})
 		default:
 			c.mu.Lock()
-			c.stats.add(&m, CoordID)
-			if c.classifier != nil {
-				c.classify(&m, CoordID)
-			}
+			c.delivered(&m, CoordID, 0)
 			c.traceMsgLocked(CoordID, &m)
 			c.algo.OnMessage(m, coordOutbox{c})
 			c.mu.Unlock()
+		}
+	}
+}
+
+// unregister retires slot id's connection w after a read or write failure.
+// Both are the same event: the slot goes empty so later traffic to it
+// surfaces as a "message to unconnected site" error instead of being
+// silently discarded while still counted in Stats. Under failure detection
+// a lost connection is the fault being tolerated, not a transport error —
+// it ends the incarnation, the detector decides whether the site is dead,
+// and writes to the empty slot count as Dropped.
+func (c *Coordinator) unregister(id int, w *connWriter, err error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.fdStop == nil {
+		c.failLocked(err)
+	}
+	if c.conns[id] == w {
+		c.conns[id] = nil
+		if c.fdStop != nil {
+			c.live.ended(id)
 		}
 	}
 }
@@ -427,11 +358,7 @@ func (c *Coordinator) writeLocked(site int, m Msg) {
 			// Tolerated fault: the slot is dead (or mid-takeover) and the
 			// message is honestly lost. Account it so the degradation is
 			// visible, per class too — attribution must keep summing.
-			c.stats.Dropped++
-			if c.classifier != nil {
-				c.classScratch = m
-				classSlot(&c.classStats, c.classifier.Class(&c.classScratch)).Dropped++
-			}
+			c.dropped(&m, false)
 			if c.events != nil {
 				c.events(Event{Kind: EvDrop, Now: time.Now().UnixNano(),
 					Site: int32(site), To: int32(site),
@@ -443,19 +370,8 @@ func (c *Coordinator) writeLocked(site int, m Msg) {
 		return
 	}
 	c.conns[site].enqueue(m)
-	c.stats.add(&m, int32(site))
-	if c.classifier != nil {
-		c.classify(&m, int32(site))
-	}
+	c.delivered(&m, int32(site), 0)
 	c.traceMsgLocked(int32(site), &m)
-}
-
-// classify accounts one message in its class's counters; callers hold
-// c.mu. The scratch copy keeps the classifier's pointer argument off the
-// caller's message (see Sim.classify).
-func (c *Coordinator) classify(m *Msg, to int32) {
-	c.classScratch = *m
-	classSlot(&c.classStats, c.classifier.Class(&c.classScratch)).add(&c.classScratch, to)
 }
 
 // SetEventSink installs a protocol event tracer covering both directions
@@ -482,14 +398,21 @@ func (c *Coordinator) traceMsgLocked(to int32, m *Msg) {
 	}
 }
 
-// traceLocked emits one liveness/takeover event; callers hold c.mu.
-func (c *Coordinator) traceLocked(kind EventKind, site int32, a, b int64) {
+// liveCoord implements livenessHost; callers hold c.mu.
+func (c *Coordinator) liveCoord() (CoordAlgo, Outbox) { return c.algo, coordOutbox{c} }
+
+// liveTrace implements livenessHost: Event.T is 0 and Event.Now wall
+// nanoseconds, as on every coordinator event. Callers hold c.mu.
+func (c *Coordinator) liveTrace() (EventSink, int64, int64) {
 	if c.events == nil {
-		return
+		return nil, 0, 0
 	}
-	c.events(Event{Kind: kind, Now: time.Now().UnixNano(), Site: site,
-		To: CoordID, A: a, B: b})
+	return c.events, 0, time.Now().UnixNano()
 }
+
+// clock is the liveness core's time: nanoseconds since the coordinator
+// started, on the monotonic clock.
+func (c *Coordinator) clock() int64 { return int64(time.Since(c.start)) }
 
 // coordOutbox emits coordinator messages; methods run with c.mu held,
 // inside Coordinator.serve's OnMessage dispatch.
@@ -519,7 +442,7 @@ func (c *Coordinator) Estimate() int64 {
 func (c *Coordinator) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.stats
+	return c.ledger.Stats()
 }
 
 // SetClassifier installs a per-class Stats attribution (see Classifier)
@@ -527,7 +450,7 @@ func (c *Coordinator) Stats() Stats {
 // sites start sending so no message goes unattributed.
 func (c *Coordinator) SetClassifier(cl Classifier) {
 	c.mu.Lock()
-	c.classifier = cl
+	c.ledger.SetClassifier(cl)
 	c.mu.Unlock()
 }
 
@@ -536,7 +459,7 @@ func (c *Coordinator) SetClassifier(cl Classifier) {
 func (c *Coordinator) ClassStats() []Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return copyStats(c.classStats)
+	return c.ledger.ClassStats()
 }
 
 // Inject runs fn with the coordinator's outbox while holding the
@@ -558,42 +481,27 @@ func (c *Coordinator) SetFailureDetection(every time.Duration, miss int) {
 	if every <= 0 {
 		every = 50 * time.Millisecond
 	}
-	if miss <= 0 {
-		miss = 3
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.fdStop != nil || c.closed {
 		return
 	}
-	c.fdEvery, c.fdMiss = every, miss
 	c.fdStop = make(chan struct{})
-	now := time.Now()
-	c.lastSeen = make([]time.Time, c.k)
-	for i := range c.lastSeen {
-		c.lastSeen[i] = now
-	}
-	c.hbRun = make([]int, c.k)
-	c.dead = make([]bool, c.k)
-	c.lost = make([]bool, c.k)
-	c.seenSinceTk = make([]bool, c.k)
-	for i := range c.seenSinceTk {
-		c.seenSinceTk[i] = true
-	}
+	// A beacon is overdue one full interval beyond its cadence.
+	c.live.arm(int64(2*every), miss)
+	c.live.coordSplice(c.clock())
 	c.wg.Add(1)
-	go c.checkLoop()
+	go c.checkLoop(every, c.fdStop)
 }
 
-// checkLoop is the failure detector: overdue means more than two beacon
-// intervals since the last heartbeat (tolerant of the one legitimately in
-// flight); fdMiss consecutive overdue checks declare the site dead.
-func (c *Coordinator) checkLoop() {
+// checkLoop sweeps the failure detector every interval until Close.
+func (c *Coordinator) checkLoop(every time.Duration, stop chan struct{}) {
 	defer c.wg.Done()
-	t := time.NewTicker(c.fdEvery)
+	t := time.NewTicker(every)
 	defer t.Stop()
 	for {
 		select {
-		case <-c.fdStop:
+		case <-stop:
 			return
 		case now := <-t.C:
 			c.mu.Lock()
@@ -601,26 +509,7 @@ func (c *Coordinator) checkLoop() {
 				c.mu.Unlock()
 				return
 			}
-			slack := 2 * c.fdEvery
-			for i := 0; i < c.k; i++ {
-				if c.dead[i] {
-					continue
-				}
-				if now.Sub(c.lastSeen[i]) > slack {
-					c.hbRun[i]++
-					c.stats.HeartbeatMisses++
-					c.traceLocked(EvHeartbeatMiss, int32(i), int64(c.hbRun[i]), 0)
-					if c.hbRun[i] >= c.fdMiss {
-						c.dead[i] = true
-						c.traceLocked(EvSiteDead, int32(i), 0, 0)
-						if h, ok := c.algo.(CoordFailureHandler); ok {
-							h.OnSiteDead(i, coordOutbox{c})
-						}
-					}
-				} else {
-					c.hbRun[i] = 0
-				}
-			}
+			c.live.sweep(int64(now.Sub(c.start)))
 			c.mu.Unlock()
 		}
 	}
@@ -631,18 +520,7 @@ func (c *Coordinator) checkLoop() {
 func (c *Coordinator) SiteDead(site int) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.dead != nil && site >= 0 && site < c.k && c.dead[site]
-}
-
-// SiteLastSeen returns when site's last heartbeat arrived (the zero time
-// without SetFailureDetection).
-func (c *Coordinator) SiteLastSeen(site int) time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.lastSeen == nil || site < 0 || site >= c.k {
-		return time.Time{}
-	}
-	return c.lastSeen[site]
+	return site >= 0 && site < c.k && c.live.slots[site].dead
 }
 
 // Err returns the first transport error, if any.
@@ -780,7 +658,7 @@ func (s *NetSite) readLoop() {
 			continue
 		}
 		s.mu.Lock()
-		s.stats.add(&m, int32(s.id))
+		s.stats.add(&m, int32(s.id), 0)
 		s.algo.OnMessage(m, siteOutbox{s})
 		s.mu.Unlock()
 	}
@@ -817,7 +695,7 @@ func (s *NetSite) writeLocked(m Msg) {
 		s.err = err
 		return
 	}
-	s.stats.add(&m, CoordID)
+	s.stats.add(&m, CoordID, 0)
 }
 
 // siteOutbox emits site messages; methods run with s.mu held. All three

@@ -29,6 +29,12 @@ func TestNetCrashTakeover(t *testing.T) {
 	}
 	defer coord.Close()
 	coord.SetFailureDetection(hb, 3)
+	// blocks reads the block count under the coordinator lock: serve
+	// goroutines fold replies into bc concurrently.
+	blocks := func() (got int64) {
+		coord.Inject(func(dist.Outbox) { got = bc.Blocks() })
+		return got
+	}
 
 	sites := make([]*dist.NetSite, k)
 	for i := 0; i < k; i++ {
@@ -83,7 +89,7 @@ func TestNetCrashTakeover(t *testing.T) {
 		}
 		sites[u.Site].Update(u)
 	}
-	blocksDegraded := bc.Blocks()
+	blocksDegraded := blocks()
 	for i := 0; i < k; i++ {
 		if i == victim {
 			continue
@@ -92,7 +98,7 @@ func TestNetCrashTakeover(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if bc.Blocks() == 0 || blocksDegraded == 0 {
+	if blocks() == 0 || blocksDegraded == 0 {
 		t.Fatalf("no blocks completed while degraded: protocol wedged")
 	}
 

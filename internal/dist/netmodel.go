@@ -64,14 +64,6 @@ func (m NetModel) Gap() int64 {
 	return m.UpdateGap
 }
 
-// hbMiss returns the effective heartbeat miss threshold.
-func (m NetModel) hbMiss() int {
-	if m.HeartbeatMiss > 0 {
-		return m.HeartbeatMiss
-	}
-	return 3
-}
-
 // rto returns the effective retransmission timeout.
 func (m NetModel) rto() int64 {
 	if m.RTO > 0 {
@@ -81,26 +73,18 @@ func (m NetModel) rto() int64 {
 }
 
 // check reports nonsensical parameters; ParseNetModel returns it and
-// validate panics on it, so the CLI and the programmatic constructor
-// enforce one rule set.
+// NewAsyncSim panics on it, so the CLI and the programmatic constructor
+// enforce one rule set and misconfigurations fail loudly.
 func (m NetModel) check() error {
 	if m.Latency < 0 || m.Jitter < 0 || m.Reorder < 0 || m.RTO < 0 ||
 		m.Retrans < 0 || m.UpdateGap < 0 || m.HeartbeatEvery < 0 ||
 		m.HeartbeatMiss < 0 {
 		return fmt.Errorf("dist: NetModel durations and counts must be non-negative")
 	}
-	if m.Drop < 0 || m.Drop > 1 {
+	if !(m.Drop >= 0 && m.Drop <= 1) { // NaN included
 		return fmt.Errorf("dist: NetModel.Drop must be in [0, 1]")
 	}
 	return nil
-}
-
-// validate panics on nonsensical parameters; AsyncSim calls it once at
-// construction so misconfigurations fail loudly, not as silent weirdness.
-func (m NetModel) validate() {
-	if err := m.check(); err != nil {
-		panic(err.Error())
-	}
 }
 
 // String renders the model compactly in ParseNetModel's key=value syntax.
@@ -157,9 +141,6 @@ func ParseNetModel(s string) (NetModel, error) {
 		switch k {
 		case "drop":
 			m.Drop, err = strconv.ParseFloat(v, 64)
-			if err == nil && (m.Drop < 0 || m.Drop > 1) {
-				err = fmt.Errorf("out of range [0, 1]")
-			}
 		case "retrans":
 			m.Retrans, err = strconv.Atoi(v)
 		case "hbmiss":

@@ -31,21 +31,11 @@ type Sim struct {
 	// has no clock beyond the stream step.
 	Events EventSink
 
+	ledger
 	coord CoordAlgo
 	sites []SiteAlgo
-	stats Stats
 	t     int64
 	queue msgRing
-
-	// classifier, when non-nil, attributes every delivered message to a
-	// class (classStats[Class(m)]) in addition to the aggregate stats.
-	// classScratch is the Sim-owned message copy handed to the classifier:
-	// an interface call must be assumed to retain its pointer argument, so
-	// passing the caller-owned envelope would force it to escape and cost
-	// the drain loop one heap allocation per delivered message.
-	classifier   Classifier
-	classStats   []Stats
-	classScratch Msg
 
 	// batchSites[i] is sites[i] if it implements BatchSiteAlgo, else nil.
 	// The type assertion is paid once in NewSim, not per StepBatch run.
@@ -148,9 +138,7 @@ func NewSim(coord CoordAlgo, sites []SiteAlgo) *Sim {
 	s.batchSites = make([]BatchSiteAlgo, len(sites))
 	for i := range sites {
 		s.siteOut[i] = &simOutbox{s: s, from: int32(i)}
-		if b, ok := sites[i].(BatchSiteAlgo); ok {
-			s.batchSites[i] = b
-		}
+		s.batchSites[i], _ = sites[i].(BatchSiteAlgo)
 	}
 	return s
 }
@@ -182,15 +170,45 @@ func (s *Sim) drain() {
 // to quiescence, and returns the number of updates processed. Unlike the
 // historical pattern of stream.Collect followed by a Step loop, Run holds
 // no more than one update in memory at a time.
-func (s *Sim) Run(st stream.Stream) int64 {
+func (s *Sim) Run(st stream.Stream) int64 { return runStream(s, st) }
+
+// stepper is the ingest surface Sim and AsyncSim share.
+type stepper interface {
+	Step(stream.Update)
+	StepBatch([]stream.Update) (int, bool)
+}
+
+// runStream drives st through r.Step and returns the number of updates.
+func runStream(r stepper, st stream.Stream) int64 {
 	var steps int64
 	for {
 		u, ok := st.Next()
 		if !ok {
 			return steps
 		}
-		s.Step(u)
+		r.Step(u)
 		steps++
+	}
+}
+
+// runBatched drives st through r.StepBatch, filling buf from the stream
+// (a default-sized one when buf is empty), and returns the number of
+// updates.
+func runBatched(r stepper, st stream.Stream, buf []stream.Update) int64 {
+	if len(buf) == 0 {
+		buf = make([]stream.Update, 256)
+	}
+	var steps int64
+	for {
+		n := stream.NextBatch(st, buf)
+		if n == 0 {
+			return steps
+		}
+		for i := 0; i < n; {
+			c, _ := r.StepBatch(buf[i:n])
+			i += c
+		}
+		steps += int64(n)
 	}
 }
 
@@ -260,21 +278,7 @@ func (s *Sim) StepBatch(us []stream.Update) (consumed int, delivered bool) {
 // one stream fill and a few site calls per buffer instead of two virtual
 // calls per update.
 func (s *Sim) RunBatch(st stream.Stream, buf []stream.Update) int64 {
-	if len(buf) == 0 {
-		buf = make([]stream.Update, 256)
-	}
-	var steps int64
-	for {
-		n := stream.NextBatch(st, buf)
-		if n == 0 {
-			return steps
-		}
-		for i := 0; i < n; {
-			c, _ := s.StepBatch(buf[i:n])
-			i += c
-		}
-		steps += int64(n)
-	}
+	return runBatched(s, st, buf)
 }
 
 // ReplaceSite swaps site's algorithm in place with no protocol traffic. It
@@ -283,11 +287,7 @@ func (s *Sim) RunBatch(st stream.Stream, buf []stream.Update) int64 {
 // (track.RestoreSite), so the swap is unobservable.
 func (s *Sim) ReplaceSite(site int, algo SiteAlgo) {
 	s.sites[site] = algo
-	if b, ok := algo.(BatchSiteAlgo); ok {
-		s.batchSites[site] = b
-	} else {
-		s.batchSites[site] = nil
-	}
+	s.batchSites[site], _ = algo.(BatchSiteAlgo)
 }
 
 // ReplaceCoord swaps the coordinator algorithm in place with no protocol
@@ -298,21 +298,10 @@ func (s *Sim) ReplaceCoord(algo CoordAlgo) { s.coord = algo }
 // Estimate returns the coordinator's current estimate f̂.
 func (s *Sim) Estimate() int64 { return s.coord.Estimate() }
 
-// Stats returns the communication counters so far.
-func (s *Sim) Stats() Stats { return s.stats }
-
 // QueueLen returns the number of queued undelivered messages — always 0
 // between Steps (each Step drains to quiescence); nonzero only when read
 // from inside a handler or hook. Exposed as an observability gauge.
 func (s *Sim) QueueLen() int { return s.queue.n }
-
-// SetClassifier installs a per-class Stats attribution (see Classifier).
-// Install it before driving updates so no message goes unattributed.
-func (s *Sim) SetClassifier(c Classifier) { s.classifier = c }
-
-// ClassStats returns a snapshot of the per-class counters, indexed by
-// class. Nil when no classifier is installed.
-func (s *Sim) ClassStats() []Stats { return copyStats(s.classStats) }
 
 // Inject runs fn with the coordinator's outbox and then drains the
 // triggered messages to quiescence — the hook for coordinator-initiated
@@ -321,14 +310,6 @@ func (s *Sim) ClassStats() []Stats { return copyStats(s.classStats) }
 func (s *Sim) Inject(fn func(Outbox)) {
 	fn(s.coordOut)
 	s.drain()
-}
-
-// classify accounts one delivery in its class's counters, out of
-// deliver's body (and through classScratch) so the classifier call cannot
-// make the envelope escape.
-func (s *Sim) classify(e *envelope) {
-	s.classScratch = e.msg
-	classSlot(&s.classStats, s.classifier.Class(&s.classScratch)).add(&s.classScratch, e.to)
 }
 
 // deliver accounts, records, and dispatches one message. Handlers may
@@ -340,10 +321,7 @@ func (s *Sim) classify(e *envelope) {
 //
 //varlint:zeroalloc
 func (s *Sim) deliver(e *envelope) {
-	s.stats.add(&e.msg, e.to)
-	if s.classifier != nil {
-		s.classify(e)
-	}
+	s.delivered(&e.msg, e.to, 0)
 	if s.Recorder != nil {
 		s.Recorder(TranscriptEntry{T: s.t, To: e.to, Msg: e.msg})
 	}

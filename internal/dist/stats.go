@@ -1,5 +1,7 @@
 package dist
 
+import "slices"
+
 // Stats counts the communication of one run. Both runtimes account
 // identically: every delivered algorithm message increments exactly one
 // directional counter, adds MsgSize wire bytes, and adds its compact
@@ -42,9 +44,7 @@ type Stats struct {
 	// on the TCP Coordinator). Heartbeats are transport-internal: they
 	// appear in no message, byte, or compact-bit counter, and they are
 	// aggregate-only — per-class tables never carry them, so the per-class
-	// exact-sum property is over the message counters above. Per-site
-	// last-seen ticks live on the runtime (AsyncSim.LastSeen,
-	// Coordinator.LastSeen), not here, so Stats stays comparable with ==.
+	// exact-sum property is over the message counters above.
 
 	// HeartbeatsSent counts heartbeat beacons emitted by sites.
 	HeartbeatsSent int64
@@ -132,33 +132,79 @@ type Classifier interface {
 	Class(m *Msg) int
 }
 
-// classSlot returns the Stats slot for class idx, growing the table as
-// needed. Negative indices (a classifier seeing a message it cannot place)
-// share slot 0 rather than corrupting memory.
-func classSlot(table *[]Stats, idx int) *Stats {
+// ledger is the accounting scaffold every runtime embeds: the aggregate
+// Stats plus the optional per-class table. Each method accounts the
+// aggregate and the message's class slot together, which is what keeps the
+// per-class counters summing exactly to the aggregate.
+type ledger struct {
+	stats      Stats
+	classifier Classifier
+	classStats []Stats
+	// classScratch is the ledger-owned copy of the message handed to the
+	// classifier: an interface call must be assumed to retain its pointer
+	// argument, so passing the caller's message would force it to escape
+	// and cost the delivery path one heap allocation per message.
+	classScratch Msg
+}
+
+// Stats returns the communication counters so far.
+func (l *ledger) Stats() Stats { return l.stats }
+
+// SetClassifier installs a per-class Stats attribution (see Classifier).
+// Install it before driving updates so no message goes unattributed.
+func (l *ledger) SetClassifier(c Classifier) { l.classifier = c }
+
+// ClassStats returns a snapshot of the per-class counters, indexed by
+// class. Nil when no classifier is installed.
+func (l *ledger) ClassStats() []Stats { return slices.Clone(l.classStats) }
+
+// class returns the Stats slot of m's class, growing the table as needed;
+// afterwards classScratch holds m. Negative indices (a classifier seeing a
+// message it cannot place) share slot 0 rather than corrupting memory.
+func (l *ledger) class(m *Msg) *Stats {
+	l.classScratch = *m
+	idx := l.classifier.Class(&l.classScratch)
 	if idx < 0 {
 		idx = 0
 	}
-	for len(*table) <= idx {
-		*table = append(*table, Stats{})
+	for len(l.classStats) <= idx {
+		l.classStats = append(l.classStats, Stats{})
 	}
-	return &(*table)[idx]
+	return &l.classStats[idx]
 }
 
-// copyStats snapshots a per-class table for a caller.
-func copyStats(table []Stats) []Stats {
-	if table == nil {
-		return nil
+// delivered accounts one message delivered to `to` (CoordID or a site
+// index) lag ticks after its original send.
+//
+//varlint:zeroalloc
+func (l *ledger) delivered(m *Msg, to int32, lag int64) {
+	l.stats.add(m, to, lag)
+	if l.classifier != nil {
+		l.class(m).add(&l.classScratch, to, lag)
 	}
-	out := make([]Stats, len(table))
-	copy(out, table)
-	return out
 }
 
-// add accounts one message delivered to `to` (CoordID or a site index).
+// dropped accounts one message lost for good; epoch marks a loss to
+// incarnation gating rather than to the network.
+func (l *ledger) dropped(m *Msg, epoch bool) {
+	l.stats.drop(epoch)
+	if l.classifier != nil {
+		l.class(m).drop(epoch)
+	}
+}
+
+// retransmitted accounts one retransmission attempt of m.
+func (l *ledger) retransmitted(m *Msg) {
+	l.stats.Retransmitted++
+	if l.classifier != nil {
+		l.class(m).Retransmitted++
+	}
+}
+
+// add accounts one message delivered to `to` lag ticks after its send.
 // The message is taken by pointer: add runs once per delivery and a by-
 // value Msg would cost a 32-byte copy per call.
-func (s *Stats) add(m *Msg, to int32) {
+func (s *Stats) add(m *Msg, to int32, lag int64) {
 	if to == CoordID {
 		s.SiteToCoord++
 	} else {
@@ -166,4 +212,16 @@ func (s *Stats) add(m *Msg, to int32) {
 	}
 	s.Bytes += MsgSize
 	s.CompactBits += compactBits(m)
+	s.StalenessSum += lag
+	if lag > s.StalenessMax {
+		s.StalenessMax = lag
+	}
+}
+
+// drop accounts one lost message (see ledger.dropped).
+func (s *Stats) drop(epoch bool) {
+	s.Dropped++
+	if epoch {
+		s.EpochDrops++
+	}
 }
