@@ -97,7 +97,7 @@ func (a *asyncRuntime) health() obs.Health {
 
 func (a *asyncRuntime) gauges(emit func(name, help string, value float64)) {
 	emit("virtual_time_ticks", "Simulator virtual clock.", float64(a.sim.Now()))
-	emit("pending_events", "Undelivered events in the simulator heap.", float64(a.sim.Pending()))
+	emit("pending_events", "Undelivered events in the simulator's scheduler queue.", float64(a.sim.Pending()))
 }
 
 // crashSite schedules the crash at the kill step's arrival tick — Now, so

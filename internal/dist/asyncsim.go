@@ -48,10 +48,9 @@ type AsyncSim struct {
 	model NetModel
 	src   *rng.Xoshiro256
 
-	now  int64 // virtual clock
-	curT int64 // stream T of the latest arrived update
-	seq  uint64
-	heap eventHeap
+	now   int64 // virtual clock
+	curT  int64 // stream T of the latest arrived update
+	queue eventQueue
 
 	// linkAt[i] is the latest delivery time scheduled on link i (site i →
 	// coordinator for i < k, coordinator → site i−k otherwise): the FIFO
@@ -128,83 +127,20 @@ const (
 // traffic, and a dead slot contributes no staleness. cepoch is the same
 // stamp for the link's coordinator endpoint: every delivery belongs to one
 // site incarnation and one coordinator incarnation, and going stale on
-// either loses it.
+// either loses it. next is the scheduler queue's slab link (see
+// eventQueue); it sits in what would otherwise be padding.
 type event struct {
 	at      int64
 	seq     uint64
 	kind    eventKind
 	from    int32
 	to      int32
+	next    int32
 	attempt int
 	epoch   uint32
 	cepoch  uint32
 	sent    int64
 	msg     Msg
-}
-
-// eventHeap is a binary min-heap over (at, seq). Hand-rolled rather than
-// container/heap so push/pop work on the slice directly with no interface
-// dispatch; the backing array is recycled across the run.
-type eventHeap struct {
-	ev []event
-}
-
-func (h *eventHeap) len() int { return len(h.ev) }
-
-func (h *eventHeap) less(i, j int) bool {
-	if h.ev[i].at != h.ev[j].at {
-		return h.ev[i].at < h.ev[j].at
-	}
-	return h.ev[i].seq < h.ev[j].seq
-}
-
-// push and pop sift with a hole rather than pairwise swaps: an event is
-// large enough that every avoided copy is a duffcopy, so each level costs
-// one move and a register-held (at, seq) comparison instead of three
-// struct copies. Ordering is identical to the swap-based sift — seq is
-// unique, so the comparison is a strict total order.
-func (h *eventHeap) push(e *event) {
-	h.ev = append(h.ev, *e)
-	i := len(h.ev) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		p := &h.ev[parent]
-		if !(e.at < p.at || (e.at == p.at && e.seq < p.seq)) {
-			break
-		}
-		h.ev[i] = *p
-		i = parent
-	}
-	h.ev[i] = *e
-}
-
-func (h *eventHeap) pop() event {
-	top := h.ev[0]
-	n := len(h.ev) - 1
-	last := h.ev[n]
-	h.ev = h.ev[:n]
-	if n == 0 {
-		return top
-	}
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		if l >= n {
-			break
-		}
-		min := l
-		if r < n && h.less(r, l) {
-			min = r
-		}
-		m := &h.ev[min]
-		if !(m.at < last.at || (m.at == last.at && m.seq < last.seq)) {
-			break
-		}
-		h.ev[i] = *m
-		i = min
-	}
-	h.ev[i] = last
-	return top
 }
 
 // NewAsyncSim builds the asynchronous simulator over a coordinator, its k
@@ -229,6 +165,8 @@ func NewAsyncSim(coord CoordAlgo, sites []SiteAlgo, model NetModel, seed uint64)
 		backlog:     make([][]stream.Update, len(sites)),
 		replacement: make([]SiteAlgo, len(sites)),
 	}
+	// The slab starts with room for the k+1 heartbeat chains.
+	s.queue.init(len(sites) + 1)
 	s.live = newLiveness(s, &s.stats, len(sites))
 	// A beacon is overdue one full interval beyond its cadence plus the
 	// link latency it rides.
@@ -305,8 +243,8 @@ func (s *AsyncSim) StepBatch(us []stream.Update) (int, bool) {
 	gap := s.model.Gap()
 	arrival := u.T * gap
 	b := s.batchSites[u.Site]
-	if b == nil || s.live.slots[u.Site].ended ||
-		(s.heap.len() > 0 && s.heap.ev[0].at < arrival) {
+	top := s.queue.topAt() // math.MaxInt64 when nothing is pending
+	if b == nil || s.live.slots[u.Site].ended || top < arrival {
 		return 1, s.stepOne(u, arrival)
 	}
 	jmax := maxSiteRun
@@ -316,17 +254,13 @@ func (s *AsyncSim) StepBatch(us []stream.Update) (int, bool) {
 	j := 1
 	for j < jmax && us[j].Site == u.Site {
 		a := us[j].T * gap
-		if s.heap.len() > 0 {
-			top := s.heap.ev[0].at
-			if a > top {
-				break
-			}
-			if a == top {
-				j++
-				break
-			}
+		if a > top {
+			break
 		}
 		j++
+		if a == top {
+			break
+		}
 	}
 	if j == 1 {
 		return 1, s.stepOne(u, arrival)
@@ -364,8 +298,8 @@ func (s *AsyncSim) RunBatch(st stream.Stream, buf []stream.Update) int64 {
 // loop terminates, and they do not restart if more updates are driven.
 func (s *AsyncSim) Flush() {
 	s.closing = true
-	for s.heap.len() > 0 {
-		e := s.heap.pop()
+	for s.queue.len() > 0 {
+		e := s.queue.pop()
 		if e.at > s.now {
 			s.now = e.at
 		}
@@ -379,8 +313,8 @@ func (s *AsyncSim) Flush() {
 // triggered cascade).
 func (s *AsyncSim) runUntil(t int64) bool {
 	active := false
-	for s.heap.len() > 0 && s.heap.ev[0].at < t {
-		e := s.heap.pop()
+	for s.queue.topAt() < t {
+		e := s.queue.pop()
 		if e.at > s.now {
 			s.now = e.at
 		}
@@ -406,8 +340,9 @@ func (s *AsyncSim) Inject(fn func(Outbox)) {
 // Now returns the current virtual time in ticks.
 func (s *AsyncSim) Now() int64 { return s.now }
 
-// Pending returns the number of scheduled events not yet processed.
-func (s *AsyncSim) Pending() int { return s.heap.len() }
+// Pending returns the number of events in the scheduler queue: deliveries,
+// retransmissions, heartbeats and scheduled faults not yet processed.
+func (s *AsyncSim) Pending() int { return s.queue.len() }
 
 // Down reports whether site's link is currently partitioned.
 func (s *AsyncSim) Down(site int) bool { return s.down[site] }
@@ -431,14 +366,8 @@ func (s *AsyncSim) schedule(kind eventKind, to int32, at int64) {
 	s.pushEvent(&e)
 }
 
-func (s *AsyncSim) pushEvent(e *event) {
-	if e.at < s.now {
-		e.at = s.now
-	}
-	e.seq = s.seq
-	s.seq++
-	s.heap.push(e)
-}
+// pushEvent queues e at the current clock, clamping it to now.
+func (s *AsyncSim) pushEvent(e *event) { s.queue.push(e, s.now) }
 
 // send schedules one transmission of a freshly emitted message, stamped
 // with the current incarnations of both its endpoints' slots.

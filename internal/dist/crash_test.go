@@ -209,7 +209,7 @@ func TestNaiveRestartLosesState(t *testing.T) {
 }
 
 // TestZeroAllocHeartbeat pins the heartbeat machinery's steady-state cost:
-// beacons, arrivals, and detector checks ride the event heap with zero
+// beacons, arrivals, and detector checks ride the scheduler queue with zero
 // allocations per update once warm.
 func TestZeroAllocHeartbeat(t *testing.T) {
 	const k, warm, runs = 4, 20_000, 20_000

@@ -1,0 +1,9 @@
+package dist
+
+// EventsScheduled returns how many events the scheduler queue has been
+// handed so far (its sequence counter), for per-event cost in benchmarks.
+func (s *AsyncSim) EventsScheduled() uint64 { return s.queue.seq }
+
+// QueueSlots returns the scheduler queue's slab length: its high-water
+// mark of simultaneously pending events, plus the nil slot.
+func (s *AsyncSim) QueueSlots() int { return len(s.queue.slab) }

@@ -16,6 +16,10 @@ import (
 // per-link FIFO, no loss. Under it AsyncSim reproduces Sim's transcripts,
 // stats, and per-step estimates byte for byte — the property test anchoring
 // the subsystem.
+//
+// Every duration is capped at 2^32 ticks (maxTicks), so the clock arithmetic
+// now + RTO + Latency + Jitter cannot wrap, and neither can an arrival tick
+// T·Gap() for streams of fewer than 2^31 updates.
 type NetModel struct {
 	// Latency is the base one-way delay of every link.
 	Latency int64
@@ -64,6 +68,9 @@ func (m NetModel) Gap() int64 {
 	return m.UpdateGap
 }
 
+// maxTicks caps every NetModel duration; see NetModel.
+const maxTicks = 1 << 32
+
 // rto returns the effective retransmission timeout.
 func (m NetModel) rto() int64 {
 	if m.RTO > 0 {
@@ -80,6 +87,10 @@ func (m NetModel) check() error {
 		m.Retrans < 0 || m.UpdateGap < 0 || m.HeartbeatEvery < 0 ||
 		m.HeartbeatMiss < 0 {
 		return fmt.Errorf("dist: NetModel durations and counts must be non-negative")
+	}
+	if m.Latency > maxTicks || m.Jitter > maxTicks || m.Reorder > maxTicks || m.RTO > maxTicks ||
+		m.UpdateGap > maxTicks || m.HeartbeatEvery > maxTicks {
+		return fmt.Errorf("dist: NetModel durations must be at most %d ticks", int64(maxTicks))
 	}
 	if !(m.Drop >= 0 && m.Drop <= 1) { // NaN included
 		return fmt.Errorf("dist: NetModel.Drop must be in [0, 1]")

@@ -26,6 +26,34 @@ func TestNetModelRejectsNaNDrop(t *testing.T) {
 	dist.NewAsyncSim(coord, sites, dist.NetModel{Drop: math.NaN(), Retrans: 3}, 1)
 }
 
+// TestNetModelRejectsClockOverflow: durations large enough to wrap the
+// virtual clock used to be accepted. A huge latency wrapped now+Latency
+// negative, the clamp pulled every delivery to the send tick, and the run
+// was a silently perfect network; a huge jitter panicked in the RNG on the
+// first send; a huge gap wrapped the arrival tick T·Gap().
+func TestNetModelRejectsClockOverflow(t *testing.T) {
+	const max = "9223372036854775807"
+	for _, s := range []string{
+		"latency=" + max, "jitter=" + max, "gap=" + max, "reorder=" + max,
+		"rto=" + max, "hb=" + max, "latency=4294967297", "jitter=4294967297,retrans=3",
+	} {
+		if m, err := dist.ParseNetModel(s); err == nil {
+			t.Errorf("ParseNetModel(%q) = %+v, want an out-of-range error", s, m)
+		}
+	}
+	at := "latency=4294967296,jitter=4294967296,reorder=4294967296,rto=4294967296,gap=4294967296,hb=4294967296"
+	if _, err := dist.ParseNetModel(at); err != nil {
+		t.Errorf("ParseNetModel(%q) = %v, want the limit itself accepted", at, err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("NewAsyncSim accepted Jitter = MaxInt64")
+		}
+	}()
+	coord, sites := track.NewDeterministic(2, 0.1)
+	dist.NewAsyncSim(coord, sites, dist.NetModel{Jitter: math.MaxInt64}, 1)
+}
+
 // FuzzParseNetModel: the -net parser never panics, and every model it
 // accepts re-parses from its String to an equal model (UpdateGap 0 and 1
 // both mean the default spacing, so String folds them).
@@ -35,6 +63,8 @@ func FuzzParseNetModel(f *testing.F) {
 		"latency=2,drop=0.01,retrans=3,hb=8", "latency=2,drop=NaN,retrans=3",
 		"latency=3,jitter=5,reorder=4,drop=0.1,rto=9,retrans=2,gap=4,hb=64,hbmiss=3",
 		"crashat=10,crashsite=9,hb=4", "gap=1", "drop=1", "drop=-0",
+		"latency=9223372036854775807", "jitter=9223372036854775807",
+		"gap=9223372036854775807", "latency=4294967296,rto=4294967297",
 	} {
 		f.Add(s)
 	}
