@@ -73,17 +73,17 @@ func (a *admin) serve(d *driver) {
 		return
 	}
 	m := &obs.Metrics{
-		Stats:      func() (s dist.Stats) { a.locked(func() { s = d.rt.stats() }); return s },
-		Classes:    func() (c []dist.Stats) { a.locked(func() { c = d.rt.classStats() }); return c },
+		Stats:      func() (s dist.Stats) { a.locked(func() { s = d.rt.Stats() }); return s },
+		Classes:    func() (c []dist.Stats) { a.locked(func() { c = d.rt.ClassStats() }); return c },
 		ClassLabel: "query",
-		Health:     func() (h obs.Health) { a.locked(func() { h = d.rt.health() }); return h },
+		Health:     func() (h obs.Health) { a.locked(func() { h = health(d.rt, d.k) }); return h },
 		Gauges:     func(emit func(string, string, float64)) { a.locked(func() { d.rt.gauges(emit) }) },
 		Ring:       a.ring,
 		Runtime:    true,
 	}
 	status := func() any {
 		var doc statusDoc
-		a.locked(func() { doc.Queries, doc.Stats, doc.PerQuery = d.status(), d.rt.stats(), d.rt.classStats() })
+		a.locked(func() { doc.Queries, doc.Stats, doc.PerQuery = d.status(), d.rt.Stats(), d.rt.ClassStats() })
 		if len(doc.Queries) > 0 {
 			doc.Estimate = doc.Queries[0].Estimate
 		}

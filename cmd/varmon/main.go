@@ -8,9 +8,9 @@
 //     (internal/query) with per-query cost and error reporting; at=T
 //     attaches a query mid-stream, bootstrapping the history it missed.
 //     Without -queries, -eps E is the one-query plan 'det,eps=E'.
-//   - The runtime: live TCP on loopback, or with -net MODEL the
-//     deterministic fault-injecting simulator dist.AsyncSim, which adds
-//     staleness and loss counters.
+//   - The runtime: live TCP on loopback (dist.NetCluster), or with -net
+//     MODEL the deterministic fault-injecting simulator dist.AsyncSim,
+//     which adds staleness and loss counters.
 //   - The fault plan. -kill STEP:SITE kills the site right after update
 //     STEP; its updates buffer locally until a warm replacement restored
 //     from a snapshot taken at the kill takes the slot over and replays
@@ -173,9 +173,9 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	queries := fs.String("queries", "", "query plan: ';'-separated specs, e.g. 'det,eps=0.1;freq,eps=0.2,filter=even;rand,eps=0.05,at=50000'")
 	httpAddr := fs.String("http", "", "serve the admin surface (/status /metrics /events /healthz /debug/pprof) here; \":0\" picks a port and prints it")
 	eventsOut := fs.String("events-out", "", "dump the protocol event trace as JSONL to this file at exit")
-	fs.DurationVar(&d.tcp.dialTimeout, "dial-timeout", 2*time.Second, "TCP site dial retry budget (exponential backoff with jitter)")
-	fs.DurationVar(&d.tcp.hb, "hb", 0, "TCP heartbeat interval (0 = off, or 25ms under a fault plan)")
-	fs.IntVar(&d.tcp.hbMiss, "hb-miss", 3, "consecutive missed heartbeat periods before a TCP slot is declared dead")
+	fs.DurationVar(&d.tcp.DialTimeout, "dial-timeout", 2*time.Second, "TCP site dial retry budget (exponential backoff with jitter)")
+	fs.DurationVar(&d.tcp.Heartbeat, "hb", 0, "TCP heartbeat interval (0 = off, or 25ms under a fault plan)")
+	fs.IntVar(&d.tcp.HeartbeatMiss, "hb-miss", 3, "consecutive missed heartbeat periods before a TCP slot is declared dead")
 	kill := fs.String("kill", "", "fault plan: kill site SITE right after update STEP, as 'STEP:SITE'")
 	fs.Int64Var(&d.coordAt, "kill-coord", 0, "fault plan: kill the coordinator right after this update")
 	fs.BoolVar(&d.standby, "standby", false, "with -kill-coord: the replacement is a warm standby restored from the kill-time snapshot, not a cold restart")
@@ -202,16 +202,16 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	}
 	d.order = attachOrder(d.specs)
 	if *kill != "" {
-		if _, err := fmt.Sscanf(*kill, "%d:%d", &d.killAt, &d.victim); err != nil {
+		if _, err := fmt.Sscanf(*kill, "%d:%d", &d.killAt, &d.killSite); err != nil {
 			usagef("-kill wants STEP:SITE, got %q", *kill)
 		}
-		if d.killAt < 1 || d.victim < 0 || d.victim >= d.k {
+		if d.killAt < 1 || d.killSite < 0 || d.killSite >= d.k {
 			usagef("-kill %q: need STEP >= 1 and SITE in [0, %d)", *kill, d.k)
 		}
 	}
 	faults := d.killAt > 0 || d.coordAt > 0
-	if faults && d.tcp.hb <= 0 {
-		d.tcp.hb = 25 * time.Millisecond
+	if faults && d.tcp.Heartbeat <= 0 {
+		d.tcp.Heartbeat = 25 * time.Millisecond
 	}
 	if *netFlag != "" {
 		m, err := dist.ParseNetModel(*netFlag)
@@ -310,9 +310,9 @@ type driver struct {
 	order       []int          // spec indices in attach order (= query ids)
 	attached    int            // specs order[:attached] are registered
 	model       *dist.NetModel // nil: live TCP
-	tcp         tcpOpts
+	tcp         dist.NetConfig
 	killAt      int64 // -kill step (0: none)
-	victim      int
+	killSite    int   // -kill site
 	coordAt     int64 // -kill-coord step (0: none)
 	standby     bool
 	snapDir     string
@@ -389,15 +389,21 @@ func (d *driver) start(seed uint64) {
 		d.eng, sites = d.engine(d.attached)
 	}
 	d.reg = d.eng
-	where := ""
+	var where string
 	if d.model != nil {
-		d.rt, where = newAsyncRuntime(d.eng, sites, *d.model, seed, d.restored, d.adm.sink()), "async simulator, net "+d.model.String()
+		d.rt, where = newAsyncRuntime(d.eng, sites, *d.model, seed, d.adm.sink()), "async simulator, net "+d.model.String()
 	} else {
-		t := newTCPRuntime(d.eng, sites, d.tcp, d.restored, d.adm.sink(), d.out, d.errOut)
-		d.rt, where = t, "coordinator on "+t.coord.Addr()
+		d.rt = newTCPRuntime(d.eng, sites, d.tcp, d.adm.sink(), d.out)
+	}
+	if d.restored { // a new incarnation: the sites fold their books through the standby handshake
+		d.rt.crashCoord(d.eng, 0)
+		d.rt.healCoord(d.eng)
+	}
+	if t, ok := d.rt.(*tcpRuntime); ok {
+		where = "coordinator on " + t.Addr()
 	}
 	if d.killAt > 0 {
-		where += fmt.Sprintf("; killing site %d at step %d", d.victim, d.killAt)
+		where += fmt.Sprintf("; killing site %d at step %d", d.killSite, d.killAt)
 	}
 	if d.coordAt > 0 {
 		where += fmt.Sprintf("; killing the coordinator at step %d (%s)", d.coordAt, d.mode())
@@ -428,7 +434,7 @@ func (d *driver) drive(st stream.Stream) {
 		d.ex.apply(u)
 		steps, last = steps+1, u.T
 		d.adm.locked(func() {
-			d.rt.step(u)
+			d.rt.Step(u)
 			if d.next != nil && u.T >= d.healAt {
 				d.heal(u.T)
 			}
@@ -459,7 +465,7 @@ func (d *driver) drive(st stream.Stream) {
 			d.heal(last) // a short stream can end mid-outage; the plan still owes the takeover
 		}
 		d.rt.quiesce(true)
-		s, class, qs = d.rt.stats(), d.rt.classStats(), d.status()
+		s, class, qs = d.rt.Stats(), d.rt.ClassStats(), d.status()
 	})
 	miss := d.report(s, class, qs, steps)
 	d.adm.finish() // before the asserts, so a failing run still dumps its trace
@@ -490,7 +496,7 @@ func (d *driver) drive(st stream.Stream) {
 
 // status reads every query's row under the coordinator's lock.
 func (d *driver) status() (qs []query.Status) {
-	d.rt.inject(func(dist.Outbox) { qs = d.eng.Status() })
+	d.rt.Inject(func(dist.Outbox) { qs = d.eng.Status() })
 	return qs
 }
 
@@ -499,7 +505,7 @@ func (d *driver) status() (qs []query.Status) {
 func (d *driver) persist(t int64) []byte {
 	var blob []byte
 	var err error
-	d.rt.inject(func(dist.Outbox) { blob, err = track.SnapshotCoord(d.eng) })
+	d.rt.Inject(func(dist.Outbox) { blob, err = track.SnapshotCoord(d.eng) })
 	if err != nil {
 		fatalf("snapshot: %v", err)
 	}
@@ -525,7 +531,7 @@ func (d *driver) attachDue(t int64) {
 		}
 		var qid int
 		var err error
-		d.rt.inject(func(out dist.Outbox) { qid, err = d.eng.Attach(spec, out) })
+		d.rt.Inject(func(out dist.Outbox) { qid, err = d.eng.Attach(spec, out) })
 		if err != nil {
 			fatalf("attach: %v", err)
 		}
@@ -537,13 +543,17 @@ func (d *driver) attachDue(t int64) {
 // crashSite kills the -kill victim and hands the runtime a replacement
 // restored from a snapshot of the victim's current state.
 func (d *driver) crashSite(t int64) {
-	snap := d.rt.snapshotSite(d.victim)
-	fresh := d.reg.RebuildSite(d.victim)
+	var snap []byte
+	var err error
+	if werr := d.rt.WithSite(d.killSite, func(a dist.SiteAlgo) { snap, err = track.SnapshotSite(a) }); werr != nil || err != nil {
+		fatalf("snapshot: %v", errors.Join(werr, err))
+	}
+	fresh := d.reg.RebuildSite(d.killSite)
 	if err := track.RestoreSite(fresh, snap); err != nil {
 		fatalf("restore: %v", err)
 	}
-	when := d.rt.crashSite(d.victim, fresh)
-	fmt.Fprintf(d.out, "t=%-10d killed site %d (snapshot: %d bytes); %s\n", t, d.victim, len(snap), when)
+	when := d.rt.crashSite(d.killSite, fresh)
+	fmt.Fprintf(d.out, "t=%-10d killed site %d (snapshot: %d bytes); %s\n", t, d.killSite, len(snap), when)
 }
 
 // crashCoord checkpoints and kills the coordinator; its replacement takes
@@ -567,7 +577,7 @@ func (d *driver) crashCoord(t int64) {
 }
 
 func (d *driver) heal(t int64) {
-	detail := d.rt.healCoord()
+	detail := d.rt.healCoord(d.next)
 	d.eng, d.next = d.next, nil
 	fmt.Fprintf(d.out, "t=%-10d coordinator takeover (%s): %s\n", t, d.mode(), detail)
 }
@@ -590,12 +600,12 @@ func (d *driver) progress(t int64) {
 			line += fmt.Sprintf(" f̂=%-10d rel.err=%-8.5f", q.Estimate, relErr(d.ex.f, q.Estimate))
 		}
 	}
-	s := d.rt.stats()
+	s := d.rt.Stats()
 	line += fmt.Sprintf(" msgs=%d", s.Total())
 	if d.model != nil {
 		line += fmt.Sprintf(" stale(avg/max)=%.1f/%d dropped=%d", s.AvgStaleness(), s.StalenessMax, s.Dropped)
 	}
-	if h := d.rt.health(); !h.OK {
+	if h := health(d.rt, d.k); !h.OK {
 		line += " [" + h.Detail + "]"
 	}
 	fmt.Fprintln(d.out, line)

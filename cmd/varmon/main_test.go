@@ -100,6 +100,10 @@ func TestDriverAsyncMatrix(t *testing.T) {
 		{"kill-site", []string{"-kill", "8000:1"}, 1, 0, false},
 		{"kill-coord-warm", []string{"-kill-coord", "8000", "-standby"}, 0, 1, true},
 		{"kill-coord-cold", []string{"-kill-coord", "8000"}, 0, 1, false},
+		// A site dies inside the coordinator outage: its snapshot comes
+		// straight from the algorithm, and its takeover waits for the
+		// standby's verdict.
+		{"kill-both", []string{"-kill-coord", "8000", "-kill", "9000:1"}, 1, 1, false},
 	}
 	for plan, planArgs := range plans {
 		for _, fault := range faults {
@@ -176,6 +180,7 @@ func TestDriverTCPFaultPlans(t *testing.T) {
 		{"kill-site", []string{"-queries", q, "-kill", "8000:1"}, 1, 0},
 		{"kill-coord-warm", []string{"-kill-coord", "8000", "-standby", "-snapshot-dir", "D", "-restore", "D"}, 0, 1},
 		{"kill-coord-cold", []string{"-queries", q, "-kill-coord", "8000"}, 0, 1},
+		{"kill-both", []string{"-kill-coord", "8000", "-kill", "9000:1"}, 1, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()

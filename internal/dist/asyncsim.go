@@ -33,23 +33,18 @@ type AsyncSim struct {
 	// to Sim's stamping under the zero model.
 	Recorder func(TranscriptEntry)
 
-	// Events, when non-nil, observes the protocol control plane (see
-	// EventKind): message-derived events on delivery plus the fault
-	// machinery — crashes, takeovers, detector verdicts, epoch drops.
-	// Event.Now is the virtual tick.
-	Events EventSink
-
 	// ledger attributes deliveries AND drops, retransmissions, and
 	// staleness to per-class counters when a classifier is installed, so
 	// the per-class Stats sum exactly to the aggregate even under faults.
+	// It holds the clock (now the virtual tick, t the stream T of the
+	// latest arrived update) and the Events sink, which observes
+	// deliveries plus the fault machinery: crashes, takeovers, detector
+	// verdicts, epoch drops.
 	ledger
 	coord CoordAlgo
 	sites []SiteAlgo
 	model NetModel
 	src   *rng.Xoshiro256
-
-	now   int64 // virtual clock
-	curT  int64 // stream T of the latest arrived update
 	queue eventQueue
 
 	// linkAt[i] is the latest delivery time scheduled on link i (site i →
@@ -67,7 +62,7 @@ type AsyncSim struct {
 	// heartbeat chains so Flush terminates.
 	live        liveness
 	epoch       []uint32
-	backlog     [][]stream.Update
+	backlog     backlog
 	replacement []SiteAlgo
 	closing     bool
 
@@ -75,9 +70,11 @@ type AsyncSim struct {
 	// coordCrashed marks the coordinator process dead, coordEpoch is the
 	// coordinator incarnation stamped onto every delivery (event.cepoch),
 	// and coordStandby holds the algorithm a ScheduleCoordTakeover will
-	// splice in. The coordinator has no durable backlog: site reports lost
-	// to an outage are re-derived by the KindCoordTakeover handshake, not
-	// replayed (only the TCP transport buffers frames for replay).
+	// splice in. Nothing is held for the coordinator: its sites keep
+	// ingesting through the outage, and the reports lost to it are
+	// re-derived by the KindCoordTakeover handshake, not replayed (on TCP,
+	// where the outage severs the sites' connections, NetCluster holds
+	// their updates in the backlog instead and replays them at the heal).
 	coordCrashed bool
 	coordEpoch   uint32
 	coordStandby CoordAlgo
@@ -162,16 +159,16 @@ func NewAsyncSim(coord CoordAlgo, sites []SiteAlgo, model NetModel, seed uint64)
 		linkAt:      make([]int64, 2*len(sites)),
 		down:        make([]bool, len(sites)),
 		epoch:       make([]uint32, len(sites)),
-		backlog:     make([][]stream.Update, len(sites)),
+		backlog:     make(backlog, len(sites)),
 		replacement: make([]SiteAlgo, len(sites)),
 	}
 	// The slab starts with room for the k+1 heartbeat chains.
 	s.queue.init(len(sites) + 1)
-	s.live = newLiveness(s, &s.stats, len(sites))
+	s.coordOut = &asyncOutbox{s: s, from: CoordID}
+	s.live = newLiveness(&s.coord, s.coordOut, &s.ledger, len(sites))
 	// A beacon is overdue one full interval beyond its cadence plus the
 	// link latency it rides.
 	s.live.arm(2*model.HeartbeatEvery+model.Latency, model.HeartbeatMiss)
-	s.coordOut = &asyncOutbox{s: s, from: CoordID}
 	s.siteOut = make([]*asyncOutbox, len(sites))
 	s.batchSites = make([]BatchSiteAlgo, len(sites))
 	for i := range sites {
@@ -206,7 +203,7 @@ func (s *AsyncSim) stepOne(u stream.Update, arrival int64) bool {
 	if arrival > s.now {
 		s.now = arrival
 	}
-	s.curT = u.T
+	s.t = u.T
 	s.ingest(u)
 	return s.runUntil(s.now+1) || active
 }
@@ -216,7 +213,7 @@ func (s *AsyncSim) stepOne(u stream.Update, arrival int64) bool {
 // takeover (the site process is dead; its data source is not).
 func (s *AsyncSim) ingest(u stream.Update) {
 	if s.live.slots[u.Site].ended {
-		s.backlog[u.Site] = append(s.backlog[u.Site], u)
+		s.backlog.hold(u)
 		return
 	}
 	s.sites[u.Site].OnUpdate(u, s.siteOut[u.Site])
@@ -274,7 +271,7 @@ func (s *AsyncSim) StepBatch(us []stream.Update) (int, bool) {
 	if a := last.T * gap; a > s.now {
 		s.now = a
 	}
-	s.curT = last.T
+	s.t = last.T
 	from := int32(u.Site)
 	for _, m := range s.capture.msgs {
 		s.send(from, CoordID, m)
@@ -343,9 +340,6 @@ func (s *AsyncSim) Now() int64 { return s.now }
 // Pending returns the number of events in the scheduler queue: deliveries,
 // retransmissions, heartbeats and scheduled faults not yet processed.
 func (s *AsyncSim) Pending() int { return s.queue.len() }
-
-// Down reports whether site's link is currently partitioned.
-func (s *AsyncSim) Down(site int) bool { return s.down[site] }
 
 // ScheduleDown partitions site's link at virtual tick at.
 func (s *AsyncSim) ScheduleDown(site int, at int64) {
@@ -477,7 +471,7 @@ func (s *AsyncSim) deliver(e *event) {
 	end := s.siteEnd(e.from, e.to)
 	if s.live.slots[end].ended || s.epoch[end] != e.epoch ||
 		s.coordCrashed || e.cepoch != s.coordEpoch {
-		s.lose(e, EvEpochDrop)
+		s.dropped(&e.msg, EvEpochDrop, end, e.to)
 		return
 	}
 
@@ -493,17 +487,14 @@ func (s *AsyncSim) deliver(e *event) {
 			s.retransmitted(&e.msg)
 			s.transmit(e, s.now+s.model.rto())
 		} else {
-			s.lose(e, EvDrop)
+			s.dropped(&e.msg, EvDrop, end, e.to)
 		}
 		return
 	}
 
 	s.delivered(&e.msg, e.to, s.now-e.sent)
 	if s.Recorder != nil {
-		s.Recorder(TranscriptEntry{T: s.curT, To: e.to, Msg: e.msg})
-	}
-	if s.Events != nil {
-		emitMsg(s.Events, s.curT, s.now, e.to, &e.msg)
+		s.Recorder(TranscriptEntry{T: s.t, To: e.to, Msg: e.msg})
 	}
 	if e.to == CoordID {
 		s.coord.OnMessage(e.msg, s.coordOut)
@@ -511,22 +502,6 @@ func (s *AsyncSim) deliver(e *event) {
 		s.sites[e.to].OnMessage(e.msg, s.siteOut[e.to])
 	}
 }
-
-// lose accounts a delivery lost for good and traces it as kind: EvEpochDrop
-// for incarnation gating, EvDrop for the network.
-func (s *AsyncSim) lose(e *event, kind EventKind) {
-	s.dropped(&e.msg, kind == EvEpochDrop)
-	if s.Events != nil {
-		s.Events(Event{Kind: kind, T: s.curT, Now: s.now, Site: s.siteEnd(e.from, e.to),
-			To: e.to, Item: e.msg.Item, A: e.msg.A, B: e.msg.B})
-	}
-}
-
-// liveCoord implements livenessHost.
-func (s *AsyncSim) liveCoord() (CoordAlgo, Outbox) { return s.coord, s.coordOut }
-
-// liveTrace implements livenessHost.
-func (s *AsyncSim) liveTrace() (EventSink, int64, int64) { return s.Events, s.curT, s.now }
 
 // asyncOutbox routes messages for node `from` through the modeled network.
 type asyncOutbox struct {

@@ -1,14 +1,16 @@
 package dist
 
+import "repro/internal/stream"
+
 // Crash faults and warm takeover on AsyncSim.
 //
 // A crash (ScheduleCrash) kills a site's process at a virtual tick:
 // in-flight messages to and from it are lost, its local stream updates
-// accumulate in a durable queue, and — unlike the
+// accumulate in a durable backlog, and — unlike the
 // disconnect/rejoin churn of ScheduleDown/ScheduleUp — the same process
 // never comes back. The slot stays dead until ScheduleTakeover splices a
 // replacement in, at which point the runtime fires the control-plane hooks
-// (CoordTakeoverHandler, SiteTakeover), replays the queued updates, and
+// (CoordTakeoverHandler, SiteTakeover), replays the backlog, and
 // restarts the slot's heartbeat chain. Every delivery is stamped with its
 // slot's incarnation (event.epoch); crash and takeover each increment it,
 // so the replacement's first inbound message is the coordinator's takeover
@@ -32,9 +34,26 @@ package dist
 // warm (restored from a track.RestoreCoord snapshot by the caller) and the
 // splice fires CoordTakeover.OnCoordTakeover once per site, opening the
 // KindCoordTakeover handshake that re-derives whatever reply content the
-// snapshot never saw. Unlike a dead site's local updates, nothing is queued
-// for the dead coordinator: AsyncSim models the announce/ack resync, while
-// backlog replay is the TCP transport's job.
+// snapshot never saw. The sites keep ingesting through the outage; only
+// their messages are lost. On TCP the outage severs every connection, so
+// NetCluster holds the sites' updates in the same backlog and replays them
+// into the standby.
+
+// backlog is the durable per-slot update queue of both fault-tolerant
+// deployments: a slot's data source outlives its process (on TCP, its
+// connection), so updates it cannot ingest are held here and replayed,
+// oldest first, into its next incarnation.
+type backlog [][]stream.Update
+
+// hold queues u for its slot.
+func (b backlog) hold(u stream.Update) { b[u.Site] = append(b[u.Site], u) }
+
+// take empties slot i's queue and returns it, oldest first.
+func (b backlog) take(i int) []stream.Update {
+	q := b[i]
+	b[i] = nil
+	return q
+}
 
 // ScheduleCrash crash-faults site at virtual tick at. Crashing an
 // already-crashed slot is a no-op.
@@ -61,6 +80,13 @@ func (s *AsyncSim) ScheduleTakeover(site int, at int64, algo SiteAlgo) {
 func (s *AsyncSim) ReplaceSite(site int, algo SiteAlgo) {
 	s.sites[site] = algo
 	s.batchSites[site], _ = algo.(BatchSiteAlgo)
+}
+
+// WithSite runs fn on site's current algorithm; between events every
+// point is consistent, so unlike NetCluster.WithSite it never fails.
+func (s *AsyncSim) WithSite(site int, fn func(SiteAlgo)) error {
+	fn(s.sites[site])
+	return nil
 }
 
 // ScheduleCoordCrash crash-faults the coordinator at virtual tick at.
@@ -128,10 +154,8 @@ func (s *AsyncSim) processTakeover(e *event) {
 	if t, ok := algo.(SiteTakeover); ok {
 		t.OnTakeover(s.siteOut[site])
 	}
-	buf := s.backlog[site]
-	s.backlog[site] = nil
-	for i := range buf {
-		algo.OnUpdate(buf[i], s.siteOut[site])
+	for _, u := range s.backlog.take(site) {
+		algo.OnUpdate(u, s.siteOut[site])
 	}
 	if s.model.HeartbeatEvery > 0 && !s.closing {
 		s.schedule(evHeartbeat, e.to, e.at+s.model.HeartbeatEvery)

@@ -116,12 +116,12 @@ func TestSimBroadcastCountsPerRecipient(t *testing.T) {
 
 // TestSimTCPEquivalence runs the same deterministic tracker over the same
 // assigned stream on the synchronous simulator and over loopback TCP. With
-// the transport flushed to quiescence after every update (four barrier
-// rounds, one per leg of the partitioner's count report -> state request
-// -> state reply -> new-block cascade: a site's reply is framed after its
-// in-flight barrier, so each leg can lag a full round behind), estimates
-// must agree at every step and the message, byte, and compact-bit
-// accounting must agree exactly at the end.
+// the transport settled to quiescence after every update (NetCluster.Settle
+// runs barrier rounds until two in a row change nothing: the partitioner's
+// count report -> state request -> state reply -> new-block cascade is
+// several legs deep, and a site's reply can lag a round behind its own
+// barrier), estimates must agree at every step and the message, byte, and
+// compact-bit accounting must agree exactly at the end.
 func TestSimTCPEquivalence(t *testing.T) {
 	k, eps := 3, 0.1
 	n := int64(1500)
@@ -131,42 +131,25 @@ func TestSimTCPEquivalence(t *testing.T) {
 	sim := dist.NewSim(simCoord, simSites)
 
 	netAlgo, netSiteAlgos := track.NewDeterministic(k, eps)
-	coord, err := dist.ListenCoordinator("127.0.0.1:0", k, netAlgo)
+	cl, err := dist.NewNetCluster(netAlgo, netSiteAlgos, dist.NetConfig{})
 	if err != nil {
-		t.Fatalf("listen: %v", err)
+		t.Fatalf("deploy: %v", err)
 	}
-	defer coord.Close()
-	sites := make([]*dist.NetSite, k)
-	for i := 0; i < k; i++ {
-		s, err := dist.DialNetSite(coord.Addr(), i, netSiteAlgos[i])
-		if err != nil {
-			t.Fatalf("dial site %d: %v", i, err)
-		}
-		defer s.Close()
-		sites[i] = s
-	}
+	defer cl.Close()
 
 	for _, u := range ups {
 		sim.Step(u)
-		sites[u.Site].Update(u)
-		for round := 0; round < 4; round++ {
-			for _, s := range sites {
-				if err := s.Barrier(); err != nil {
-					t.Fatalf("barrier at t=%d: %v", u.T, err)
-				}
-			}
+		cl.Step(u)
+		if err := cl.Settle(); err != nil {
+			t.Fatalf("settle at t=%d: %v", u.T, err)
 		}
-		if se, ne := sim.Estimate(), coord.Estimate(); se != ne {
+		if se, ne := sim.Estimate(), cl.Estimate(); se != ne {
 			t.Fatalf("estimates diverge at t=%d: sim %d, tcp %d", u.T, se, ne)
 		}
 	}
 
-	ss, ns := sim.Stats(), coord.Stats()
-	if ss != ns {
+	if ss, ns := sim.Stats(), cl.Stats(); ss != ns {
 		t.Errorf("stats diverge: sim %+v, tcp %+v", ss, ns)
-	}
-	if err := coord.Err(); err != nil {
-		t.Errorf("transport error: %v", err)
 	}
 }
 

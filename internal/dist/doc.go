@@ -1,7 +1,8 @@
 // Package dist is the distributed-monitoring runtime beneath every tracker
 // in this repository: the message contract, the algorithm interfaces, a
-// deterministic synchronous simulator, and a real TCP transport. The same
-// CoordAlgo/SiteAlgo pair runs unchanged on either runtime.
+// deterministic synchronous simulator, a fault-injecting asynchronous one,
+// and a real TCP transport. The same CoordAlgo/SiteAlgo pair runs
+// unchanged on every runtime.
 //
 // # Model
 //
@@ -41,15 +42,12 @@
 // # TCP transport
 //
 // ListenCoordinator and DialNetSite run the identical algorithms over real
-// sockets. Every frame on the wire is one Msg in a fixed compact binary
-// encoding of exactly MsgSize bytes (kind:1, site:4, item:8, a:8, b:8,
-// big-endian), so Stats.Bytes equals true wire volume. Delivery is
-// asynchronous; NetSite.Barrier flushes one round trip — on return the
-// coordinator has processed everything the site sent before the call, and
-// the site has processed everything the coordinator sent it up to the
-// acknowledgement. Request/reply protocols (the §3.1 partitioner) reach
-// quiescence after a bounded number of barrier rounds over all sites.
-// Transport-internal frames (handshake, barrier, acknowledgement) use
+// sockets, one Msg per fixed MsgSize-byte frame (kind:1, site:4, item:8,
+// a:8, b:8, big-endian), so Stats.Bytes equals true wire volume. Delivery
+// is asynchronous; NetSite.Barrier flushes one round trip both ways.
+// NetCluster is the live deployment over them, with AsyncSim's fault
+// machinery, and Settle runs barrier rounds to quiescence. Transport-
+// internal frames (handshake, barrier, acknowledgement, heartbeat) use
 // reserved kinds and are never delivered to algorithms nor counted.
 //
 // # Accounting

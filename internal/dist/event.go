@@ -9,8 +9,10 @@ package dist
 // with millions of entries per run while the control plane stays in the
 // hundreds.
 //
-// The disabled path is free: every emission site is a nil check on the
-// sink, and Events are passed by value, so with no sink installed the hot
+// Every Event is built in one place, the ledger each runtime embeds (see
+// ledger.delivered, ledger.dropped, liveness.emit), and stamped with its
+// clock. The disabled path is free: each is a nil check on the sink, and
+// Events are passed by value, so with no sink installed the hot
 // paths stay zero-alloc (pinned by TestSimZeroAllocSteadyState and the
 // varlint zeroalloc pass).
 
@@ -64,39 +66,17 @@ const (
 	EvDrop
 )
 
+// eventKindNames are the kinds' JSONL and test-assertion names.
+var eventKindNames = [...]string{EvBlock: "block", EvResync: "resync", EvCollect: "collect",
+	EvStateReply: "state_reply", EvTakeoverMsg: "takeover_msg", EvCoordHandshake: "coord_handshake",
+	EvHeartbeatMiss: "hb_miss", EvSiteDead: "site_dead", EvSiteAlive: "site_alive",
+	EvSiteCrash: "site_crash", EvTakeover: "takeover", EvCoordCrash: "coord_crash",
+	EvCoordTakeover: "coord_takeover", EvEpochDrop: "epoch_drop", EvDrop: "drop"}
+
 // String names the kind for JSONL dumps and test assertions.
 func (k EventKind) String() string {
-	switch k {
-	case EvBlock:
-		return "block"
-	case EvResync:
-		return "resync"
-	case EvCollect:
-		return "collect"
-	case EvStateReply:
-		return "state_reply"
-	case EvTakeoverMsg:
-		return "takeover_msg"
-	case EvCoordHandshake:
-		return "coord_handshake"
-	case EvHeartbeatMiss:
-		return "hb_miss"
-	case EvSiteDead:
-		return "site_dead"
-	case EvSiteAlive:
-		return "site_alive"
-	case EvSiteCrash:
-		return "site_crash"
-	case EvTakeover:
-		return "takeover"
-	case EvCoordCrash:
-		return "coord_crash"
-	case EvCoordTakeover:
-		return "coord_takeover"
-	case EvEpochDrop:
-		return "epoch_drop"
-	case EvDrop:
-		return "drop"
+	if int(k) < len(eventKindNames) && eventKindNames[k] != "" {
+		return eventKindNames[k]
 	}
 	return "unknown"
 }
@@ -124,8 +104,8 @@ type Event struct {
 type EventSink func(Event)
 
 // msgEventKind maps a protocol message to its traced event kind, or 0 for
-// the untraced data-plane kinds. Split from the emit sites so the hot
-// paths pay one switch and a nil-comparison when tracing is off.
+// the untraced data-plane kinds. The ledger calls it only with a sink
+// installed, so the hot paths pay one nil-comparison when tracing is off.
 func msgEventKind(m *Msg) EventKind {
 	//varlint:kinds KindAttach,KindCountReport,KindDetach,KindDriftReport,KindFreqEnd,KindFreqReport,KindValueReport
 	switch m.Kind {
@@ -144,17 +124,4 @@ func msgEventKind(m *Msg) EventKind {
 		return EvCoordHandshake
 	}
 	return 0
-}
-
-// emitMsg traces one control-plane message delivery into sink (which must
-// be non-nil). Report kinds return without emitting.
-//
-//varlint:zeroalloc
-func emitMsg(sink EventSink, t, now int64, to int32, m *Msg) {
-	k := msgEventKind(m)
-	if k == 0 {
-		return
-	}
-	sink(Event{Kind: k, T: t, Now: now, Site: m.Site, To: to,
-		Item: m.Item, A: m.A, B: m.B})
 }

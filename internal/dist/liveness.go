@@ -6,9 +6,10 @@ package dist
 // (times are nanoseconds since the coordinator started). It is pure — the
 // runtime feeds it beacons, detector sweeps, ended incarnations and
 // splices, each with the current time, and it answers with verdicts: the
-// liveness Stats counters, traced events, and the coordinator algorithm's
-// failure hooks. What stays per runtime is how those inputs arise
-// (heartbeat emission, the wire, the handshakes, epoch gating).
+// liveness counters and traced events (through the runtime's ledger), and
+// the coordinator algorithm's failure hooks. What stays per runtime is how
+// those inputs arise (heartbeat emission, the wire, the handshakes, epoch
+// gating).
 //
 // The policy:
 //   - a slot is overdue when now − lastSeen > slack, and miss consecutive
@@ -21,8 +22,11 @@ package dist
 //   - a (re)starting coordinator detector gives every slot a fresh grace
 //     period as if it had just beaconed, while verdicts reached stand.
 type liveness struct {
-	host  livenessHost
-	stats *Stats
+	// coord is the runtime's coordinator slot and out its outbox, for the
+	// failure hooks; led takes the liveness counters and events.
+	coord *CoordAlgo
+	out   Outbox
+	led   *ledger
 	slots []liveSlot
 	// slack is how far a beacon may be overdue before a sweep charges a
 	// miss: one full beacon interval beyond the cadence, plus whatever
@@ -48,19 +52,10 @@ type liveSlot struct {
 	seen     bool // a beacon arrived since the last splice
 }
 
-// livenessHost is the runtime behind a liveness core.
-type livenessHost interface {
-	// liveCoord returns the coordinator algorithm currently in the slot
-	// and its outbox, for the failure hooks.
-	liveCoord() (CoordAlgo, Outbox)
-	// liveTrace returns the event sink (nil when tracing is off) and the
-	// stream step and runtime clock an event is stamped with.
-	liveTrace() (sink EventSink, t, now int64)
-}
-
-// newLiveness builds the core for k slots; arm sets its thresholds.
-func newLiveness(host livenessHost, stats *Stats, k int) liveness {
-	l := liveness{host: host, stats: stats, slots: make([]liveSlot, k)}
+// newLiveness builds the core for k slots of a runtime; arm sets its
+// thresholds.
+func newLiveness(coord *CoordAlgo, out Outbox, led *ledger, k int) liveness {
+	l := liveness{coord: coord, out: out, led: led, slots: make([]liveSlot, k)}
 	for i := range l.slots {
 		l.slots[i].seen = true
 	}
@@ -80,7 +75,7 @@ func (l *liveness) arm(slack int64, miss int) {
 //
 //varlint:zeroalloc
 func (l *liveness) beat(i int, now int64) {
-	l.stats.HeartbeatsRecv++
+	l.led.stats.HeartbeatsRecv++
 	s := &l.slots[i]
 	s.lastSeen = now
 	s.seen = true
@@ -92,9 +87,8 @@ func (l *liveness) beat(i int, now int64) {
 	s.dead = false
 	s.run = 0
 	l.emit(EvSiteAlive, int32(i), 0, 0)
-	coord, out := l.host.liveCoord()
-	if h, ok := coord.(CoordRecoverHandler); ok {
-		h.OnSiteAlive(i, out)
+	if h, ok := (*l.coord).(CoordRecoverHandler); ok {
+		h.OnSiteAlive(i, l.out)
 	}
 }
 
@@ -112,16 +106,15 @@ func (l *liveness) sweep(now int64) {
 			continue
 		}
 		s.run++
-		l.stats.HeartbeatMisses++
+		l.led.stats.HeartbeatMisses++
 		l.emit(EvHeartbeatMiss, int32(i), int64(s.run), 0)
 		if s.run < l.miss {
 			continue
 		}
 		s.dead = true
 		l.emit(EvSiteDead, int32(i), 0, 0)
-		coord, out := l.host.liveCoord()
-		if h, ok := coord.(CoordFailureHandler); ok {
-			h.OnSiteDead(i, out)
+		if h, ok := (*l.coord).(CoordFailureHandler); ok {
+			h.OnSiteDead(i, l.out)
 		}
 	}
 }
@@ -142,13 +135,12 @@ func (l *liveness) splice(i int, now, a, b int64) {
 		return
 	}
 	if s.seen || !l.redials {
-		l.stats.Takeovers++
+		l.led.stats.Takeovers++
 	}
 	*s = liveSlot{lastSeen: now}
 	l.emit(EvTakeover, int32(i), a, b)
-	coord, out := l.host.liveCoord()
-	if h, ok := coord.(CoordTakeoverHandler); ok {
-		h.OnSiteTakeover(i, out)
+	if h, ok := (*l.coord).(CoordTakeoverHandler); ok {
+		h.OnSiteTakeover(i, l.out)
 	}
 }
 
@@ -162,13 +154,13 @@ func (l *liveness) coordSplice(now int64) {
 	}
 }
 
-// emit traces one liveness or takeover event, addressed to the
-// coordinator whose detector and control plane produced it.
+// emit traces one liveness or takeover event through the ledger,
+// addressed to the coordinator whose detector and control plane produced
+// it.
 //
 //varlint:zeroalloc
 func (l *liveness) emit(kind EventKind, site int32, a, b int64) {
-	sink, t, now := l.host.liveTrace()
-	if sink != nil {
-		sink(Event{Kind: kind, T: t, Now: now, Site: site, To: CoordID, A: a, B: b})
+	if l.led.Events != nil {
+		l.led.emit(Event{Kind: kind, Site: site, To: CoordID, A: a, B: b})
 	}
 }

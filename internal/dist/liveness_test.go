@@ -7,17 +7,13 @@ import (
 	"testing"
 )
 
-// liveRecorder is a liveness host and coordinator that records the
-// failure hooks and traced events it sees.
+// liveRecorder is a coordinator that records the failure hooks and traced
+// events it sees.
 type liveRecorder struct {
 	hooks  []string
 	events []Event
 }
 
-func (r *liveRecorder) liveCoord() (CoordAlgo, Outbox) { return r, nil }
-func (r *liveRecorder) liveTrace() (EventSink, int64, int64) {
-	return func(e Event) { r.events = append(r.events, e) }, 0, 0
-}
 func (r *liveRecorder) OnMessage(Msg, Outbox) {}
 func (r *liveRecorder) Estimate() int64       { return 0 }
 func (r *liveRecorder) OnSiteDead(site int, _ Outbox) {
@@ -121,8 +117,9 @@ func TestLivenessCore(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			rec := &liveRecorder{}
-			var st Stats
-			l := newLiveness(rec, &st, tc.k)
+			led := ledger{Events: func(e Event) { rec.events = append(rec.events, e) }}
+			var coord CoordAlgo = rec
+			l := newLiveness(&coord, nil, &led, tc.k)
 			l.arm(10, 3)
 			l.redials = tc.redials
 			for _, s := range tc.steps {
@@ -139,7 +136,7 @@ func TestLivenessCore(t *testing.T) {
 					l.coordSplice(s.now)
 				}
 			}
-			if st != tc.stats {
+			if st := led.Stats(); st != tc.stats {
 				t.Errorf("stats = %+v, want %+v", st, tc.stats)
 			}
 			if !reflect.DeepEqual(rec.hooks, tc.hooks) {

@@ -133,7 +133,6 @@ type Coordinator struct {
 	mu     sync.Mutex
 	ledger // guarded by mu
 	conns  []*connWriter
-	events EventSink
 	err    error
 	closed bool
 
@@ -147,7 +146,7 @@ type Coordinator struct {
 	start  time.Time
 	fdStop chan struct{}
 
-	// Standby mode (ListenCoordinatorStandby): the coordinator is a
+	// Standby mode (epoch > 0, see listenCoordinator): the coordinator is a
 	// replacement for a dead predecessor, and each site's first registration
 	// fires the CoordTakeover announcement — before any of that site's
 	// frames are read, so the announce is the first frame the site receives.
@@ -160,23 +159,18 @@ type Coordinator struct {
 // ListenCoordinator starts a coordinator for k sites on addr (use port 0
 // for an ephemeral port) and accepts site connections in the background.
 func ListenCoordinator(addr string, k int, algo CoordAlgo) (*Coordinator, error) {
-	return listenCoordinator(addr, k, algo, false, 0)
+	return listenCoordinator(addr, k, algo, 0)
 }
 
-// ListenCoordinatorStandby starts a standby coordinator: a replacement for
-// a crashed coordinator, serving an algorithm the caller typically restored
-// from a snapshot (track.RestoreCoord). It differs from ListenCoordinator
-// in the handshake only — as each site registers for the first time, the
-// algorithm's CoordTakeover hook announces the new coordinator epoch to it
-// (KindCoordTakeover) before any of that site's frames are read, and the
-// takeover is counted once in Stats.CoordTakeovers. Sites re-dial with
-// DialNetSiteRetry, replaying whatever frames they buffered while the old
-// coordinator was down after their dial returns.
-func ListenCoordinatorStandby(addr string, k int, algo CoordAlgo, epoch int64) (*Coordinator, error) {
-	return listenCoordinator(addr, k, algo, true, epoch)
-}
-
-func listenCoordinator(addr string, k int, algo CoordAlgo, standby bool, epoch int64) (*Coordinator, error) {
+// listenCoordinator starts coordinator incarnation epoch. Epoch 0 is the
+// first; a later one is a standby replacing a crashed predecessor
+// (NetCluster.CoordTakeover), typically serving an algorithm restored from
+// a snapshot. A standby differs in the handshake only: as each site
+// registers for the first time, the algorithm's CoordTakeover hook
+// announces the epoch to it (KindCoordTakeover) before any of that site's
+// frames are read, and the takeover is counted once in
+// Stats.CoordTakeovers.
+func listenCoordinator(addr string, k int, algo CoordAlgo, epoch int64) (*Coordinator, error) {
 	if k <= 0 {
 		return nil, errors.New("dist: a coordinator needs k > 0")
 	}
@@ -185,9 +179,10 @@ func listenCoordinator(addr string, k int, algo CoordAlgo, standby bool, epoch i
 		return nil, err
 	}
 	c := &Coordinator{ln: ln, k: k, algo: algo, conns: make([]*connWriter, k), start: time.Now()}
-	c.live = newLiveness(c, &c.stats, k)
+	c.wall = wallNanos
+	c.live = newLiveness(&c.algo, coordOutbox{c}, &c.ledger, k)
 	c.live.redials = true
-	if standby {
+	if epoch > 0 {
 		c.standbyEpoch, c.announced = epoch, make([]bool, k)
 		c.stats.CoordTakeovers = 1
 	}
@@ -304,7 +299,6 @@ func (c *Coordinator) serve(conn net.Conn) {
 		default:
 			c.mu.Lock()
 			c.delivered(&m, CoordID, 0)
-			c.traceMsgLocked(CoordID, &m)
 			c.algo.OnMessage(m, coordOutbox{c})
 			c.mu.Unlock()
 		}
@@ -358,12 +352,7 @@ func (c *Coordinator) writeLocked(site int, m Msg) {
 			// Tolerated fault: the slot is dead (or mid-takeover) and the
 			// message is honestly lost. Account it so the degradation is
 			// visible, per class too — attribution must keep summing.
-			c.dropped(&m, false)
-			if c.events != nil {
-				c.events(Event{Kind: EvDrop, Now: time.Now().UnixNano(),
-					Site: int32(site), To: int32(site),
-					Item: m.Item, A: m.A, B: m.B})
-			}
+			c.dropped(&m, EvDrop, int32(site), int32(site))
 			return
 		}
 		c.failLocked(fmt.Errorf("dist: message to unconnected site %d", site))
@@ -371,7 +360,6 @@ func (c *Coordinator) writeLocked(site int, m Msg) {
 	}
 	c.conns[site].enqueue(m)
 	c.delivered(&m, int32(site), 0)
-	c.traceMsgLocked(int32(site), &m)
 }
 
 // SetEventSink installs a protocol event tracer covering both directions
@@ -382,33 +370,12 @@ func (c *Coordinator) writeLocked(site int, m Msg) {
 // coordinator mutex: it must not block or call back in.
 func (c *Coordinator) SetEventSink(sink EventSink) {
 	c.mu.Lock()
-	c.events = sink
+	c.Events = sink
 	c.mu.Unlock()
 }
 
-// traceMsgLocked traces one control-plane message (either direction);
-// callers hold c.mu. Data-plane kinds return without emitting.
-func (c *Coordinator) traceMsgLocked(to int32, m *Msg) {
-	if c.events == nil {
-		return
-	}
-	if k := msgEventKind(m); k != 0 {
-		c.events(Event{Kind: k, Now: time.Now().UnixNano(), Site: m.Site,
-			To: to, Item: m.Item, A: m.A, B: m.B})
-	}
-}
-
-// liveCoord implements livenessHost; callers hold c.mu.
-func (c *Coordinator) liveCoord() (CoordAlgo, Outbox) { return c.algo, coordOutbox{c} }
-
-// liveTrace implements livenessHost: Event.T is 0 and Event.Now wall
-// nanoseconds, as on every coordinator event. Callers hold c.mu.
-func (c *Coordinator) liveTrace() (EventSink, int64, int64) {
-	if c.events == nil {
-		return nil, 0, 0
-	}
-	return c.events, 0, time.Now().UnixNano()
-}
+// wallNanos is the Coordinator ledger's event clock.
+func wallNanos() int64 { return time.Now().UnixNano() }
 
 // clock is the liveness core's time: nanoseconds since the coordinator
 // started, on the monotonic clock.

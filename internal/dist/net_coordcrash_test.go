@@ -10,139 +10,6 @@ import (
 	"repro/internal/track"
 )
 
-// TestNetCoordCrashStandbyTakeover is the coordinator kill-and-standby
-// story on real TCP: kill the coordinator mid-stream, buffer each site's
-// updates while it is down, then bring up a standby restored from a
-// pre-kill snapshot on a fresh address, re-dial every site into it — the
-// standby's KindCoordTakeover announce is the first frame each one receives
-// — replay the buffered updates, and require the final estimate to meet the
-// tracker's ε bound.
-func TestNetCoordCrashStandbyTakeover(t *testing.T) {
-	const k, n = 3, 9_000
-	const eps = 0.1
-	const hb = 10 * time.Millisecond
-
-	coordAlgo, siteAlgos := track.NewDeterministic(k, eps)
-	coord, err := dist.ListenCoordinator("127.0.0.1:0", k, coordAlgo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord.SetFailureDetection(hb, 3)
-
-	sites := make([]*dist.NetSite, k)
-	for i := 0; i < k; i++ {
-		s, err := dist.DialNetSiteRetry(coord.Addr(), i, siteAlgos[i], 2*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.StartHeartbeats(hb)
-		sites[i] = s
-	}
-
-	ups := stream.Collect(stream.NewAssign(
-		stream.BiasedWalk(n, 0.3, 41), stream.NewRoundRobin(k)))
-	var f int64
-
-	// Phase 1: the original coordinator serves.
-	for _, u := range ups[:n/3] {
-		f += u.Delta
-		sites[u.Site].Update(u)
-	}
-	// Quiesce every connection, then checkpoint the coordinator under its
-	// lock — a periodic snapshot a real deployment would be writing anyway.
-	for i := 0; i < k; i++ {
-		if err := sites[i].Barrier(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var snap []byte
-	coord.Inject(func(dist.Outbox) {
-		snap, err = track.SnapshotCoord(coordAlgo)
-	})
-	if err != nil {
-		t.Fatalf("snapshot: %v", err)
-	}
-
-	// Kill the coordinator process. The sites outlive it: their connections
-	// die, and their share of the stream is buffered locally until a
-	// replacement coordinator appears.
-	coord.Close()
-	for i := 0; i < k; i++ {
-		sites[i].Close()
-	}
-
-	// Phase 2: outage. Every update is buffered at its site.
-	backlog := make([][]stream.Update, k)
-	for _, u := range ups[n/3 : 2*n/3] {
-		f += u.Delta
-		backlog[u.Site] = append(backlog[u.Site], u)
-	}
-
-	// Standby: restore the checkpoint into a fresh coordinator and listen on
-	// a fresh address; each site re-dials — the takeover announce is the
-	// first frame it receives — and replays its backlog behind the
-	// handshake.
-	freshAlgo, _ := track.NewDeterministic(k, eps)
-	if err := track.RestoreCoord(freshAlgo, snap); err != nil {
-		t.Fatalf("restore: %v", err)
-	}
-	standby, err := dist.ListenCoordinatorStandby("127.0.0.1:0", k, freshAlgo, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer standby.Close()
-	standby.SetFailureDetection(hb, 3)
-	for i := 0; i < k; i++ {
-		s, err := dist.DialNetSiteRetry(standby.Addr(), i, siteAlgos[i], 2*time.Second)
-		if err != nil {
-			t.Fatalf("re-dial site %d: %v", i, err)
-		}
-		defer s.Close()
-		s.StartHeartbeats(hb)
-		sites[i] = s
-		for _, u := range backlog[i] {
-			f += 0 // already counted above
-			s.Update(u)
-		}
-	}
-
-	// Phase 3: fully healed.
-	for _, u := range ups[2*n/3:] {
-		f += u.Delta
-		sites[u.Site].Update(u)
-	}
-
-	// Quiesce: barrier rounds until the standby's stats settle.
-	prev := dist.Stats{}
-	for round := 0; round < 20; round++ {
-		for i := 0; i < k; i++ {
-			if err := sites[i].Barrier(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		st := standby.Stats()
-		if st.WithoutLiveness() == prev.WithoutLiveness() {
-			break
-		}
-		prev = st
-	}
-
-	stats := standby.Stats()
-	if stats.CoordTakeovers != 1 {
-		t.Fatalf("coordinator takeovers = %d, want 1: %+v", stats.CoordTakeovers, stats)
-	}
-	if err := standby.Err(); err != nil {
-		t.Fatalf("transport error on the standby: %v", err)
-	}
-	est := standby.Estimate()
-	diff := absDiff64(f, est)
-	bound := eps * float64(absDiff64(f, 0))
-	if float64(diff) > bound+1e-9 {
-		t.Fatalf("estimate %d vs exact %d: |err|=%d exceeds ε·f=%.1f after standby takeover",
-			est, f, diff, bound)
-	}
-}
-
 // TestNetStandbyTakeoverSpliceOnce is the looped regression test for the
 // standby flake varmon's -kill-coord smoke used to trip (~4 runs in 5 at
 // hb=10ms): with the detector armed on the standby before the sites
@@ -165,123 +32,49 @@ func TestNetStandbyTakeoverSpliceOnce(t *testing.T) {
 
 	for it := 0; it < iters; it++ {
 		coordAlgo, siteAlgos := track.NewDeterministic(k, eps)
-		coord, err := dist.ListenCoordinator("127.0.0.1:0", k, coordAlgo)
-		if err != nil {
-			t.Fatal(err)
-		}
-		coord.SetFailureDetection(hb, 3)
-		sites := make([]*dist.NetSite, k)
-		for i := 0; i < k; i++ {
-			s, err := dist.DialNetSiteRetry(coord.Addr(), i, siteAlgos[i], 2*time.Second)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s.StartHeartbeats(hb)
-			sites[i] = s
-		}
-
-		ups := stream.Collect(stream.NewAssign(
-			stream.BiasedWalk(n, 0.3, uint64(100+it)), stream.NewRoundRobin(k)))
-		var f int64
-		for _, u := range ups[:n/4] {
-			f += u.Delta
-			sites[u.Site].Update(u)
-		}
-		// Checkpoint here — then keep streaming before the kill. The
-		// restored standby is therefore STALE relative to the sites'
-		// books, exactly like varmon's periodic -snapshot-dir checkpoints:
-		// the takeover handshake has to resync blocks the coordinator
-		// never saw, which is the window the pre-fix drift reports raced.
-		for i := 0; i < k; i++ {
-			if err := sites[i].Barrier(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		var snap []byte
-		coord.Inject(func(dist.Outbox) {
-			snap, err = track.SnapshotCoord(coordAlgo)
-		})
-		if err != nil {
-			t.Fatalf("snapshot: %v", err)
-		}
-		for _, u := range ups[n/4 : n/3] {
-			f += u.Delta
-			sites[u.Site].Update(u)
-		}
-		for i := 0; i < k; i++ {
-			if err := sites[i].Barrier(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		coord.Close()
-		for i := 0; i < k; i++ {
-			sites[i].Close()
-		}
-
-		backlog := make([][]stream.Update, k)
-		for _, u := range ups[n/3 : 2*n/3] {
-			f += u.Delta
-			backlog[u.Site] = append(backlog[u.Site], u)
-		}
-
-		// The standby comes up exactly the way varmon's smoke does: the
-		// detector armed BEFORE any site re-dials — so slots can be
-		// declared dead and rejoin mid-handshake — and the backlogs
-		// replayed only after every site is back.
-		replacement, _ := track.NewDeterministic(k, eps)
-		if err := track.RestoreCoord(replacement, snap); err != nil {
-			t.Fatalf("restore: %v", err)
-		}
-		standby, err := dist.ListenCoordinatorStandby("127.0.0.1:0", k, replacement, 1)
+		cl, err := dist.NewNetCluster(coordAlgo, siteAlgos, dist.NetConfig{
+			DialTimeout: 2 * time.Second, Heartbeat: hb, HeartbeatMiss: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
 		var evMu sync.Mutex
 		splices := make(map[int32]int) // site -> coord_takeover announces seen
-		standby.SetEventSink(func(e dist.Event) {
+		cl.SetEventSink(func(e dist.Event) {
 			if e.Kind == dist.EvCoordTakeover {
 				evMu.Lock()
 				splices[e.Site]++
 				evMu.Unlock()
 			}
 		})
-		standby.SetFailureDetection(hb, 3)
-		for i := 0; i < k; i++ {
-			s, err := dist.DialNetSiteRetry(standby.Addr(), i, siteAlgos[i], 2*time.Second)
-			if err != nil {
-				t.Fatalf("iter %d: re-dial site %d: %v", it, i, err)
-			}
-			s.StartHeartbeats(hb)
-			sites[i] = s
+		r := &netRun{t: t, cl: cl, k: k, eps: eps, ups: stream.Collect(stream.NewAssign(
+			stream.BiasedWalk(n, 0.3, uint64(100+it)), stream.NewRoundRobin(k)))}
+		r.to(n / 4)
+		// Checkpoint here — then keep streaming before the kill. The
+		// restored standby is therefore STALE relative to the sites'
+		// books, exactly like varmon's periodic -snapshot-dir checkpoints:
+		// the takeover handshake has to resync blocks the coordinator
+		// never saw, which is the window the pre-fix drift reports raced.
+		r.settle()
+		snap := r.coordSnapshot(coordAlgo)
+		r.to(n / 3)
+		r.settle()
+		cl.CrashCoord()
+		r.to(2 * n / 3)
+
+		// The standby comes up exactly the way varmon's smoke does: the
+		// detector armed BEFORE any site re-dials — so slots can be
+		// declared dead and rejoin mid-handshake — and the backlogs
+		// replayed only after every site is back.
+		if _, _, err := cl.CoordTakeover(r.standby(snap)); err != nil {
+			t.Fatalf("iter %d: %v", it, err)
 		}
-		for i, b := range backlog {
-			for _, u := range b {
-				sites[i].Update(u)
-			}
+		r.to(n)
+		if err := cl.Settle(); err != nil {
+			t.Fatalf("iter %d: %v", it, err)
 		}
 
-		for _, u := range ups[2*n/3:] {
-			f += u.Delta
-			sites[u.Site].Update(u)
-		}
-
-		prev := dist.Stats{}
-		for round := 0; round < 20; round++ {
-			for i := 0; i < k; i++ {
-				if err := sites[i].Barrier(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			st := standby.Stats()
-			if st.WithoutLiveness() == prev.WithoutLiveness() {
-				break
-			}
-			prev = st
-		}
-
-		stats := standby.Stats()
-		if stats.CoordTakeovers != 1 {
-			t.Fatalf("iter %d: coordinator takeovers = %d, want 1", it, stats.CoordTakeovers)
+		if got := cl.Stats().CoordTakeovers; got != 1 {
+			t.Fatalf("iter %d: coordinator takeovers = %d, want 1", it, got)
 		}
 		evMu.Lock()
 		for i := 0; i < k; i++ {
@@ -290,20 +83,14 @@ func TestNetStandbyTakeoverSpliceOnce(t *testing.T) {
 			}
 		}
 		evMu.Unlock()
-		if err := standby.Err(); err != nil {
-			t.Fatalf("iter %d: transport error on the standby: %v", it, err)
-		}
-		est := standby.Estimate()
-		diff := absDiff64(f, est)
-		bound := eps * float64(absDiff64(f, 0))
+		est := cl.Estimate()
+		diff := absDiff64(r.f, est)
+		bound := eps * float64(absDiff64(r.f, 0))
 		if float64(diff) > bound+1e-9 {
 			t.Fatalf("iter %d: estimate %d vs exact %d: |err|=%d exceeds ε·f=%.1f after standby takeover",
-				it, est, f, diff, bound)
+				it, est, r.f, diff, bound)
 		}
-		for i := 0; i < k; i++ {
-			sites[i].Close()
-		}
-		standby.Close()
+		cl.Close()
 	}
 }
 

@@ -26,15 +26,13 @@ type Sim struct {
 	// timesteps are nondecreasing across the transcript.
 	Recorder func(TranscriptEntry)
 
-	// Events, when non-nil, observes the protocol control plane (see
-	// EventKind). On Sim, Event.Now equals Event.T: the synchronous model
-	// has no clock beyond the stream step.
-	Events EventSink
-
+	// ledger accounts every delivery; its Events sink, when non-nil,
+	// observes the protocol control plane (see EventKind). On Sim,
+	// Event.Now equals Event.T: the synchronous model has no clock beyond
+	// the stream step.
 	ledger
 	coord CoordAlgo
 	sites []SiteAlgo
-	t     int64
 	queue msgRing
 
 	// batchSites[i] is sites[i] if it implements BatchSiteAlgo, else nil.
@@ -148,7 +146,7 @@ func NewSim(coord CoordAlgo, sites []SiteAlgo) *Sim {
 //
 //varlint:zeroalloc
 func (s *Sim) Step(u stream.Update) {
-	s.t = u.T
+	s.t, s.now = u.T, u.T
 	s.sites[u.Site].OnUpdate(u, s.siteOut[u.Site])
 	s.drain()
 }
@@ -259,7 +257,7 @@ func (s *Sim) StepBatch(us []stream.Update) (consumed int, delivered bool) {
 			i++
 		}
 		if s.queue.n > 0 {
-			s.t = us[i-1].T
+			s.t, s.now = us[i-1].T, us[i-1].T
 			s.drain()
 			return i, true
 		}
@@ -267,7 +265,7 @@ func (s *Sim) StepBatch(us []stream.Update) (consumed int, delivered bool) {
 	// Keep the transcript stamp current across message-free prefixes too,
 	// so a subsequent Inject stamps its cascade with the same T the
 	// per-update loop would have.
-	s.t = us[i-1].T
+	s.t, s.now = us[i-1].T, us[i-1].T
 	return i, false
 }
 
@@ -298,11 +296,6 @@ func (s *Sim) ReplaceCoord(algo CoordAlgo) { s.coord = algo }
 // Estimate returns the coordinator's current estimate f̂.
 func (s *Sim) Estimate() int64 { return s.coord.Estimate() }
 
-// QueueLen returns the number of queued undelivered messages — always 0
-// between Steps (each Step drains to quiescence); nonzero only when read
-// from inside a handler or hook. Exposed as an observability gauge.
-func (s *Sim) QueueLen() int { return s.queue.n }
-
 // Inject runs fn with the coordinator's outbox and then drains the
 // triggered messages to quiescence — the hook for coordinator-initiated
 // control traffic (e.g. attaching a tracking query mid-stream) that no
@@ -312,21 +305,18 @@ func (s *Sim) Inject(fn func(Outbox)) {
 	s.drain()
 }
 
-// deliver accounts, records, and dispatches one message. Handlers may
-// enqueue further messages; the drain loop delivers them in FIFO order.
-// The envelope pointer may point into the ring at an already-released
-// slot: every read of *e happens before the handler runs (the dispatch
-// copies e.msg into the call), so sends that recycle or grow the ring
-// mid-delivery cannot corrupt the delivery.
+// deliver accounts (and traces), records, and dispatches one message.
+// Handlers may enqueue further messages; the drain loop delivers them in
+// FIFO order. The envelope pointer may point into the ring at an
+// already-released slot: every read of *e happens before the handler runs
+// (the dispatch copies e.msg into the call), so sends that recycle or grow
+// the ring mid-delivery cannot corrupt the delivery.
 //
 //varlint:zeroalloc
 func (s *Sim) deliver(e *envelope) {
 	s.delivered(&e.msg, e.to, 0)
 	if s.Recorder != nil {
 		s.Recorder(TranscriptEntry{T: s.t, To: e.to, Msg: e.msg})
-	}
-	if s.Events != nil {
-		emitMsg(s.Events, s.t, s.t, e.to, &e.msg)
 	}
 	if e.to == CoordID {
 		s.coord.OnMessage(e.msg, s.coordOut)

@@ -132,11 +132,22 @@ type Classifier interface {
 	Class(m *Msg) int
 }
 
-// ledger is the accounting scaffold every runtime embeds: the aggregate
-// Stats plus the optional per-class table. Each method accounts the
-// aggregate and the message's class slot together, which is what keeps the
-// per-class counters summing exactly to the aggregate.
+// ledger is the accounting and tracing scaffold every runtime embeds. Each
+// method accounts the aggregate and the message's class slot together,
+// which keeps the per-class counters summing exactly to the aggregate, and
+// traces what it accounts: every Event any runtime emits is built here.
 type ledger struct {
+	// Events, when non-nil, observes the protocol control plane (see
+	// EventKind). The TCP Coordinator installs it under its lock
+	// (SetEventSink).
+	Events EventSink
+
+	// t and now stamp every event: the stream step of the latest arrived
+	// update and the runtime clock (Sim keeps now == t). wall, when
+	// non-nil, replaces now: the TCP coordinator stamps wall nanoseconds.
+	t, now int64
+	wall   func() int64
+
 	stats      Stats
 	classifier Classifier
 	classStats []Stats
@@ -174,7 +185,7 @@ func (l *ledger) class(m *Msg) *Stats {
 }
 
 // delivered accounts one message delivered to `to` (CoordID or a site
-// index) lag ticks after its original send.
+// index) lag ticks after its original send, and traces control traffic.
 //
 //varlint:zeroalloc
 func (l *ledger) delivered(m *Msg, to int32, lag int64) {
@@ -182,14 +193,23 @@ func (l *ledger) delivered(m *Msg, to int32, lag int64) {
 	if l.classifier != nil {
 		l.class(m).add(&l.classScratch, to, lag)
 	}
+	if l.Events != nil {
+		if k := msgEventKind(m); k != 0 {
+			l.emit(Event{Kind: k, Site: m.Site, To: to, Item: m.Item, A: m.A, B: m.B})
+		}
+	}
 }
 
-// dropped accounts one message lost for good; epoch marks a loss to
-// incarnation gating rather than to the network.
-func (l *ledger) dropped(m *Msg, epoch bool) {
+// dropped accounts and traces one message lost for good on the link
+// between site and `to`: EvEpochDrop to incarnation gating, EvDrop else.
+func (l *ledger) dropped(m *Msg, kind EventKind, site, to int32) {
+	epoch := kind == EvEpochDrop
 	l.stats.drop(epoch)
 	if l.classifier != nil {
 		l.class(m).drop(epoch)
+	}
+	if l.Events != nil {
+		l.emit(Event{Kind: kind, Site: site, To: to, Item: m.Item, A: m.A, B: m.B})
 	}
 }
 
@@ -199,6 +219,17 @@ func (l *ledger) retransmitted(m *Msg) {
 	if l.classifier != nil {
 		l.class(m).Retransmitted++
 	}
+}
+
+// emit stamps e with the ledger's clock and hands it to the (non-nil) sink.
+//
+//varlint:zeroalloc
+func (l *ledger) emit(e Event) {
+	e.T, e.Now = l.t, l.now
+	if l.wall != nil {
+		e.Now = l.wall()
+	}
+	l.Events(e)
 }
 
 // add accounts one message delivered to `to` lag ticks after its send.

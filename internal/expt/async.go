@@ -72,23 +72,11 @@ func runAsync(st stream.Stream, coord dist.CoordAlgo, sites []dist.SiteAlgo,
 		exact.Update(u.Delta)
 		res.Steps++
 		f := exact.F()
-		est := sim.Estimate()
-		diff := absDiff(f, est)
-		af := f
-		if af < 0 {
-			af = -af
-		}
-		rel := float64(diff)
-		if af > 0 {
-			rel = float64(diff) / float64(af)
-		}
-		if rel > res.MaxRelErr {
-			res.MaxRelErr = rel
-		}
-		if af > settleF && rel > res.MaxRelErrSettled {
+		rel, violated := relErr(f, sim.Estimate(), eps)
+		res.MaxRelErr = max(res.MaxRelErr, rel)
+		if absDiff(f, 0) > settleF && rel > res.MaxRelErrSettled {
 			res.MaxRelErrSettled = rel
 		}
-		violated := float64(diff) > eps*float64(af)+1e-9
 		if violated {
 			res.Violations++
 		}

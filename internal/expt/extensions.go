@@ -64,13 +64,7 @@ func E20ChangepointSummary(cfg Config) *Table {
 			}
 			ok := true
 			for i, fv := range exact {
-				est := cp.Query(int64(i + 1))
-				diff := float64(absDiff(fv, est))
-				af := fv
-				if af < 0 {
-					af = -af
-				}
-				if diff > eps*float64(af)+1e-9 {
+				if _, violated := relErr(fv, cp.Query(int64(i+1)), eps); violated {
 					ok = false
 					break
 				}

@@ -99,6 +99,16 @@ func absDiff(a, b int64) int64 {
 	return b - a
 }
 
+// relErr returns est's error against f relative to |f| (absolute at f = 0)
+// and whether it breaks the guarantee |f − est| ≤ ε·|f|.
+func relErr(f, est int64, eps float64) (rel float64, violated bool) {
+	diff, af := float64(absDiff(f, est)), absF(f)
+	if rel = diff; af > 0 {
+		rel = diff / af
+	}
+	return rel, diff > eps*af+1e-9
+}
+
 // E12FreqExact reproduces appendix H.0.1: exact per-item counters, error
 // ≤ εF1 deterministically, O((k/ε)·v) messages.
 func E12FreqExact(cfg Config) *Table {

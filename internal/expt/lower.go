@@ -119,22 +119,9 @@ func E17Tracing(cfg Config) *Table {
 			maxErr := 0.0
 			okAll := true
 			for i := range ests {
-				fv := exact[i]
-				diff := float64(absDiff(fv, ests[i]))
-				af := fv
-				if af < 0 {
-					af = -af
-				}
-				rel := diff
-				if af > 0 {
-					rel = diff / float64(af)
-				}
-				if rel > maxErr {
-					maxErr = rel
-				}
-				if diff > eps*float64(af)+1e-9 {
-					okAll = false
-				}
+				rel, violated := relErr(exact[i], ests[i], eps)
+				maxErr = max(maxErr, rel)
+				okAll = okAll && !violated
 			}
 			t.AddRow(cls, di(k), g3(eps), d(sim.Stats().Total()),
 				d(summary.SizeBits()), f4(maxErr), b(okAll))
@@ -181,11 +168,11 @@ func E18OverlapChain(cfg Config) *Table {
 }
 
 // E19NetTransport runs the deterministic tracker over real TCP sockets on
-// loopback, in lockstep: after every update, barrier rounds over all sites
-// run the network to quiescence — the TCP analogue of Sim.Step's drain
-// loop. That makes the message set (and hence this table) deterministic,
-// and lets the experiment verify the strict per-step guarantee over real
-// sockets rather than only convergence at the end.
+// loopback, in lockstep: after every update, NetCluster.Settle runs the
+// network to quiescence — the TCP analogue of Sim.Step's drain loop. That
+// makes the message set (and hence this table) deterministic, and lets the
+// experiment verify the strict per-step guarantee over real sockets rather
+// than only convergence at the end.
 func E19NetTransport(cfg Config) *Table {
 	t := NewTable("E19", "end-to-end over TCP, lockstep: per-step guarantee, bytes counted",
 		"k", "ε", "n", "msgs", "wire bytes", "final f", "final f̂", "max rel err", "violations")
@@ -196,48 +183,12 @@ func E19NetTransport(cfg Config) *Table {
 	n := cfg.scale(6_000)
 
 	coordAlgo, siteAlgos := track.NewDeterministic(k, eps)
-	coord, err := dist.ListenCoordinator("127.0.0.1:0", k, coordAlgo)
+	cl, err := dist.NewNetCluster(coordAlgo, siteAlgos, dist.NetConfig{})
 	if err != nil {
-		t.AddNote("listen failed: %v", err)
+		t.AddNote("deploy failed: %v", err)
 		return t
 	}
-	defer coord.Close()
-	sites := make([]*dist.NetSite, k)
-	for i := 0; i < k; i++ {
-		s, err := dist.DialNetSite(coord.Addr(), i, siteAlgos[i])
-		if err != nil {
-			t.AddNote("dial failed: %v", err)
-			return t
-		}
-		defer s.Close()
-		sites[i] = s
-	}
-
-	// quiesce runs barrier rounds over all sites until TWO consecutive
-	// rounds leave the coordinator's counters unchanged. One unchanged
-	// round is not proof of quiescence: a site's reply can be written
-	// after that site's barrier frame of the round (the reply then lands
-	// behind the ack) — but any such straggler is processed before its
-	// sender's next barrier ack, so it shows up within one extra round.
-	quiesce := func() error {
-		prev := coord.Stats()
-		stable := 0
-		for stable < 2 {
-			for _, s := range sites {
-				if err := s.Barrier(); err != nil {
-					return err
-				}
-			}
-			cur := coord.Stats()
-			if cur == prev {
-				stable++
-			} else {
-				stable = 0
-				prev = cur
-			}
-		}
-		return nil
-	}
+	defer cl.Close()
 
 	st := stream.NewAssign(stream.BiasedWalk(n, 0.3, cfg.Seed), stream.NewRoundRobin(k))
 	var f, violations int64
@@ -248,36 +199,21 @@ func E19NetTransport(cfg Config) *Table {
 			break
 		}
 		f += u.Delta
-		sites[u.Site].Update(u)
-		if err := quiesce(); err != nil {
+		cl.Step(u)
+		if err := cl.Settle(); err != nil {
 			t.AddNote("barrier failed: %v", err)
 			return t
 		}
-		est := coord.Estimate()
-		diff := float64(absDiff(f, est))
-		af := f
-		if af < 0 {
-			af = -af
-		}
-		rel := diff
-		if af > 0 {
-			rel = diff / float64(af)
-		}
-		if rel > maxRel {
-			maxRel = rel
-		}
-		if diff > eps*float64(af)+1e-9 {
+		rel, violated := relErr(f, cl.Estimate(), eps)
+		if maxRel = max(maxRel, rel); violated {
 			violations++
 		}
 	}
-	var bytes int64
-	stats := coord.Stats()
-	for _, s := range sites {
-		bytes += s.Stats().Bytes
-	}
-	bytes += stats.Bytes
-	t.AddRow(di(k), g3(eps), d(n), d(stats.Total()), d(bytes),
-		d(f), d(coord.Estimate()), f4(maxRel), d(violations))
+	// Wire bytes as counted at both ends of every connection: each frame
+	// once by its sender and once by its receiver.
+	stats := cl.Stats()
+	t.AddRow(di(k), g3(eps), d(n), d(stats.Total()), d(2*stats.Bytes),
+		d(f), d(cl.Estimate()), f4(maxRel), d(violations))
 	t.AddNote("violations must be 0: under per-update quiescence the synchronous per-step")
 	t.AddNote("guarantee of §3.3 carries over to the TCP transport unchanged")
 	return t

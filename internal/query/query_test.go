@@ -467,11 +467,11 @@ func TestAttachUnderFaults(t *testing.T) {
 }
 
 // TestEngineTCP runs four mixed queries over the real loopback transport
-// in lockstep (E19-style barrier rounds to quiescence after every update,
-// the TCP analogue of Sim.Step's drain): the deterministic queries must
-// hold their per-step ε guarantee over real sockets, the randomized one
-// its probabilistic guarantee, and the coordinator's per-class stats must
-// sum to its aggregate counters.
+// in lockstep (NetCluster.Settle after every update, the TCP analogue of
+// Sim.Step's drain): the deterministic queries must hold their per-step ε
+// guarantee over real sockets, the randomized one its probabilistic
+// guarantee, and the coordinator's per-class stats must sum to its
+// aggregate counters.
 func TestEngineTCP(t *testing.T) {
 	const k, n = 4, 2_000
 	ups := itemStream(n, k, 29)
@@ -485,43 +485,12 @@ func TestEngineTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord, err := dist.ListenCoordinator("127.0.0.1:0", k, eng)
+	cl, err := dist.NewNetCluster(eng, esites, dist.NetConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer coord.Close()
-	coord.SetClassifier(eng)
-	sites := make([]*dist.NetSite, k)
-	for i := 0; i < k; i++ {
-		s, err := dist.DialNetSite(coord.Addr(), i, esites[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		sites[i] = s
-	}
-
-	// quiesce runs barrier rounds until two consecutive rounds leave the
-	// coordinator's counters unchanged (see E19 for why one round of
-	// stability is not proof).
-	quiesce := func() {
-		prev := coord.Stats()
-		stable := 0
-		for stable < 2 {
-			for _, s := range sites {
-				if err := s.Barrier(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			cur := coord.Stats()
-			if cur == prev {
-				stable++
-			} else {
-				stable = 0
-				prev = cur
-			}
-		}
-	}
+	defer cl.Close()
+	cl.SetClassifier(eng)
 
 	inBand := func(est, want int64, eps float64) bool {
 		return float64(absI64(est-want)) <= eps*float64(absI64(want))+1e-9
@@ -529,11 +498,13 @@ func TestEngineTCP(t *testing.T) {
 	ex := &exactState{items: make(map[uint64]int64), filter: filter.Match}
 	var randViol int64
 	for i, u := range ups {
-		sites[u.Site].Update(u)
+		cl.Step(u)
 		ex.apply(u)
-		quiesce()
+		if err := cl.Settle(); err != nil {
+			t.Fatal(err)
+		}
 		var status []query.Status
-		coord.Inject(func(dist.Outbox) { status = eng.Status() })
+		cl.Inject(func(dist.Outbox) { status = eng.Status() })
 		if !inBand(status[0].Estimate, ex.f, 0.1) {
 			t.Fatalf("step %d: det query out of eps over TCP: est %d f %d", i+1, status[0].Estimate, ex.f)
 		}
@@ -552,11 +523,8 @@ func TestEngineTCP(t *testing.T) {
 	if float64(randViol) > 0.25*float64(n) {
 		t.Fatalf("rand query violated %d/%d steps over TCP", randViol, n)
 	}
-	if got := sumStats(coord.ClassStats()); got != coord.Stats() {
-		t.Fatalf("TCP class sum %+v != aggregate %+v", got, coord.Stats())
-	}
-	if err := coord.Err(); err != nil {
-		t.Fatal(err)
+	if got := sumStats(cl.ClassStats()); got != cl.Stats() {
+		t.Fatalf("TCP class sum %+v != aggregate %+v", got, cl.Stats())
 	}
 }
 
