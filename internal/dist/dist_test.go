@@ -2,7 +2,9 @@ package dist_test
 
 import (
 	"net"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/dist"
 	"repro/internal/stream"
@@ -222,6 +224,69 @@ func TestStrayConnectionDoesNotStealSiteSlot(t *testing.T) {
 	}
 	if err := coord.Err(); err != nil {
 		t.Errorf("stray connection poisoned coordinator: %v", err)
+	}
+}
+
+// routeCoord records the routing field of every message it is handed.
+type routeCoord struct {
+	mu    sync.Mutex
+	sites []int32
+}
+
+func (c *routeCoord) OnMessage(m dist.Msg, out dist.Outbox) {
+	c.mu.Lock()
+	c.sites = append(c.sites, m.Site)
+	c.mu.Unlock()
+}
+
+func (c *routeCoord) Estimate() int64 { return 0 }
+
+func TestCoordinatorRetiresMisroutedSiteFrame(t *testing.T) {
+	// A site frame whose routing field does not name the connection's slot
+	// — negative, or another slot modulo k — is malformed: it must never
+	// reach the algorithm (a BlockCoord indexes its per-site books by it),
+	// and the connection is retired exactly like a read error. Legit
+	// traffic, tagged for another query (virtual node q·k+slot) or not,
+	// passes the check.
+	const k = 2
+	for _, bad := range []int32{-1, 1, 3, -1 << 31} {
+		algo := &routeCoord{}
+		coord, err := dist.ListenCoordinator("127.0.0.1:0", k, algo)
+		if err != nil {
+			t.Fatalf("listen: %v", err)
+		}
+		conn, err := net.Dial("tcp", coord.Addr())
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		var frames []byte
+		for _, m := range []dist.Msg{
+			{Kind: dist.KindHello, Site: 0},
+			{Kind: dist.KindCountReport, Site: 0, A: 1},
+			{Kind: dist.KindCountReport, Site: k, A: 1}, // query 1, slot 0
+			{Kind: dist.KindStateReply, Site: bad},
+			{Kind: dist.KindCountReport, Site: 0, A: 1}, // never read
+		} {
+			b := dist.EncodeMsg(m)
+			frames = append(frames, b[:]...)
+		}
+		if _, err := conn.Write(frames); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := conn.Read(make([]byte, dist.MsgSize)); err == nil {
+			t.Errorf("site %d: coordinator kept the connection after a misrouted frame", bad)
+		}
+		conn.Close()
+		if coord.Err() == nil {
+			t.Errorf("site %d: misrouted frame not surfaced as a transport error", bad)
+		}
+		coord.Close()
+		algo.mu.Lock()
+		if got := algo.sites; len(got) != 2 || got[0] != 0 || got[1] != k {
+			t.Errorf("site %d: algorithm saw routing fields %v, want [0 %d]", bad, got, k)
+		}
+		algo.mu.Unlock()
 	}
 }
 

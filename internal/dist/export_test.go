@@ -7,3 +7,7 @@ func (s *AsyncSim) EventsScheduled() uint64 { return s.queue.seq }
 // QueueSlots returns the scheduler queue's slab length: its high-water
 // mark of simultaneously pending events, plus the nil slot.
 func (s *AsyncSim) QueueSlots() int { return len(s.queue.slab) }
+
+// KindHello is the site handshake kind, for tests that speak the wire
+// protocol by hand.
+const KindHello = kindHello

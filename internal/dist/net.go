@@ -270,6 +270,12 @@ func (c *Coordinator) serve(conn net.Conn) {
 
 	for {
 		m, err := readFrame(conn)
+		if err == nil && (m.Site < 0 || int(m.Site)%c.k != id) {
+			// Every frame a site sends names its own slot, tagged (virtual
+			// node q·k+id) or not: a frame routed anywhere else is malformed
+			// and never reaches the algorithm, which indexes by that field.
+			err = fmt.Errorf("dist: site %d sent a frame routed to node %d", id, m.Site)
+		}
 		if err != nil {
 			c.unregister(id, w, err)
 			w.close(time.Now().Add(closeDrainTimeout))

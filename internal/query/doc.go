@@ -7,13 +7,15 @@
 //
 // # Architecture
 //
-// A query is a child CoordAlgo/SiteAlgo pair built by the ordinary tracker
-// constructors (track.NewDeterministic, track.NewRandomized, freq.New,
-// track.NewThresholdMonitor). query.Coord and query.Site implement
-// dist.CoordAlgo and dist.SiteAlgo by demultiplexing onto those children:
-// every update fans out to each attached child whose filter accepts it, and
-// every message a child emits is tagged with its query id before it enters
-// the runtime.
+// A query is a child pair built by the ordinary tracker constructors
+// (track.NewDeterministic, track.NewRandomized, freq.New,
+// track.NewThresholdMonitor). Every family is the §3.1 block partitioner,
+// so the children are concrete: one *track.BlockCoord and k
+// *track.BlockSite, whose protocol, fault and snapshot hooks the engine
+// calls directly. query.Coord and query.Site implement dist.CoordAlgo and
+// dist.SiteAlgo by demultiplexing onto those children: every update fans
+// out to each attached child whose filter accepts it, and every message a
+// child emits is tagged with its query id before it enters the runtime.
 //
 // # The mux tag
 //

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -69,17 +70,21 @@ func (o *tagOutbox) SendTo(site int, m dist.Msg) { o.inner.SendTo(site, Tag(m, o
 func (o *tagOutbox) Broadcast(m dist.Msg) { o.inner.Broadcast(Tag(m, o.qid, o.k)) }
 
 // queryState is one registered query in the shared Engine registry: its
-// spec and the child algorithm pair, built once by the ordinary tracker
-// constructors and handed out to the coordinator and site halves.
+// spec and the child pair, built once by the ordinary tracker constructors
+// and handed out to the coordinator and site halves. Every family is the
+// §3.1 partitioner, so the children are concrete: coord is the query's
+// *track.BlockCoord and each site a *track.BlockSite.
 type queryState struct {
 	spec  Spec
-	coord dist.CoordAlgo
-	sites []dist.SiteAlgo
+	coord *track.BlockCoord
+	sites []*track.BlockSite
 
 	// freqT/thresh are non-nil for the respective families, exposing the
-	// per-item and threshold query surfaces through Coord.
+	// per-item and threshold query surfaces through Coord; snap is the
+	// coordinator snapshot pair (the threshold monitor adds its layer tag).
 	freqT  *freq.Tracker
 	thresh *track.ThresholdMonitor
+	snap   track.CoordSnapshotter
 
 	// coordOut is the coordinator-side tag outbox (site-side children each
 	// own their own); detached freezes the query at the coordinator.
@@ -93,17 +98,28 @@ func buildQuery(k int, spec Spec) (*queryState, error) {
 		return nil, err
 	}
 	q := &queryState{spec: spec}
+	var coord dist.CoordAlgo
+	var sites []dist.SiteAlgo
 	switch spec.Algo {
 	case "det":
-		q.coord, q.sites = track.NewDeterministic(k, spec.Eps)
+		coord, sites = track.NewDeterministic(k, spec.Eps)
 	case "rand":
-		q.coord, q.sites = track.NewRandomized(k, spec.Eps, spec.Seed)
+		coord, sites = track.NewRandomized(k, spec.Eps, spec.Seed)
 	case "freq":
-		q.freqT, q.sites = freq.New(k, spec.Eps, freq.ExactMapper{})
-		q.coord = q.freqT
+		q.freqT, sites = freq.New(k, spec.Eps, freq.ExactMapper{})
+		coord = q.freqT.BlockCoord
 	case "threshold":
-		q.thresh, q.sites = track.NewThresholdMonitor(k, spec.Eps, spec.Tau)
-		q.coord = q.thresh
+		q.thresh, sites = track.NewThresholdMonitor(k, spec.Eps, spec.Tau)
+		coord = q.thresh.BlockCoord
+	}
+	q.coord = coord.(*track.BlockCoord)
+	q.snap = q.coord
+	if q.thresh != nil {
+		q.snap = q.thresh
+	}
+	q.sites = make([]*track.BlockSite, k)
+	for i, s := range sites {
+		q.sites[i] = s.(*track.BlockSite)
 	}
 	return q, nil
 }
@@ -123,12 +139,10 @@ type Engine struct {
 	mu    sync.Mutex
 	table atomic.Pointer[[]*queryState]
 
-	// q0 caches the query-0 entry and est0 its coordinator when that is a
-	// *track.BlockCoord, both set once at registration: the Q = 1 hot path
-	// (every Estimate poll and every message at Q = 1) skips the table
-	// snapshot, the bounds checks, and — for est0 — one interface dispatch.
-	q0   atomic.Pointer[queryState]
-	est0 atomic.Pointer[track.BlockCoord]
+	// q0 caches the query-0 entry, set once at registration: the Q = 1 hot
+	// path (every Estimate poll and every message at Q = 1) skips the table
+	// snapshot and the bounds checks.
+	q0 atomic.Pointer[queryState]
 
 	// dead marks slots the failure detector has declared dead and no
 	// takeover has reclaimed. Coordinator-side only, touched on the
@@ -162,9 +176,6 @@ func (e *Engine) register(q *queryState) int {
 	e.table.Store(&qs)
 	if qid == 0 {
 		e.q0.Store(q)
-		if bc, ok := q.coord.(*track.BlockCoord); ok {
-			e.est0.Store(bc)
-		}
 	}
 	return qid
 }
@@ -228,12 +239,6 @@ func (c *Coord) OnMessage(m dist.Msg, out dist.Outbox) {
 	// demux copy and the tag wrapper. The wrappers were ~half the engine's
 	// per-message overhead in the E06/E07 profile.
 	if m.Site == dist.CoordID || (m.Site >= 0 && int(m.Site) < c.eng.k) {
-		if bc := c.eng.est0.Load(); bc != nil {
-			// Block-partitioned query 0, not detached (Detach clears est0):
-			// one concrete call.
-			bc.OnMessage(m, out)
-			return
-		}
 		if q := c.eng.q0.Load(); q != nil && !q.detached {
 			q.coord.OnMessage(m, out)
 		}
@@ -249,12 +254,9 @@ func (c *Coord) OnMessage(m dist.Msg, out dist.Outbox) {
 }
 
 // Estimate implements dist.CoordAlgo: the estimate of query 0. The
-// harness polls it at every quiescent chunk, so the block-partitioned
-// families go through the cached concrete coordinator.
+// harness polls it at every quiescent chunk, so it goes through the cached
+// query-0 entry.
 func (c *Coord) Estimate() int64 {
-	if bc := c.eng.est0.Load(); bc != nil {
-		return bc.Estimate()
-	}
 	if q := c.eng.q0.Load(); q != nil {
 		return q.coord.Estimate()
 	}
@@ -271,10 +273,8 @@ func (c *Coord) OnSiteRejoin(site int, out dist.Outbox) {
 			continue
 		}
 		out.SendTo(site, attachMsg(qid))
-		if r, ok := q.coord.(dist.CoordRejoiner); ok {
-			q.coordOut.reset(out)
-			r.OnSiteRejoin(site, &q.coordOut)
-		}
+		q.coordOut.reset(out)
+		q.coord.OnSiteRejoin(site, &q.coordOut)
 	}
 }
 
@@ -288,17 +288,16 @@ func (c *Coord) Class(m *dist.Msg) int {
 }
 
 // UnderlyingBlockCoord implements track.BlockCoordSource: query 0's block
-// partitioner when it has one, so harness instrumentation (block counts,
-// per-block variability snapshots) sees through the engine.
+// partitioner, so harness instrumentation (block counts, per-block
+// variability snapshots) sees through the engine. It is nil when query 0
+// is a frequency or threshold query, as for those trackers standalone —
+// the harness then leaves its block instrumentation off.
 func (c *Coord) UnderlyingBlockCoord() *track.BlockCoord {
 	q := c.eng.get(0)
-	if q == nil {
+	if q == nil || q.freqT != nil || q.thresh != nil {
 		return nil
 	}
-	if bc, ok := q.coord.(*track.BlockCoord); ok {
-		return bc
-	}
-	return nil
+	return q.coord
 }
 
 // Attach registers a new query mid-stream and broadcasts its announcement.
@@ -314,12 +313,10 @@ func (c *Coord) Attach(spec Spec, out dist.Outbox) (int, error) {
 	// A query born while a slot is dead must excuse that slot from its
 	// collections from the start, or its first collection wedges on a reply
 	// that cannot come.
-	if h, ok := q.coord.(dist.CoordFailureHandler); ok {
-		for site, dead := range c.eng.dead {
-			if dead {
-				q.coordOut.reset(out)
-				h.OnSiteDead(site, &q.coordOut)
-			}
+	for site, dead := range c.eng.dead {
+		if dead {
+			q.coordOut.reset(out)
+			q.coord.OnSiteDead(site, &q.coordOut)
 		}
 	}
 	out.Broadcast(attachMsg(qid))
@@ -339,11 +336,6 @@ func (c *Coord) Detach(qid int, out dist.Outbox) error {
 		return nil
 	}
 	q.detached = true
-	if qid == 0 {
-		// Estimate stays frozen through the q0 path; the message fast path
-		// must start discarding.
-		c.eng.est0.Store(nil)
-	}
 	out.Broadcast(dist.Msg{Kind: dist.KindDetach, Site: int32(-(1 + qid))})
 	return nil
 }
@@ -429,16 +421,9 @@ func (c *Coord) Status() []Status {
 
 // siteChild is one attached query at one site.
 type siteChild struct {
-	algo   dist.SiteAlgo
+	block  *track.BlockSite
 	filter func(uint64) bool
 	out    tagOutbox
-
-	// block (or, for non-BlockSite algos, batch) is the devirtualized
-	// batch fast path of algo, resolved once at construction — every
-	// tracker family wraps its sites in *track.BlockSite, so the hot loop
-	// makes a concrete call instead of two interface dispatches.
-	block *track.BlockSite
-	batch dist.BatchSiteAlgo
 
 	// ahead and pending carry a child's progress across the consumed-
 	// prefix cap of Site.OnUpdateBatch. ahead counts run updates the
@@ -465,8 +450,8 @@ type Site struct {
 
 	// solo is the Q = 1 fast-path precondition folded into one pointer:
 	// non-nil exactly when the sole attached child is query 0, unfiltered,
-	// block-partitioned, and caught up (ahead == 0, nothing pending) — so
-	// OnUpdate can make one concrete call with no per-child checks.
+	// and caught up (ahead == 0, nothing pending) — so OnUpdate can make one
+	// call with no per-child checks.
 	// recomputeSolo maintains it at every point those conditions can change.
 	solo *track.BlockSite //varlint:volatile derived from children; RestoreSnapshot recomputes it
 
@@ -514,22 +499,17 @@ func (s *Site) preattach(qid int, q *queryState) {
 	s.installChild(qid, q, q.sites[s.id])
 }
 
-// installChild wires algo in as the child for qid. Ordinary attaches pass
-// the registry's prebuilt site half; a site rebuilt after a crash passes a
-// fresh algorithm instead (the registry's object is the dead predecessor's
-// and still holds its state — see snapshot.go).
-func (s *Site) installChild(qid int, q *queryState, algo dist.SiteAlgo) *siteChild {
+// installChild wires block in as the child for qid, a registered query id.
+// Ordinary attaches pass the registry's prebuilt site half; a site rebuilt
+// after a crash passes a fresh one instead (the registry's object is the
+// dead predecessor's and still holds its state — see snapshot.go).
+func (s *Site) installChild(qid int, q *queryState, block *track.BlockSite) *siteChild {
 	for len(s.children) <= qid {
 		s.children = append(s.children, nil)
 	}
-	ch := &siteChild{algo: algo, out: tagOutbox{qid: qid, k: s.eng.k}}
+	ch := &siteChild{block: block, out: tagOutbox{qid: qid, k: s.eng.k}}
 	if q.spec.Filter != nil {
 		ch.filter = q.spec.Filter.Match
-	}
-	if b, ok := ch.algo.(*track.BlockSite); ok {
-		ch.block = b
-	} else if b, ok := ch.algo.(dist.BatchSiteAlgo); ok {
-		ch.batch = b
 	}
 	s.children[qid] = ch
 	s.recomputeSolo()
@@ -635,11 +615,7 @@ func (s *Site) OnUpdate(u stream.Update, out dist.Outbox) {
 			ch.out.reset(out)
 			dst = &ch.out
 		}
-		if ch.block != nil {
-			ch.block.OnUpdate(u, dst)
-		} else {
-			ch.algo.OnUpdate(u, dst)
-		}
+		ch.block.OnUpdate(u, dst)
 	}
 }
 
@@ -665,7 +641,7 @@ func (s *Site) OnUpdateBatch(us []stream.Update, out dist.Outbox) int {
 	if b := s.solo; b != nil {
 		n := b.OnUpdateBatch(us, out)
 		if n <= 0 {
-			panic("query: child OnUpdateBatch consumed no updates")
+			panic(errNoProgress)
 		}
 		s.updates += int64(n)
 		for i := 0; i < n; i++ {
@@ -765,23 +741,19 @@ func (s *Site) feed(ch *siteChild, us []stream.Update, start, lim int) int {
 	return lim
 }
 
-// feedOnce advances ch over a nonempty slice through its fastest
-// available path and returns how many updates it consumed (≥ 1).
+// errNoProgress is the panic of a child that consumed none of a nonempty
+// run, which would loop the batch fan-out forever. A package-level value
+// keeps the conversion to the panic's interface off the zero-alloc paths.
+var errNoProgress = errors.New("query: child OnUpdateBatch consumed no updates")
+
+// feedOnce advances ch over a nonempty slice through its batch path and
+// returns how many updates it consumed (≥ 1).
 //
 //varlint:zeroalloc
 func (s *Site) feedOnce(ch *siteChild, us []stream.Update, dst dist.Outbox) int {
-	var n int
-	switch {
-	case ch.block != nil:
-		n = ch.block.OnUpdateBatch(us, dst)
-	case ch.batch != nil:
-		n = ch.batch.OnUpdateBatch(us, dst)
-	default:
-		ch.algo.OnUpdate(us[0], dst)
-		n = 1
-	}
+	n := ch.block.OnUpdateBatch(us, dst)
 	if n <= 0 {
-		panic("query: child OnUpdateBatch consumed no updates")
+		panic(errNoProgress)
 	}
 	return n
 }
@@ -805,7 +777,7 @@ func (s *Site) OnMessage(m dist.Msg, out dist.Outbox) {
 	// message as-is, replies untagged.
 	if m.Site == dist.CoordID || (m.Site >= 0 && int(m.Site) < s.eng.k) {
 		if len(s.children) > 0 && s.children[0] != nil {
-			s.children[0].algo.OnMessage(m, out)
+			s.children[0].block.OnMessage(m, out)
 		}
 		return
 	}
@@ -815,37 +787,27 @@ func (s *Site) OnMessage(m dist.Msg, out dist.Outbox) {
 	}
 	ch := s.children[qid]
 	ch.out.reset(out)
-	ch.algo.OnMessage(inner, &ch.out)
+	ch.block.OnMessage(inner, &ch.out)
 }
 
 // OnRejoin implements dist.SiteRejoiner by fanning out to the children.
 func (s *Site) OnRejoin(out dist.Outbox) {
 	for _, ch := range s.children {
-		if ch == nil {
-			continue
-		}
-		if r, ok := ch.algo.(dist.SiteRejoiner); ok {
+		if ch != nil {
 			ch.out.reset(out)
-			r.OnRejoin(&ch.out)
+			ch.block.OnRejoin(&ch.out)
 		}
 	}
 }
 
 // attach handles a KindAttach announcement: build the child from the
 // shared registry and push the site's pre-attach history through the
-// bootstrap resync machinery. Re-announcements (rejoin resync) are no-ops.
+// bootstrap resync machinery. Re-announcements (rejoin resync) are no-ops,
+// and so are announcements for ids the registry does not know — the child
+// table only ever grows to a registered id.
 func (s *Site) attach(qid int, out dist.Outbox) {
-	if qid < 0 {
-		return
-	}
-	for len(s.children) <= qid {
-		s.children = append(s.children, nil)
-	}
-	if s.children[qid] != nil {
-		return
-	}
 	q := s.eng.get(qid)
-	if q == nil {
+	if q == nil || (qid < len(s.children) && s.children[qid] != nil) {
 		return
 	}
 	if s.rebuilt {
@@ -861,10 +823,8 @@ func (s *Site) attach(qid int, out dist.Outbox) {
 		return
 	}
 	ch := s.children[qid]
-	if b, ok := ch.algo.(track.AttachBootstrapper); ok {
-		ch.out.reset(out)
-		b.BootstrapAttach(s.history(q.spec.Filter), &ch.out)
-	}
+	ch.out.reset(out)
+	ch.block.BootstrapAttach(s.history(q.spec.Filter), &ch.out)
 }
 
 // history snapshots the spine as a track.AttachState. An unfiltered query

@@ -54,11 +54,7 @@ func (s *Site) AppendSnapshot(b []byte) ([]byte, error) {
 		if ch == nil {
 			continue
 		}
-		sub, ok := ch.algo.(track.SiteSnapshotter)
-		if !ok {
-			return nil, fmt.Errorf("query: child %d (%T) does not support snapshots", qid, ch.algo)
-		}
-		blob, err := sub.AppendSnapshot(nil)
+		blob, err := ch.block.AppendSnapshot(nil)
 		if err != nil {
 			return nil, fmt.Errorf("query: child %d: %w", qid, err)
 		}
@@ -122,12 +118,8 @@ func (s *Site) RestoreSnapshot(r *track.SnapReader) error {
 			return fmt.Errorf("query: rebuild query %d: %w", qid, err)
 		}
 		ch := s.installChild(qid, q, qf.sites[s.id])
-		sub, ok := ch.algo.(track.SiteSnapshotter)
-		if !ok {
-			return fmt.Errorf("query: child %d (%T) does not support snapshots", qid, ch.algo)
-		}
 		sr := track.NewSnapReader(blob)
-		if err := sub.RestoreSnapshot(sr); err != nil {
+		if err := ch.block.RestoreSnapshot(sr); err != nil {
 			return fmt.Errorf("query: child %d: %w", qid, err)
 		}
 		if sr.Err() != nil {
@@ -146,11 +138,8 @@ func (s *Site) RestoreSnapshot(r *track.SnapReader) error {
 // announcement.
 func (s *Site) SetSnapshotHash(h uint64) {
 	for _, ch := range s.children {
-		if ch == nil {
-			continue
-		}
-		if hs, ok := ch.algo.(track.SnapshotHashSetter); ok {
-			hs.SetSnapshotHash(h)
+		if ch != nil {
+			ch.block.SetSnapshotHash(h)
 		}
 	}
 }
@@ -162,12 +151,9 @@ func (s *Site) SetSnapshotHash(h uint64) {
 // ordinary block machinery.
 func (s *Site) OnTakeover(out dist.Outbox) {
 	for _, ch := range s.children {
-		if ch == nil {
-			continue
-		}
-		if t, ok := ch.algo.(dist.SiteTakeover); ok {
+		if ch != nil {
 			ch.out.reset(out)
-			t.OnTakeover(&ch.out)
+			ch.block.OnTakeover(&ch.out)
 		}
 	}
 }
@@ -191,11 +177,7 @@ func (c *Coord) AppendSnapshot(b []byte) ([]byte, error) {
 	qs := c.eng.snapshot()
 	b = track.AppendSnapUint(b, uint64(len(qs)))
 	for qid, q := range qs {
-		cs, ok := q.coord.(track.CoordSnapshotter)
-		if !ok {
-			return nil, fmt.Errorf("query: coordinator %d (%T) does not support snapshots", qid, q.coord)
-		}
-		blob, err := cs.AppendSnapshot(nil)
+		blob, err := q.snap.AppendSnapshot(nil)
 		if err != nil {
 			return nil, fmt.Errorf("query: coordinator %d: %w", qid, err)
 		}
@@ -245,12 +227,8 @@ func (c *Coord) RestoreSnapshot(r *track.SnapReader) error {
 			break
 		}
 		q := qs[qid]
-		cs, ok := q.coord.(track.CoordSnapshotter)
-		if !ok {
-			return fmt.Errorf("query: coordinator %d (%T) does not support snapshots", qid, q.coord)
-		}
 		sr := track.NewSnapReader(blob)
-		if err := cs.RestoreSnapshot(sr); err != nil {
+		if err := q.snap.RestoreSnapshot(sr); err != nil {
 			return fmt.Errorf("query: coordinator %d: %w", qid, err)
 		}
 		if sr.Err() != nil {
@@ -259,11 +237,8 @@ func (c *Coord) RestoreSnapshot(r *track.SnapReader) error {
 		if sr.Len() != 0 {
 			return fmt.Errorf("query: coordinator %d: %d trailing bytes", qid, sr.Len())
 		}
-		if detached && !q.detached {
+		if detached {
 			q.detached = true
-			if qid == 0 {
-				c.eng.est0.Store(nil)
-			}
 		}
 	}
 	if r.Err() == nil && nq != uint64(len(qs)) {
@@ -277,9 +252,7 @@ func (c *Coord) RestoreSnapshot(r *track.SnapReader) error {
 // its KindCoordTakeover announcements.
 func (c *Coord) SetSnapshotHash(h uint64) {
 	for _, q := range c.eng.snapshot() {
-		if hs, ok := q.coord.(track.SnapshotHashSetter); ok {
-			hs.SetSnapshotHash(h)
-		}
+		q.coord.SetSnapshotHash(h)
 	}
 }
 
@@ -297,10 +270,8 @@ func (c *Coord) OnCoordTakeover(site int, epoch int64, out dist.Outbox) {
 			continue
 		}
 		out.SendTo(site, attachMsg(qid))
-		if t, ok := q.coord.(dist.CoordTakeover); ok {
-			q.coordOut.reset(out)
-			t.OnCoordTakeover(site, epoch, &q.coordOut)
-		}
+		q.coordOut.reset(out)
+		q.coord.OnCoordTakeover(site, epoch, &q.coordOut)
 	}
 }
 
@@ -316,10 +287,8 @@ func (c *Coord) OnSiteDead(site int, out dist.Outbox) {
 		if q.detached {
 			continue
 		}
-		if h, ok := q.coord.(dist.CoordFailureHandler); ok {
-			q.coordOut.reset(out)
-			h.OnSiteDead(site, &q.coordOut)
-		}
+		q.coordOut.reset(out)
+		q.coord.OnSiteDead(site, &q.coordOut)
 	}
 }
 
@@ -336,10 +305,8 @@ func (c *Coord) OnSiteAlive(site int, out dist.Outbox) {
 		if q.detached {
 			continue
 		}
-		if h, ok := q.coord.(dist.CoordRecoverHandler); ok {
-			q.coordOut.reset(out)
-			h.OnSiteAlive(site, &q.coordOut)
-		}
+		q.coordOut.reset(out)
+		q.coord.OnSiteAlive(site, &q.coordOut)
 	}
 }
 
@@ -359,10 +326,8 @@ func (c *Coord) OnSiteTakeover(site int, out dist.Outbox) {
 		if q.detached {
 			continue
 		}
-		if h, ok := q.coord.(dist.CoordTakeoverHandler); ok {
-			q.coordOut.reset(out)
-			h.OnSiteTakeover(site, &q.coordOut)
-		}
+		q.coordOut.reset(out)
+		q.coord.OnSiteTakeover(site, &q.coordOut)
 		out.SendTo(site, attachMsg(qid))
 	}
 }
@@ -382,21 +347,10 @@ func (c *Coord) RebuildSite(id int) *Site {
 }
 
 // BlockCoordFor returns query qid's block partitioner (nil for unknown
-// queries or non-partitioned coordinators), for liveness introspection and
-// recovery instrumentation.
+// queries), for liveness introspection and recovery instrumentation.
 func (c *Coord) BlockCoordFor(qid int) *track.BlockCoord {
-	q := c.eng.get(qid)
-	if q == nil {
-		return nil
-	}
-	if q.freqT != nil {
-		return q.freqT.BlockCoord
-	}
-	if q.thresh != nil {
-		return q.thresh.TrackerBlockCoord()
-	}
-	if bc, ok := q.coord.(*track.BlockCoord); ok {
-		return bc
+	if q := c.eng.get(qid); q != nil {
+		return q.coord
 	}
 	return nil
 }
@@ -404,20 +358,8 @@ func (c *Coord) BlockCoordFor(qid int) *track.BlockCoord {
 // queryDegraded reports whether q's coordinator currently excuses at least
 // one dead slot (see Status.Degraded).
 func queryDegraded(k int, q *queryState) bool {
-	var bc *track.BlockCoord
-	switch {
-	case q.freqT != nil:
-		bc = q.freqT.BlockCoord
-	case q.thresh != nil:
-		bc = q.thresh.TrackerBlockCoord()
-	default:
-		bc, _ = q.coord.(*track.BlockCoord)
-	}
-	if bc == nil {
-		return false
-	}
 	for i := 0; i < k; i++ {
-		if bc.SiteDead(i) {
+		if q.coord.SiteDead(i) {
 			return true
 		}
 	}

@@ -57,12 +57,14 @@ type InBlockRejoiner interface {
 }
 
 // ceilPow2Half returns ⌈2^{r−1}⌉: the batch size for count reports in a
-// block with exponent r. For r = 0 this is ⌈1/2⌉ = 1.
+// block with exponent r. For r = 0 this is ⌈1/2⌉ = 1. An exponent past 63,
+// which blockExponent never picks but a malformed KindNewBlock can carry,
+// saturates at 2^62 so the batch stays positive.
 func ceilPow2Half(r int64) int64 {
 	if r <= 0 {
 		return 1
 	}
-	return int64(1) << uint(r-1)
+	return int64(1) << uint(min(r, 63)-1)
 }
 
 // blockExponent returns the exponent r chosen at the end of a block per
@@ -254,17 +256,12 @@ func (s *BlockSite) OnMessage(m dist.Msg, out dist.Outbox) {
 			s.deferReply = true
 			return
 		}
-		out.Send(dist.Msg{Kind: dist.KindStateReply, Site: s.id, A: s.ci, B: s.fi})
-		s.repliesSent++
-		s.sentCi += s.ci
-		s.sentFi += s.fi
-		s.ci = 0
-		// fi is zeroed here, not on KindNewBlock: the reported value is
-		// what the coordinator folds into f(n_j), and any update arriving
+		// fi is zeroed by the reply, not on KindNewBlock: the reported value
+		// is what the coordinator folds into f(n_j), and any update arriving
 		// between this reply and the block broadcast (possible on the
-		// asynchronous transport, never in the synchronous sim) must
-		// carry over into the next block rather than be dropped.
-		s.fi = 0
+		// asynchronous transport, never in the synchronous sim) must carry
+		// over into the next block rather than be dropped.
+		s.reply(out)
 	case dist.KindNewBlock:
 		// A set low Item bit marks a resync copy sent by
 		// BlockCoord.OnSiteRejoin; the remaining bits carry the
@@ -304,14 +301,10 @@ func (s *BlockSite) OnMessage(m dist.Msg, out dist.Outbox) {
 			if s.takingOver {
 				s.defCi += s.ci
 				s.defFi += s.fi
+				s.ci, s.fi = 0, 0
 			} else {
-				out.Send(dist.Msg{Kind: dist.KindStateReply, Site: s.id, A: s.ci, B: s.fi})
-				s.repliesSent++
-				s.sentCi += s.ci
-				s.sentFi += s.fi
+				s.reply(out)
 			}
-			s.ci = 0
-			s.fi = 0
 		}
 		s.r = m.A
 		s.batch = ceilPow2Half(s.r)
@@ -360,12 +353,7 @@ func (s *BlockSite) OnMessage(m dist.Msg, out dist.Outbox) {
 		s.defCi, s.defFi = 0, 0
 		if s.deferReply {
 			s.deferReply = false
-			out.Send(dist.Msg{Kind: dist.KindStateReply, Site: s.id, A: s.ci, B: s.fi})
-			s.repliesSent++
-			s.sentCi += s.ci
-			s.sentFi += s.fi
-			s.ci = 0
-			s.fi = 0
+			s.reply(out)
 		} else if s.ci >= s.batch {
 			out.Send(dist.Msg{Kind: dist.KindCountReport, Site: s.id, A: s.ci})
 			s.ci = 0
@@ -387,6 +375,17 @@ func (s *BlockSite) OnMessage(m dist.Msg, out dist.Outbox) {
 				Item: s.snapHash, A: s.snapReplies})
 		}
 	}
+}
+
+// reply sends a state reply carrying the uncollected count and net change,
+// books it on the takeover watermark and the lifetime reply totals, and
+// zeroes both counters.
+func (s *BlockSite) reply(out dist.Outbox) {
+	out.Send(dist.Msg{Kind: dist.KindStateReply, Site: s.id, A: s.ci, B: s.fi})
+	s.repliesSent++
+	s.sentCi += s.ci
+	s.sentFi += s.fi
+	s.ci, s.fi = 0, 0
 }
 
 // SetSnapshotHash implements SnapshotHashSetter: RestoreSite stores the

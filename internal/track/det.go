@@ -97,6 +97,10 @@ func (c *detCoord) Drift() int64 { return c.sum }
 // threshold-δ estimator. The returned algorithms guarantee
 // |f(n) − f̂(n)| ≤ ε·|f(n)| at every timestep.
 func NewDeterministic(k int, eps float64) (dist.CoordAlgo, []dist.SiteAlgo) {
+	return newDeterministic(k, eps)
+}
+
+func newDeterministic(k int, eps float64) (*BlockCoord, []dist.SiteAlgo) {
 	if k <= 0 {
 		panic("track: NewDeterministic needs k > 0")
 	}

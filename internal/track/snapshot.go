@@ -513,29 +513,13 @@ func (c *randCoord) RestoreSnapshot(r *SnapReader) {
 
 // AppendSnapshot implements CoordSnapshotter for the threshold monitor: the
 // τ comparison itself is construction-constant, so the monitor contributes
-// only its layer tag and delegates to the tracker it wraps.
+// only its layer tag ahead of the tracker's own blob.
 func (m *ThresholdMonitor) AppendSnapshot(b []byte) ([]byte, error) {
-	cs, ok := m.coord.(CoordSnapshotter)
-	if !ok {
-		return nil, fmt.Errorf("track: wrapped coordinator %T does not support snapshots", m.coord)
-	}
-	b = append(b, snapTagThreshold)
-	return cs.AppendSnapshot(b)
+	return m.BlockCoord.AppendSnapshot(append(b, snapTagThreshold))
 }
 
 // RestoreSnapshot implements CoordSnapshotter.
 func (m *ThresholdMonitor) RestoreSnapshot(r *SnapReader) error {
-	cs, ok := m.coord.(CoordSnapshotter)
-	if !ok {
-		return fmt.Errorf("track: wrapped coordinator %T does not support snapshots", m.coord)
-	}
 	r.Tag(snapTagThreshold)
-	return cs.RestoreSnapshot(r)
-}
-
-// SetSnapshotHash implements SnapshotHashSetter by delegation.
-func (m *ThresholdMonitor) SetSnapshotHash(h uint64) {
-	if hs, ok := m.coord.(SnapshotHashSetter); ok {
-		hs.SetSnapshotHash(h)
-	}
+	return m.BlockCoord.RestoreSnapshot(r)
 }

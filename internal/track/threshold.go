@@ -34,12 +34,13 @@ func (s ThresholdState) String() string {
 	return "below"
 }
 
-// ThresholdMonitor wraps a tracking coordinator with the τ comparison.
+// ThresholdMonitor is the deterministic tracker plus the τ comparison: it
+// embeds the tracker's block partitioner, so the protocol, the fault hooks
+// and the snapshot hash are the tracker's own.
 type ThresholdMonitor struct {
-	coord    dist.CoordAlgo
-	tau      int64   //varlint:volatile construction constant; the τ comparison is not tracker state
-	trigger  float64 //varlint:volatile construction constant, τ·(1−ε')
-	epsTrack float64 //varlint:volatile construction constant
+	*BlockCoord
+	tau     int64   //varlint:volatile construction constant; the τ comparison is not tracker state
+	trigger float64 //varlint:volatile construction constant, τ·(1−ε')
 }
 
 // NewThresholdMonitor builds a deterministic (k, f, τ, ε) monitor. It
@@ -53,82 +54,13 @@ func NewThresholdMonitor(k int, eps float64, tau int64) (*ThresholdMonitor, []di
 		panic("track: NewThresholdMonitor needs 0 < eps < 1")
 	}
 	epsTrack := eps / 3
-	coord, sites := NewDeterministic(k, epsTrack)
-	m := &ThresholdMonitor{
-		coord:    coord,
-		tau:      tau,
-		trigger:  float64(tau) * (1 - epsTrack),
-		epsTrack: epsTrack,
-	}
-	return m, sites
-}
-
-// OnMessage implements dist.CoordAlgo by delegation.
-func (m *ThresholdMonitor) OnMessage(msg dist.Msg, out dist.Outbox) {
-	m.coord.OnMessage(msg, out)
-}
-
-// Estimate implements dist.CoordAlgo by delegation.
-func (m *ThresholdMonitor) Estimate() int64 { return m.coord.Estimate() }
-
-// OnSiteRejoin implements dist.CoordRejoiner by delegation, so a monitor
-// deployed on a fault-injecting runtime heals partitions exactly as the
-// tracker it wraps does.
-func (m *ThresholdMonitor) OnSiteRejoin(site int, out dist.Outbox) {
-	if r, ok := m.coord.(dist.CoordRejoiner); ok {
-		r.OnSiteRejoin(site, out)
-	}
-}
-
-// OnSiteDead implements dist.CoordFailureHandler by delegation, so a
-// monitor deployed behind failure detection degrades gracefully exactly as
-// the tracker it wraps does.
-func (m *ThresholdMonitor) OnSiteDead(site int, out dist.Outbox) {
-	if h, ok := m.coord.(dist.CoordFailureHandler); ok {
-		h.OnSiteDead(site, out)
-	}
-}
-
-// OnSiteAlive implements dist.CoordRecoverHandler by delegation, so a
-// monitor behind failure detection un-excuses a falsely-suspected slot
-// exactly as the tracker it wraps does.
-func (m *ThresholdMonitor) OnSiteAlive(site int, out dist.Outbox) {
-	if h, ok := m.coord.(dist.CoordRecoverHandler); ok {
-		h.OnSiteAlive(site, out)
-	}
-}
-
-// OnSiteTakeover implements dist.CoordTakeoverHandler by delegation.
-func (m *ThresholdMonitor) OnSiteTakeover(site int, out dist.Outbox) {
-	if h, ok := m.coord.(dist.CoordTakeoverHandler); ok {
-		h.OnSiteTakeover(site, out)
-	}
-}
-
-// OnCoordTakeover implements dist.CoordTakeover by delegation, so a monitor
-// restored from a snapshot announces the standby handshake exactly as the
-// tracker it wraps does.
-func (m *ThresholdMonitor) OnCoordTakeover(site int, epoch int64, out dist.Outbox) {
-	if t, ok := m.coord.(dist.CoordTakeover); ok {
-		t.OnCoordTakeover(site, epoch, out)
-	}
-}
-
-// TrackerBlockCoord exposes the wrapped tracker's block partitioner for
-// liveness introspection (dead-slot queries, recovery instrumentation). It
-// is deliberately NOT named UnderlyingBlockCoord: satisfying
-// track.BlockCoordSource would switch on the harness's block-boundary
-// instrumentation for every standalone monitor run.
-func (m *ThresholdMonitor) TrackerBlockCoord() *BlockCoord {
-	if bc, ok := m.coord.(*BlockCoord); ok {
-		return bc
-	}
-	return nil
+	coord, sites := newDeterministic(k, epsTrack)
+	return &ThresholdMonitor{BlockCoord: coord, tau: tau, trigger: float64(tau) * (1 - epsTrack)}, sites
 }
 
 // State answers the thresholded query.
 func (m *ThresholdMonitor) State() ThresholdState {
-	if float64(m.coord.Estimate()) >= m.trigger {
+	if float64(m.Estimate()) >= m.trigger {
 		return Above
 	}
 	return Below
