@@ -209,6 +209,9 @@ func TestDriverRejections(t *testing.T) {
 	}{
 		{[]string{"-progress", "0"}, "-progress must be >= 1"},
 		{[]string{"-k", "0"}, "-k must be >= 1"},
+		{[]string{"-eps", "2"}, "needs 0 < eps < 1"},
+		{[]string{"-eps", "NaN"}, "needs 0 < eps < 1"},
+		{[]string{"-queries", "det,eps=NaN"}, "needs 0 < eps < 1"},
 		{[]string{"-stream", "nope"}, "unknown stream class"},
 		{[]string{"-kill", "5:9"}, "need STEP >= 1 and SITE in [0, 4)"},
 		{[]string{"-net", "crashat=10,crashsite=9,hb=4"}, "bad -net field"},

@@ -64,8 +64,8 @@ type CoordFailureHandler interface {
 // when a heartbeat from the declared-dead site's current incarnation
 // arrives anyway — proof the verdict was premature — so the coordinator
 // can stop excusing the slot from collections before the leak compounds.
-// A genuinely crashed site never triggers it: its heartbeat chain died
-// with it, and a replacement announces itself through the takeover path
+// A genuinely crashed site never triggers it: its beacons stopped with
+// it, and a replacement announces itself through the takeover path
 // instead.
 type CoordRecoverHandler interface {
 	OnSiteAlive(site int, out Outbox)

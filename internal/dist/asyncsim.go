@@ -56,12 +56,18 @@ type AsyncSim struct {
 	// Crash-fault state. live is the failure detector and takeover
 	// policy; its ended flag marks slots whose process died. epoch is the
 	// slot incarnation stamped onto every delivery (see event.epoch);
-	// backlog is the durable local update queue of a dead slot, replayed
-	// into the replacement at takeover; replacement holds the algorithm a
-	// ScheduleTakeover will splice in; closing stops the self-rescheduling
-	// heartbeat chains so Flush terminates.
+	// incarnation counts crashes and takeovers over all slots, and
+	// epochAt[i] is its value at slot i's latest one, so a beacon round's
+	// arrival, stamped with the counter at its send, is stale for exactly
+	// the members that changed incarnation since. backlog is the durable
+	// local update queue of a dead slot, replayed into the replacement at
+	// takeover; replacement holds the algorithm a ScheduleTakeover will
+	// splice in; closing stops the self-rescheduling beacon rounds so
+	// Flush terminates.
 	live        liveness
 	epoch       []uint32
+	incarnation uint32
+	epochAt     []uint32
 	backlog     backlog
 	replacement []SiteAlgo
 	closing     bool
@@ -109,9 +115,8 @@ const (
 	evTakeover      // splice a replacement into the slot (to)
 	evCoordCrash    // crash-fault the coordinator
 	evCoordTakeover // splice the standby into the coordinator slot
-	evHeartbeat
-	evHbArrive
-	evHbCheck
+	evBeacon        // a beacon round: sends and/or arrivals (see processBeacon)
+	evHbCheck       // a failure-detector sweep
 )
 
 // event is one scheduled occurrence. For evDeliver, from/to name the link
@@ -125,7 +130,11 @@ const (
 // stamp for the link's coordinator endpoint: every delivery belongs to one
 // site incarnation and one coordinator incarnation, and going stale on
 // either loses it. next is the scheduler queue's slab link (see
-// eventQueue); it sits in what would otherwise be padding.
+// eventQueue); it sits in what would otherwise be padding. An evBeacon
+// event is a beacon round instead (see processBeacon): from is its base
+// site, msg.Item and msg.A the bitmasks of the members that send and that
+// receive then, and epoch and cepoch the incarnation counter and the
+// coordinator epoch when the receiving members' beacons were sent.
 type event struct {
 	at      int64
 	seq     uint64
@@ -159,11 +168,20 @@ func NewAsyncSim(coord CoordAlgo, sites []SiteAlgo, model NetModel, seed uint64)
 		linkAt:      make([]int64, 2*len(sites)),
 		down:        make([]bool, len(sites)),
 		epoch:       make([]uint32, len(sites)),
+		epochAt:     make([]uint32, len(sites)),
 		backlog:     make(backlog, len(sites)),
 		replacement: make([]SiteAlgo, len(sites)),
 	}
-	// The slab starts with room for the k+1 heartbeat chains.
-	s.queue.init(len(sites) + 1)
+	// Beacon rounds cover up to 64 sites. When a beacon's arrival and the
+	// site's next beacon fall on the same tick (Latency == HeartbeatEvery),
+	// per-site events would interleave there as arrival₀, beacon₀,
+	// arrival₁, …, so every site gets a round of its own. The slab starts
+	// with room for the rounds and the detector sweep.
+	width := 64
+	if model.HeartbeatEvery > 0 && model.Latency == model.HeartbeatEvery {
+		width = 1
+	}
+	s.queue.init((len(sites)+width-1)/width + 1)
 	s.coordOut = &asyncOutbox{s: s, from: CoordID}
 	s.live = newLiveness(&s.coord, s.coordOut, &s.ledger, len(sites))
 	// A beacon is overdue one full interval beyond its cadence plus the
@@ -176,8 +194,9 @@ func NewAsyncSim(coord CoordAlgo, sites []SiteAlgo, model NetModel, seed uint64)
 		s.batchSites[i], _ = sites[i].(BatchSiteAlgo)
 	}
 	if model.HeartbeatEvery > 0 {
-		for i := range sites {
-			s.schedule(evHeartbeat, int32(i), model.HeartbeatEvery)
+		for base := 0; base < len(sites); base += width {
+			members := ^uint64(0) >> (64 - min(width, len(sites)-base))
+			s.scheduleBeacon(base, members, 0, model.HeartbeatEvery)
 		}
 		s.schedule(evHbCheck, CoordID, model.HeartbeatEvery)
 	}
@@ -223,7 +242,27 @@ func (s *AsyncSim) ingest(u stream.Update) {
 // the sites and returns how many updates it consumed, plus whether any
 // event was processed during the call. Like Sim.StepBatch it is a sequence
 // of Steps, never a reordering: transcripts, Stats, and estimates are
-// byte-identical to a per-update Step loop, fault models included.
+// byte-identical to a per-update Step loop, fault models included. It
+// runs on across same-site runs and returns right after the first update
+// in whose step any event ran, so when it reports no event the
+// coordinator's Estimate is unchanged, and when it does, only the last
+// consumed update's step can have moved it.
+func (s *AsyncSim) StepBatch(us []stream.Update) (int, bool) {
+	gap := s.model.Gap()
+	i := 0
+	for i < len(us) {
+		n, active := s.stepRun(us[i:], gap)
+		i += n
+		if active {
+			return i, true
+		}
+	}
+	return i, false
+}
+
+// stepRun feeds the head of us, or a batched same-site run from it, and
+// reports how many updates it consumed and whether any event ran. gap is
+// the model's update spacing.
 //
 // Batching only engages over a same-site run whose arrivals stay ahead of
 // every pending event — an update arriving exactly on the next event's
@@ -235,9 +274,8 @@ func (s *AsyncSim) ingest(u stream.Update) {
 // BatchSiteAlgo stopping rule puts every captured send on the last
 // consumed update, so latency, jitter draws, and link-FIFO floors are
 // scheduled exactly as the per-update path would have scheduled them.
-func (s *AsyncSim) StepBatch(us []stream.Update) (int, bool) {
+func (s *AsyncSim) stepRun(us []stream.Update, gap int64) (int, bool) {
 	u := us[0]
-	gap := s.model.Gap()
 	arrival := u.T * gap
 	b := s.batchSites[u.Site]
 	top := s.queue.topAt() // math.MaxInt64 when nothing is pending
@@ -291,8 +329,9 @@ func (s *AsyncSim) RunBatch(st stream.Stream, buf []stream.Update) int64 {
 // Flush runs the event loop to exhaustion — every in-flight delivery,
 // retransmission, and scheduled churn transition — advancing the virtual
 // clock as it goes. After Flush the network is quiescent. Flush retires
-// the failure detector: the self-rescheduling heartbeat chains stop so the
-// loop terminates, and they do not restart if more updates are driven.
+// the failure detector: the self-rescheduling beacon rounds and detector
+// sweeps stop so the loop terminates, and they do not restart if more
+// updates are driven.
 func (s *AsyncSim) Flush() {
 	s.closing = true
 	for s.queue.len() > 0 {
@@ -308,7 +347,15 @@ func (s *AsyncSim) Flush() {
 // clock to each, and reports whether any ran. runUntil(s.now+1) processes
 // everything due at the current tick (under the zero model, the whole
 // triggered cascade).
+//
+// Every update pays two of these calls, and most find nothing due, so the
+// check is the queue's one-load due test and inlines.
 func (s *AsyncSim) runUntil(t int64) bool {
+	return s.queue.due(t) && s.drainUntil(t)
+}
+
+// drainUntil is runUntil's event loop.
+func (s *AsyncSim) drainUntil(t int64) bool {
 	active := false
 	for s.queue.topAt() < t {
 		e := s.queue.pop()
@@ -338,7 +385,8 @@ func (s *AsyncSim) Inject(fn func(Outbox)) {
 func (s *AsyncSim) Now() int64 { return s.now }
 
 // Pending returns the number of events in the scheduler queue: deliveries,
-// retransmissions, heartbeats and scheduled faults not yet processed.
+// retransmissions, beacon rounds (one event per round, however many sites
+// it covers), detector sweeps and scheduled faults not yet processed.
 func (s *AsyncSim) Pending() int { return s.queue.len() }
 
 // ScheduleDown partitions site's link at virtual tick at.
@@ -449,10 +497,8 @@ func (s *AsyncSim) process(e *event) {
 		s.processCoordCrash(e)
 	case evCoordTakeover:
 		s.processCoordTakeover(e)
-	case evHeartbeat:
-		s.processHeartbeat(e)
-	case evHbArrive:
-		s.processHbArrive(e)
+	case evBeacon:
+		s.processBeacon(e)
 	case evHbCheck:
 		s.processHbCheck(e)
 	}

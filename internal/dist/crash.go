@@ -1,6 +1,10 @@
 package dist
 
-import "repro/internal/stream"
+import (
+	"math/bits"
+
+	"repro/internal/stream"
+)
 
 // Crash faults and warm takeover on AsyncSim.
 //
@@ -11,10 +15,11 @@ import "repro/internal/stream"
 // never comes back. The slot stays dead until ScheduleTakeover splices a
 // replacement in, at which point the runtime fires the control-plane hooks
 // (CoordTakeoverHandler, SiteTakeover), replays the backlog, and
-// restarts the slot's heartbeat chain. Every delivery is stamped with its
-// slot's incarnation (event.epoch); crash and takeover each increment it,
-// so the replacement's first inbound message is the coordinator's takeover
-// acknowledgement — never a stale delivery meant for its predecessor.
+// restarts the slot's beacons in a round of its own. Every delivery is
+// stamped with its slot's incarnation (event.epoch); crash and takeover
+// each increment it, so the replacement's first inbound message is the
+// coordinator's takeover acknowledgement — never a stale delivery meant
+// for its predecessor.
 //
 // Failure detection (NetModel.HeartbeatEvery > 0) drives the liveness core
 // TCP shares, on the same virtual clock: each site beacons every
@@ -24,6 +29,15 @@ import "repro/internal/stream"
 // link-FIFO floor, and touch no message Stats — a crash-free run with
 // heartbeats enabled is byte-identical to one without, even under faulty
 // models. They fail to arrive only when the slot is partitioned or dead.
+//
+// Sites whose beacons share a phase beacon as one round: a single
+// scheduler event sends for up to 64 of them, in ascending site order,
+// and a single event lands their beacons (see processBeacon). A round is
+// exact: per-site beacon and arrival events of one phase would be pushed
+// back to back, so nothing could fall between them in the (at, seq)
+// order. NewAsyncSim starts ⌈k/64⌉ rounds, or k rounds of one when
+// Latency == HeartbeatEvery (see NewAsyncSim); a takeover starts a round
+// of one at its own phase.
 //
 // The coordinator slot crash-faults the same way (ScheduleCoordCrash /
 // ScheduleCoordTakeover): every delivery is stamped with the coordinator
@@ -134,7 +148,7 @@ func (s *AsyncSim) processCrash(e *event) {
 		return
 	}
 	s.live.ended(site)
-	s.epoch[site]++
+	s.bumpEpoch(site)
 	s.live.emit(EvSiteCrash, e.to, int64(s.epoch[site]), 0)
 }
 
@@ -145,7 +159,7 @@ func (s *AsyncSim) processTakeover(e *event) {
 	if algo == nil || !s.live.slots[site].ended {
 		return
 	}
-	s.epoch[site]++
+	s.bumpEpoch(site)
 	s.ReplaceSite(site, algo)
 	// Control-plane registration first (on TCP the re-dial handshake
 	// precedes all frames), then the replacement's own announcement, then
@@ -158,8 +172,15 @@ func (s *AsyncSim) processTakeover(e *event) {
 		algo.OnUpdate(u, s.siteOut[site])
 	}
 	if s.model.HeartbeatEvery > 0 && !s.closing {
-		s.schedule(evHeartbeat, e.to, e.at+s.model.HeartbeatEvery)
+		s.scheduleBeacon(site, 1, 0, e.at+s.model.HeartbeatEvery)
 	}
+}
+
+// bumpEpoch starts a new incarnation of site's slot.
+func (s *AsyncSim) bumpEpoch(site int) {
+	s.epoch[site]++
+	s.incarnation++
+	s.epochAt[site] = s.incarnation
 }
 
 func (s *AsyncSim) processCoordCrash(e *event) {
@@ -190,33 +211,63 @@ func (s *AsyncSim) processCoordTakeover(e *event) {
 	}
 }
 
-// processHeartbeat emits one beacon from a live site and schedules the next.
+// scheduleBeacon pushes a beacon round at tick at over the sites base+b
+// for each bit b: send holds the members that beacon then, arrive the
+// members whose earlier beacon lands then, sent under the current
+// incarnations.
 //
 //varlint:zeroalloc
-func (s *AsyncSim) processHeartbeat(e *event) {
-	site := int(e.to)
-	if s.closing || s.live.slots[site].ended {
-		return // the chain stops; takeover restarts it
-	}
-	s.stats.HeartbeatsSent++
-	if !s.down[site] {
-		a := event{at: e.at + s.model.Latency, kind: evHbArrive, to: e.to,
-			epoch: s.epoch[site], cepoch: s.coordEpoch}
-		s.pushEvent(&a)
-	}
-	s.schedule(evHeartbeat, e.to, e.at+s.model.HeartbeatEvery)
+func (s *AsyncSim) scheduleBeacon(base int, send, arrive uint64, at int64) {
+	e := event{at: at, kind: evBeacon, from: int32(base), msg: Msg{Item: send, A: int64(arrive)},
+		epoch: s.incarnation, cepoch: s.coordEpoch}
+	s.pushEvent(&e)
 }
 
-// processHbArrive folds one beacon arrival into the failure detector.
+// processBeacon fires one beacon round. It walks the members in ascending
+// order: an arriving member's beacon is folded into the detector, and a
+// sending member beacons, unless its slot has ended, which drops it from
+// the round for good (a takeover restarts it in a round of its own). The
+// round's beacons that leave an unpartitioned link land together one
+// latency later.
 //
 //varlint:zeroalloc
-func (s *AsyncSim) processHbArrive(e *event) {
-	site := int(e.to)
-	if s.live.slots[site].ended || s.epoch[site] != e.epoch || s.down[site] ||
-		s.coordCrashed || e.cepoch != s.coordEpoch {
-		return // lost: an incarnation died, or the partition ate it
+func (s *AsyncSim) processBeacon(e *event) {
+	base := int(e.from)
+	send, arrive := e.msg.Item, uint64(e.msg.A)
+	if s.closing {
+		send = 0
 	}
-	s.live.beat(site, e.at)
+	var sent, up uint64
+	for m := send | arrive; m != 0; m &= m - 1 {
+		b := bits.TrailingZeros64(m)
+		bit, site := uint64(1)<<b, base+b
+		if arrive&bit != 0 && s.beaconLands(site, e) {
+			s.live.beat(site, e.at)
+		}
+		if send&bit == 0 || s.live.slots[site].ended {
+			continue
+		}
+		s.stats.HeartbeatsSent++
+		sent |= bit
+		if !s.down[site] {
+			up |= bit
+		}
+	}
+	if up != 0 {
+		s.scheduleBeacon(base, 0, up, e.at+s.model.Latency)
+	}
+	if sent != 0 {
+		s.scheduleBeacon(base, sent, 0, e.at+s.model.HeartbeatEvery)
+	}
+}
+
+// beaconLands reports whether site's beacon in round e reaches the
+// detector: it is lost if the site's incarnation ended or changed since
+// the send, the partition ate it, or the coordinator it was sent to is
+// gone.
+func (s *AsyncSim) beaconLands(site int, e *event) bool {
+	return !s.live.slots[site].ended && s.epochAt[site] <= e.epoch && !s.down[site] &&
+		!s.coordCrashed && e.cepoch == s.coordEpoch
 }
 
 // processHbCheck runs one detector sweep and schedules the next. No

@@ -85,6 +85,11 @@ func (q *eventQueue) topAt() int64 {
 	return q.findTop()
 }
 
+// due reports whether an event may be due before tick t: always when the
+// cached top is stale (topUnknown is below every tick), so a false answer
+// is exact and a true one costs the caller a topAt.
+func (q *eventQueue) due(t int64) bool { return q.top < t }
+
 // findTop recomputes and caches the earliest pending tick.
 func (q *eventQueue) findTop() int64 {
 	at := int64(math.MaxInt64)

@@ -47,7 +47,7 @@ func (s Spec) Validate() error {
 	default:
 		return fmt.Errorf("query: unknown algo %q (valid: det|rand|freq|threshold)", s.Algo)
 	}
-	if s.Eps <= 0 || s.Eps >= 1 {
+	if !(s.Eps > 0 && s.Eps < 1) { // NaN fails every comparison
 		return fmt.Errorf("query: spec %s needs 0 < eps < 1 (got %g)", s.Algo, s.Eps)
 	}
 	return nil
