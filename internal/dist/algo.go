@@ -115,7 +115,32 @@ type CoordTakeover interface {
 // back (block broadcasts, state requests) interleave with its updates
 // exactly as on the per-update path — Stats, transcripts, and estimates
 // stay byte-identical.
+//
+// Sim uses it only when some site is not a QuietSiteAlgo; a deployment of
+// quiet sites never needs a same-site run, because its message-free
+// updates cost no site call at all.
 type BatchSiteAlgo interface {
 	SiteAlgo
 	OnUpdateBatch(us []stream.Update, out Outbox) int
+}
+
+// QuietSiteAlgo is an optional fast path for SiteAlgo that goes further
+// than BatchSiteAlgo: the site states how much input it can take without
+// sending, and the runtime applies that input in bulk, with no per-update
+// call and no same-site run scan.
+//
+// Quiet returns a budget q: any run of updates to this site whose costs
+// max(1, |Δ|) sum to at most q provably sends no message. A negative q
+// means the site never takes this path, and that answer must not change
+// over the site's lifetime: Sim asks once, and a deployment with any such
+// site keeps the per-update path for good. After that first answer the
+// budget is never negative.
+//
+// Absorb applies n updates whose deltas sum to sum, exactly as n OnUpdate
+// calls with those updates would. The runtime calls it only for runs
+// within the budget, so it never sends.
+type QuietSiteAlgo interface {
+	SiteAlgo
+	Quiet() int64
+	Absorb(n, sum int64)
 }

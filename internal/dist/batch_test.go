@@ -119,21 +119,51 @@ func TestRunBatchMatchesRun(t *testing.T) {
 }
 
 // TestStepBatchZeroAlloc pins the allocation-free contract of the batched
-// hot path at steady state, mirroring the Sim.Step zero-alloc tests.
+// hot path at steady state, mirroring the Sim.Step zero-alloc tests. The
+// det cases run the quiet path (message-free stretches absorbed in bulk):
+// on the nearly monotone input most updates are absorbed, and counting
+// wrappers check that absorption really happens inside the measured
+// window. rand runs the per-update and run path.
 func TestStepBatchZeroAlloc(t *testing.T) {
-	for name, build := range map[string]func() (dist.CoordAlgo, []dist.SiteAlgo){
-		"det":  func() (dist.CoordAlgo, []dist.SiteAlgo) { return track.NewDeterministic(8, 0.1) },
-		"rand": func() (dist.CoordAlgo, []dist.SiteAlgo) { return track.NewRandomized(8, 0.1, 3) },
+	for _, tc := range []struct {
+		name  string
+		build func() (dist.CoordAlgo, []dist.SiteAlgo)
+		input func(n int64) stream.Stream
+		quiet bool
+	}{
+		{"det", func() (dist.CoordAlgo, []dist.SiteAlgo) { return track.NewDeterministic(8, 0.1) },
+			func(n int64) stream.Stream {
+				return stream.NewAssign(stream.BiasedWalk(n, 0.2, 7), stream.NewRoundRobin(8))
+			}, true},
+		{"det-smooth", func() (dist.CoordAlgo, []dist.SiteAlgo) { return track.NewDeterministic(8, 0.1) },
+			func(n int64) stream.Stream {
+				return stream.NewAssign(stream.NearlyMonotone(n, 0.2, 7), stream.NewSkewed(8, 1.2, 8))
+			}, true},
+		{"rand", func() (dist.CoordAlgo, []dist.SiteAlgo) { return track.NewRandomized(8, 0.1, 3) },
+			func(n int64) stream.Stream {
+				return stream.NewAssign(stream.BiasedWalk(n, 0.2, 7), stream.NewRoundRobin(8))
+			}, false},
 	} {
 		const warm, runs, batch = 20_000, 20_000, 64
-		coord, sites := build()
-		st := stream.NewAssign(stream.BiasedWalk(warm+int64(runs*batch)+1, 0.2, 7), stream.NewRoundRobin(8))
+		coord, sites := tc.build()
+		var reads, absorbed int64
+		if tc.quiet {
+			for i, s := range sites {
+				sites[i] = quietCounter{s.(dist.QuietSiteAlgo), &reads, &absorbed}
+			}
+		}
+		st := tc.input(warm + int64(runs*batch) + 1)
 		sim := dist.NewSim(coord, sites)
 		buf := make([]stream.Update, batch)
 		for i := 0; i < warm; i++ {
 			u, _ := st.Next()
 			sim.Step(u)
 		}
+		sim.StepBatch(buf[:stream.NextBatch(st, buf[:1])])
+		if sim.QuietMode() != tc.quiet {
+			t.Fatalf("%s: quiet path %v, want %v", tc.name, sim.QuietMode(), tc.quiet)
+		}
+		absorbed0 := absorbed
 		if a := testing.AllocsPerRun(runs-1, func() {
 			n := stream.NextBatch(st, buf)
 			for i := 0; i < n; {
@@ -141,7 +171,10 @@ func TestStepBatchZeroAlloc(t *testing.T) {
 				i += c
 			}
 		}); a != 0 {
-			t.Fatalf("%s: batched path allocated %v objects/op at steady state, want 0", name, a)
+			t.Fatalf("%s: batched path allocated %v objects/op at steady state, want 0", tc.name, a)
+		}
+		if tc.quiet && absorbed == absorbed0 {
+			t.Fatalf("%s: no update was absorbed in the measured window", tc.name)
 		}
 	}
 }

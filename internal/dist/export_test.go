@@ -11,3 +11,8 @@ func (s *AsyncSim) QueueSlots() int { return len(s.queue.slab) }
 // KindHello is the site handshake kind, for tests that speak the wire
 // protocol by hand.
 const KindHello = kindHello
+
+// QuietMode reports whether StepBatch runs the quiet loop, for tests that
+// must know the absorbed path is the one under test. It reads false until
+// the first StepBatch call.
+func (s *Sim) QuietMode() bool { return s.mode == simQuiet }

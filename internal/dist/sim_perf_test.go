@@ -75,3 +75,84 @@ func TestSimStepZeroAllocRandomized(t *testing.T) {
 		t.Fatalf("Sim.Step allocated %v objects/op at steady state, want 0", a)
 	}
 }
+
+// quietCounter wraps a quiet site to count the budget reads and absorbed
+// updates StepBatch asks of it. It is not batch-capable, which changes
+// nothing on a deployment whose sites are all quiet.
+type quietCounter struct {
+	dist.QuietSiteAlgo
+	reads, absorbed *int64
+}
+
+func (w quietCounter) Quiet() int64 { *w.reads++; return w.QuietSiteAlgo.Quiet() }
+
+func (w quietCounter) Absorb(n, sum int64) {
+	*w.absorbed += n
+	w.QuietSiteAlgo.Absorb(n, sum)
+}
+
+// simBenchCase is one BenchmarkSimStepBatch input: k deterministic sites
+// over a pregenerated segment.
+type simBenchCase struct {
+	name  string
+	k     int
+	input func(n int64, k int) stream.Stream
+}
+
+var simBenchCases = []simBenchCase{
+	// The sim-smooth workload: a nearly monotone stream (one deletion per
+	// five updates) over skewed sites, about 0.004 messages per update.
+	{"smooth", 8, func(n int64, k int) stream.Stream {
+		return stream.NewAssign(stream.NearlyMonotone(n, 0.2, 5), stream.NewSkewed(k, 1.2, 6))
+	}},
+	// A volatile control: f hovers near 1024 over 64 round-robin sites, so
+	// budgets are small and the network is busy.
+	{"volatile-k64", 64, func(n int64, k int) stream.Stream {
+		return stream.NewAssign(stream.MeanReverting(n, 1024, 0.5, 5), stream.NewRoundRobin(k))
+	}},
+}
+
+// feedChunks drives seg through sim.StepBatch in slices of at most 1<<14
+// updates, as the benchmark's closed loop does between polls, and returns
+// the number of StepBatch calls.
+func feedChunks(sim *dist.Sim, seg []stream.Update) int64 {
+	const chunk = 1 << 14
+	var calls int64
+	for i := 0; i < len(seg); {
+		c, _ := sim.StepBatch(seg[i:min(len(seg), (i/chunk+1)*chunk)])
+		i += c
+		calls++
+	}
+	return calls
+}
+
+// BenchmarkSimStepBatch measures Sim.StepBatch over the deterministic
+// tracker per update (ns/op). Each pass over the pregenerated segment runs
+// on a fresh deployment, built with the timer stopped. An untimed pass
+// with counting wrappers reports the updates absorbed in bulk per
+// StepBatch call and the budget reads per call: the second stays near the
+// number of sites a call touches, not k.
+func BenchmarkSimStepBatch(b *testing.B) {
+	const segLen = 1 << 18
+	for _, bc := range simBenchCases {
+		b.Run(bc.name, func(b *testing.B) {
+			seg := stream.Collect(bc.input(segLen, bc.k))
+			var reads, absorbed int64
+			coord, sites := track.NewDeterministic(bc.k, 0.1)
+			for i, s := range sites {
+				sites[i] = quietCounter{s.(dist.QuietSiteAlgo), &reads, &absorbed}
+			}
+			calls := feedChunks(dist.NewSim(coord, sites), seg)
+			b.ResetTimer()
+			for fed := 0; fed < b.N; fed += segLen {
+				b.StopTimer()
+				coord, sites := track.NewDeterministic(bc.k, 0.1)
+				sim := dist.NewSim(coord, sites)
+				b.StartTimer()
+				feedChunks(sim, seg[:min(segLen, b.N-fed)])
+			}
+			b.ReportMetric(float64(absorbed)/float64(calls), "absorbed/call")
+			b.ReportMetric(float64(reads)/float64(calls), "reads/call")
+		})
+	}
+}

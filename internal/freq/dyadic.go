@@ -72,7 +72,7 @@ type RankTracker struct {
 // tracker with per-cell error ε/bits, so message costs carry an extra
 // bits factor on top of the frequency tracker's.
 func NewDyadicRank(k int, eps float64, bits int) (*RankTracker, []dist.SiteAlgo) {
-	if eps <= 0 || eps >= 1 {
+	if !(eps > 0 && eps < 1) {
 		panic("freq: NewDyadicRank needs 0 < eps < 1")
 	}
 	mapper := NewDyadicMapper(bits)

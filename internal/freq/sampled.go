@@ -273,7 +273,7 @@ func newSampledTracker(k int, eps float64, mapper Mapper, seed uint64, sync bool
 	if k <= 0 {
 		panic("freq: sampled tracker needs k > 0")
 	}
-	if eps <= 0 || eps >= 1 {
+	if !(eps > 0 && eps < 1) {
 		panic("freq: sampled tracker needs 0 < eps < 1")
 	}
 	root := rng.New(seed)

@@ -291,7 +291,7 @@ func New(k int, eps float64, mapper Mapper) (*Tracker, []dist.SiteAlgo) {
 	if k <= 0 {
 		panic("freq: New needs k > 0")
 	}
-	if eps <= 0 || eps >= 1 {
+	if !(eps > 0 && eps < 1) {
 		panic("freq: New needs 0 < eps < 1")
 	}
 	inner := newFreqCoord(k)

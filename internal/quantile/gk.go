@@ -28,7 +28,7 @@ type gkTuple struct {
 
 // NewGK returns an empty summary with error parameter eps.
 func NewGK(eps float64) *GK {
-	if eps <= 0 || eps >= 1 {
+	if !(eps > 0 && eps < 1) {
 		panic("quantile: NewGK needs 0 < eps < 1")
 	}
 	return &GK{eps: eps}

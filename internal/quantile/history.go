@@ -35,7 +35,7 @@ type histCheckpoint struct {
 
 // NewHistory builds a History for values in [0, universe).
 func NewHistory(eps float64, universe int) *History {
-	if eps <= 0 || eps >= 1 {
+	if !(eps > 0 && eps < 1) {
 		panic("quantile: NewHistory needs 0 < eps < 1")
 	}
 	h := &History{

@@ -42,7 +42,7 @@ func NewCountMin(width uint64, depth int, seed uint64) *CountMin {
 // probability ≥ 8/9 (depth 1); extra depth drives the failure probability
 // down geometrically.
 func NewCountMinForError(eps float64, depth int, seed uint64) *CountMin {
-	if eps <= 0 || eps >= 1 {
+	if !(eps > 0 && eps < 1) {
 		panic("sketch: NewCountMinForError needs 0 < eps < 1")
 	}
 	return NewCountMin(uint64(math.Ceil(27/eps)), depth, seed)

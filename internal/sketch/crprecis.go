@@ -52,7 +52,7 @@ func NewCRPrecis(rows int, width int64, universeBits int) *CRPrecis {
 // is at most (eps/3)·F1, following appendix H: width ~ (6·log|U|)/(ε·log(1/ε))
 // and enough rows that maxCollisions/rows ≤ ε/3.
 func NewCRPrecisForError(eps float64, universeBits int) *CRPrecis {
-	if eps <= 0 || eps >= 1 {
+	if !(eps > 0 && eps < 1) {
 		panic("sketch: NewCRPrecisForError needs 0 < eps < 1")
 	}
 	b := float64(universeBits)

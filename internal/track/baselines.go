@@ -120,7 +120,7 @@ func NewCMY(k int, eps float64) (dist.CoordAlgo, []dist.SiteAlgo) {
 	if k <= 0 {
 		panic("track: NewCMY needs k > 0")
 	}
-	if eps <= 0 || eps >= 1 {
+	if !(eps > 0 && eps < 1) {
 		panic("track: NewCMY needs 0 < eps < 1")
 	}
 	sites := make([]dist.SiteAlgo, k)
@@ -235,7 +235,7 @@ func NewHYZ(k int, eps float64, seed uint64) (dist.CoordAlgo, []dist.SiteAlgo) {
 	if k <= 0 {
 		panic("track: NewHYZ needs k > 0")
 	}
-	if eps <= 0 || eps >= 1 {
+	if !(eps > 0 && eps < 1) {
 		panic("track: NewHYZ needs 0 < eps < 1")
 	}
 	root := rng.New(seed)
@@ -372,7 +372,7 @@ func NewLRV(k int, eps float64, seed uint64) (dist.CoordAlgo, []dist.SiteAlgo) {
 	if k <= 0 {
 		panic("track: NewLRV needs k > 0")
 	}
-	if eps <= 0 || eps >= 1 {
+	if !(eps > 0 && eps < 1) {
 		panic("track: NewLRV needs 0 < eps < 1")
 	}
 	root := rng.New(seed)

@@ -32,10 +32,26 @@ type InBlockSite interface {
 // a nonempty prefix of us exactly as repeated OnUpdate calls would, and
 // return immediately after the first update that sends a message. The
 // partitioner hoists the threshold and counter loads of the in-block
-// estimator out of the per-update dispatch this way.
+// estimator out of the per-update dispatch this way. Sim never calls it in
+// a deployment whose sites are all quiet (see InBlockQuietSite); AsyncSim
+// and the query engine still do.
 type InBlockBatchSite interface {
 	InBlockSite
 	OnUpdateBatch(us []stream.Update, out dist.Outbox) int
+}
+
+// InBlockQuietSite is the optional quiet-prefix fast path for an
+// InBlockSite, mirroring dist.QuietSiteAlgo one layer down: Quiet returns
+// a budget q ≥ 0 such that any run of updates whose costs max(1, |Δ|) sum
+// to at most q sends no message, and Absorb(n, sum) applies n updates of
+// net change sum exactly as n OnUpdate calls would. Only an estimator that
+// decides to send from its counters alone can bound its sends this way:
+// the deterministic one qualifies, while the randomized and frequency
+// estimators draw or look up an item per update, so they do not.
+type InBlockQuietSite interface {
+	InBlockSite
+	Quiet() int64
+	Absorb(n, sum int64)
 }
 
 // InBlockCoord is the coordinator half of a per-block estimator. Drift
@@ -131,10 +147,11 @@ func (o *stampOutbox) Broadcast(m dist.Msg) {
 type BlockSite struct {
 	id    int32 //varlint:volatile construction-time identity; NewReplacement builds the restore target with the same id
 	inner InBlockSite
-	// innerBatch/innerRejoin are inner if it implements the respective
-	// optional interface, else nil; the assertions are paid once at
-	// construction.
+	// innerBatch/innerQuiet/innerRejoin are inner if it implements the
+	// respective optional interface, else nil; the assertions are paid
+	// once at construction.
 	innerBatch  InBlockBatchSite //varlint:volatile derived from inner at construction
+	innerQuiet  InBlockQuietSite //varlint:volatile derived from inner at construction
 	innerRejoin InBlockRejoiner  //varlint:volatile derived from inner at construction
 	r           int64
 	batch       int64 //varlint:volatile derived from r (the ⌈2^{r−1}⌉ report batch); RestoreSnapshot recomputes it
@@ -196,12 +213,9 @@ func (s *BlockSite) stamped(out dist.Outbox) dist.Outbox {
 // NewBlockSite wraps inner with the partition protocol for site id.
 func NewBlockSite(id int, inner InBlockSite) *BlockSite {
 	s := &BlockSite{id: int32(id), inner: inner, batch: ceilPow2Half(0)}
-	if b, ok := inner.(InBlockBatchSite); ok {
-		s.innerBatch = b
-	}
-	if r, ok := inner.(InBlockRejoiner); ok {
-		s.innerRejoin = r
-	}
+	s.innerBatch, _ = inner.(InBlockBatchSite)
+	s.innerQuiet, _ = inner.(InBlockQuietSite)
+	s.innerRejoin, _ = inner.(InBlockRejoiner)
 	inner.Reset(0, nil)
 	return s
 }
@@ -242,6 +256,29 @@ func (s *BlockSite) OnUpdateBatch(us []stream.Update, out dist.Outbox) int {
 		s.ci = 0
 	}
 	return consumed
+}
+
+// Quiet implements dist.QuietSiteAlgo. Inside the budget neither the
+// count report (due when ci reaches the batch) nor the in-block estimator
+// sends; every update costs at least one, so a run within the budget
+// leaves ci below the batch. While a takeover announce is in flight the
+// budget is 0, so every update takes OnUpdate. The answer is −1 for good
+// when the in-block estimator has no quiet path.
+func (s *BlockSite) Quiet() int64 {
+	if s.innerQuiet == nil {
+		return -1
+	}
+	if s.takingOver {
+		return 0
+	}
+	return max(0, min(s.batch-s.ci-1, s.innerQuiet.Quiet()))
+}
+
+// Absorb implements dist.QuietSiteAlgo.
+func (s *BlockSite) Absorb(n, sum int64) {
+	s.ci += n
+	s.fi += sum
+	s.innerQuiet.Absorb(n, sum)
 }
 
 // OnMessage implements dist.SiteAlgo. A site receives only the

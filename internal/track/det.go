@@ -58,6 +58,30 @@ func (s *detSite) OnUpdateBatch(us []stream.Update, out dist.Outbox) int {
 	return len(us)
 }
 
+// Quiet implements InBlockQuietSite. The site reports once |δ| reaches
+// the threshold, so it stays quiet while |δ| is at most the largest
+// integer below the threshold, and a run of updates moves |δ| by at most
+// the sum of their |Δ|. A report resets δ, so |δ| is below the threshold
+// between updates and the budget is never negative. A threshold past 2^62
+// (only a malformed exponent makes one) counts as 2^62, so the conversion
+// cannot overflow.
+func (s *detSite) Quiet() int64 {
+	below := int64(1) << 62
+	if s.threshold < float64(below) {
+		below = int64(s.threshold)
+		if float64(below) == s.threshold {
+			below--
+		}
+	}
+	return below - absI64(s.delta)
+}
+
+// Absorb implements InBlockQuietSite.
+func (s *detSite) Absorb(n, sum int64) {
+	s.di += sum
+	s.delta += sum
+}
+
 // OnRejoin implements InBlockRejoiner: drift reports carry the absolute
 // in-block drift d_i, so re-sending the current value heals whatever the
 // outage swallowed — the coordinator overwrites d̂_i idempotently.
@@ -104,7 +128,7 @@ func newDeterministic(k int, eps float64) (*BlockCoord, []dist.SiteAlgo) {
 	if k <= 0 {
 		panic("track: NewDeterministic needs k > 0")
 	}
-	if eps <= 0 || eps >= 1 {
+	if !(eps > 0 && eps < 1) {
 		panic("track: NewDeterministic needs 0 < eps < 1")
 	}
 	coord := NewBlockCoord(k, &detCoord{dhat: make([]int64, k)})

@@ -163,7 +163,7 @@ func NewRandomized(k int, eps float64, seed uint64) (dist.CoordAlgo, []dist.Site
 	if k <= 0 {
 		panic("track: NewRandomized needs k > 0")
 	}
-	if eps <= 0 || eps >= 1 {
+	if !(eps > 0 && eps < 1) {
 		panic("track: NewRandomized needs 0 < eps < 1")
 	}
 	root := rng.New(seed)

@@ -64,7 +64,7 @@ func (c *singleCoord) Estimate() int64 { return c.fhat }
 // deterministic, and the message count is at most (1+ε)/ε·v(n) + z(n) where
 // z(n) counts the timesteps with f(t) = 0 or a sign change.
 func NewSingleSite(eps float64) (dist.CoordAlgo, []dist.SiteAlgo) {
-	if eps <= 0 || eps >= 1 {
+	if !(eps > 0 && eps < 1) {
 		panic("track: NewSingleSite needs 0 < eps < 1")
 	}
 	return &singleCoord{}, []dist.SiteAlgo{&singleSite{eps: eps}}

@@ -50,7 +50,7 @@ func NewThresholdMonitor(k int, eps float64, tau int64) (*ThresholdMonitor, []di
 	if tau < 1 {
 		panic("track: NewThresholdMonitor needs tau >= 1")
 	}
-	if eps <= 0 || eps >= 1 {
+	if !(eps > 0 && eps < 1) {
 		panic("track: NewThresholdMonitor needs 0 < eps < 1")
 	}
 	epsTrack := eps / 3
