@@ -116,9 +116,9 @@ type CoordTakeover interface {
 // exactly as on the per-update path — Stats, transcripts, and estimates
 // stay byte-identical.
 //
-// Sim uses it only when some site is not a QuietSiteAlgo; a deployment of
-// quiet sites never needs a same-site run, because its message-free
-// updates cost no site call at all.
+// Sim and AsyncSim use it only when some site is not a QuietSiteAlgo: a
+// deployment of quiet sites needs no same-site run, because its
+// message-free updates cost no site call at all.
 type BatchSiteAlgo interface {
 	SiteAlgo
 	OnUpdateBatch(us []stream.Update, out Outbox) int
@@ -132,9 +132,9 @@ type BatchSiteAlgo interface {
 // Quiet returns a budget q: any run of updates to this site whose costs
 // max(1, |Δ|) sum to at most q provably sends no message. A negative q
 // means the site never takes this path, and that answer must not change
-// over the site's lifetime: Sim asks once, and a deployment with any such
-// site keeps the per-update path for good. After that first answer the
-// budget is never negative.
+// over the site's lifetime: the runtime (Sim or AsyncSim) asks once, and a
+// deployment with any such site keeps the per-update path for good. After
+// that first answer the budget is never negative.
 //
 // Absorb applies n updates whose deltas sum to sum, exactly as n OnUpdate
 // calls with those updates would. The runtime calls it only for runs

@@ -26,6 +26,9 @@ import (
 // SiteRejoiner/CoordRejoiner resync hooks so protocol layers can
 // re-establish shared state (see track.BlockSite/track.BlockCoord).
 //
+// Updates reach the sites through ingest, the core Sim feeds its sites
+// with too; StepBatch adds AsyncSim's stop rule and budget invalidation.
+//
 // An AsyncSim is not safe for concurrent use.
 type AsyncSim struct {
 	// Recorder, when non-nil, observes every delivered message in delivery
@@ -41,8 +44,10 @@ type AsyncSim struct {
 	// deliveries plus the fault machinery: crashes, takeovers, detector
 	// verdicts, epoch drops.
 	ledger
+	// ingest feeds the sites (see StepBatch) and holds the dead slots'
+	// backlog.
+	ingest
 	coord CoordAlgo
-	sites []SiteAlgo
 	model NetModel
 	src   *rng.Xoshiro256
 	queue eventQueue
@@ -59,16 +64,15 @@ type AsyncSim struct {
 	// incarnation counts crashes and takeovers over all slots, and
 	// epochAt[i] is its value at slot i's latest one, so a beacon round's
 	// arrival, stamped with the counter at its send, is stale for exactly
-	// the members that changed incarnation since. backlog is the durable
-	// local update queue of a dead slot, replayed into the replacement at
-	// takeover; replacement holds the algorithm a ScheduleTakeover will
-	// splice in; closing stops the self-rescheduling beacon rounds so
-	// Flush terminates.
+	// the members that changed incarnation since. A dead slot is held in
+	// ingest, whose backlog is its durable local update queue, replayed
+	// into the replacement at takeover; replacement holds the algorithm a
+	// ScheduleTakeover will splice in; closing stops the self-rescheduling
+	// beacon rounds so Flush terminates.
 	live        liveness
 	epoch       []uint32
 	incarnation uint32
 	epochAt     []uint32
-	backlog     backlog
 	replacement []SiteAlgo
 	closing     bool
 
@@ -87,22 +91,7 @@ type AsyncSim struct {
 
 	coordOut *asyncOutbox
 	siteOut  []*asyncOutbox
-
-	// batchSites[i] is sites[i]'s batch fast path, or nil; resolved once
-	// here so StepBatch pays no type assertions. capture buffers a batched
-	// feed's sends for replay at the consuming update's arrival tick.
-	batchSites []BatchSiteAlgo
-	capture    batchCapture
 }
-
-// batchCapture buffers messages a site emits during a batched feed. On the
-// site side of the runtime Send, SendTo, and Broadcast all route to the
-// coordinator, so only the message needs keeping.
-type batchCapture struct{ msgs []Msg }
-
-func (c *batchCapture) Send(m Msg)          { c.msgs = append(c.msgs, m) }
-func (c *batchCapture) SendTo(_ int, m Msg) { c.msgs = append(c.msgs, m) }
-func (c *batchCapture) Broadcast(m Msg)     { c.msgs = append(c.msgs, m) }
 
 // eventKind discriminates scheduler events.
 type eventKind uint8
@@ -162,15 +151,15 @@ func NewAsyncSim(coord CoordAlgo, sites []SiteAlgo, model NetModel, seed uint64)
 	}
 	s := &AsyncSim{
 		coord:       coord,
-		sites:       sites,
 		model:       model,
 		src:         rng.New(seed),
 		linkAt:      make([]int64, 2*len(sites)),
 		down:        make([]bool, len(sites)),
 		epoch:       make([]uint32, len(sites)),
 		epochAt:     make([]uint32, len(sites)),
-		backlog:     make(backlog, len(sites)),
 		replacement: make([]SiteAlgo, len(sites)),
+		ingest: ingest{sites: sites, slots: make([]ingestSlot, len(sites)),
+			backlog: make(backlog, len(sites))},
 	}
 	// Beacon rounds cover up to 64 sites. When a beacon's arrival and the
 	// site's next beacon fall on the same tick (Latency == HeartbeatEvery),
@@ -188,10 +177,8 @@ func NewAsyncSim(coord CoordAlgo, sites []SiteAlgo, model NetModel, seed uint64)
 	// link latency it rides.
 	s.live.arm(2*model.HeartbeatEvery+model.Latency, model.HeartbeatMiss)
 	s.siteOut = make([]*asyncOutbox, len(sites))
-	s.batchSites = make([]BatchSiteAlgo, len(sites))
 	for i := range sites {
 		s.siteOut[i] = &asyncOutbox{s: s, from: int32(i)}
-		s.batchSites[i], _ = sites[i].(BatchSiteAlgo)
 	}
 	if model.HeartbeatEvery > 0 {
 		for base := 0; base < len(sites); base += width {
@@ -204,118 +191,81 @@ func NewAsyncSim(coord CoordAlgo, sites []SiteAlgo, model NetModel, seed uint64)
 }
 
 // Step advances the virtual clock to update u's arrival tick, delivering
-// everything the network owes before then, hands u to its site, and
-// processes all events due at the arrival tick (under the zero model, the
-// whole triggered cascade — Sim.Step's drain).
-func (s *AsyncSim) Step(u stream.Update) { s.stepOne(u, u.T*s.model.Gap()) }
+// everything the network owes before then, hands u to its site (or, while
+// the slot is crashed, to its backlog), and processes all events due at
+// the arrival tick (under the zero model, the whole triggered cascade —
+// Sim.Step's drain).
+func (s *AsyncSim) Step(u stream.Update) {
+	arrival := u.T * s.model.Gap()
+	s.runUntil(arrival)
+	s.now, s.t = max(s.now, arrival), u.T
+	s.step(u, s.siteOut[u.Site])
+	s.runUntil(s.now + 1)
+}
 
 // Run drives an entire stream through the simulator and returns the number
 // of updates processed. It does not Flush: messages still in flight after
 // the last arrival stay pending until Flush is called.
 func (s *AsyncSim) Run(st stream.Stream) int64 { return runStream(s, st) }
 
-// stepOne is Step with activity reporting: it returns whether any event
-// was processed during the call (when false, no OnMessage ran, so
-// coordinator-derived state such as Estimate is unchanged).
-func (s *AsyncSim) stepOne(u stream.Update, arrival int64) bool {
-	active := s.runUntil(arrival)
-	if arrival > s.now {
-		s.now = arrival
-	}
-	s.t = u.T
-	s.ingest(u)
-	return s.runUntil(s.now+1) || active
-}
-
-// ingest hands one arrived update to its site — or, when the slot is
-// crashed, appends it to the slot's durable local queue for replay at
-// takeover (the site process is dead; its data source is not).
-func (s *AsyncSim) ingest(u stream.Update) {
-	if s.live.slots[u.Site].ended {
-		s.backlog.hold(u)
-		return
-	}
-	s.sites[u.Site].OnUpdate(u, s.siteOut[u.Site])
-}
-
 // StepBatch feeds a prefix of us (a stream slice with nondecreasing T) to
 // the sites and returns how many updates it consumed, plus whether any
 // event was processed during the call. Like Sim.StepBatch it is a sequence
-// of Steps, never a reordering: transcripts, Stats, and estimates are
-// byte-identical to a per-update Step loop, fault models included. It
-// runs on across same-site runs and returns right after the first update
-// in whose step any event ran, so when it reports no event the
-// coordinator's Estimate is unchanged, and when it does, only the last
-// consumed update's step can have moved it.
+// of Steps, never a reordering, fault models included, and it returns
+// right after the first update in whose step any event ran.
+//
+// Events due before the head update run first; if any did, the head is fed
+// alone. Otherwise a feed takes the updates arriving before the next
+// pending event's tick and the first one arriving on it (events at a tick
+// fire after it), and its sends leave at its last update's tick. Quiet
+// budgets go stale after any event: a rejoin's OnRejoin and a takeover's
+// backlog replay change sites without a delivery.
 func (s *AsyncSim) StepBatch(us []stream.Update) (int, bool) {
 	gap := s.model.Gap()
 	i := 0
 	for i < len(us) {
-		n, active := s.stepRun(us[i:], gap)
+		active := s.runUntil(us[i].T * gap)
+		run := us[i : i+1]
+		if !active {
+			run = us[i : i+untilTick(us[i:], gap, s.queue.topAt())]
+		}
+		n := s.feed(run, int64(s.queue.popped()))
+		if n < 0 {
+			panic("dist: OnUpdateBatch consumed no updates")
+		}
 		i += n
-		if active {
+		last := run[n-1]
+		s.now, s.t = max(s.now, last.T*gap), last.T
+		for _, m := range s.out.msgs {
+			s.send(int32(last.Site), CoordID, m)
+		}
+		s.out.msgs = s.out.msgs[:0]
+		if s.runUntil(s.now+1) || active {
 			return i, true
 		}
 	}
 	return i, false
 }
 
-// stepRun feeds the head of us, or a batched same-site run from it, and
-// reports how many updates it consumed and whether any event ran. gap is
-// the model's update spacing.
-//
-// Batching only engages over a same-site run whose arrivals stay ahead of
-// every pending event — an update arriving exactly on the next event's
-// tick may close the run (events at a tick fire after the update arriving
-// on it), and any event due before the head update falls back to a single
-// per-update step so node state changes land between the same two updates
-// they would have. Sends emitted inside a batched feed are captured and
-// replayed with the clock at the consuming update's arrival: the
-// BatchSiteAlgo stopping rule puts every captured send on the last
-// consumed update, so latency, jitter draws, and link-FIFO floors are
-// scheduled exactly as the per-update path would have scheduled them.
-func (s *AsyncSim) stepRun(us []stream.Update, gap int64) (int, bool) {
-	u := us[0]
-	arrival := u.T * gap
-	b := s.batchSites[u.Site]
-	top := s.queue.topAt() // math.MaxInt64 when nothing is pending
-	if b == nil || s.live.slots[u.Site].ended || top < arrival {
-		return 1, s.stepOne(u, arrival)
+// untilTick returns how many leading updates of us to feed before the
+// event at tick top, galloping from the head so that a feed a send ends
+// early costs no scan of the rest.
+func untilTick(us []stream.Update, gap, top int64) int {
+	lo, hi := 0, 1 // us[:lo] arrive before top
+	for hi < len(us) && us[hi].T*gap < top {
+		lo, hi = hi+1, 2*hi+1
 	}
-	jmax := maxSiteRun
-	if jmax > len(us) {
-		jmax = len(us)
-	}
-	j := 1
-	for j < jmax && us[j].Site == u.Site {
-		a := us[j].T * gap
-		if a > top {
-			break
-		}
-		j++
-		if a == top {
-			break
+	for hi = min(hi, len(us)); lo < hi; {
+		if mid := int(uint(lo+hi) >> 1); us[mid].T*gap < top {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
-	if j == 1 {
-		return 1, s.stepOne(u, arrival)
+	if lo < len(us) && us[lo].T*gap == top {
+		lo++
 	}
-	s.capture.msgs = s.capture.msgs[:0]
-	n := b.OnUpdateBatch(us[:j], &s.capture)
-	if n <= 0 {
-		panic("dist: OnUpdateBatch consumed no updates")
-	}
-	last := us[n-1]
-	if a := last.T * gap; a > s.now {
-		s.now = a
-	}
-	s.t = last.T
-	from := int32(u.Site)
-	for _, m := range s.capture.msgs {
-		s.send(from, CoordID, m)
-	}
-	s.capture.msgs = s.capture.msgs[:0]
-	return n, s.runUntil(s.now + 1)
+	return lo
 }
 
 // RunBatch drives an entire stream through the batched ingest path,

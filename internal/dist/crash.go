@@ -87,15 +87,6 @@ func (s *AsyncSim) ScheduleTakeover(site int, at int64, algo SiteAlgo) {
 	s.schedule(evTakeover, int32(site), at)
 }
 
-// ReplaceSite swaps site's algorithm in place, with no protocol traffic, no
-// epoch change, and no crash required. It exists for the snapshot property
-// tests: the caller guarantees the replacement's state is identical to the
-// old algorithm's (track.RestoreSite), so the swap is unobservable.
-func (s *AsyncSim) ReplaceSite(site int, algo SiteAlgo) {
-	s.sites[site] = algo
-	s.batchSites[site], _ = algo.(BatchSiteAlgo)
-}
-
 // WithSite runs fn on site's current algorithm; between events every
 // point is consistent, so unlike NetCluster.WithSite it never fails.
 func (s *AsyncSim) WithSite(site int, fn func(SiteAlgo)) error {
@@ -148,6 +139,7 @@ func (s *AsyncSim) processCrash(e *event) {
 		return
 	}
 	s.live.ended(site)
+	s.slots[site].held, s.mode = true, ingestUnprobed // see heldSite
 	s.bumpEpoch(site)
 	s.live.emit(EvSiteCrash, e.to, int64(s.epoch[site]), 0)
 }
@@ -161,6 +153,7 @@ func (s *AsyncSim) processTakeover(e *event) {
 	}
 	s.bumpEpoch(site)
 	s.ReplaceSite(site, algo)
+	s.slots[site].held = false
 	// Control-plane registration first (on TCP the re-dial handshake
 	// precedes all frames), then the replacement's own announcement, then
 	// the replay of the durable local queue.

@@ -12,7 +12,10 @@ func (s *AsyncSim) QueueSlots() int { return len(s.queue.slab) }
 // protocol by hand.
 const KindHello = kindHello
 
-// QuietMode reports whether StepBatch runs the quiet loop, for tests that
-// must know the absorbed path is the one under test. It reads false until
-// the first StepBatch call.
-func (s *Sim) QuietMode() bool { return s.mode == simQuiet }
+// QuietMode reports whether the site-ingest core runs the quiet loop, for
+// tests that must know the absorbed path is the one under test. It reads
+// false until the first StepBatch call.
+func (c *ingest) QuietMode() bool { return c.mode == ingestQuiet }
+
+// EventsPopped returns how many scheduler events have been processed so far.
+func (s *AsyncSim) EventsPopped() uint64 { return s.queue.popped() }

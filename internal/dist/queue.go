@@ -74,6 +74,10 @@ func (q *eventQueue) init(size int) {
 // len returns the number of pending events.
 func (q *eventQueue) len() int { return q.n }
 
+// popped returns how many events have been popped so far: every push
+// stamps a sequence number, and every pushed event not pending was popped.
+func (q *eventQueue) popped() uint64 { return q.seq - uint64(q.n) }
+
 // topAt returns the earliest pending tick, or math.MaxInt64 when the queue
 // is empty.
 //

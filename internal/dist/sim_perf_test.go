@@ -76,12 +76,16 @@ func TestSimStepZeroAllocRandomized(t *testing.T) {
 	}
 }
 
-// quietCounter wraps a quiet site to count the budget reads and absorbed
-// updates StepBatch asks of it. It is not batch-capable, which changes
-// nothing on a deployment whose sites are all quiet.
+// quietCounter wraps a deterministic site to count the budget reads and
+// absorbed updates StepBatch asks of it. It forwards the run path too, so
+// feeds too short for the quiet pass still reach OnUpdateBatch.
 type quietCounter struct {
 	dist.QuietSiteAlgo
 	reads, absorbed *int64
+}
+
+func (w quietCounter) OnUpdateBatch(us []stream.Update, out dist.Outbox) int {
+	return w.QuietSiteAlgo.(dist.BatchSiteAlgo).OnUpdateBatch(us, out)
 }
 
 func (w quietCounter) Quiet() int64 { *w.reads++; return w.QuietSiteAlgo.Quiet() }
