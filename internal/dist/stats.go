@@ -127,6 +127,10 @@ func (s Stats) AvgStaleness() float64 {
 // drops, retransmissions, and staleness, so the per-class counters sum
 // exactly to the aggregate (StalenessMax sums as a maximum).
 //
+// Class may return −1 for a message it cannot place; the runtime accounts
+// it in class 0. The table grows to the largest index Class returns, so a
+// classifier fed outside input must bound its indices.
+//
 // Class must be a pure function of the message and must not retain m.
 type Classifier interface {
 	Class(m *Msg) int

@@ -8,11 +8,15 @@ import (
 	"repro/internal/stream"
 )
 
-// Experiment E30: the engine's batch fast path. Wall-clock numbers live in
-// BENCH_pr6.json and EXPERIMENTS.md (they depend on the machine); this
-// table sticks to deterministic proxies so it renders byte-identically on
-// every run and worker count: site entry calls measure how far the batched
-// drive amortizes dispatch, and the identity column pins the contract that
+// Experiment E30: the engine's batch entry point. query.Site.OnUpdateBatch
+// is the engine's per-update fan-out in a loop that stops right after the
+// first update that sends, so batching saves the runtime's per-update
+// dispatch into the site, not work inside the children (the quiet children
+// absorb on either drive). Wall-clock numbers live in BENCH_pr6.json and
+// EXPERIMENTS.md (they depend on the machine); this table sticks to
+// deterministic proxies so it renders byte-identically on every run and
+// worker count: site entry calls measure how far the batched drive
+// amortizes dispatch, and the identity column pins the contract that
 // batching changes cost only, never behavior.
 
 // countingSite wraps an engine site and counts entry calls — one per

@@ -14,7 +14,8 @@
 // *track.BlockSite, whose protocol, fault and snapshot hooks the engine
 // calls directly. query.Coord and query.Site implement dist.CoordAlgo and
 // dist.SiteAlgo by demultiplexing onto those children: every update fans
-// out to each attached child whose filter accepts it, and every message a
+// out to each attached child whose filter accepts it (a quiet det-family
+// child only counts an update its send budget covers), and every message a
 // child emits is tagged with its query id before it enters the runtime.
 //
 // # The mux tag

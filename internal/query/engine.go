@@ -1,7 +1,6 @@
 package query
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -280,11 +279,15 @@ func (c *Coord) OnSiteRejoin(site int, out dist.Outbox) {
 
 // Class implements dist.Classifier: the query id a message is tagged with,
 // making the runtime's per-class Stats the engine's per-query cost split.
+// A message tagged for a query the registry does not hold (a corrupt or
+// hostile frame) is class −1, so no frame can grow the per-class table
+// past the registry.
 func (c *Coord) Class(m *dist.Msg) int {
-	if m.Site < 0 {
-		return int(-m.Site) - 1
+	qid, _ := Demux(*m, c.eng.k)
+	if qid >= len(c.eng.snapshot()) {
+		return -1
 	}
-	return int(m.Site) / c.eng.k
+	return qid
 }
 
 // UnderlyingBlockCoord implements track.BlockCoordSource: query 0's block
@@ -420,26 +423,54 @@ func (c *Coord) Status() []Status {
 }
 
 // siteChild is one attached query at one site.
+//
+// A quiet child is one whose BlockSite has a quiet path (det, threshold
+// and their filtered forms). An update that fits its budget is only
+// counted into the pending run (n, sum), which the child absorbs before
+// any call into it. budget is the cost the child can still take without a
+// call, −1 when stale; a child without a quiet path keeps it at −1, so it
+// is called for every update its filter accepts.
 type siteChild struct {
 	block  *track.BlockSite
 	filter func(uint64) bool
 	out    tagOutbox
 
-	// ahead and pending carry a child's progress across the consumed-
-	// prefix cap of Site.OnUpdateBatch. ahead counts run updates the
-	// child has ingested beyond the site's consumed position; pending
-	// holds the tagged messages of the send that stopped its feed, to be
-	// released when the consumed position reaches the send's update.
-	ahead   int
-	pending []dist.Msg
+	quiet  bool
+	budget int64
+	n, sum int64
+}
+
+// sync applies ch's pending run and marks its budget stale. Every call
+// into the child other than the fan-out's OnUpdate goes after it.
+//
+//varlint:zeroalloc
+func (ch *siteChild) sync() {
+	if ch.n > 0 {
+		ch.block.Absorb(ch.n, ch.sum)
+		ch.n, ch.sum = 0, 0
+	}
+	ch.budget = -1
+}
+
+// dst returns the outbox ch sends through. Query 0 sends untagged (Tag is
+// the identity at qid 0), so its child writes straight to the runtime's.
+//
+//varlint:zeroalloc
+func (ch *siteChild) dst(out dist.Outbox) dist.Outbox {
+	if ch.out.qid == 0 {
+		return out
+	}
+	ch.out.reset(out)
+	return &ch.out
 }
 
 // Site is the site half of the engine at one site. It implements
 // dist.SiteAlgo (fanning updates out to the attached children and
-// demultiplexing coordinator messages) and dist.SiteRejoiner. Alongside the
-// children it maintains the spine — update count, ± delta mass, and net
-// per-item counts — which is what lets a query attaching mid-stream
-// bootstrap the history it never saw.
+// demultiplexing coordinator messages), dist.BatchSiteAlgo (the same
+// fan-out over a run, up to the first update that sends), dist.SiteRejoiner
+// and dist.SiteTakeover. Alongside the children it maintains the spine —
+// update count, ± delta mass, and net per-item counts — which is what lets
+// a query attaching mid-stream bootstrap the history it never saw.
 type Site struct {
 	eng *Engine //varlint:volatile wiring to the shared registry; the restoring process re-registers the same specs
 	id  int     //varlint:volatile construction-time identity; RebuildSite builds the restore target with the same id
@@ -447,13 +478,6 @@ type Site struct {
 	// children is indexed by query id; nil entries are unattached or
 	// detached queries.
 	children []*siteChild
-
-	// solo is the Q = 1 fast-path precondition folded into one pointer:
-	// non-nil exactly when the sole attached child is query 0, unfiltered,
-	// and caught up (ahead == 0, nothing pending) — so OnUpdate can make one
-	// call with no per-child checks.
-	// recomputeSolo maintains it at every point those conditions can change.
-	solo *track.BlockSite //varlint:volatile derived from children; RestoreSnapshot recomputes it
 
 	// The spine: everything a future attach might need to reconstruct.
 	updates     int64
@@ -467,12 +491,10 @@ type Site struct {
 	cacheItem uint64 //varlint:volatile pending-delta cache; AppendSnapshot flushes it, RestoreSnapshot empties it
 	cacheN    int64  //varlint:volatile pending-delta cache; AppendSnapshot flushes it, RestoreSnapshot empties it
 
-	// Scratch reused across OnUpdateBatch calls — filtered-view buffers
-	// and the send-capture sink — keeping the batched fan-out alloc-free
-	// at steady state.
-	fbuf    []stream.Update //varlint:volatile reusable scratch buffer
-	fpos    []int           //varlint:volatile reusable scratch buffer
-	capture captureOutbox   //varlint:volatile reusable scratch sink; AppendSnapshot requires quiescence first
+	// sent passes an OnUpdateBatch fan-out's sends on to the runtime's
+	// outbox and counts them, so the batch stops after the first update
+	// that sent without allocating.
+	sent countOutbox //varlint:volatile per-call transient; OnUpdateBatch re-arms it
 
 	// rebuilt marks a replacement site (Coord.RebuildSite): the registry's
 	// prebuilt site halves belong to the dead predecessor, so attach must
@@ -480,17 +502,15 @@ type Site struct {
 	rebuilt bool //varlint:volatile per-incarnation flag; RestoreSnapshot itself sets it
 }
 
-// captureOutbox buffers a child's (already tagged) messages during a
-// batched feed. On the site side of every runtime Send, SendTo and
-// Broadcast all route to the coordinator, so capturing just the message
-// loses nothing.
-type captureOutbox struct {
-	buf *[]dist.Msg
+// countOutbox forwards to a runtime outbox and counts the sends.
+type countOutbox struct {
+	inner dist.Outbox
+	n     int
 }
 
-func (o *captureOutbox) Send(m dist.Msg)          { *o.buf = append(*o.buf, m) }
-func (o *captureOutbox) SendTo(_ int, m dist.Msg) { *o.buf = append(*o.buf, m) }
-func (o *captureOutbox) Broadcast(m dist.Msg)     { *o.buf = append(*o.buf, m) }
+func (o *countOutbox) Send(m dist.Msg)             { o.n++; o.inner.Send(m) }
+func (o *countOutbox) SendTo(site int, m dist.Msg) { o.n++; o.inner.SendTo(site, m) }
+func (o *countOutbox) Broadcast(m dist.Msg)        { o.n++; o.inner.Broadcast(m) }
 
 // preattach installs a child for an initial query, silently: no history
 // exists yet, so no bootstrap traffic — which keeps the Q = 1 engine
@@ -499,32 +519,30 @@ func (s *Site) preattach(qid int, q *queryState) {
 	s.installChild(qid, q, q.sites[s.id])
 }
 
-// installChild wires block in as the child for qid, a registered query id.
-// Ordinary attaches pass the registry's prebuilt site half; a site rebuilt
-// after a crash passes a fresh one instead (the registry's object is the
-// dead predecessor's and still holds its state — see snapshot.go).
+// installChild wires block in as the child for qid, a registered query id,
+// with a stale budget. Ordinary attaches pass the registry's prebuilt site
+// half; a site rebuilt after a crash passes a fresh one instead (the
+// registry's object is the dead predecessor's and still holds its state —
+// see snapshot.go).
 func (s *Site) installChild(qid int, q *queryState, block *track.BlockSite) *siteChild {
 	for len(s.children) <= qid {
 		s.children = append(s.children, nil)
 	}
-	ch := &siteChild{block: block, out: tagOutbox{qid: qid, k: s.eng.k}}
+	ch := &siteChild{block: block, out: tagOutbox{qid: qid, k: s.eng.k}, quiet: block.Quiet() >= 0, budget: -1}
 	if q.spec.Filter != nil {
 		ch.filter = q.spec.Filter.Match
 	}
 	s.children[qid] = ch
-	s.recomputeSolo()
 	return ch
 }
 
-// recomputeSolo re-derives the Q = 1 fast-path pointer; see Site.solo.
-func (s *Site) recomputeSolo() {
-	s.solo = nil
-	if len(s.children) != 1 {
-		return
-	}
-	ch := s.children[0]
-	if ch != nil && ch.ahead == 0 && len(ch.pending) == 0 && ch.filter == nil {
-		s.solo = ch.block
+// syncAll syncs every child: the calls that reach every child, or the
+// state of all of them, go after it.
+func (s *Site) syncAll() {
+	for _, ch := range s.children {
+		if ch != nil {
+			ch.sync()
+		}
 	}
 }
 
@@ -565,237 +583,86 @@ func (s *Site) flushItemCache() {
 	s.cacheN = 0
 }
 
-// flushPending releases a child's buffered send into the network.
-func (s *Site) flushPending(ch *siteChild, out dist.Outbox) {
-	for _, m := range ch.pending {
-		out.Send(m)
-	}
-	ch.pending = ch.pending[:0]
-}
-
 // OnUpdate implements dist.SiteAlgo: maintain the spine, then fan the
-// update out to every attached child whose filter accepts it. A child
-// that ran ahead of the consumed position inside an earlier OnUpdateBatch
-// has already ingested this update; its position debt is paid down
-// instead, and a buffered send is released on exactly the update it
-// happened on.
+// update out to every attached child whose filter accepts it. An update
+// that fits a quiet child's budget joins its pending run. Any other
+// reaches the child after that run, and a quiet child's budget is re-read
+// after the call, whether or not it sent: until the next call only a
+// delivery can change the child, and a delivery makes the budget stale.
 //
 //varlint:zeroalloc
 func (s *Site) OnUpdate(u stream.Update, out dist.Outbox) {
 	s.updates++
 	s.spineMass(u.Delta)
 	s.spineItem(u.Item, u.Delta)
-	// Q = 1 fast path (see Site.solo): one concrete call, no tag wrapper,
-	// no per-child checks.
-	if b := s.solo; b != nil {
-		b.OnUpdate(u, out)
-		return
-	}
+	// max(1, |Δ|), as in dist's quiet pass: a zero delta still counts
+	// towards the count reports.
+	cost := max(u.Delta, -u.Delta, 1)
 	for _, ch := range s.children {
-		if ch == nil {
+		if ch == nil || (ch.filter != nil && !ch.filter(u.Item)) {
 			continue
 		}
-		if ch.ahead > 0 {
-			ch.ahead--
-			if ch.ahead == 0 {
-				if len(ch.pending) > 0 {
-					s.flushPending(ch, out)
-				}
-				s.recomputeSolo()
-			}
+		if ch.budget >= cost {
+			ch.budget -= cost
+			ch.n++
+			ch.sum += u.Delta
 			continue
 		}
-		if ch.filter != nil && !ch.filter(u.Item) {
-			continue
+		ch.sync()
+		ch.block.OnUpdate(u, ch.dst(out))
+		if ch.quiet {
+			ch.budget = ch.block.Quiet()
 		}
-		// Query 0 sends untagged (Tag is the identity at qid 0), so its
-		// child writes straight to the runtime outbox.
-		dst := out
-		if ch.out.qid != 0 {
-			ch.out.reset(out)
-			dst = &ch.out
-		}
-		ch.block.OnUpdate(u, dst)
 	}
 }
 
-// OnUpdateBatch implements dist.BatchSiteAlgo: scan the same-site run
-// once, coalesce the spine maintenance, evaluate each child's filter per
-// run, and fan the run out through each child's batch fast path.
-//
-// The consumed prefix is capped at the earliest child send: a child that
-// sends stops there (the BatchSiteAlgo contract), but children fed before
-// the cap dropped may have run ahead. Their progress is carried in
-// ch.ahead and the stopping send's messages stay buffered in ch.pending
-// until the consumed position catches up, so every message still enters
-// the network on exactly the update it would have under per-update
-// dispatch — which is what keeps transcripts, per-step estimates, and
-// per-query Stats byte-identical across the two drive modes.
+// OnUpdateBatch implements dist.BatchSiteAlgo: OnUpdate over us, stopping
+// right after the first update on which some child sent. The engine has
+// no batch path of its own: its same-site runs are short, and per-run
+// child machinery cost more than the per-update fan-out it replaced
+// (DESIGN.md "Batched multi-query ingestion").
 //
 //varlint:zeroalloc
 func (s *Site) OnUpdateBatch(us []stream.Update, out dist.Outbox) int {
-	// Q = 1 fast path (see Site.solo): the sole child's consumed prefix is
-	// the site's, and its send — which by the BatchSiteAlgo contract lands
-	// on the last consumed update — needs no capture: it enters the network
-	// exactly where per-update dispatch would put it.
-	if b := s.solo; b != nil {
-		n := b.OnUpdateBatch(us, out)
-		if n <= 0 {
-			panic(errNoProgress)
-		}
-		s.updates += int64(n)
-		for i := 0; i < n; i++ {
-			s.spineMass(us[i].Delta)
-			s.spineItem(us[i].Item, us[i].Delta)
-		}
-		return n
-	}
-	// The prefix can reach at most the earliest buffered send.
-	lim := len(us)
-	for _, ch := range s.children {
-		if ch != nil && len(ch.pending) > 0 && ch.ahead < lim {
-			lim = ch.ahead
+	s.sent = countOutbox{inner: out}
+	for i, u := range us {
+		s.OnUpdate(u, &s.sent)
+		if s.sent.n > 0 {
+			return i + 1
 		}
 	}
-	// Feed each remaining child the part of the prefix it has not yet
-	// ingested, in child order; a send lowers the cap for the children
-	// after it (their feeds stop earlier, never rewind).
-	for _, ch := range s.children {
-		if ch == nil || len(ch.pending) > 0 || ch.ahead >= lim {
-			continue
-		}
-		pos := s.feed(ch, us, ch.ahead, lim)
-		ch.ahead = pos
-		if len(ch.pending) > 0 && pos < lim {
-			lim = pos
-		}
-	}
-	consumed := lim
-	// Spine: one pass over the consumed prefix; the write-back cache
-	// coalesces the per-item map writes across same-item stretches.
-	s.updates += int64(consumed)
-	for i := 0; i < consumed; i++ {
-		s.spineMass(us[i].Delta)
-		s.spineItem(us[i].Item, us[i].Delta)
-	}
-	// Release sends that land exactly at the consumed boundary — child
-	// order is per-update dispatch order — then rebase the run positions.
-	for _, ch := range s.children {
-		if ch == nil {
-			continue
-		}
-		if ch.ahead == consumed && len(ch.pending) > 0 {
-			s.flushPending(ch, out)
-		}
-		if ch.ahead > consumed {
-			ch.ahead -= consumed
-		} else {
-			ch.ahead = 0
-		}
-	}
-	s.recomputeSolo()
-	return consumed
-}
-
-// feed drives ch over us[start:lim), capturing any send into ch.pending.
-// It returns the child's new absolute position: the send's update index
-// plus one when a send was captured, lim otherwise.
-//
-//varlint:zeroalloc
-func (s *Site) feed(ch *siteChild, us []stream.Update, start, lim int) int {
-	s.capture.buf = &ch.pending
-	// Query 0's sends are untagged, so its child captures directly.
-	dst := dist.Outbox(&s.capture)
-	if ch.out.qid != 0 {
-		ch.out.reset(&s.capture)
-		dst = &ch.out
-	}
-	if ch.filter == nil {
-		i := start
-		for i < lim {
-			i += s.feedOnce(ch, us[i:lim], dst)
-			if len(ch.pending) > 0 {
-				return i
-			}
-		}
-		return lim
-	}
-	// Filtered child: build the filtered view once per run, feed it
-	// through the batch path, and map the stop position back to the run
-	// (a send on filtered update j caps the prefix at the run index that
-	// update came from).
-	s.fbuf, s.fpos = s.fbuf[:0], s.fpos[:0]
-	for j := start; j < lim; j++ {
-		if ch.filter(us[j].Item) {
-			s.fbuf = append(s.fbuf, us[j])
-			s.fpos = append(s.fpos, j)
-		}
-	}
-	i := 0
-	for i < len(s.fbuf) {
-		i += s.feedOnce(ch, s.fbuf[i:], dst)
-		if len(ch.pending) > 0 {
-			return s.fpos[i-1] + 1
-		}
-	}
-	return lim
-}
-
-// errNoProgress is the panic of a child that consumed none of a nonempty
-// run, which would loop the batch fan-out forever. A package-level value
-// keeps the conversion to the panic's interface off the zero-alloc paths.
-var errNoProgress = errors.New("query: child OnUpdateBatch consumed no updates")
-
-// feedOnce advances ch over a nonempty slice through its batch path and
-// returns how many updates it consumed (≥ 1).
-//
-//varlint:zeroalloc
-func (s *Site) feedOnce(ch *siteChild, us []stream.Update, dst dist.Outbox) int {
-	n := ch.block.OnUpdateBatch(us, dst)
-	if n <= 0 {
-		panic(errNoProgress)
-	}
-	return n
+	return len(us)
 }
 
 // OnMessage implements dist.SiteAlgo: demultiplex; handle the attach and
 // detach control announcements; dispatch everything else to the owning
-// child. Messages for queries this site does not run (an attach lost on a
-// faulty runtime and not yet resent) are discarded.
+// child, which alone syncs. Messages for queries this site does not run
+// (an attach lost on a faulty runtime and not yet resent) are discarded.
 func (s *Site) OnMessage(m dist.Msg, out dist.Outbox) {
+	qid, inner := Demux(m, s.eng.k)
 	if m.Kind == dist.KindAttach || m.Kind == dist.KindDetach {
-		qid, inner := Demux(m, s.eng.k)
-		if inner.Kind == dist.KindAttach {
+		s.syncAll()
+		if m.Kind == dist.KindAttach {
 			s.attach(qid, out)
 		} else if qid >= 0 && qid < len(s.children) {
 			s.children[qid] = nil
-			s.recomputeSolo()
 		}
 		return
 	}
-	// Query 0's tagging is the identity (the Q = 1 hot path): dispatch the
-	// message as-is, replies untagged.
-	if m.Site == dist.CoordID || (m.Site >= 0 && int(m.Site) < s.eng.k) {
-		if len(s.children) > 0 && s.children[0] != nil {
-			s.children[0].block.OnMessage(m, out)
-		}
-		return
-	}
-	qid, inner := Demux(m, s.eng.k)
 	if qid < 0 || qid >= len(s.children) || s.children[qid] == nil {
 		return
 	}
 	ch := s.children[qid]
-	ch.out.reset(out)
-	ch.block.OnMessage(inner, &ch.out)
+	ch.sync()
+	ch.block.OnMessage(inner, ch.dst(out))
 }
 
 // OnRejoin implements dist.SiteRejoiner by fanning out to the children.
 func (s *Site) OnRejoin(out dist.Outbox) {
+	s.syncAll()
 	for _, ch := range s.children {
 		if ch != nil {
-			ch.out.reset(out)
-			ch.block.OnRejoin(&ch.out)
+			ch.block.OnRejoin(ch.dst(out))
 		}
 	}
 }
@@ -823,8 +690,7 @@ func (s *Site) attach(qid int, out dist.Outbox) {
 		return
 	}
 	ch := s.children[qid]
-	ch.out.reset(out)
-	ch.block.BootstrapAttach(s.history(q.spec.Filter), &ch.out)
+	ch.block.BootstrapAttach(s.history(q.spec.Filter), ch.dst(out))
 }
 
 // history snapshots the spine as a track.AttachState. An unfiltered query

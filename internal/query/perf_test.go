@@ -9,32 +9,31 @@ import (
 )
 
 // TestEngineStepBatchZeroAlloc asserts the zero-alloc contract of the
-// engine's batched hot path: after warmup (table growth, scratch buffers,
-// early block boundaries), driving same-site runs through Sim.StepBatch —
-// engine demux, spine coalescing, child fan-out, capture/flush machinery,
-// and the frequency sites' per-cell counter tables included — allocates
-// nothing. Wired into the CI alloc-regression step next to the
-// Sim/sketch/stream suites.
+// engine's batched hot path over the engine-mixed query set: after warmup
+// (table growth, early block boundaries), driving same-site runs through
+// Sim.StepBatch — engine demux, spine, child fan-out, quiet children's
+// pending runs, and the frequency sites' per-cell counter tables included —
+// allocates nothing. Some child must hold a pending run inside the measured
+// window, so the absorbing path is what is measured. Wired into the CI
+// alloc-regression step next to the Sim/sketch/stream suites.
 func TestEngineStepBatchZeroAlloc(t *testing.T) {
 	const k = 4
 	const warm, runs = 30_000, 4_000 // runs counts StepBatch calls, each a 64-update buffer
 	const bs = 64
-	filter, err := query.ParseFilter("even")
+	specs, err := query.ParseSpecs(mixedSpecs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, esites, err := query.New(k, []query.Spec{
-		{Algo: "det", Eps: 0.1},
-		{Algo: "rand", Eps: 0.05, Seed: 5},
-		{Algo: "det", Eps: 0.1, Filter: filter},
-		{Algo: "freq", Eps: 0.2},
-		{Algo: "freq", Eps: 0.1, Filter: filter},
-	})
+	eng, esites, err := query.New(k, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sim := dist.NewSim(eng, esites)
 	sim.SetClassifier(eng)
+	sites := make([]*query.Site, k)
+	for i, s := range esites {
+		sites[i] = s.(*query.Site)
+	}
 
 	// Skewed assignment produces long same-site runs, so the measured loop
 	// exercises OnUpdateBatch rather than the per-update bypass.
@@ -50,14 +49,21 @@ func TestEngineStepBatchZeroAlloc(t *testing.T) {
 		}
 		i += n
 	}
+	pending := false
 	if a := testing.AllocsPerRun(runs-1, func() {
 		n := stream.NextBatch(st, buf)
 		for j := 0; j < n; {
 			c, _ := sim.StepBatch(buf[j:n])
 			j += c
 		}
+		for _, s := range sites {
+			pending = pending || s.PendingRuns() > 0
+		}
 	}); a != 0 {
 		t.Fatalf("engine StepBatch allocated %v objects per %d-update buffer at steady state, want 0", a, bs)
+	}
+	if !pending {
+		t.Fatal("no child held a pending run in the measured window")
 	}
 }
 

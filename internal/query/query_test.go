@@ -66,6 +66,8 @@ func standalone(k int, spec query.Spec) (dist.CoordAlgo, []dist.SiteAlgo) {
 	case "freq":
 		tr, sites := freq.New(k, spec.Eps, freq.ExactMapper{})
 		return tr, sites
+	case "threshold":
+		return track.NewThresholdMonitor(k, spec.Eps, spec.Tau)
 	}
 	panic("unknown spec algo " + spec.Algo)
 }
@@ -116,18 +118,23 @@ func TestEngineQ1ByteIdentical(t *testing.T) {
 	}
 }
 
-// TestEngineMuxProjection checks isolation at Q = 3: the engine's
+// TestEngineMuxProjection checks isolation at Q = 6: the engine's
 // transcript, demultiplexed per query, must equal each query's standalone
 // transcript entry for entry, and the per-step per-query estimates must
 // match the standalone runs — multiplexing changes interleaving, never any
-// query's behaviour.
+// query's behaviour. The three det-family queries of engine-mixed
+// (threshold, and det under two filters) are quiet children in the engine,
+// so this is also their reference against a tracker that is called on
+// every update. A filtered query's standalone tracker is fed that query's
+// sub-stream, renumbered from 1, and the engine's times are mapped back to
+// sub-stream indices.
 func TestEngineMuxProjection(t *testing.T) {
 	const k, n = 4, 15_000
 	ups := itemStream(n, k, 11)
-	specs := []query.Spec{
-		{Algo: "det", Eps: 0.1},
-		{Algo: "rand", Eps: 0.05, Seed: 21},
-		{Algo: "freq", Eps: 0.2},
+	specs, err := query.ParseSpecs("det,eps=0.1;rand,eps=0.05,seed=21;freq,eps=0.2;" +
+		"threshold,eps=0.1,tau=500;det,eps=0.05,filter=even;det,eps=0.2,filter=le:100")
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	eng, esites, err := query.New(k, specs)
@@ -162,14 +169,36 @@ func TestEngineMuxProjection(t *testing.T) {
 	}
 
 	for qid, spec := range specs {
-		coord, sites := standalone(k, spec)
-		wantTr, wantEst, _, _ := runSim(coord, sites, nil, ups)
-		if !reflect.DeepEqual(engEsts[qid], wantEst) {
-			t.Fatalf("query %d (%s): per-step estimates diverge from standalone", qid, spec.Algo)
+		// sub[i] is how many of ups[:i+1] the query sees.
+		var subUps []stream.Update
+		sub := make([]int64, len(ups))
+		for i, u := range ups {
+			if spec.Filter == nil || spec.Filter.Match(u.Item) {
+				u.T = int64(len(subUps) + 1)
+				subUps = append(subUps, u)
+			}
+			sub[i] = int64(len(subUps))
 		}
-		if !reflect.DeepEqual(perQ[qid], wantTr) {
+		coord, sites := standalone(k, spec)
+		initial := coord.Estimate()
+		wantTr, subEst, _, _ := runSim(coord, sites, nil, subUps)
+		for i, c := range sub {
+			want := initial
+			if c > 0 {
+				want = subEst[c-1]
+			}
+			if engEsts[qid][i] != want {
+				t.Fatalf("query %d (%s): estimate after update %d = %d, standalone %d",
+					qid, spec.Label(qid), i+1, engEsts[qid][i], want)
+			}
+		}
+		got := perQ[qid]
+		for i := range got {
+			got[i].T = sub[got[i].T-1]
+		}
+		if !reflect.DeepEqual(got, wantTr) {
 			t.Fatalf("query %d (%s): projected transcript diverges (%d vs %d entries)",
-				qid, spec.Algo, len(perQ[qid]), len(wantTr))
+				qid, spec.Label(qid), len(got), len(wantTr))
 		}
 	}
 }

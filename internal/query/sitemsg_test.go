@@ -37,6 +37,53 @@ func TestSiteAttachUnknownQueryIgnored(t *testing.T) {
 	}
 }
 
+// hostileSite sends one count report tagged for a query id far past any
+// registry on every update: the frame names its own slot modulo k, so the
+// TCP coordinator's slot check lets it through.
+type hostileSite struct{ site int32 }
+
+func (h hostileSite) OnUpdate(_ stream.Update, out dist.Outbox) {
+	out.Send(dist.Msg{Kind: dist.KindCountReport, Site: h.site, A: 1})
+}
+func (hostileSite) OnMessage(dist.Msg, dist.Outbox) {}
+
+func TestHostileFrameClassBounded(t *testing.T) {
+	// One frame tagged for an unregistered query must not grow the TCP
+	// coordinator's per-class table: the engine classifies it −1, which the
+	// ledger accounts in class 0. Unbounded, a Site near 2^31 ran the
+	// coordinator out of memory.
+	const k = 2
+	specs, err := query.ParseSpecs("det,eps=0.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, _, err := query.New(k, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err := dist.ListenCoordinator("127.0.0.1:0", k, eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	coord.SetClassifier(eng)
+	site, err := dist.DialNetSite(coord.Addr(), 0, hostileSite{site: k * 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer site.Close()
+	site.Update(stream.Update{T: 1, Delta: 1})
+	if err := site.Barrier(); err != nil {
+		t.Fatal(err)
+	}
+	if got := coord.Stats().SiteToCoord; got != 1 {
+		t.Fatalf("coordinator received %d site messages, want 1", got)
+	}
+	if n := len(coord.ClassStats()); n > eng.NumQueries() {
+		t.Fatalf("one hostile frame grew the per-class table to %d entries, %d queries", n, eng.NumQueries())
+	}
+}
+
 // FuzzEngineSiteMessage feeds arbitrary coordinator→site frames, interleaved
 // with per-update and batched ingest, into one site of a four-query engine
 // (one query per tracker family, one of them filtered). Each input byte

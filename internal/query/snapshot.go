@@ -18,19 +18,11 @@ import (
 // queries can keep attaching after a takeover.
 
 // AppendSnapshot implements track.SiteSnapshotter: the spine, then every
-// attached child's own snapshot, length-prefixed and keyed by query id. It
-// errors unless the site is quiescent — a child still ahead of the consumed
-// position or holding a buffered send has state that exists only relative
-// to an in-flight batch, which no blob can carry.
+// attached child's own snapshot, length-prefixed and keyed by query id.
+// Each child absorbs its pending run first, so the blob holds no state that
+// lives only in the fan-out.
 func (s *Site) AppendSnapshot(b []byte) ([]byte, error) {
-	for qid, ch := range s.children {
-		if ch == nil {
-			continue
-		}
-		if ch.ahead != 0 || len(ch.pending) != 0 {
-			return nil, fmt.Errorf("query: snapshot of non-quiescent site (query %d mid-batch)", qid)
-		}
-	}
+	s.syncAll()
 	s.flushItemCache()
 	b = append(b, track.SnapTagQuery)
 	b = track.AppendSnapInt(b, s.updates)
@@ -93,7 +85,6 @@ func (s *Site) RestoreSnapshot(r *track.SnapReader) error {
 		*s.items.Upsert(item) = n
 	}
 	s.children = s.children[:0]
-	s.solo = nil
 	s.rebuilt = true
 	nchildren := r.Uint()
 	for i, prev := uint64(0), 0; i < nchildren && r.Err() == nil; i++ {
@@ -129,7 +120,6 @@ func (s *Site) RestoreSnapshot(r *track.SnapReader) error {
 			return fmt.Errorf("query: child %d: %d trailing bytes", qid, sr.Len())
 		}
 	}
-	s.recomputeSolo()
 	return r.Err()
 }
 
@@ -150,10 +140,10 @@ func (s *Site) SetSnapshotHash(h uint64) {
 // children arrive through the attach re-broadcast and heal through the
 // ordinary block machinery.
 func (s *Site) OnTakeover(out dist.Outbox) {
+	s.syncAll()
 	for _, ch := range s.children {
 		if ch != nil {
-			ch.out.reset(out)
-			ch.block.OnTakeover(&ch.out)
+			ch.block.OnTakeover(ch.dst(out))
 		}
 	}
 }

@@ -27,9 +27,11 @@ type engRun struct {
 
 // driveEngineSnap runs ups through a fresh engine, optionally snapshotting
 // the target site at index cut and splicing a restored rebuild in before
-// continuing. cut < 0 is the reference run.
+// continuing. cut < 0 is the reference run. With pending set, the snapshot
+// waits from cut for the first index at which some child of the target
+// holds a pending run, and the run fails if none ever does.
 func driveEngineSnap(t *testing.T, k int, specs []query.Spec, async bool,
-	ups []stream.Update, cut, target int) engRun {
+	ups []stream.Update, cut, target int, pending bool) engRun {
 	t.Helper()
 	eng, esites, err := query.New(k, specs)
 	if err != nil {
@@ -53,6 +55,9 @@ func driveEngineSnap(t *testing.T, k int, specs []query.Spec, async bool,
 	out := engRun{ests: make([][]int64, len(specs))}
 	*rec = func(e dist.TranscriptEntry) { out.transcript = append(out.transcript, e) }
 	for i, u := range ups {
+		if i == cut && pending && esites[target].(*query.Site).PendingRuns() == 0 {
+			cut++
+		}
 		if i == cut {
 			snap, err := track.SnapshotSite(esites[target])
 			if err != nil {
@@ -72,6 +77,9 @@ func driveEngineSnap(t *testing.T, k int, specs []query.Spec, async bool,
 			}
 			out.ests[qid] = append(out.ests[qid], est)
 		}
+	}
+	if cut >= len(ups) {
+		t.Fatalf("site %d never held a pending run after update %d", target, cut)
 	}
 	flush()
 	out.stats = rt.Stats()
@@ -109,8 +117,8 @@ func TestEngineSnapshotRoundTrip(t *testing.T) {
 	for qname, specs := range qsets {
 		for _, async := range []bool{false, true} {
 			rname := map[bool]string{false: "sim", true: "async"}[async]
-			want := driveEngineSnap(t, k, specs, async, ups, -1, target)
-			got := driveEngineSnap(t, k, specs, async, ups, n/2, target)
+			want := driveEngineSnap(t, k, specs, async, ups, -1, target, false)
+			got := driveEngineSnap(t, k, specs, async, ups, n/2, target, false)
 			if got.stats != want.stats {
 				t.Fatalf("%s/%s: stats %+v, want %+v", qname, rname, got.stats, want.stats)
 			}
@@ -124,6 +132,39 @@ func TestEngineSnapshotRoundTrip(t *testing.T) {
 				t.Fatalf("%s/%s: transcripts diverge (%d vs %d entries)",
 					qname, rname, len(got.transcript), len(want.transcript))
 			}
+		}
+	}
+}
+
+// TestEngineSnapshotPendingRun snapshots an engine site over the
+// engine-mixed query set while one of its quiet children holds a pending
+// run, restores the blob into a rebuilt site and drives on: the snapshot
+// must carry the run (AppendSnapshot absorbs it first), so transcripts,
+// every query's per-step estimates and both Stats views equal the
+// uninterrupted run, on Sim and on AsyncSim under latency.
+func TestEngineSnapshotPendingRun(t *testing.T) {
+	const k, n, target = 4, 16_000, 2
+	specs, err := query.ParseSpecs(mixedSpecs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ups := itemStream(n, k, 37)
+	for _, async := range []bool{false, true} {
+		rname := map[bool]string{false: "sim", true: "async"}[async]
+		want := driveEngineSnap(t, k, specs, async, ups, -1, target, false)
+		got := driveEngineSnap(t, k, specs, async, ups, n/2, target, true)
+		if got.stats != want.stats {
+			t.Fatalf("%s: stats %+v, want %+v", rname, got.stats, want.stats)
+		}
+		if !reflect.DeepEqual(got.classStats, want.classStats) {
+			t.Fatalf("%s: per-query stats diverge", rname)
+		}
+		if !reflect.DeepEqual(got.ests, want.ests) {
+			t.Fatalf("%s: per-query per-step estimates diverge", rname)
+		}
+		if !reflect.DeepEqual(got.transcript, want.transcript) {
+			t.Fatalf("%s: transcripts diverge (%d vs %d entries)",
+				rname, len(got.transcript), len(want.transcript))
 		}
 	}
 }
