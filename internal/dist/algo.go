@@ -103,8 +103,7 @@ type CoordTakeover interface {
 
 // BatchSiteAlgo is an optional fast path for SiteAlgo. The runtime hands a
 // batch-capable site a run of consecutive updates all destined to it, so
-// the site pays one virtual call — and one load of its thresholds and
-// buffers — per run instead of per update.
+// the site pays one virtual call per run instead of per update.
 //
 // OnUpdateBatch must consume a nonempty prefix of us (us is never empty),
 // return the number consumed, and behave exactly as if OnUpdate had been

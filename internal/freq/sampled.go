@@ -124,16 +124,13 @@ func (s *sampledSite) Reset(r int64, out dist.Outbox) {
 	}
 }
 
-// apply processes one update and reports whether it sent any message — the
-// shared body of OnUpdate and OnUpdateBatch.
-func (s *sampledSite) apply(u stream.Update, out dist.Outbox) bool {
-	sent := false
+// OnUpdate implements track.InBlockSite.
+func (s *sampledSite) OnUpdate(u stream.Update, out dist.Outbox) {
 	s.f1Drift += u.Delta
 	s.f1Delta += u.Delta
 	if float64(absI64(s.f1Delta)) >= s.f1Thresh {
 		out.Send(dist.Msg{Kind: dist.KindDriftReport, Site: s.id, A: s.f1Drift})
 		s.f1Delta = 0
-		sent = true
 	}
 	s.cellBuf = s.mapper.CellsInto(s.cellBuf, u.Item)
 	for _, c := range s.cellBuf {
@@ -143,32 +140,14 @@ func (s *sampledSite) apply(u stream.Update, out dist.Outbox) bool {
 			st.dplus++
 			if s.src.Bernoulli(s.p) {
 				out.Send(dist.Msg{Kind: dist.KindFreqReport, Site: s.id, Item: c, A: st.dplus, B: 1})
-				sent = true
 			}
 		} else {
 			st.dminus++
 			if s.src.Bernoulli(s.p) {
 				out.Send(dist.Msg{Kind: dist.KindFreqReport, Site: s.id, Item: c, A: st.dminus, B: -1})
-				sent = true
 			}
 		}
 	}
-	return sent
-}
-
-// OnUpdate implements track.InBlockSite.
-func (s *sampledSite) OnUpdate(u stream.Update, out dist.Outbox) {
-	s.apply(u, out)
-}
-
-// OnUpdateBatch implements track.InBlockBatchSite.
-func (s *sampledSite) OnUpdateBatch(us []stream.Update, out dist.Outbox) int {
-	for i, u := range us {
-		if s.apply(u, out) {
-			return i + 1
-		}
-	}
-	return len(us)
 }
 
 // LiveCells returns the number of counters at the site.

@@ -90,17 +90,14 @@ func (s *freqSite) sendHeavy(out dist.Outbox) {
 	}
 }
 
-// apply processes one update and reports whether it sent any message — the
-// shared body of OnUpdate and OnUpdateBatch.
-func (s *freqSite) apply(u stream.Update, out dist.Outbox) bool {
-	sent := false
+// OnUpdate implements track.InBlockSite.
+func (s *freqSite) OnUpdate(u stream.Update, out dist.Outbox) {
 	// F1 drift (deterministic §3.3 condition on the scalar F1).
 	s.f1Drift += u.Delta
 	s.f1Delta += u.Delta
 	if float64(absI64(s.f1Delta)) >= s.f1Thresh {
 		out.Send(dist.Msg{Kind: dist.KindDriftReport, Site: s.id, A: s.f1Drift})
 		s.f1Delta = 0
-		sent = true
 	}
 	// Per-counter deltas.
 	s.cellBuf = s.mapper.CellsInto(s.cellBuf, u.Item)
@@ -110,26 +107,8 @@ func (s *freqSite) apply(u stream.Update, out dist.Outbox) bool {
 		if d := st.count - st.mirror; float64(absI64(d)) >= s.cellThresh {
 			out.Send(dist.Msg{Kind: dist.KindFreqReport, Site: s.id, Item: c, A: d})
 			st.mirror = st.count
-			sent = true
 		}
 	}
-	return sent
-}
-
-// OnUpdate implements track.InBlockSite.
-func (s *freqSite) OnUpdate(u stream.Update, out dist.Outbox) {
-	s.apply(u, out)
-}
-
-// OnUpdateBatch implements track.InBlockBatchSite: consume updates until
-// the first one that reports, per the batch stopping rule.
-func (s *freqSite) OnUpdateBatch(us []stream.Update, out dist.Outbox) int {
-	for i, u := range us {
-		if s.apply(u, out) {
-			return i + 1
-		}
-	}
-	return len(us)
 }
 
 // LiveCells returns the number of counters currently held at the site, the

@@ -75,25 +75,6 @@ func (s *cmySite) OnUpdate(u stream.Update, out dist.Outbox) {
 	}
 }
 
-// OnUpdateBatch implements dist.BatchSiteAlgo: consume monotone updates
-// until the (1+ε) growth condition fires.
-func (s *cmySite) OnUpdateBatch(us []stream.Update, out dist.Outbox) int {
-	ci, reported, eps := s.ci, s.reported, s.eps
-	for i, u := range us {
-		if u.Delta < 0 {
-			panic("track: CMY tracker received a deletion; it requires monotone streams")
-		}
-		ci += u.Delta
-		if reported == 0 || float64(ci) >= (1+eps)*float64(reported) {
-			s.ci, s.reported = ci, ci
-			out.Send(dist.Msg{Kind: dist.KindCountReport, Site: s.id, A: ci})
-			return i + 1
-		}
-	}
-	s.ci = ci
-	return len(us)
-}
-
 // OnMessage implements dist.SiteAlgo.
 func (s *cmySite) OnMessage(m dist.Msg, out dist.Outbox) {}
 
@@ -147,25 +128,6 @@ func (s *hyzSite) OnUpdate(u stream.Update, out dist.Outbox) {
 	if s.src.Bernoulli(s.p) {
 		out.Send(dist.Msg{Kind: dist.KindDriftReport, Site: s.id, A: s.di})
 	}
-}
-
-// OnUpdateBatch implements dist.BatchSiteAlgo: one Bernoulli draw per
-// update as on the per-update path, stopping at the first sampled report.
-func (s *hyzSite) OnUpdateBatch(us []stream.Update, out dist.Outbox) int {
-	di, p, src := s.di, s.p, s.src
-	for i, u := range us {
-		if u.Delta < 0 {
-			panic("track: HYZ tracker received a deletion; it requires monotone streams")
-		}
-		di += u.Delta
-		if src.Bernoulli(p) {
-			s.di = di
-			out.Send(dist.Msg{Kind: dist.KindDriftReport, Site: s.id, A: di})
-			return i + 1
-		}
-	}
-	s.di = di
-	return len(us)
 }
 
 // OnMessage implements dist.SiteAlgo.
@@ -269,30 +231,6 @@ func (s *lrvSite) OnUpdate(u stream.Update, out dist.Outbox) {
 			out.Send(dist.Msg{Kind: dist.KindDriftReport, Site: s.id, A: s.dminus, B: -1})
 		}
 	}
-}
-
-// OnUpdateBatch implements dist.BatchSiteAlgo, mirroring randSite.
-func (s *lrvSite) OnUpdateBatch(us []stream.Update, out dist.Outbox) int {
-	dplus, dminus, p, src := s.dplus, s.dminus, s.p, s.src
-	for i, u := range us {
-		if u.Delta > 0 {
-			dplus++
-			if src.Bernoulli(p) {
-				s.dplus, s.dminus = dplus, dminus
-				out.Send(dist.Msg{Kind: dist.KindDriftReport, Site: s.id, A: dplus, B: 1})
-				return i + 1
-			}
-		} else {
-			dminus++
-			if src.Bernoulli(p) {
-				s.dplus, s.dminus = dplus, dminus
-				out.Send(dist.Msg{Kind: dist.KindDriftReport, Site: s.id, A: dminus, B: -1})
-				return i + 1
-			}
-		}
-	}
-	s.dplus, s.dminus = dplus, dminus
-	return len(us)
 }
 
 // OnMessage implements dist.SiteAlgo.

@@ -1,6 +1,8 @@
 package track
 
 import (
+	"bytes"
+	"hash/fnv"
 	"reflect"
 	"testing"
 
@@ -86,46 +88,105 @@ func TestRunMatchesReference(t *testing.T) {
 	}
 }
 
-// TestBlockSiteBatchEquivalence exercises the partitioner's batch path
-// directly at several chunk sizes, including chunks far larger than the
-// count-report cadence, over long same-site runs (the worst case for the
-// boundary capping).
-func TestBlockSiteBatchEquivalence(t *testing.T) {
-	const k, n = 3, 30_000
-	mk := func() stream.Stream {
-		return stream.NewAssign(stream.NearlyMonotone(n, 1, 5), stream.NewSkewed(k, 2.0, 6))
+// TestBlockSiteRestoreRejectsPendingCount pins the pending-count bound a
+// restore enforces: no call leaves ci at or past the ⌈2^{r−1}⌉ report batch,
+// or below zero, so a hash-valid blob that says otherwise is forged or
+// corrupt and must be rejected.
+func TestBlockSiteRestoreRejectsPendingCount(t *testing.T) {
+	for _, r := range []int64{0, 3} {
+		batch := ceilPow2Half(r)
+		for _, ci := range []int64{0, batch - 1, batch, batch + 4, -1} {
+			_, sites := NewDeterministic(2, 0.1)
+			s := sites[1].(*BlockSite)
+			s.r, s.batch, s.ci = r, batch, ci
+			blob, err := SnapshotSite(s)
+			if err != nil {
+				t.Fatalf("r=%d ci=%d: snapshot: %v", r, ci, err)
+			}
+			_, fresh := NewDeterministic(2, 0.1)
+			err = RestoreSite(fresh[1], blob)
+			if ok := ci >= 0 && ci < batch; (err == nil) != ok {
+				t.Errorf("r=%d ci=%d: RestoreSite error %v, want accepted=%v", r, ci, err, ok)
+			}
+		}
 	}
-	ups := stream.Collect(mk())
-	build := func() (dist.CoordAlgo, []dist.SiteAlgo) { return NewDeterministic(k, 0.05) }
+}
 
-	coord, sites := build()
-	ref := dist.NewSim(coord, sites)
-	var refTr []dist.TranscriptEntry
-	ref.Recorder = func(e dist.TranscriptEntry) { refTr = append(refTr, e) }
-	for _, u := range ups {
-		ref.Step(u)
+// FuzzRestoreBlockSite feeds arbitrary payloads, framed with the magic and
+// a fresh integrity trailer so they reach the decoders, to the restore of
+// det, rand and threshold BlockSites. The decoder must never panic, any
+// blob it accepts must re-encode byte for byte, and the restored site must
+// then take a same-site run through OnUpdateBatch, consuming at least one
+// update per call, without panicking. Seeds are real snapshots taken just
+// before and just after block boundaries.
+func FuzzRestoreBlockSite(f *testing.F) {
+	const k, target = 3, 1
+	builders := []struct {
+		name  string
+		build func() (dist.CoordAlgo, []dist.SiteAlgo)
+	}{
+		{"det", func() (dist.CoordAlgo, []dist.SiteAlgo) { return NewDeterministic(k, 0.1) }},
+		{"rand", func() (dist.CoordAlgo, []dist.SiteAlgo) { return NewRandomized(k, 0.1, 3) }},
+		{"threshold", func() (dist.CoordAlgo, []dist.SiteAlgo) { return NewThresholdMonitor(k, 0.1, 300) }},
 	}
-
-	for _, chunk := range []int{1, 7, 64, len(ups)} {
-		coord, sites := build()
+	ups := stream.Collect(stream.NewAssign(stream.NearlyMonotone(4_000, 1, 41), stream.NewSkewed(k, 1.5, 4)))
+	for _, b := range builders {
+		coord, sites := b.build()
 		sim := dist.NewSim(coord, sites)
-		var tr []dist.TranscriptEntry
-		sim.Recorder = func(e dist.TranscriptEntry) { tr = append(tr, e) }
-		for i := 0; i < len(ups); {
-			end := i + chunk
-			if end > len(ups) {
-				end = len(ups)
+		blocks := coord.(interface{ Blocks() int64 }).Blocks
+		last := blocks()
+		// Every eighth boundary seeds the snapshot before the closing
+		// update, whose pending count is about to report, and the one
+		// after it.
+		for _, u := range ups {
+			before, err := SnapshotSite(sites[target])
+			if err != nil {
+				f.Fatal(err)
 			}
-			for i < end {
-				c, _ := sim.StepBatch(ups[i:end])
-				i += c
+			sim.Step(u)
+			if blocks() == last {
+				continue
 			}
-		}
-		if sim.Estimate() != ref.Estimate() || sim.Stats() != ref.Stats() {
-			t.Fatalf("chunk=%d: end state diverges", chunk)
-		}
-		if !reflect.DeepEqual(tr, refTr) {
-			t.Fatalf("chunk=%d: transcripts diverge (%d vs %d entries)", chunk, len(tr), len(refTr))
+			last = blocks()
+			if last%8 != 0 {
+				continue
+			}
+			after, err := SnapshotSite(sites[target])
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(before[len(snapMagic) : len(before)-8])
+			f.Add(after[len(snapMagic) : len(after)-8])
 		}
 	}
+	run := make([]stream.Update, 64)
+	for i := range run {
+		run[i] = stream.Update{Site: target, Delta: []int64{1, 1, -1, 5, 0}[i%5]}
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		h := fnv.New64a()
+		h.Write(payload)
+		blob := h.Sum(append(bytes.Clone(snapMagic[:]), payload...))
+		for _, b := range builders {
+			_, sites := b.build()
+			site := sites[target].(*BlockSite)
+			if RestoreSite(site, blob) != nil {
+				continue
+			}
+			again, err := SnapshotSite(site)
+			if err != nil {
+				t.Fatalf("%s: accepted blob does not re-snapshot: %v", b.name, err)
+			}
+			if !bytes.Equal(again, blob) {
+				t.Fatalf("%s: accepted blob re-encodes differently:\n got %x\nwant %x", b.name, again, blob)
+			}
+			for us := run; len(us) > 0; {
+				c := site.OnUpdateBatch(us, muteOutbox{})
+				if c < 1 || c > len(us) {
+					t.Fatalf("%s: OnUpdateBatch consumed %d of %d updates", b.name, c, len(us))
+				}
+				us = us[c:]
+			}
+		}
+	})
 }

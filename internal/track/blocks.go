@@ -21,30 +21,18 @@ import (
 // partitioner. The partitioner calls Reset at every block boundary with the
 // new exponent r (the Outbox lets estimators emit end-of-block reports, as
 // the appendix-H frequency tracker does), and OnUpdate for each in-block
-// stream update.
+// stream update. OnUpdate is an estimator's one update path: the
+// partitioner's batch path calls it in a loop.
 type InBlockSite interface {
 	Reset(r int64, out dist.Outbox)
 	OnUpdate(u stream.Update, out dist.Outbox)
 }
 
-// InBlockBatchSite is the optional batch fast path for an InBlockSite,
-// mirroring dist.BatchSiteAlgo one layer down: OnUpdateBatch must consume
-// a nonempty prefix of us exactly as repeated OnUpdate calls would, and
-// return immediately after the first update that sends a message. The
-// partitioner hoists the threshold and counter loads of the in-block
-// estimator out of the per-update dispatch this way. Sim never calls it in
-// a deployment whose sites are all quiet (see InBlockQuietSite); AsyncSim
-// and the query engine still do.
-type InBlockBatchSite interface {
-	InBlockSite
-	OnUpdateBatch(us []stream.Update, out dist.Outbox) int
-}
-
-// InBlockQuietSite is the optional quiet-prefix fast path for an
-// InBlockSite, mirroring dist.QuietSiteAlgo one layer down: Quiet returns
-// a budget q ≥ 0 such that any run of updates whose costs max(1, |Δ|) sum
-// to at most q sends no message, and Absorb(n, sum) applies n updates of
-// net change sum exactly as n OnUpdate calls would. Only an estimator that
+// InBlockQuietSite is the one optional fast path for an InBlockSite,
+// mirroring dist.QuietSiteAlgo one layer down: Quiet returns a budget
+// q ≥ 0 such that any run of updates whose costs max(1, |Δ|) sum to at
+// most q sends no message, and Absorb(n, sum) applies n updates of net
+// change sum exactly as n OnUpdate calls would. Only an estimator that
 // decides to send from its counters alone can bound its sends this way:
 // the deterministic one qualifies, while the randomized and frequency
 // estimators draw or look up an item per update, so they do not.
@@ -103,8 +91,9 @@ func blockExponent(f int64, k int) int64 {
 
 // stampOutbox is the outbox BlockSite hands its in-block estimator: it
 // stamps every outgoing drift report with the site's block sequence
-// (Item is unused by all KindDriftReport senders) and forwards everything
-// else untouched. Drift values are absolute *within* their block, so the
+// (Item is unused by all KindDriftReport senders), forwards everything
+// else untouched, and notes that the estimator sent (OnUpdateBatch stops
+// on it). Drift values are absolute *within* their block, so the
 // coordinator spine uses the stamp to drop a report that raced a block
 // boundary — without it, such a report overwrites the freshly reset
 // mirror with pre-boundary content whose every update is already folded
@@ -114,8 +103,9 @@ func blockExponent(f int64, k int) int64 {
 // used to show). The wrapper lives by value on BlockSite and is re-armed
 // per call, so the stamped path never allocates.
 type stampOutbox struct {
-	out dist.Outbox //varlint:volatile per-call transient; re-armed by BlockSite.stamped
-	seq uint64      //varlint:volatile per-call transient; re-armed by BlockSite.stamped
+	out  dist.Outbox //varlint:volatile per-call transient; re-armed by BlockSite.stamped
+	seq  uint64      //varlint:volatile per-call transient; re-armed by BlockSite.stamped
+	sent bool        //varlint:volatile per-call transient; re-armed by BlockSite.stamped
 }
 
 //varlint:zeroalloc
@@ -123,6 +113,7 @@ func (o *stampOutbox) Send(m dist.Msg) {
 	if m.Kind == dist.KindDriftReport {
 		m.Item = o.seq
 	}
+	o.sent = true
 	o.out.Send(m)
 }
 
@@ -131,6 +122,7 @@ func (o *stampOutbox) SendTo(site int, m dist.Msg) {
 	if m.Kind == dist.KindDriftReport {
 		m.Item = o.seq
 	}
+	o.sent = true
 	o.out.SendTo(site, m)
 }
 
@@ -139,6 +131,7 @@ func (o *stampOutbox) Broadcast(m dist.Msg) {
 	if m.Kind == dist.KindDriftReport {
 		m.Item = o.seq
 	}
+	o.sent = true
 	o.out.Broadcast(m)
 }
 
@@ -147,15 +140,14 @@ func (o *stampOutbox) Broadcast(m dist.Msg) {
 type BlockSite struct {
 	id    int32 //varlint:volatile construction-time identity; NewReplacement builds the restore target with the same id
 	inner InBlockSite
-	// innerBatch/innerQuiet/innerRejoin are inner if it implements the
-	// respective optional interface, else nil; the assertions are paid
-	// once at construction.
-	innerBatch  InBlockBatchSite //varlint:volatile derived from inner at construction
+	// innerQuiet/innerRejoin are inner if it implements the respective
+	// optional interface, else nil; the assertions are paid once at
+	// construction.
 	innerQuiet  InBlockQuietSite //varlint:volatile derived from inner at construction
 	innerRejoin InBlockRejoiner  //varlint:volatile derived from inner at construction
 	r           int64
 	batch       int64 //varlint:volatile derived from r (the ⌈2^{r−1}⌉ report batch); RestoreSnapshot recomputes it
-	ci          int64 // updates since the last count report or state reply
+	ci          int64 // updates since the last count report or state reply; in [0, batch) between calls
 	fi          int64 // net change in f since the last block broadcast
 	seenBlocks  int64 // block broadcasts adopted; the site's block sequence
 
@@ -207,13 +199,13 @@ type BlockSite struct {
 func (s *BlockSite) stamped(out dist.Outbox) dist.Outbox {
 	s.stamp.out = out
 	s.stamp.seq = uint64(s.seenBlocks)
+	s.stamp.sent = false
 	return &s.stamp
 }
 
 // NewBlockSite wraps inner with the partition protocol for site id.
 func NewBlockSite(id int, inner InBlockSite) *BlockSite {
 	s := &BlockSite{id: int32(id), inner: inner, batch: ceilPow2Half(0)}
-	s.innerBatch, _ = inner.(InBlockBatchSite)
 	s.innerQuiet, _ = inner.(InBlockQuietSite)
 	s.innerRejoin, _ = inner.(InBlockRejoiner)
 	inner.Reset(0, nil)
@@ -231,31 +223,18 @@ func (s *BlockSite) OnUpdate(u stream.Update, out dist.Outbox) {
 	}
 }
 
-// OnUpdateBatch implements dist.BatchSiteAlgo. The prefix handed to the
-// in-block estimator is capped at the next count-report boundary, so the
-// §3.1 protocol's "report every ⌈2^{r−1}⌉ local updates" condition fires
-// on exactly the update it would fire on in the per-update path; within
-// the cap the inner estimator stops itself at its first send.
+// OnUpdateBatch implements dist.BatchSiteAlgo: OnUpdate over us, stopping
+// right after the first update on which the partitioner or its estimator
+// sent. A count report leaves ci at 0; the stamping wrapper notes any
+// estimator send.
 func (s *BlockSite) OnUpdateBatch(us []stream.Update, out dist.Outbox) int {
-	if s.innerBatch == nil {
-		// An inner estimator without a batch path could send mid-prefix
-		// without us noticing, so consume a single update at a time.
-		s.OnUpdate(us[0], out)
-		return 1
+	for i, u := range us {
+		s.OnUpdate(u, out)
+		if s.ci == 0 || s.stamp.sent {
+			return i + 1
+		}
 	}
-	if lim := s.batch - s.ci; int64(len(us)) > lim {
-		us = us[:lim]
-	}
-	consumed := s.innerBatch.OnUpdateBatch(us, s.stamped(out))
-	s.ci += int64(consumed)
-	for _, u := range us[:consumed] {
-		s.fi += u.Delta
-	}
-	if s.ci >= s.batch {
-		out.Send(dist.Msg{Kind: dist.KindCountReport, Site: s.id, A: s.ci})
-		s.ci = 0
-	}
-	return consumed
+	return len(us)
 }
 
 // Quiet implements dist.QuietSiteAlgo. Inside the budget neither the

@@ -40,24 +40,6 @@ func (s *detSite) OnUpdate(u stream.Update, out dist.Outbox) {
 	}
 }
 
-// OnUpdateBatch implements InBlockBatchSite: the threshold and both
-// counters live in registers across the quiet prefix, and the site stops
-// at its first drift report so the runtime can drain.
-func (s *detSite) OnUpdateBatch(us []stream.Update, out dist.Outbox) int {
-	di, delta, thresh := s.di, s.delta, s.threshold
-	for i, u := range us {
-		di += u.Delta
-		delta += u.Delta
-		if float64(absI64(delta)) >= thresh {
-			s.di, s.delta = di, 0
-			out.Send(dist.Msg{Kind: dist.KindDriftReport, Site: s.id, A: di})
-			return i + 1
-		}
-	}
-	s.di, s.delta = di, delta
-	return len(us)
-}
-
 // Quiet implements InBlockQuietSite. The site reports once |δ| reaches
 // the threshold, so it stays quiet while |δ| is at most the largest
 // integer below the threshold, and a run of updates moves |δ| by at most

@@ -7,8 +7,8 @@ import (
 	"repro/internal/stream"
 )
 
-// muteOutbox satisfies dist.Outbox for direct OnMessage calls whose
-// handlers send nothing (drift-report folds).
+// muteOutbox satisfies dist.Outbox for direct calls whose sends the test
+// does not inspect (drift-report folds, fuzzed update runs).
 type muteOutbox struct{}
 
 func (muteOutbox) Send(dist.Msg)        {}

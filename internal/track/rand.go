@@ -75,33 +75,6 @@ func (s *randSite) OnUpdate(u stream.Update, out dist.Outbox) {
 	}
 }
 
-// OnUpdateBatch implements InBlockBatchSite. The Bernoulli draw happens
-// once per update either way — the coin sequence is identical to the
-// per-update path — but the counters and p stay in registers across the
-// unsampled prefix.
-func (s *randSite) OnUpdateBatch(us []stream.Update, out dist.Outbox) int {
-	dplus, dminus, p, src := s.dplus, s.dminus, s.p, s.src
-	for i, u := range us {
-		if u.Delta > 0 {
-			dplus++
-			if src.Bernoulli(p) {
-				s.dplus, s.dminus = dplus, dminus
-				out.Send(dist.Msg{Kind: dist.KindDriftReport, Site: s.id, A: dplus, B: 1})
-				return i + 1
-			}
-		} else {
-			dminus++
-			if src.Bernoulli(p) {
-				s.dplus, s.dminus = dplus, dminus
-				out.Send(dist.Msg{Kind: dist.KindDriftReport, Site: s.id, A: dminus, B: -1})
-				return i + 1
-			}
-		}
-	}
-	s.dplus, s.dminus = dplus, dminus
-	return len(us)
-}
-
 // OnRejoin implements InBlockRejoiner: re-send both estimator copies'
 // exact counts. B = ±2 marks the reports as exact resyncs — unlike sampled
 // reports they carry no 1/p debias (see randCoord.OnMessage) — so a healed

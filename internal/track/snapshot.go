@@ -309,6 +309,11 @@ func (s *BlockSite) RestoreSnapshot(r *SnapReader) error {
 	s.r = r.Int()
 	s.batch = ceilPow2Half(s.r)
 	s.ci = r.Int()
+	if s.ci < 0 || s.ci >= s.batch {
+		// Every call leaves 0 ≤ ci < batch (OnUpdate reports when ci
+		// reaches the batch), so any other count is forged or corrupt.
+		r.Fail("pending count outside [0, batch)")
+	}
 	s.fi = r.Int()
 	s.seenBlocks = r.Int()
 	s.repliesSent = r.Int()
