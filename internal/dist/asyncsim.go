@@ -270,10 +270,12 @@ func untilTick(us []stream.Update, gap, top int64) int {
 
 // RunBatch drives an entire stream through the batched ingest path,
 // filling the caller-owned buffer from the stream and feeding it through
-// StepBatch. A nil or empty buf gets a default-sized one. The end state is
-// byte-identical to Run; it does not Flush.
-func (s *AsyncSim) RunBatch(st stream.Stream, buf []stream.Update) int64 {
-	return runBatched(s, st, buf)
+// StepBatch. A nil or empty buf gets a default-sized one. every and visit
+// are Sim.RunBatch's; delivered reports whether any event ran. The end
+// state is byte-identical to Run; it does not Flush.
+func (s *AsyncSim) RunBatch(st stream.Stream, buf []stream.Update, every int64,
+	visit func(run []stream.Update, delivered bool)) int64 {
+	return runBatched(s, st, buf, every, visit)
 }
 
 // Flush runs the event loop to exhaustion — every in-flight delivery,

@@ -95,26 +95,108 @@ func TestStepBatchByteIdentical(t *testing.T) {
 	}
 }
 
-// TestRunBatchMatchesRun checks the whole-stream driver against Run.
+// batchRunner is the whole-stream surface Sim and AsyncSim share.
+type batchRunner interface {
+	Run(stream.Stream) int64
+	RunBatch(st stream.Stream, buf []stream.Update, every int64,
+		visit func(run []stream.Update, delivered bool)) int64
+	Estimate() int64
+	Stats() dist.Stats
+}
+
+// TestRunBatchMatchesRun checks the whole-stream driver against Run on Sim
+// and on AsyncSim under the zero and a lossy model, at each probe
+// interval, with a visit that records every run: the runs concatenate to
+// the input, none crosses a multiple of every, a run without a delivery
+// leaves the estimate alone, and stats and transcript equal Run's.
 func TestRunBatchMatchesRun(t *testing.T) {
 	const k, n = 4, 25_000
+	// A drifting walk over skewed sites: long message-free stretches late
+	// in the stream, so runs outgrow every probe interval.
 	mk := func() stream.Stream {
-		return stream.NewAssign(stream.RandomWalk(n, 31), stream.NewRoundRobin(k))
+		return stream.NewAssign(stream.BiasedWalk(n, 0.3, 31), stream.NewSkewed(k, 1.2, 32))
 	}
-	coordA, sitesA := track.NewDeterministic(k, 0.05)
-	simA := dist.NewSim(coordA, sitesA)
-	stepsA := simA.Run(mk())
-
-	coordB, sitesB := track.NewDeterministic(k, 0.05)
-	simB := dist.NewSim(coordB, sitesB)
-	stepsB := simB.RunBatch(mk(), make([]stream.Update, 128))
-
-	if stepsA != stepsB {
-		t.Fatalf("RunBatch processed %d steps, Run %d", stepsB, stepsA)
+	ups := stream.Collect(mk())
+	lossy, err := dist.ParseNetModel("latency=8,jitter=4,reorder=2,drop=0.01,retrans=3")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if simA.Estimate() != simB.Estimate() || simA.Stats() != simB.Stats() {
-		t.Fatalf("RunBatch end state diverges: est %d/%d stats %+v/%+v",
-			simB.Estimate(), simA.Estimate(), simB.Stats(), simA.Stats())
+	runtimes := []struct {
+		name  string
+		build func(rec func(dist.TranscriptEntry)) batchRunner
+	}{
+		{"sim", func(rec func(dist.TranscriptEntry)) batchRunner {
+			sim := dist.NewSim(track.NewDeterministic(k, 0.05))
+			sim.Recorder = rec
+			return sim
+		}},
+		{"async-zero", func(rec func(dist.TranscriptEntry)) batchRunner {
+			coord, sites := track.NewDeterministic(k, 0.05)
+			sim := dist.NewAsyncSim(coord, sites, dist.NetModel{}, 3)
+			sim.Recorder = rec
+			return sim
+		}},
+		{"async-lossy", func(rec func(dist.TranscriptEntry)) batchRunner {
+			coord, sites := track.NewDeterministic(k, 0.05)
+			sim := dist.NewAsyncSim(coord, sites, lossy, 3)
+			sim.Recorder = rec
+			return sim
+		}},
+	}
+	for _, rt := range runtimes {
+		var wantTr []dist.TranscriptEntry
+		ref := rt.build(func(e dist.TranscriptEntry) { wantTr = append(wantTr, e) })
+		wantSteps := ref.Run(mk())
+		if rt.name == "async-lossy" && ref.Stats().Retransmitted == 0 {
+			t.Fatal("async-lossy: the lossy model retransmitted nothing")
+		}
+		for _, every := range []int64{0, 1, 7, 100} {
+			var gotTr []dist.TranscriptEntry
+			r := rt.build(func(e dist.TranscriptEntry) { gotTr = append(gotTr, e) })
+			var seen []stream.Update
+			var quiet, longest int
+			est := r.Estimate()
+			steps := r.RunBatch(mk(), make([]stream.Update, 128), every, func(run []stream.Update, delivered bool) {
+				if len(run) == 0 {
+					t.Fatalf("%s every=%d: empty run visited", rt.name, every)
+				}
+				if from, to := int64(len(seen)), int64(len(seen)+len(run)-1); every > 0 && from/every != to/every {
+					t.Fatalf("%s every=%d: run [%d, %d] crosses a multiple", rt.name, every, from, to)
+				}
+				if !delivered {
+					quiet++
+					if r.Estimate() != est {
+						t.Fatalf("%s every=%d: estimate moved %d -> %d on a run without delivery",
+							rt.name, every, est, r.Estimate())
+					}
+				}
+				est = r.Estimate()
+				longest = max(longest, len(run))
+				seen = append(seen, run...)
+			})
+			// The input must exercise the contract: some run skips delivery,
+			// and runs reach each cap (and pass the largest when uncapped).
+			reach := every
+			if every == 0 {
+				reach = 101
+			}
+			if quiet == 0 || int64(longest) < reach {
+				t.Fatalf("%s every=%d: input too noisy to test the contract (%d quiet runs, longest %d)",
+					rt.name, every, quiet, longest)
+			}
+			if steps != wantSteps || !reflect.DeepEqual(seen, ups) {
+				t.Fatalf("%s every=%d: %d steps, %d visited updates; want %d equal to the input",
+					rt.name, every, steps, len(seen), wantSteps)
+			}
+			if r.Estimate() != ref.Estimate() || r.Stats() != ref.Stats() {
+				t.Fatalf("%s every=%d: end state diverges: est %d/%d stats %+v/%+v",
+					rt.name, every, r.Estimate(), ref.Estimate(), r.Stats(), ref.Stats())
+			}
+			if !reflect.DeepEqual(gotTr, wantTr) {
+				t.Fatalf("%s every=%d: transcripts diverge (%d vs %d entries)",
+					rt.name, every, len(gotTr), len(wantTr))
+			}
+		}
 	}
 }
 

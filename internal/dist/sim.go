@@ -183,8 +183,11 @@ func runStream(r stepper, st stream.Stream) int64 {
 
 // runBatched drives st through r.StepBatch, filling buf from the stream
 // (a default-sized one when buf is empty), and returns the number of
-// updates.
-func runBatched(r stepper, st stream.Stream, buf []stream.Update) int64 {
+// updates. With every > 0 no feed crosses a multiple of every updates, so
+// a run can end on each one; visit, when non-nil, sees each consumed run
+// and StepBatch's delivered flag before the next feed.
+func runBatched(r stepper, st stream.Stream, buf []stream.Update, every int64,
+	visit func(run []stream.Update, delivered bool)) int64 {
 	if len(buf) == 0 {
 		buf = make([]stream.Update, 256)
 	}
@@ -195,10 +198,17 @@ func runBatched(r stepper, st stream.Stream, buf []stream.Update) int64 {
 			return steps
 		}
 		for i := 0; i < n; {
-			c, _ := r.StepBatch(buf[i:n])
+			end := n
+			if every > 0 {
+				end = i + int(min(int64(n-i), every-steps%every))
+			}
+			c, delivered := r.StepBatch(buf[i:end])
+			if visit != nil {
+				visit(buf[i:i+c], delivered)
+			}
 			i += c
+			steps += int64(c)
 		}
-		steps += int64(n)
 	}
 }
 
@@ -244,8 +254,16 @@ func (s *Sim) StepBatch(us []stream.Update) (consumed int, delivered bool) {
 // end state is byte-identical to Run; the difference is dispatch cost —
 // one stream fill and a few site calls per buffer instead of two virtual
 // calls per update.
-func (s *Sim) RunBatch(st stream.Stream, buf []stream.Update) int64 {
-	return runBatched(s, st, buf)
+//
+// Harnesses that check every step pass visit: it receives each consumed
+// run and whether any message was delivered while it was fed. When
+// delivered is false Estimate() is what it was before the run, so a
+// caller reads it once per delivering run. every > 0 ends a run on each
+// multiple of every updates, for probes that read site state; 0 leaves
+// runs uncapped.
+func (s *Sim) RunBatch(st stream.Stream, buf []stream.Update, every int64,
+	visit func(run []stream.Update, delivered bool)) int64 {
+	return runBatched(s, st, buf, every, visit)
 }
 
 // ReplaceCoord swaps the coordinator algorithm in place with no protocol

@@ -87,7 +87,7 @@ func E30EngineBatch(cfg Config) *Table {
 		sim.SetClassifier(eng)
 		st := stream.NewAssign(stream.NewItemGen(n, 512, 1.2, 0.2, cfg.Seed+3), mk())
 		if batched {
-			sim.RunBatch(st, buf)
+			sim.RunBatch(st, buf, 0, nil)
 		} else {
 			sim.Run(st)
 		}

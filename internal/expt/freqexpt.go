@@ -32,8 +32,7 @@ func freqRun(tr *freq.Tracker, sites []dist.SiteAlgo, k int,
 	var vtrack float64
 	checkEvery := n/50 + 1
 	// check inspects tracker state against ground truth. It reads site
-	// state (SiteLiveCells), so the batched loop below must land on the
-	// exact step boundary before calling it.
+	// state (SiteLiveCells), so it must run on the exact step boundary.
 	check := func() {
 		if res.Steps%checkEvery != 0 || f1 == 0 {
 			return
@@ -54,39 +53,25 @@ func freqRun(tr *freq.Tracker, sites []dist.SiteAlgo, k int,
 			}
 		}
 	}
-	buf := make([]stream.Update, 256)
-	for {
-		nb := stream.NextBatch(st, buf)
-		if nb == 0 {
-			break
-		}
-		for i := 0; i < nb; {
-			// Cap each quiescent chunk at the next ground-truth check so
-			// site-state reads happen at the same steps as the per-update
-			// loop did.
-			end := i + int(checkEvery-res.Steps%checkEvery)
-			if end > nb {
-				end = nb
+	// Runs end on check steps, so site-state reads happen at the same
+	// steps as in the per-update loop.
+	sim.RunBatch(st, nil, checkEvery, func(run []stream.Update, _ bool) {
+		for _, u := range run {
+			exact[u.Item] += u.Delta
+			if exact[u.Item] == 0 {
+				delete(exact, u.Item)
 			}
-			consumed, _ := sim.StepBatch(buf[i:end])
-			for _, u := range buf[i : i+consumed] {
-				exact[u.Item] += u.Delta
-				if exact[u.Item] == 0 {
-					delete(exact, u.Item)
-				}
-				f1 += u.Delta
-				res.Steps++
-				// F1-variability: v'(t) = min{1, 1/F1(t)} per appendix H.
-				if f1 == 0 {
-					vtrack++
-				} else {
-					vtrack += 1 / float64(f1)
-				}
+			f1 += u.Delta
+			res.Steps++
+			// F1-variability: v'(t) = min{1, 1/F1(t)} per appendix H.
+			if f1 == 0 {
+				vtrack++
+			} else {
+				vtrack += 1 / float64(f1)
 			}
-			i += consumed
-			check()
 		}
-	}
+		check()
+	})
 	res.V = vtrack
 	res.Msgs = sim.Stats().Total()
 	return res
@@ -186,21 +171,12 @@ func heavyHittersCheck(cfg Config, phi float64) (missed, spurious int, s stats.S
 	sim := dist.NewSim(tr, sites)
 	exact := make(map[uint64]int64)
 	var f1 int64
-	buf := make([]stream.Update, 256)
-	for {
-		nb := stream.NextBatch(st, buf)
-		if nb == 0 {
-			break
-		}
-		for i := 0; i < nb; {
-			c, _ := sim.StepBatch(buf[i:nb])
-			i += c
-		}
-		for _, u := range buf[:nb] {
+	sim.RunBatch(st, nil, 0, func(run []stream.Update, _ bool) {
+		for _, u := range run {
 			exact[u.Item] += u.Delta
 			f1 += u.Delta
 		}
-	}
+	})
 	hh := tr.HeavyHitters(phi)
 	var shares []float64
 	for item, fv := range exact {

@@ -62,7 +62,7 @@ func E28MuxAmortization(cfg Config) *Table {
 		}
 		mux := dist.NewSim(eng, esites)
 		mux.SetClassifier(eng)
-		mux.RunBatch(stream.NewSlice(ups), buf)
+		mux.RunBatch(stream.NewSlice(ups), buf, 0, nil)
 		muxStats := mux.Stats()
 
 		var sep dist.Stats
@@ -71,7 +71,7 @@ func E28MuxAmortization(cfg Config) *Table {
 		for qi, spec := range specs {
 			coord, sites := standaloneFor(k, spec)
 			sim := dist.NewSim(coord, sites)
-			sim.RunBatch(stream.NewSlice(ups), buf)
+			sim.RunBatch(stream.NewSlice(ups), buf, 0, nil)
 			s := sim.Stats()
 			sep.SiteToCoord += s.SiteToCoord
 			sep.CoordToSite += s.CoordToSite

@@ -121,27 +121,18 @@ func E23Threshold(cfg Config) *Table {
 					wasAbove = isAbove
 				}
 			}
-			// Batched drive; the monitor state is coordinator-side, so it
-			// only moves when StepBatch reports a delivery.
-			buf := make([]stream.Update, 256)
-			for {
-				nb := stream.NextBatch(st, buf)
-				if nb == 0 {
-					break
+			// The monitor state is coordinator-side, so it only moves on a
+			// delivering run.
+			sim.RunBatch(st, nil, 0, func(run []stream.Update, delivered bool) {
+				last := len(run) - 1
+				for _, u := range run[:last] {
+					check(u.Delta)
 				}
-				for i := 0; i < nb; {
-					consumed, delivered := sim.StepBatch(buf[i:nb])
-					last := i + consumed - 1
-					for j := i; j < last; j++ {
-						check(buf[j].Delta)
-					}
-					if delivered {
-						state = m.State()
-					}
-					check(buf[last].Delta)
-					i += consumed
+				if delivered {
+					state = m.State()
 				}
-			}
+				check(run[last].Delta)
+			})
 			t.AddRow(c.name, di(k), g3(eps), d(c.tau), d(crossings),
 				d(sim.Stats().Total()), d(violations))
 		}

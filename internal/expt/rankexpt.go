@@ -56,29 +56,16 @@ func E24DyadicRank(cfg Config) *Table {
 					}
 				}
 			}
-			// Batched drive with chunks capped at probe boundaries; the
-			// probes read only coordinator state, which at a quiescent
-			// point matches the per-update path exactly.
-			buf := make([]stream.Update, 256)
-			for {
-				nb := stream.NextBatch(st, buf)
-				if nb == 0 {
-					break
+			// Runs end on probe boundaries; the probes read only
+			// coordinator state, which at a quiescent point matches the
+			// per-update path exactly.
+			sim.RunBatch(st, nil, checkEvery, func(run []stream.Update, _ bool) {
+				for _, u := range run {
+					ref.Add(int(u.Item), u.Delta)
 				}
-				for i := 0; i < nb; {
-					end := i + int(checkEvery-step%checkEvery)
-					if end > nb {
-						end = nb
-					}
-					consumed, _ := sim.StepBatch(buf[i:end])
-					for _, u := range buf[i : i+consumed] {
-						ref.Add(int(u.Item), u.Delta)
-					}
-					step += int64(consumed)
-					i += consumed
-					check()
-				}
-			}
+				step += int64(len(run))
+				check()
+			})
 			t.AddRow(di(k), g3(0.2), di(bits), pct(delProb),
 				d(sim.Stats().Total()), f4(maxRank), f4(maxQuant), b(ok))
 		}

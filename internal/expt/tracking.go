@@ -30,15 +30,6 @@ func engineRouted(k int, spec query.Spec) (dist.CoordAlgo, []dist.SiteAlgo) {
 	return coord, sites
 }
 
-// resetStream rewinds a stream for another measurement pass; multi-pass
-// experiments replay one generator by re-seeding instead of rebuilding or
-// materializing it.
-func resetStream(st stream.Stream) {
-	if !stream.TryReset(st) {
-		panic("expt: stream is not resettable")
-	}
-}
-
 // E05Partitioning reproduces the §3.1 facts: the block partition costs at
 // most 5k messages per block and ≤ 25kv+3k overall, and the variability
 // gain per interior block is bounded below by a constant.
@@ -193,14 +184,10 @@ func E10SingleSite(cfg Config) *Table {
 		{"sawtooth", func() stream.Stream { return stream.Sawtooth(n, 64, 32) }},
 	}
 	for _, c := range cases {
-		// One generator serves every pass: the crossing count and each
-		// ε's tracker run replay it via Reset.
-		st := c.mk()
-		crossings := countCrossings(st)
+		crossings := countCrossings(c.mk())
 		for _, eps := range []float64{0.3, 0.1} {
-			resetStream(st)
 			coord, sites := track.NewSingleSite(eps)
-			res := track.Run(c.name, assignRR(st, 1), coord, sites, eps)
+			res := track.Run(c.name, assignRR(c.mk(), 1), coord, sites, eps)
 			bd := bound.SingleSiteMessages(eps, res.V, crossings)
 			t.AddRow(c.name, g3(eps), f1(res.V), d(crossings), d(res.Stats.Total()),
 				f1(bd), f4(res.MaxRelErr), d(res.Violations))
@@ -242,19 +229,16 @@ func E11LargeUpdates(cfg Config) *Table {
 		"max |f'|", "bulk v", "split v", "overhead", "bound 1+H(d)", "tracked ok")
 	n := cfg.scale(50_000)
 	for _, maxStep := range []int64{2, 8, 32, 128} {
-		// One bulk generator, three passes: bulk variability, split
-		// variability, and the end-to-end tracker run all replay it.
-		bulk := stream.BulkWalk(n, maxStep, cfg.Seed)
-		bulkV, _, _ := measureV(bulk)
-		split := stream.NewSplitBulk(bulk)
-		resetStream(split) // rewinds the wrapped bulk generator too
-		splitV, _, _ := measureV(split)
+		// Three passes over one bulk workload: bulk variability, split
+		// variability, and the end-to-end tracker run.
+		bulk := func() stream.Stream { return stream.BulkWalk(n, maxStep, cfg.Seed) }
+		bulkV, _, _ := measureV(bulk())
+		splitV, _, _ := measureV(stream.NewSplitBulk(bulk()))
 		// End-to-end: the deterministic tracker on the split stream keeps
 		// its guarantee.
 		k, eps := 4, 0.1
-		resetStream(split)
 		coord, sites := engineRouted(k, query.Spec{Algo: "det", Eps: eps})
-		res := track.Run("split", stream.NewAssign(split, stream.NewRoundRobin(k)), coord, sites, eps)
+		res := track.Run("split", assignRR(stream.NewSplitBulk(bulk()), k), coord, sites, eps)
 		t.AddRow(d(maxStep), f1(bulkV), f1(splitV), f2(splitV/bulkV),
 			f2(1+core.Harmonic(maxStep)), b(res.Violations == 0))
 	}

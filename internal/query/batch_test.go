@@ -231,7 +231,7 @@ func TestEngineBatchMatchesStandalone(t *testing.T) {
 		sim := dist.NewSim(coord, sites)
 		var wantTr []dist.TranscriptEntry
 		sim.Recorder = func(e dist.TranscriptEntry) { wantTr = append(wantTr, e) }
-		sim.RunBatch(stream.NewSlice(ups), nil)
+		sim.RunBatch(stream.NewSlice(ups), nil, 0, nil)
 		wantStats := sim.Stats()
 
 		eng, esites, err := query.New(k, []query.Spec{spec})
@@ -241,7 +241,7 @@ func TestEngineBatchMatchesStandalone(t *testing.T) {
 		esim := dist.NewSim(eng, esites)
 		var gotTr []dist.TranscriptEntry
 		esim.Recorder = func(e dist.TranscriptEntry) { gotTr = append(gotTr, e) }
-		esim.RunBatch(stream.NewSlice(ups), nil)
+		esim.RunBatch(stream.NewSlice(ups), nil, 0, nil)
 		if got := esim.Stats(); got != wantStats {
 			t.Fatalf("%s: stats %+v, want %+v", spec.Algo, got, wantStats)
 		}
@@ -266,7 +266,7 @@ func TestEngineSiteConsumedPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim := dist.NewSim(eng, esites)
-	sim.RunBatch(stream.NewSlice(ups), nil)
+	sim.RunBatch(stream.NewSlice(ups), nil, 0, nil)
 	site0 := esites[0].(*query.Site)
 	updates, net := site0.Spine()
 	if updates != n {

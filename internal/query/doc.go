@@ -37,7 +37,7 @@
 // runtime's Inject hook, the stand-in for a control-plane API) broadcasts a
 // KindAttach announcement; a site receiving it builds its child and pushes
 // its pre-attach history — net mass, update count, and per-item counts the
-// engine's spine retains — through the track.AttachBootstrapper resync
+// engine's spine retains — through track.BlockSite.BootstrapAttach's resync
 // machinery, which reuses the PR-4 rejoin reports (absolute drift, B = ±2
 // exact resync, KindFreqEnd) and then triggers a state collection, so one
 // round-trip after attach the query sits at an exact block boundary.

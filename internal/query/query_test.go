@@ -257,7 +257,7 @@ func TestPerQueryStatsSumProperty(t *testing.T) {
 			}
 			sim := dist.NewSim(eng, esites)
 			sim.SetClassifier(eng)
-			sim.RunBatch(stream.NewSlice(ups), make([]stream.Update, bs))
+			sim.RunBatch(stream.NewSlice(ups), make([]stream.Update, bs), 0, nil)
 			if got := sumStats(sim.ClassStats()); got != sim.Stats() {
 				t.Fatalf("trial %d batch %d: class sum %+v != aggregate %+v",
 					trial, bs, got, sim.Stats())

@@ -35,9 +35,7 @@ func (x *Xoshiro256) Geometric(p float64) int64 {
 // seeded workload in the repository replays unchanged.
 //
 // Zipf item popularity is the standard model for skewed item-frequency
-// workloads (experiment E12-E14, appendix H of the paper). For sampling
-// arbitrary weight tables where draw-stability against old seeds is not
-// required, see Alias, which is O(1) worst-case.
+// workloads (experiment E12-E14, appendix H of the paper).
 type Zipf struct {
 	cdf []float64
 	// guide[j] is the smallest index i with cdf[i] >= j/len(guide-1): the

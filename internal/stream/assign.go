@@ -33,9 +33,8 @@ func (r *RoundRobin) K() int { return r.k }
 
 // UniformRandom assigns each update to an independently uniform site.
 type UniformRandom struct {
-	k    int
-	seed uint64
-	src  *rng.Xoshiro256
+	k   int
+	src *rng.Xoshiro256
 }
 
 // NewUniformRandom returns a uniform random assigner over k sites.
@@ -44,11 +43,8 @@ func NewUniformRandom(k int, seed uint64) *UniformRandom {
 	if k <= 0 {
 		panic("stream: NewUniformRandom needs k > 0")
 	}
-	return &UniformRandom{k: k, seed: seed, src: rng.New(seed)}
+	return &UniformRandom{k: k, src: rng.New(seed)}
 }
-
-// Reset re-derives the assignment sequence from the stored seed.
-func (u *UniformRandom) Reset() { u.src = rng.New(u.seed) }
 
 // Site implements Assigner.
 func (u *UniformRandom) Site(t int64) int { return u.src.Intn(u.k) }
@@ -60,8 +56,6 @@ func (u *UniformRandom) K() int { return u.k }
 // a deployment where a few observers see most of the traffic.
 type Skewed struct {
 	k    int
-	s    float64
-	seed uint64
 	zipf *rng.Zipf
 }
 
@@ -70,11 +64,8 @@ func NewSkewed(k int, s float64, seed uint64) *Skewed {
 	if k <= 0 {
 		panic("stream: NewSkewed needs k > 0")
 	}
-	return &Skewed{k: k, s: s, seed: seed, zipf: rng.NewZipf(rng.New(seed), k, s)}
+	return &Skewed{k: k, zipf: rng.NewZipf(rng.New(seed), k, s)}
 }
-
-// Reset re-derives the assignment sequence from the stored seed.
-func (s *Skewed) Reset() { s.zipf = rng.NewZipf(rng.New(s.seed), s.k, s.s) }
 
 // Site implements Assigner.
 func (s *Skewed) Site(t int64) int { return s.zipf.Sample() }
@@ -111,19 +102,6 @@ type Assign struct {
 
 // NewAssign decorates inner so that each update's Site field is set by a.
 func NewAssign(inner Stream, a Assigner) *Assign { return &Assign{inner: inner, a: a} }
-
-// CanReset reports whether the inner stream supports Reset.
-func (s *Assign) CanReset() bool { return canReset(s.inner) }
-
-// Reset implements Resettable. The inner stream must support Reset;
-// stateful assigners (UniformRandom, Skewed) are reseeded, stateless ones
-// (RoundRobin, Single) need nothing.
-func (s *Assign) Reset() {
-	mustReset(s.inner)
-	if r, ok := s.a.(interface{ Reset() }); ok {
-		r.Reset()
-	}
-}
 
 // Next implements Stream.
 func (s *Assign) Next() (Update, bool) {

@@ -4,48 +4,22 @@ import "repro/internal/rng"
 
 // Gen is a delta generator: it produces the next f'(t) given the current
 // value f(t−1). Generators produce Site = 0; wrap with NewAssign to spread
-// updates across sites.
+// updates across sites. A Gen is consumed once; to replay a workload, call
+// its constructor again with the same arguments, which yields the same
+// sequence.
 type Gen struct {
 	n     int64
 	t     int64
 	f     int64
 	delta func(t, f int64) int64
-	// mk rebuilds the delta closure from scratch (re-deriving any RNG or
-	// other captured state from the original seed), making the generator
-	// resettable. Nil for generators built with NewGen from an arbitrary
-	// closure, whose captured state the package cannot re-create.
-	mk func() func(t, f int64) int64
 }
 
 // NewGen returns a stream of n updates whose deltas are produced by fn,
-// which receives the timestep t (1-based) and the value f(t−1). The result
-// is not resettable: fn may close over external mutable state. Use
-// NewGenFactory for a resettable generator.
+// which receives the timestep t (1-based) and the value f(t−1). fn owns
+// whatever state it closes over, typically an rng seeded by the
+// constructor that calls NewGen.
 func NewGen(n int64, fn func(t, f int64) int64) *Gen {
 	return &Gen{n: n, delta: fn}
-}
-
-// NewGenFactory returns a resettable stream of n updates. mk is invoked
-// once per (re)start and must return a fresh delta closure, re-deriving any
-// internal state — typically an rng.New(seed) — so every replay yields the
-// identical sequence.
-func NewGenFactory(n int64, mk func() func(t, f int64) int64) *Gen {
-	return &Gen{n: n, mk: mk, delta: mk()}
-}
-
-// CanReset reports whether the generator was built with NewGenFactory and
-// can therefore replay its sequence.
-func (g *Gen) CanReset() bool { return g.mk != nil }
-
-// Reset implements Resettable by rebuilding the delta closure. It panics
-// for generators built with NewGen, which carry opaque closure state.
-func (g *Gen) Reset() {
-	if g.mk == nil {
-		panic("stream: Gen built with NewGen is not resettable; use NewGenFactory")
-	}
-	g.t = 0
-	g.f = 0
-	g.delta = g.mk()
 }
 
 // Next implements Stream.
@@ -84,18 +58,14 @@ func (g *Gen) NextBatch(buf []Update) int {
 // Monotone returns the canonical monotone stream: n updates of +1.
 // Its variability is O(log n) (theorem 2.1 of the paper with β = 1).
 func Monotone(n int64) Stream {
-	return NewGenFactory(n, func() func(t, f int64) int64 {
-		return func(t, f int64) int64 { return 1 }
-	})
+	return NewGen(n, func(t, f int64) int64 { return 1 })
 }
 
 // MonotoneBulk returns a monotone stream of n updates with deltas drawn
 // uniformly from [1, maxStep]. Used with the appendix-C splitter.
 func MonotoneBulk(n int64, maxStep int64, seed uint64) Stream {
-	return NewGenFactory(n, func() func(t, f int64) int64 {
-		src := rng.New(seed)
-		return func(t, f int64) int64 { return 1 + src.Int63n(maxStep) }
-	})
+	src := rng.New(seed)
+	return NewGen(n, func(t, f int64) int64 { return 1 + src.Int63n(maxStep) })
 }
 
 // NearlyMonotone returns a stream of n ±1 updates in which deletions occur
@@ -108,27 +78,23 @@ func NearlyMonotone(n int64, beta float64, seed uint64) Stream {
 		panic("stream: NearlyMonotone needs beta >= 0")
 	}
 	q := beta / (1 + 2*beta)
-	return NewGenFactory(n, func() func(t, f int64) int64 {
-		src := rng.New(seed)
-		return func(t, f int64) int64 {
-			if f <= 1 {
-				return 1
-			}
-			if src.Bernoulli(q) {
-				return -1
-			}
+	src := rng.New(seed)
+	return NewGen(n, func(t, f int64) int64 {
+		if f <= 1 {
 			return 1
 		}
+		if src.Bernoulli(q) {
+			return -1
+		}
+		return 1
 	})
 }
 
 // RandomWalk returns the symmetric ±1 random walk of theorem 2.2, whose
 // expected variability is O(√n·log n).
 func RandomWalk(n int64, seed uint64) Stream {
-	return NewGenFactory(n, func() func(t, f int64) int64 {
-		src := rng.New(seed)
-		return func(t, f int64) int64 { return src.PlusMinusOne(0.5) }
-	})
+	src := rng.New(seed)
+	return NewGen(n, func(t, f int64) int64 { return src.PlusMinusOne(0.5) })
 }
 
 // BiasedWalk returns the ±1 walk with drift mu of theorem 2.4:
@@ -138,10 +104,8 @@ func BiasedWalk(n int64, mu float64, seed uint64) Stream {
 		panic("stream: BiasedWalk needs mu in [-1, 1]")
 	}
 	p := (1 + mu) / 2
-	return NewGenFactory(n, func() func(t, f int64) int64 {
-		src := rng.New(seed)
-		return func(t, f int64) int64 { return src.PlusMinusOne(p) }
-	})
+	src := rng.New(seed)
+	return NewGen(n, func(t, f int64) int64 { return src.PlusMinusOne(p) })
 }
 
 // Sawtooth returns a deterministic stream that climbs +1 for `up` steps and
@@ -152,14 +116,12 @@ func Sawtooth(n, up, down int64) Stream {
 		panic("stream: Sawtooth needs up > 0 and down >= 0")
 	}
 	period := up + down
-	return NewGenFactory(n, func() func(t, f int64) int64 {
-		return func(t, f int64) int64 {
-			phase := (t - 1) % period
-			if phase < up {
-				return 1
-			}
-			return -1
+	return NewGen(n, func(t, f int64) int64 {
+		phase := (t - 1) % period
+		if phase < up {
+			return 1
 		}
+		return -1
 	})
 }
 
@@ -168,13 +130,11 @@ func Sawtooth(n, up, down int64) Stream {
 // variability is v(n) = n. Any correct tracker is forced to communicate
 // at essentially every step (section 1 of the paper: Ω(n) in general).
 func Flip(n int64) Stream {
-	return NewGenFactory(n, func() func(t, f int64) int64 {
-		return func(t, f int64) int64 {
-			if f == 0 {
-				return 1
-			}
-			return -1
+	return NewGen(n, func(t, f int64) int64 {
+		if f == 0 {
+			return 1
 		}
+		return -1
 	})
 }
 
@@ -186,45 +146,43 @@ func LevelSwitch(n int64, base, jump int64, p float64, seed uint64) Stream {
 	if base <= 0 || jump <= 0 {
 		panic("stream: LevelSwitch needs base > 0 and jump > 0")
 	}
-	return NewGenFactory(n, func() func(t, f int64) int64 {
-		src := rng.New(seed)
-		var pending int64 // remaining ±1 steps of an in-progress jump
-		var dir int64 = 1
-		level := base // target level: base or base+jump
-		// Climb to base first so that f reaches the operating range.
-		warm := base
-		return func(t, f int64) int64 {
-			if warm > 0 {
-				warm--
-				return 1
-			}
-			if pending > 0 {
-				pending--
-				return dir
-			}
-			if f != level {
-				// Return to the level after a jitter step.
-				if f < level {
-					return 1
-				}
-				return -1
-			}
-			if src.Bernoulli(p) {
-				if level == base {
-					level = base + jump
-					dir = 1
-				} else {
-					level = base
-					dir = -1
-				}
-				pending = jump - 1
-				return dir
-			}
-			// Hold the level. A zero delta is not an update, so jitter +1 here
-			// and −1 on the next step; this perturbs variability only by
-			// O(1/base) per step.
+	src := rng.New(seed)
+	var pending int64 // remaining ±1 steps of an in-progress jump
+	var dir int64 = 1
+	level := base // target level: base or base+jump
+	// Climb to base first so that f reaches the operating range.
+	warm := base
+	return NewGen(n, func(t, f int64) int64 {
+		if warm > 0 {
+			warm--
 			return 1
 		}
+		if pending > 0 {
+			pending--
+			return dir
+		}
+		if f != level {
+			// Return to the level after a jitter step.
+			if f < level {
+				return 1
+			}
+			return -1
+		}
+		if src.Bernoulli(p) {
+			if level == base {
+				level = base + jump
+				dir = 1
+			} else {
+				level = base
+				dir = -1
+			}
+			pending = jump - 1
+			return dir
+		}
+		// Hold the level. A zero delta is not an update, so jitter +1 here
+		// and −1 on the next step; this perturbs variability only by
+		// O(1/base) per step.
+		return 1
 	})
 }
 
@@ -237,18 +195,16 @@ func ZeroCrossing(n, amp int64) Stream {
 		panic("stream: ZeroCrossing needs amp > 0")
 	}
 	period := 4 * amp
-	return NewGenFactory(n, func() func(t, f int64) int64 {
-		return func(t, f int64) int64 {
-			// One period: 0 → +amp → −amp → 0.
-			phase := (t - 1) % period
-			switch {
-			case phase < amp:
-				return 1
-			case phase < 3*amp:
-				return -1
-			default:
-				return 1
-			}
+	return NewGen(n, func(t, f int64) int64 {
+		// One period: 0 → +amp → −amp → 0.
+		phase := (t - 1) % period
+		switch {
+		case phase < amp:
+			return 1
+		case phase < 3*amp:
+			return -1
+		default:
+			return 1
 		}
 	})
 }
@@ -260,19 +216,17 @@ func BulkWalk(n int64, maxStep int64, seed uint64) Stream {
 	if maxStep <= 0 {
 		panic("stream: BulkWalk needs maxStep > 0")
 	}
-	return NewGenFactory(n, func() func(t, f int64) int64 {
-		src := rng.New(seed)
-		return func(t, f int64) int64 {
-			for {
-				d := src.Int63n(2*maxStep+1) - maxStep
-				if d == 0 {
-					continue
-				}
-				if f+d < 0 {
-					d = -d
-				}
-				return d
+	src := rng.New(seed)
+	return NewGen(n, func(t, f int64) int64 {
+		for {
+			d := src.Int63n(2*maxStep+1) - maxStep
+			if d == 0 {
+				continue
 			}
+			if f+d < 0 {
+				d = -d
+			}
+			return d
 		}
 	})
 }

@@ -18,26 +18,24 @@ func Bursty(n int64, burstProb float64, burstLen int64, seed uint64) Stream {
 	if burstLen < 1 {
 		panic("stream: Bursty needs burstLen >= 1")
 	}
-	return NewGenFactory(n, func() func(t, f int64) int64 {
-		src := rng.New(seed)
-		var pending int64
-		var dir int64 = -1
-		return func(t, f int64) int64 {
-			if pending > 0 {
-				pending--
-				dir = -dir
-				if f+dir < 0 {
-					return -dir
-				}
-				return dir
+	src := rng.New(seed)
+	var pending int64
+	var dir int64 = -1
+	return NewGen(n, func(t, f int64) int64 {
+		if pending > 0 {
+			pending--
+			dir = -dir
+			if f+dir < 0 {
+				return -dir
 			}
-			if src.Bernoulli(burstProb) {
-				pending = burstLen - 1
-				dir = -1
-				return dir * boolToSign(f > 0)
-			}
-			return 1
+			return dir
 		}
+		if src.Bernoulli(burstProb) {
+			pending = burstLen - 1
+			dir = -1
+			return dir * boolToSign(f > 0)
+		}
+		return 1
 	})
 }
 
@@ -60,19 +58,17 @@ func MeanReverting(n int64, level int64, theta float64, seed uint64) Stream {
 	if theta < 0 || theta > 1 {
 		panic("stream: MeanReverting needs theta in [0, 1]")
 	}
-	return NewGenFactory(n, func() func(t, f int64) int64 {
-		src := rng.New(seed)
-		return func(t, f int64) int64 {
-			// Pull probability toward the level proportional to displacement.
-			disp := float64(f-level) / float64(level)
-			pUp := 0.5 - theta*disp/2
-			if pUp < 0.05 {
-				pUp = 0.05
-			}
-			if pUp > 0.95 {
-				pUp = 0.95
-			}
-			return src.PlusMinusOne(pUp)
+	src := rng.New(seed)
+	return NewGen(n, func(t, f int64) int64 {
+		// Pull probability toward the level proportional to displacement.
+		disp := float64(f-level) / float64(level)
+		pUp := 0.5 - theta*disp/2
+		if pUp < 0.05 {
+			pUp = 0.05
 		}
+		if pUp > 0.95 {
+			pUp = 0.95
+		}
+		return src.PlusMinusOne(pUp)
 	})
 }

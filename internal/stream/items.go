@@ -8,14 +8,11 @@ import "repro/internal/rng"
 // multiset so deletions always target a present item, keeping every
 // frequency nonnegative — the invariant the problem definition requires.
 type ItemGen struct {
-	n        int64
-	t        int64
-	universe int
-	s        float64
-	delProb  float64
-	seed     uint64
-	src      *rng.Xoshiro256
-	zipf     *rng.Zipf
+	n       int64
+	t       int64
+	delProb float64
+	src     *rng.Xoshiro256
+	zipf    *rng.Zipf
 	// present tracks the current multiset as a flat list of item ids so a
 	// uniform deletion target can be drawn in O(1).
 	present []uint64
@@ -34,31 +31,14 @@ func NewItemGen(n int64, universe int, s, delProb float64, seed uint64) *ItemGen
 	if delProb < 0 || delProb >= 1 {
 		panic("stream: NewItemGen needs 0 <= delProb < 1")
 	}
-	g := &ItemGen{
-		n:        n,
-		universe: universe,
-		s:        s,
-		delProb:  delProb,
-		seed:     seed,
-		counts:   make(map[uint64]int64),
+	src := rng.New(seed)
+	return &ItemGen{
+		n:       n,
+		delProb: delProb,
+		src:     src,
+		zipf:    rng.NewZipf(src.Fork(0xD1CE), universe, s),
+		counts:  make(map[uint64]int64),
 	}
-	g.reseed()
-	return g
-}
-
-// reseed re-derives the generator's random state from the stored seed.
-func (g *ItemGen) reseed() {
-	g.src = rng.New(g.seed)
-	g.zipf = rng.NewZipf(g.src.Fork(0xD1CE), g.universe, g.s)
-}
-
-// Reset implements Resettable: the replay is identical because the item
-// sequence is a pure function of the seed.
-func (g *ItemGen) Reset() {
-	g.t = 0
-	g.present = g.present[:0]
-	clear(g.counts)
-	g.reseed()
 }
 
 // Next implements Stream.

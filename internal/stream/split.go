@@ -17,19 +17,6 @@ type SplitBulk struct {
 // NewSplitBulk wraps inner with the appendix-C unit-update expansion.
 func NewSplitBulk(inner Stream) *SplitBulk { return &SplitBulk{inner: inner} }
 
-// CanReset reports whether the inner stream supports Reset.
-func (s *SplitBulk) CanReset() bool { return canReset(s.inner) }
-
-// Reset implements Resettable; the inner stream must support Reset too.
-func (s *SplitBulk) Reset() {
-	mustReset(s.inner)
-	s.t = 0
-	s.pending = 0
-	s.dir = 0
-	s.site = 0
-	s.item = 0
-}
-
 // Next implements Stream.
 func (s *SplitBulk) Next() (Update, bool) {
 	for s.pending == 0 {

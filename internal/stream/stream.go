@@ -6,9 +6,11 @@
 // f'(t) = f(t) − f(t−1) arrives at one site i(t) of the k sites. The tracked
 // function starts at f(0) = 0 unless a generator states otherwise.
 //
-// A Stream yields updates one at a time; a Assigner decides which site
+// A Stream yields updates one at a time; an Assigner decides which site
 // receives each update. Generators are deterministic given their seed, so
-// every experiment is reproducible.
+// every experiment is reproducible. A stream is consumed once: to replay a
+// workload, call its constructor again with the same arguments, which
+// yields the same updates.
 package stream
 
 // Update is one element of the update stream f'(n).
@@ -67,52 +69,6 @@ func NextBatch(s Stream, buf []Update) int {
 	return n
 }
 
-// Resettable is implemented by streams that can rewind to their initial
-// state. Generators are deterministic given their seed, so a Reset replays
-// the identical update sequence — experiments replay a workload against
-// several trackers by cheap regeneration instead of materializing it with
-// Collect (O(1) peak memory instead of O(n)).
-type Resettable interface {
-	Reset()
-}
-
-// resettableChecker is implemented by streams that are only conditionally
-// resettable (a Gen over an opaque closure, a combinator over a
-// non-resettable inner stream).
-type resettableChecker interface {
-	CanReset() bool
-}
-
-// canReset reports whether Reset on s would succeed.
-func canReset(s Stream) bool {
-	r, ok := s.(Resettable)
-	if !ok {
-		return false
-	}
-	if c, ok := r.(resettableChecker); ok {
-		return c.CanReset()
-	}
-	return true
-}
-
-// TryReset rewinds s if it supports Reset and reports whether it did.
-func TryReset(s Stream) bool {
-	if !canReset(s) {
-		return false
-	}
-	s.(Resettable).Reset()
-	return true
-}
-
-// mustReset rewinds an inner stream of a combinator, panicking when the
-// inner stream does not support Reset: a combinator can only be resettable
-// if everything beneath it is.
-func mustReset(s Stream) {
-	if !TryReset(s) {
-		panic("stream: inner stream does not implement Reset")
-	}
-}
-
 // Slice is a Stream over a pre-materialized slice of updates.
 type Slice struct {
 	updates []Update
@@ -141,9 +97,6 @@ func (s *Slice) NextBatch(buf []Update) int {
 
 // Len returns the total number of updates in the underlying slice.
 func (s *Slice) Len() int { return len(s.updates) }
-
-// Reset rewinds the stream to the beginning.
-func (s *Slice) Reset() { s.pos = 0 }
 
 // Collect drains a stream into a slice. It is intended for tests and for
 // experiments that need to replay the same stream against several trackers.
@@ -182,21 +135,11 @@ func FinalValue(updates []Update) int64 {
 // Limit wraps a stream and stops it after n updates.
 type Limit struct {
 	inner Stream
-	n     int64
 	left  int64
 }
 
 // NewLimit returns a stream yielding at most n updates of inner.
-func NewLimit(inner Stream, n int64) *Limit { return &Limit{inner: inner, n: n, left: n} }
-
-// Reset implements Resettable; the inner stream must support Reset too.
-func (l *Limit) Reset() {
-	mustReset(l.inner)
-	l.left = l.n
-}
-
-// CanReset reports whether the inner stream supports Reset.
-func (l *Limit) CanReset() bool { return canReset(l.inner) }
+func NewLimit(inner Stream, n int64) *Limit { return &Limit{inner: inner, left: n} }
 
 // Next implements Stream.
 func (l *Limit) Next() (Update, bool) {
@@ -234,26 +177,6 @@ type Concat struct {
 
 // NewConcat concatenates the given streams.
 func NewConcat(streams ...Stream) *Concat { return &Concat{streams: streams} }
-
-// Reset implements Resettable; every concatenated stream must support
-// Reset too.
-func (c *Concat) Reset() {
-	for _, s := range c.streams {
-		mustReset(s)
-	}
-	c.idx = 0
-	c.t = 0
-}
-
-// CanReset reports whether every concatenated stream supports Reset.
-func (c *Concat) CanReset() bool {
-	for _, s := range c.streams {
-		if !canReset(s) {
-			return false
-		}
-	}
-	return true
-}
 
 // Next implements Stream.
 func (c *Concat) Next() (Update, bool) {

@@ -23,10 +23,6 @@ func TestSliceStream(t *testing.T) {
 	if _, ok := s.Next(); ok {
 		t.Fatal("exhausted stream returned an update")
 	}
-	s.Reset()
-	if u, ok := s.Next(); !ok || u.T != 1 {
-		t.Fatalf("after Reset got %+v, %v", u, ok)
-	}
 }
 
 func TestValuesAndFinalValue(t *testing.T) {

@@ -3,6 +3,7 @@ package stream
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -211,4 +212,55 @@ func TestTraceWriterRejectsBadK(t *testing.T) {
 	if _, err := NewTraceWriter(&buf, 1<<25); err == nil {
 		t.Error("absurd k accepted")
 	}
+}
+
+// FuzzTraceReader feeds arbitrary bytes to the trace reader: it must not
+// panic, every site it yields must lie in [0, K()) when the header records
+// K, and the accepted prefix, re-encoded with WriteTraceK(K()), must read
+// back as the same updates.
+func FuzzTraceReader(f *testing.F) {
+	for _, seed := range []struct {
+		ups []Update
+		k   int
+	}{
+		{Collect(NewAssign(RandomWalk(64, 5), NewRoundRobin(3))), 3},
+		{Collect(NewAssign(BiasedWalk(64, 0.2, 9), NewSkewed(7, 1.3, 4))), 7},
+		{Collect(NewAssign(NewItemGen(64, 50, 1.1, 0.3, 2), NewRoundRobin(2))), 0},
+	} {
+		var buf bytes.Buffer
+		if _, err := WriteTraceK(&buf, NewSlice(seed.ups), seed.k); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	var v1 bytes.Buffer
+	v1.Write(traceMagicV1[:])
+	f.Add(v1.Bytes())
+	f.Add(append(traceMagicV2[:], 3))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := NewTraceReader(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		k := tr.K()
+		got := Collect(tr)
+		for i, u := range got {
+			if u.Site < 0 || (k > 0 && u.Site >= k) {
+				t.Fatalf("update %d: site %d outside [0, %d)", i, u.Site, k)
+			}
+		}
+		var buf bytes.Buffer
+		if _, err := WriteTraceK(&buf, NewSlice(got), k); err != nil {
+			t.Fatalf("re-encoding the accepted prefix: %v", err)
+		}
+		back, err := NewTraceReader(&buf)
+		if err != nil {
+			t.Fatalf("re-encoded trace rejected: %v", err)
+		}
+		again := Collect(back)
+		if back.Err() != nil || back.K() != k || !slices.Equal(again, got) {
+			t.Fatalf("re-encoded trace reads back %d updates (k=%d, err %v), want %d (k=%d)",
+				len(again), back.K(), back.Err(), len(got), k)
+		}
+	})
 }

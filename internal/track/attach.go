@@ -38,27 +38,22 @@ type AttachState struct {
 // Net returns the site's net contribution Plus − Minus.
 func (st AttachState) Net() int64 { return st.Plus - st.Minus }
 
-// AttachBootstrapper is an optional dist.SiteAlgo extension: BootstrapAttach
-// seeds a freshly constructed site algorithm with pre-attach history and
-// emits the absolute-state messages that re-establish it at a freshly
-// constructed coordinator. Like the rejoin hooks, emitted messages must be
-// safe to deliver on top of whatever the coordinator already holds.
-// Implementations must consume st during the call and not retain st.Items:
-// the engine may hand out its live per-item table rather than a copy.
-type AttachBootstrapper interface {
-	BootstrapAttach(st AttachState, out dist.Outbox)
-}
-
-// InBlockBootstrapper is the in-block mirror of AttachBootstrapper, one
-// layer down (as InBlockRejoiner mirrors dist.SiteRejoiner): the partition
-// layer forwards the snapshot so the in-block estimator can adopt the
-// history as block-0 drift and report it.
+// InBlockBootstrapper is implemented by in-block estimators that can adopt
+// pre-attach history: the partition layer's BootstrapAttach forwards the
+// snapshot so the estimator can take the history as block-0 drift and
+// report it.
 type InBlockBootstrapper interface {
 	BootstrapAttach(st AttachState, out dist.Outbox)
 }
 
-// BootstrapAttach implements AttachBootstrapper on the partition layer. The
-// inner estimator adopts and reports the historical drift first, so the
+// BootstrapAttach seeds a freshly constructed site with pre-attach history
+// and emits the absolute-state messages that re-establish it at a freshly
+// constructed coordinator. Like the rejoin hooks, the messages are safe to
+// deliver on top of whatever the coordinator already holds. It consumes st
+// during the call and does not retain st.Items: the engine may hand out its
+// live per-item table rather than a copy.
+//
+// The inner estimator adopts and reports the historical drift first, so the
 // estimate is approximately right immediately; then the seeded update count
 // goes out as a count report, whose arrival triggers the state collection
 // that turns the approximation into an exact block boundary. The snapshot's

@@ -63,10 +63,6 @@ func (r Result) String() string {
 		r.MaxRelErr, r.ViolationFrac(), r.Blocks)
 }
 
-// runBufSize is the update buffer length of the batched Run loop: big
-// enough to amortize the per-buffer dispatch, small enough to stay in L1.
-const runBufSize = 256
-
 // BlockCoordSource exposes the underlying *BlockCoord of a wrapping
 // coordinator (the multi-query engine, say), so Run's block-boundary
 // instrumentation works however the tracker is deployed. A nil return
@@ -79,11 +75,10 @@ type BlockCoordSource interface {
 // the exact value after every step. The stream's updates must already carry
 // site assignments in [0, k).
 //
-// Run drives the batched ingest path: updates flow through
-// stream.NextBatch and dist.Sim.StepBatch, which is byte-identical to a
-// per-update Step loop. The per-step error check still runs for every
-// update — across a message-free prefix the coordinator state is
-// untouched, so the estimate is read once per quiescent chunk instead of
+// Run drives the batched ingest path, dist.Sim.RunBatch, which is
+// byte-identical to a per-update Step loop. The per-step error check still
+// runs for every update — across a message-free run the coordinator state
+// is untouched, so the estimate is read once per delivering run instead of
 // once per step.
 func Run(name string, st stream.Stream, coord dist.CoordAlgo, sites []dist.SiteAlgo, eps float64) Result {
 	sim := dist.NewSim(coord, sites)
@@ -99,7 +94,6 @@ func Run(name string, st stream.Stream, coord dist.CoordAlgo, sites []dist.SiteA
 	}
 	lastBlocks := int64(0)
 
-	buf := make([]stream.Update, runBufSize)
 	est := sim.Estimate()
 	// check performs the per-step error accounting for one update, with
 	// the same float operations in the same order as the per-update loop
@@ -121,32 +115,24 @@ func Run(name string, st stream.Stream, coord dist.CoordAlgo, sites []dist.SiteA
 			res.Violations++
 		}
 	}
-	for {
-		n := stream.NextBatch(st, buf)
-		if n == 0 {
-			break
+	sim.RunBatch(st, nil, 0, func(run []stream.Update, delivered bool) {
+		last := len(run) - 1
+		for _, u := range run[:last] {
+			check(u.Delta)
 		}
-		for i := 0; i < n; {
-			consumed, delivered := sim.StepBatch(buf[i:n])
-			last := i + consumed - 1
-			for j := i; j < last; j++ {
-				check(buf[j].Delta)
-			}
-			if delivered {
-				est = sim.Estimate()
-			}
-			check(buf[last].Delta)
-			i += consumed
-			// Blocks only complete when messages are delivered, so the
-			// boundary snapshot lands on exactly the step it did in the
-			// per-update loop.
-			if delivered && hasBlocks && bc.Blocks() != lastBlocks {
-				lastBlocks = bc.Blocks()
-				res.BlockV = append(res.BlockV, exact.V())
-				res.BlockMsgs = append(res.BlockMsgs, sim.Stats().Total())
-			}
+		if delivered {
+			est = sim.Estimate()
 		}
-	}
+		check(run[last].Delta)
+		// Blocks only complete when messages are delivered, so the
+		// boundary snapshot lands on exactly the step it did in the
+		// per-update loop.
+		if delivered && hasBlocks && bc.Blocks() != lastBlocks {
+			lastBlocks = bc.Blocks()
+			res.BlockV = append(res.BlockV, exact.V())
+			res.BlockMsgs = append(res.BlockMsgs, sim.Stats().Total())
+		}
+	})
 
 	res.V = exact.V()
 	res.Stats = sim.Stats()
