@@ -50,6 +50,10 @@ type AsyncSim struct {
 	coord CoordAlgo
 	model NetModel
 	src   *rng.Xoshiro256
+	// dropT is rng.Threshold(model.Drop): an attempt is lost when
+	// src.Uint64()>>11 < dropT, the integer form of src.Float64() <
+	// model.Drop, and no draw is made when Drop is 0.
+	dropT uint64
 	queue eventQueue
 
 	// linkAt[i] is the latest delivery time scheduled on link i (site i →
@@ -153,6 +157,7 @@ func NewAsyncSim(coord CoordAlgo, sites []SiteAlgo, model NetModel, seed uint64)
 		coord:       coord,
 		model:       model,
 		src:         rng.New(seed),
+		dropT:       rng.Threshold(model.Drop),
 		linkAt:      make([]int64, 2*len(sites)),
 		down:        make([]bool, len(sites)),
 		epoch:       make([]uint32, len(sites)),
@@ -477,7 +482,7 @@ func (s *AsyncSim) deliver(e *event) {
 	// says so, in which case the bounded retransmission budget decides
 	// between a retry RTO ticks out and giving the message up for dropped.
 	lost := s.linkDown(e)
-	if !lost && s.model.Drop > 0 && s.src.Float64() < s.model.Drop {
+	if !lost && s.dropT > 0 && s.src.Uint64()>>11 < s.dropT {
 		lost = true
 	}
 	if lost {

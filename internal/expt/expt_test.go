@@ -190,13 +190,6 @@ func TestFind(t *testing.T) {
 	}
 }
 
-func TestHeavyHittersHelper(t *testing.T) {
-	missed, spurious, _ := heavyHittersCheck(quickCfg(), 0.2)
-	if missed != 0 || spurious != 0 {
-		t.Fatalf("heavy hitters: missed=%d spurious=%d", missed, spurious)
-	}
-}
-
 func TestE20AllOk(t *testing.T) {
 	tbl := E20ChangepointSummary(quickCfg())
 	for _, row := range tbl.Rows {

@@ -4,7 +4,6 @@ import (
 	"repro/internal/bound"
 	"repro/internal/dist"
 	"repro/internal/freq"
-	"repro/internal/stats"
 	"repro/internal/stream"
 )
 
@@ -158,37 +157,4 @@ func E14FreqCR(cfg Config) *Table {
 	}
 	t.AddNote("violations must be 0: both the protocol and the sketch are deterministic")
 	return t
-}
-
-// heavyHittersCheck is reused by tests: runs a skewed workload and compares
-// the reported heavy hitters against ground truth.
-func heavyHittersCheck(cfg Config, phi float64) (missed, spurious int, s stats.Summary) {
-	k, eps := 4, 0.05
-	n := cfg.scale(50_000)
-	tr, sites := freq.New(k, eps, freq.ExactMapper{})
-	gen := stream.NewItemGen(n, 100, 1.5, 0.1, cfg.Seed)
-	st := stream.NewAssign(gen, stream.NewRoundRobin(k))
-	sim := dist.NewSim(tr, sites)
-	exact := make(map[uint64]int64)
-	var f1 int64
-	sim.RunBatch(st, nil, 0, func(run []stream.Update, _ bool) {
-		for _, u := range run {
-			exact[u.Item] += u.Delta
-			f1 += u.Delta
-		}
-	})
-	hh := tr.HeavyHitters(phi)
-	var shares []float64
-	for item, fv := range exact {
-		share := float64(fv) / float64(f1)
-		shares = append(shares, share)
-		_, in := hh[item]
-		if share >= phi+eps && !in {
-			missed++
-		}
-		if share < phi-eps && in {
-			spurious++
-		}
-	}
-	return missed, spurious, stats.Summarize(shares)
 }

@@ -45,12 +45,12 @@ type sampledCell struct {
 type sampledSite struct {
 	id     int32
 	eps    float64
-	k      int
+	sqrtK  float64
 	mapper Mapper
 	src    *rng.Xoshiro256
 	sync   bool
 
-	p          float64
+	coin       rng.Coin // the block's Bernoulli(p), derived in Reset
 	cellThresh float64
 	// cells holds per-cell state inline: one probe per touch and no
 	// per-cell heap object to chase (or allocate on first touch).
@@ -72,33 +72,17 @@ func newSampledSite(id int, eps float64, k int, mapper Mapper, src *rng.Xoshiro2
 	return &sampledSite{
 		id:     int32(id),
 		eps:    eps,
-		k:      k,
+		sqrtK:  math.Sqrt(float64(k)),
 		mapper: mapper,
 		src:    src,
 		sync:   sync,
 	}
 }
 
-// sampledProb mirrors §3.4: p = min{1, 3/(ε·2^r·√k)}, exact in r = 0 blocks.
-func sampledProb(eps float64, r int64, k int) float64 {
-	if r == 0 {
-		return 1
-	}
-	p := 3 / (eps * math.Pow(2, float64(r)) * math.Sqrt(float64(k)))
-	if p > 1 {
-		return 1
-	}
-	return p
-}
-
 // Reset implements track.InBlockSite.
 func (s *sampledSite) Reset(r int64, out dist.Outbox) {
-	s.p = sampledProb(s.eps, r, s.k)
-	s.cellThresh = s.eps * math.Pow(2, float64(r)) / 3
-	s.f1Thresh = s.eps * math.Pow(2, float64(r))
-	if s.f1Thresh < 1 {
-		s.f1Thresh = 1
-	}
+	s.coin = rng.NewCoin(track.SampleProb(s.eps, r, s.sqrtK))
+	s.cellThresh, s.f1Thresh = blockThresholds(s.eps, r)
 	s.f1Drift = 0
 	s.f1Delta = 0
 	if !s.sync {
@@ -138,12 +122,12 @@ func (s *sampledSite) OnUpdate(u stream.Update, out dist.Outbox) {
 		st.net += u.Delta
 		if u.Delta > 0 {
 			st.dplus++
-			if s.src.Bernoulli(s.p) {
+			if s.src.Flip(s.coin) {
 				out.Send(dist.Msg{Kind: dist.KindFreqReport, Site: s.id, Item: c, A: st.dplus, B: 1})
 			}
 		} else {
 			st.dminus++
-			if s.src.Bernoulli(s.p) {
+			if s.src.Flip(s.coin) {
 				out.Send(dist.Msg{Kind: dist.KindFreqReport, Site: s.id, Item: c, A: st.dminus, B: -1})
 			}
 		}
@@ -161,11 +145,11 @@ type siteCell struct {
 
 // sampledCoord is the coordinator half of the sampled variants.
 type sampledCoord struct {
-	k    int
-	eps  float64
-	sync bool
+	sqrtK float64
+	eps   float64
+	sync  bool
 
-	p       float64
+	invP    float64          // 1/p for the block's p
 	base    map[uint64]int64 // exact values from end-of-block reports
 	plusHat map[siteCell]float64
 	minHat  map[siteCell]float64
@@ -177,7 +161,7 @@ type sampledCoord struct {
 
 func newSampledCoord(k int, eps float64, sync bool) *sampledCoord {
 	return &sampledCoord{
-		k: k, eps: eps, sync: sync,
+		sqrtK: math.Sqrt(float64(k)), eps: eps, sync: sync,
 		base:    make(map[uint64]int64),
 		plusHat: make(map[siteCell]float64),
 		minHat:  make(map[siteCell]float64),
@@ -188,7 +172,7 @@ func newSampledCoord(k int, eps float64, sync bool) *sampledCoord {
 
 // Reset implements track.InBlockCoord.
 func (c *sampledCoord) Reset(r int64) {
-	c.p = sampledProb(c.eps, r, c.k)
+	c.invP = 1 / track.SampleProb(c.eps, r, c.sqrtK)
 	clear(c.f1Dhat)
 	c.f1Sum = 0
 	if !c.sync {
@@ -215,7 +199,7 @@ func (c *sampledCoord) OnMessage(m dist.Msg) {
 		c.base[m.Item] += m.A
 	case dist.KindFreqReport:
 		key := siteCell{m.Site, m.Item}
-		est := float64(m.A) - 1 + 1/c.p
+		est := float64(m.A) - 1 + c.invP
 		if m.B > 0 {
 			c.drift[m.Item] += est - c.plusHat[key]
 			c.plusHat[key] = est

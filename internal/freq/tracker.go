@@ -52,15 +52,19 @@ func newFreqSite(id int, eps float64, mapper Mapper) *freqSite {
 	}
 }
 
+// blockThresholds returns the two send thresholds of a block with exponent
+// r: ε·2^r/3 per counter (flush and heavy report) and ε·2^r floored at 1
+// for F1 (§3.3).
+func blockThresholds(eps float64, r int64) (cell, f1 float64) {
+	scale := eps * math.Ldexp(1, int(r))
+	return scale / 3, max(scale, 1)
+}
+
 // Reset implements track.InBlockSite: end the old block and start one with
 // exponent r. Heavy counters are reported exactly; everything else is
 // implicitly zero at the coordinator.
 func (s *freqSite) Reset(r int64, out dist.Outbox) {
-	s.cellThresh = s.eps * math.Pow(2, float64(r)) / 3
-	s.f1Thresh = s.eps * math.Pow(2, float64(r))
-	if s.f1Thresh < 1 {
-		s.f1Thresh = 1
-	}
+	s.cellThresh, s.f1Thresh = blockThresholds(s.eps, r)
 	s.f1Drift = 0
 	s.f1Delta = 0
 	s.heavyKeys = s.heavyKeys[:0]

@@ -4,7 +4,16 @@
 // Everything in this repository that is random is seeded explicitly through
 // this package so that every experiment, test, and benchmark is exactly
 // reproducible. We deliberately do not use math/rand's global state.
+//
+// Hot paths that flip the same probability many times precompute it as a
+// Coin: an integer threshold on the generator's top 53 bits that decides,
+// and consumes the generator, exactly as Bernoulli does (see Threshold).
 package rng
+
+import (
+	"math"
+	"math/bits"
+)
 
 // SplitMix64 is the 64-bit SplitMix generator of Steele, Lea, and Flood.
 // It is used both directly (for seeding) and as the state mixer of Xoshiro.
@@ -49,19 +58,15 @@ func New(seed uint64) *Xoshiro256 {
 	return &x
 }
 
-func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
-
-// Uint64 returns the next 64-bit value in the sequence.
+// Uint64 returns the next 64-bit value in the sequence. The state is
+// loaded into locals and rotated with bits.RotateLeft64 so the whole step
+// fits the compiler's inlining budget: callers on the per-update path pay
+// no call.
 func (x *Xoshiro256) Uint64() uint64 {
-	result := rotl(x.s[1]*5, 7) * 9
-	t := x.s[1] << 17
-	x.s[2] ^= x.s[0]
-	x.s[3] ^= x.s[1]
-	x.s[1] ^= x.s[2]
-	x.s[0] ^= x.s[3]
-	x.s[2] ^= t
-	x.s[3] = rotl(x.s[3], 45)
-	return result
+	s0, s1 := x.s[0], x.s[1]
+	s2, s3 := x.s[2]^s0, x.s[3]^s1
+	x.s = [4]uint64{s0 ^ s3, s1 ^ s2, s2 ^ s1<<17, bits.RotateLeft64(s3, 45)}
+	return bits.RotateLeft64(s1*5, 7) * 9
 }
 
 // Float64 returns a uniform value in [0, 1) with 53 bits of precision.
@@ -118,6 +123,43 @@ func (x *Xoshiro256) Bernoulli(p float64) bool {
 		return true
 	}
 	return x.Float64() < p
+}
+
+// Threshold returns the integer form of a probability: t = ⌈p·2^53⌉,
+// clamped to 0 for p ≤ 0 or NaN and to 2^53 for p ≥ 1. Float64() is
+// y·2^−53 with y = Uint64()>>11, and y·2^−53 < p holds exactly when
+// y < ⌈p·2^53⌉ (p·2^53 is exact for p < 1), so the draw
+// Uint64()>>11 < Threshold(p) decides as Float64() < p on the same state.
+func Threshold(p float64) uint64 {
+	if !(p > 0) {
+		return 0
+	}
+	if p >= 1 {
+		return 1 << 53
+	}
+	return uint64(math.Ceil(math.Ldexp(p, 53)))
+}
+
+// Coin is a Bernoulli(p) decision precomputed for repeated flips: a flip
+// decides, and consumes the generator, exactly as Bernoulli(p) does, but
+// in integer arithmetic. Its zero value never succeeds and never draws.
+type Coin struct {
+	t    uint64 // a drawing flip succeeds when Uint64()>>11 < t
+	draw bool   // false for p ≤ 0 and p ≥ 1, where Bernoulli draws nothing
+}
+
+// NewCoin precomputes Bernoulli(p). As in Bernoulli, p ≤ 0 never succeeds
+// and p ≥ 1 always does without a draw, and a NaN p draws and fails.
+func NewCoin(p float64) Coin {
+	return Coin{t: Threshold(p), draw: !(p <= 0 || p >= 1)}
+}
+
+// Flip returns the coin's decision, drawing from x when Bernoulli(p) would.
+func (x *Xoshiro256) Flip(c Coin) bool {
+	if c.draw {
+		return x.Uint64()>>11 < c.t
+	}
+	return c.t != 0
 }
 
 // PlusMinusOne returns +1 with probability p and −1 otherwise. It is the

@@ -88,12 +88,11 @@ func (s *detSite) BootstrapAttach(st AttachState, out dist.Outbox) {
 // can only reconstruct the net split, not the historical coin order; the
 // first block collection makes the boundary exact regardless.)
 func (s *randSite) BootstrapAttach(st AttachState, out dist.Outbox) {
-	s.dplus = st.Plus
-	s.dminus = st.Minus
-	if s.dplus != 0 {
-		out.Send(dist.Msg{Kind: dist.KindDriftReport, Site: s.id, A: s.dplus, B: 2})
+	s.d = [2]int64{st.Plus, st.Minus}
+	if s.d[0] != 0 {
+		out.Send(dist.Msg{Kind: dist.KindDriftReport, Site: s.id, A: s.d[0], B: 2})
 	}
-	if s.dminus != 0 {
-		out.Send(dist.Msg{Kind: dist.KindDriftReport, Site: s.id, A: s.dminus, B: -2})
+	if s.d[1] != 0 {
+		out.Send(dist.Msg{Kind: dist.KindDriftReport, Site: s.id, A: s.d[1], B: -2})
 	}
 }

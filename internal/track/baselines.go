@@ -113,10 +113,10 @@ func NewCMY(k int, eps float64) (dist.CoordAlgo, []dist.SiteAlgo) {
 
 // hyzSite samples reports with round-dependent probability.
 type hyzSite struct {
-	id  int32
-	src *rng.Xoshiro256
-	p   float64
-	di  int64
+	id   int32
+	src  *rng.Xoshiro256
+	coin rng.Coin // the round's Bernoulli(p), derived when the round opens
+	di   int64
 }
 
 // OnUpdate implements dist.SiteAlgo.
@@ -125,7 +125,7 @@ func (s *hyzSite) OnUpdate(u stream.Update, out dist.Outbox) {
 		panic("track: HYZ tracker received a deletion; it requires monotone streams")
 	}
 	s.di += u.Delta
-	if s.src.Bernoulli(s.p) {
+	if s.src.Flip(s.coin) {
 		out.Send(dist.Msg{Kind: dist.KindDriftReport, Site: s.id, A: s.di})
 	}
 }
@@ -135,7 +135,7 @@ func (s *hyzSite) OnMessage(m dist.Msg, out dist.Outbox) {
 	if m.Kind == dist.KindNewBlock {
 		// New round: reset the local drift and adopt the new p
 		// (encoded in A as p = A/2^32 fixed point).
-		s.p = float64(m.A) / (1 << 32)
+		s.coin = rng.NewCoin(float64(m.A) / (1 << 32))
 		s.di = 0
 	}
 }
@@ -145,8 +145,8 @@ func (s *hyzSite) OnMessage(m dist.Msg, out dist.Outbox) {
 type hyzCoord struct {
 	k    int
 	eps  float64
-	p    float64
-	base int64 // estimate frozen at the last round start
+	invP float64 // 1/p for the current round's p
+	base int64   // estimate frozen at the last round start
 	dhat []float64
 	sum  float64
 }
@@ -156,7 +156,7 @@ func (c *hyzCoord) OnMessage(m dist.Msg, out dist.Outbox) {
 	if m.Kind != dist.KindDriftReport {
 		return
 	}
-	est := float64(m.A) - 1 + 1/c.p
+	est := float64(m.A) - 1 + c.invP
 	c.sum += est - c.dhat[m.Site]
 	c.dhat[m.Site] = est
 	if float64(c.Estimate()) >= 2*math.Max(float64(c.base), float64(c.k)) {
@@ -166,11 +166,12 @@ func (c *hyzCoord) OnMessage(m dist.Msg, out dist.Outbox) {
 
 func (c *hyzCoord) newRound(out dist.Outbox) {
 	c.base = c.Estimate()
-	c.p = hyzProb(c.eps, c.k, c.base)
+	p := hyzProb(c.eps, c.k, c.base)
+	c.invP = 1 / p
 	clear(c.dhat)
 	c.sum = 0
 	// Fixed-point encode p so the message stays integer-valued.
-	out.Broadcast(dist.Msg{Kind: dist.KindNewBlock, Site: dist.CoordID, A: int64(c.p * (1 << 32))})
+	out.Broadcast(dist.Msg{Kind: dist.KindNewBlock, Site: dist.CoordID, A: int64(p * (1 << 32))})
 }
 
 // Estimate implements dist.CoordAlgo.
@@ -203,9 +204,9 @@ func NewHYZ(k int, eps float64, seed uint64) (dist.CoordAlgo, []dist.SiteAlgo) {
 	root := rng.New(seed)
 	sites := make([]dist.SiteAlgo, k)
 	for i := 0; i < k; i++ {
-		sites[i] = &hyzSite{id: int32(i), src: root.Fork(uint64(i)), p: 1}
+		sites[i] = &hyzSite{id: int32(i), src: root.Fork(uint64(i)), coin: rng.NewCoin(1)}
 	}
-	return &hyzCoord{k: k, eps: eps, p: 1, dhat: make([]float64, k)}, sites
+	return &hyzCoord{k: k, eps: eps, invP: 1, dhat: make([]float64, k)}, sites
 }
 
 // lrvSite forwards each update with an adaptive probability and carries an
@@ -213,7 +214,7 @@ func NewHYZ(k int, eps float64, seed uint64) (dist.CoordAlgo, []dist.SiteAlgo) {
 type lrvSite struct {
 	id     int32
 	src    *rng.Xoshiro256
-	p      float64
+	coin   rng.Coin // the round's Bernoulli(p), derived when the round opens
 	dplus  int64
 	dminus int64
 }
@@ -222,12 +223,12 @@ type lrvSite struct {
 func (s *lrvSite) OnUpdate(u stream.Update, out dist.Outbox) {
 	if u.Delta > 0 {
 		s.dplus++
-		if s.src.Bernoulli(s.p) {
+		if s.src.Flip(s.coin) {
 			out.Send(dist.Msg{Kind: dist.KindDriftReport, Site: s.id, A: s.dplus, B: 1})
 		}
 	} else {
 		s.dminus++
-		if s.src.Bernoulli(s.p) {
+		if s.src.Flip(s.coin) {
 			out.Send(dist.Msg{Kind: dist.KindDriftReport, Site: s.id, A: s.dminus, B: -1})
 		}
 	}
@@ -239,7 +240,7 @@ func (s *lrvSite) OnMessage(m dist.Msg, out dist.Outbox) {
 		// New round: adopt the new p and restart the drift counters so the
 		// unbiased correction −1 + 1/p never mixes reports taken at
 		// different probabilities.
-		s.p = float64(m.A) / (1 << 32)
+		s.coin = rng.NewCoin(float64(m.A) / (1 << 32))
 		s.dplus = 0
 		s.dminus = 0
 	}
@@ -252,9 +253,9 @@ func (s *lrvSite) OnMessage(m dist.Msg, out dist.Outbox) {
 type lrvCoord struct {
 	k     int
 	eps   float64
-	p     float64
-	scale int64 // |f̂| magnitude the current p was chosen for
-	base  int64 // estimate frozen at the last retune
+	invP  float64 // 1/p for the current round's p
+	scale int64   // |f̂| magnitude the current p was chosen for
+	base  int64   // estimate frozen at the last retune
 	dplus []float64
 	dmin  []float64
 	sum   float64
@@ -265,7 +266,7 @@ func (c *lrvCoord) OnMessage(m dist.Msg, out dist.Outbox) {
 	if m.Kind != dist.KindDriftReport {
 		return
 	}
-	est := float64(m.A) - 1 + 1/c.p
+	est := float64(m.A) - 1 + c.invP
 	if m.B > 0 {
 		c.sum += est - c.dplus[m.Site]
 		c.dplus[m.Site] = est
@@ -289,7 +290,7 @@ func (c *lrvCoord) retune(out dist.Outbox, mag int64) {
 	if p > 1 {
 		p = 1
 	}
-	c.p = p
+	c.invP = 1 / p
 	clear(c.dplus)
 	clear(c.dmin)
 	c.sum = 0
@@ -316,10 +317,10 @@ func NewLRV(k int, eps float64, seed uint64) (dist.CoordAlgo, []dist.SiteAlgo) {
 	root := rng.New(seed)
 	sites := make([]dist.SiteAlgo, k)
 	for i := 0; i < k; i++ {
-		sites[i] = &lrvSite{id: int32(i), src: root.Fork(uint64(i)), p: 1}
+		sites[i] = &lrvSite{id: int32(i), src: root.Fork(uint64(i)), coin: rng.NewCoin(1)}
 	}
 	return &lrvCoord{
-		k: k, eps: eps, p: 1, scale: 1,
+		k: k, eps: eps, invP: 1, scale: 1,
 		dplus: make([]float64, k),
 		dmin:  make([]float64, k),
 	}, sites

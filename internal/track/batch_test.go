@@ -3,6 +3,7 @@ package track
 import (
 	"bytes"
 	"hash/fnv"
+	"math"
 	"reflect"
 	"testing"
 
@@ -187,6 +188,108 @@ func FuzzRestoreBlockSite(f *testing.F) {
 				}
 				us = us[c:]
 			}
+		}
+	})
+}
+
+// FuzzRestoreCoord is FuzzRestoreBlockSite's coordinator twin: arbitrary
+// payloads, framed with the magic and a fresh integrity trailer, go to
+// RestoreCoord on det, rand and threshold coordinators. The decoder must
+// never panic, any blob it accepts must re-encode byte for byte, and the
+// restored coordinator must then take 64 OnMessage calls — reports,
+// collection replies and takeover traffic from every site — without
+// panicking. Seeds are real snapshots taken just before and just after
+// block boundaries, plus rand blobs whose p is 0, +Inf or NaN: restore
+// re-derives 1/p from the decoded p, so those must not break delivery.
+func FuzzRestoreCoord(f *testing.F) {
+	const k = 3
+	builders := []struct {
+		name  string
+		build func() (dist.CoordAlgo, []dist.SiteAlgo)
+	}{
+		{"det", func() (dist.CoordAlgo, []dist.SiteAlgo) { return NewDeterministic(k, 0.1) }},
+		{"rand", func() (dist.CoordAlgo, []dist.SiteAlgo) { return NewRandomized(k, 0.1, 3) }},
+		{"threshold", func() (dist.CoordAlgo, []dist.SiteAlgo) { return NewThresholdMonitor(k, 0.1, 300) }},
+	}
+	seed := func(coord dist.CoordAlgo) {
+		blob, err := SnapshotCoord(coord)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blob[len(snapMagic) : len(blob)-8])
+	}
+	ups := stream.Collect(stream.NewAssign(stream.NearlyMonotone(4_000, 1, 41), stream.NewSkewed(k, 1.5, 4)))
+	for _, b := range builders {
+		coord, sites := b.build()
+		sim := dist.NewSim(coord, sites)
+		blocks := coord.(interface{ Blocks() int64 }).Blocks
+		last := blocks()
+		for _, u := range ups {
+			before, err := SnapshotCoord(coord)
+			if err != nil {
+				f.Fatal(err)
+			}
+			sim.Step(u)
+			if blocks() == last {
+				continue
+			}
+			last = blocks()
+			if last%8 != 0 {
+				continue
+			}
+			f.Add(before[len(snapMagic) : len(before)-8])
+			seed(coord)
+		}
+		if b.name == "rand" {
+			for _, p := range []float64{0, math.Inf(1), math.NaN()} {
+				coord.(*BlockCoord).inner.(*randCoord).p = p
+				seed(coord)
+			}
+		}
+		if b.name == "det" {
+			// A boundary value near 2^63: the next block's exponent
+			// must still be computed in finite time.
+			coord.(*BlockCoord).fnj = math.MaxInt64
+			seed(coord)
+		}
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		h := fnv.New64a()
+		h.Write(payload)
+		blob := h.Sum(append(bytes.Clone(snapMagic[:]), payload...))
+		for _, b := range builders {
+			coord, _ := b.build()
+			if RestoreCoord(coord, blob) != nil {
+				continue
+			}
+			again, err := SnapshotCoord(coord)
+			if err != nil {
+				t.Fatalf("%s: accepted blob does not re-snapshot: %v", b.name, err)
+			}
+			if !bytes.Equal(again, blob) {
+				t.Fatalf("%s: accepted blob re-encodes differently:\n got %x\nwant %x", b.name, again, blob)
+			}
+			stamp := uint64(coord.(interface{ Blocks() int64 }).Blocks())
+			for i := 0; i < 64; i++ {
+				site := int32(i % k)
+				var m dist.Msg
+				switch i / k % 6 {
+				case 0:
+					m = dist.Msg{Kind: dist.KindDriftReport, Site: site, Item: stamp, A: int64(i), B: []int64{1, -1, 2, -2}[i%4]}
+				case 1:
+					m = dist.Msg{Kind: dist.KindCountReport, Site: site, A: int64(1 + i)}
+				case 2:
+					m = dist.Msg{Kind: dist.KindStateReply, Site: site, A: int64(i), B: int64(i%5 - 2)}
+				case 3:
+					m = dist.Msg{Kind: dist.KindTakeover, Site: site}
+				case 4:
+					m = dist.Msg{Kind: dist.KindCoordTakeover, Site: site, Item: uint64(i), A: int64(i), B: 1}
+				default:
+					m = dist.Msg{Kind: dist.KindValueReport, Site: site, A: int64(i)}
+				}
+				coord.OnMessage(m, muteOutbox{})
+			}
+			coord.Estimate()
 		}
 	})
 }

@@ -12,6 +12,7 @@ package track
 
 import (
 	"math"
+	"math/bits"
 
 	"repro/internal/dist"
 	"repro/internal/stream"
@@ -82,11 +83,11 @@ func blockExponent(f int64, k int) int64 {
 	if af < 4*kk {
 		return 0
 	}
-	r := int64(1)
-	for af >= (int64(1)<<uint(r))*4*kk {
-		r++
-	}
-	return r
+	// 2^r·2k ≤ |f| < 2^(r+1)·2k holds exactly when 2^r ≤ ⌊|f|/2k⌋ <
+	// 2^(r+1), so r is that quotient's bit length less one. Unlike
+	// doubling 2^r·4k until it passes |f|, this cannot overflow: a restored
+	// boundary value near 2^63 must still yield an exponent.
+	return int64(bits.Len64(uint64(af/(2*kk)))) - 1
 }
 
 // stampOutbox is the outbox BlockSite hands its in-block estimator: it
@@ -741,7 +742,7 @@ func (c *BlockCoord) RHistory() []int64 { return c.rHistory }
 // the r ≥ 1 "|δ_i| ≥ ε·2^r" condition coincide under this floor whenever
 // ε·2^r ≤ 1, exactly as in §3.3).
 func epsThreshold(eps float64, r int64) float64 {
-	t := eps * math.Pow(2, float64(r))
+	t := eps * math.Ldexp(1, int(r))
 	if t < 1 {
 		return 1
 	}

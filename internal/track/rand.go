@@ -29,23 +29,26 @@ import (
 
 // randSite is the site half of the randomized tracker.
 type randSite struct {
-	id  int32   //varlint:volatile construction-time identity; the restore target is built with the same id
-	eps float64 //varlint:volatile construction-time config; only the derived p is live state
-	k   int     //varlint:volatile construction-time config; only the derived p is live state
-	src *rng.Xoshiro256
+	id    int32   //varlint:volatile construction-time identity; the restore target is built with the same id
+	eps   float64 //varlint:volatile construction-time config; only the derived p is live state
+	sqrtK float64 //varlint:volatile construction-time config; only the derived p is live state
+	src   *rng.Xoshiro256
 
-	p      float64
-	dplus  int64 // d_i^+: count of +1 updates this block
-	dminus int64 // d_i^−: count of −1 updates this block
+	p    float64
+	coin rng.Coin //varlint:volatile derived from p in Reset and RestoreSnapshot
+	// d holds d_i^+ and d_i^−, the counts of +1 and −1 updates this
+	// block: copy 0 is A+, copy 1 is A−.
+	d [2]int64
 }
 
-// sampleProb returns p = min{1, 3/(ε·2^r·√k)}, with the r = 0 exactness
-// override described above.
-func sampleProb(eps float64, r int64, k int) float64 {
+// SampleProb returns p = min{1, 3/(ε·2^r·√k)}, with the r = 0 exactness
+// override described above; sqrtK is √k. The frequency trackers' sampled
+// variants (internal/freq) draw with the same probability.
+func SampleProb(eps float64, r int64, sqrtK float64) float64 {
 	if r == 0 {
 		return 1
 	}
-	p := 3 / (eps * math.Pow(2, float64(r)) * math.Sqrt(float64(k)))
+	p := 3 / (eps * math.Ldexp(1, int(r)) * sqrtK)
 	if p > 1 {
 		return 1
 	}
@@ -54,24 +57,23 @@ func sampleProb(eps float64, r int64, k int) float64 {
 
 // Reset implements InBlockSite.
 func (s *randSite) Reset(r int64, out dist.Outbox) {
-	s.p = sampleProb(s.eps, r, s.k)
-	s.dplus = 0
-	s.dminus = 0
+	s.p = SampleProb(s.eps, r, s.sqrtK)
+	s.coin = rng.NewCoin(s.p)
+	s.d = [2]int64{}
 }
 
 // OnUpdate implements InBlockSite.
 func (s *randSite) OnUpdate(u stream.Update, out dist.Outbox) {
-	// B encodes which copy the report belongs to: +1 for A+, −1 for A−.
-	if u.Delta > 0 {
-		s.dplus++
-		if s.src.Bernoulli(s.p) {
-			out.Send(dist.Msg{Kind: dist.KindDriftReport, Site: s.id, A: s.dplus, B: 1})
-		}
-	} else {
-		s.dminus++
-		if s.src.Bernoulli(s.p) {
-			out.Send(dist.Msg{Kind: dist.KindDriftReport, Site: s.id, A: s.dminus, B: -1})
-		}
+	// c picks the copy, 0 (A+) for Δ > 0 and 1 (A−) otherwise, which the
+	// compiler sets with a flag, not a branch; the report's B = 1 − 2c is
+	// +1 for A+ and −1 for A−.
+	var c int64
+	if u.Delta <= 0 {
+		c = 1
+	}
+	s.d[c]++
+	if s.src.Flip(s.coin) {
+		out.Send(dist.Msg{Kind: dist.KindDriftReport, Site: s.id, A: s.d[c], B: 1 - 2*c})
 	}
 }
 
@@ -81,17 +83,18 @@ func (s *randSite) OnUpdate(u stream.Update, out dist.Outbox) {
 // link restores the coordinator's copies to the truth rather than to a
 // debiased sample.
 func (s *randSite) OnRejoin(out dist.Outbox) {
-	out.Send(dist.Msg{Kind: dist.KindDriftReport, Site: s.id, A: s.dplus, B: 2})
-	out.Send(dist.Msg{Kind: dist.KindDriftReport, Site: s.id, A: s.dminus, B: -2})
+	out.Send(dist.Msg{Kind: dist.KindDriftReport, Site: s.id, A: s.d[0], B: 2})
+	out.Send(dist.Msg{Kind: dist.KindDriftReport, Site: s.id, A: s.d[1], B: -2})
 }
 
 // randCoord is the coordinator half of the randomized tracker. As in
 // detCoord, the per-site estimates are dense slices indexed by site id.
 type randCoord struct {
-	k   int     //varlint:volatile construction-time config; only the derived p is live state
-	eps float64 //varlint:volatile construction-time config; only the derived p is live state
+	sqrtK float64 //varlint:volatile construction-time config; only the derived p is live state
+	eps   float64 //varlint:volatile construction-time config; only the derived p is live state
 
 	p     float64
+	invP  float64   //varlint:volatile 1/p, derived in Reset and RestoreSnapshot
 	dplus []float64 // d̂_i^+ indexed by site id
 	dmin  []float64 // d̂_i^− indexed by site id
 	sum   float64   // Σ_i (d̂_i^+ − d̂_i^−), maintained incrementally
@@ -99,7 +102,8 @@ type randCoord struct {
 
 // Reset implements InBlockCoord.
 func (c *randCoord) Reset(r int64) {
-	c.p = sampleProb(c.eps, r, c.k)
+	c.p = SampleProb(c.eps, r, c.sqrtK)
+	c.invP = 1 / c.p
 	clear(c.dplus)
 	clear(c.dmin)
 	c.sum = 0
@@ -110,7 +114,7 @@ func (c *randCoord) OnMessage(m dist.Msg) {
 	if m.Kind != dist.KindDriftReport {
 		return
 	}
-	est := float64(m.A) - 1 + 1/c.p
+	est := float64(m.A) - 1 + c.invP
 	if m.B == 2 || m.B == -2 {
 		// Exact resync report (randSite.OnRejoin): the count itself, no
 		// sampling debias.
@@ -140,18 +144,19 @@ func NewRandomized(k int, eps float64, seed uint64) (dist.CoordAlgo, []dist.Site
 		panic("track: NewRandomized needs 0 < eps < 1")
 	}
 	root := rng.New(seed)
+	sqrtK := math.Sqrt(float64(k))
 	coord := NewBlockCoord(k, &randCoord{
-		k: k, eps: eps,
+		sqrtK: sqrtK, eps: eps,
 		dplus: make([]float64, k),
 		dmin:  make([]float64, k),
 	})
 	sites := make([]dist.SiteAlgo, k)
 	for i := 0; i < k; i++ {
 		sites[i] = NewBlockSite(i, &randSite{
-			id:  int32(i),
-			eps: eps,
-			k:   k,
-			src: root.Fork(uint64(i)),
+			id:    int32(i),
+			eps:   eps,
+			sqrtK: sqrtK,
+			src:   root.Fork(uint64(i)),
 		})
 	}
 	return coord, sites

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+
+	"repro/internal/rng"
 )
 
 // This file is the snapshot contract for crash-fault site replacement: a
@@ -348,8 +350,8 @@ func (s *detSite) RestoreSnapshot(r *SnapReader) {
 func (s *randSite) AppendSnapshot(b []byte) []byte {
 	b = append(b, snapTagRand)
 	b = AppendSnapFloat(b, s.p)
-	b = AppendSnapInt(b, s.dplus)
-	b = AppendSnapInt(b, s.dminus)
+	b = AppendSnapInt(b, s.d[0])
+	b = AppendSnapInt(b, s.d[1])
 	for _, w := range s.src.State() {
 		b = AppendSnapUint(b, w)
 	}
@@ -360,8 +362,9 @@ func (s *randSite) AppendSnapshot(b []byte) []byte {
 func (s *randSite) RestoreSnapshot(r *SnapReader) {
 	r.Tag(snapTagRand)
 	s.p = r.Float()
-	s.dplus = r.Int()
-	s.dminus = r.Int()
+	s.coin = rng.NewCoin(s.p)
+	s.d[0] = r.Int()
+	s.d[1] = r.Int()
 	var st [4]uint64
 	for i := range st {
 		st[i] = r.Uint()
@@ -503,6 +506,7 @@ func (c *randCoord) AppendSnapshot(b []byte) []byte {
 func (c *randCoord) RestoreSnapshot(r *SnapReader) {
 	r.Tag(snapTagRandCoord)
 	c.p = r.Float()
+	c.invP = 1 / c.p
 	if n := r.Uint(); r.Err() == nil && n != uint64(len(c.dplus)) {
 		r.Fail("randCoord site count")
 		return

@@ -45,6 +45,19 @@ func TestBlockExponent(t *testing.T) {
 			t.Fatalf("f=%d r=%d violates 2^r·2k ≤ f < 2^r·4k [%d,%d)", f, r, lo, hi)
 		}
 	}
+	// Near 2^63 the bounds overflow int64; check them in uint64.
+	for _, f := range []int64{math.MaxInt64, math.MinInt64 + 1, 1 << 62} {
+		r := blockExponent(f, k)
+		af := uint64(f)
+		if f < 0 {
+			af = uint64(-f)
+		}
+		lo := (uint64(1) << uint(r)) * 2 * uint64(k)
+		hi := (uint64(1) << uint(r)) * 4 * uint64(k)
+		if r < 1 || af < lo || af >= hi {
+			t.Fatalf("f=%d r=%d violates 2^r·2k ≤ |f| < 2^r·4k [%d,%d)", f, r, lo, hi)
+		}
+	}
 }
 
 func TestCeilPow2Half(t *testing.T) {
@@ -62,6 +75,53 @@ func TestEpsThresholdFloor(t *testing.T) {
 	}
 	if got := epsThreshold(0.1, 10); math.Abs(got-102.4) > 1e-9 {
 		t.Fatalf("epsThreshold(0.1, 10) = %v, want 102.4", got)
+	}
+}
+
+// scaleExponents are the block exponents the power-of-two scale tests
+// sweep: every r in [−1100, 1100], past both ends of the float64 exponent
+// range, plus shift-hostile values.
+func scaleExponents() []int64 {
+	rs := []int64{63, 64, 1 << 62, -1 << 62}
+	for r := int64(-1100); r <= 1100; r++ {
+		rs = append(rs, r)
+	}
+	return rs
+}
+
+// TestScalesMatchPow pins the Ldexp forms of the in-block scales to the
+// math.Pow(2, r) forms they replace, bit for bit: the sampling
+// probability of the randomized tracker and the deterministic threshold.
+func TestScalesMatchPow(t *testing.T) {
+	powSampleProb := func(eps float64, r int64, k int) float64 {
+		if r == 0 {
+			return 1
+		}
+		p := 3 / (eps * math.Pow(2, float64(r)) * math.Sqrt(float64(k)))
+		if p > 1 {
+			return 1
+		}
+		return p
+	}
+	powEpsThreshold := func(eps float64, r int64) float64 {
+		t := eps * math.Pow(2, float64(r))
+		if t < 1 {
+			return 1
+		}
+		return t
+	}
+	for _, r := range scaleExponents() {
+		for _, eps := range []float64{1e-9, 0.001, 0.05, 0.1, 1.0 / 3, 0.999999} {
+			if got, want := epsThreshold(eps, r), powEpsThreshold(eps, r); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("epsThreshold(%g, %d) = %v, math.Pow form %v", eps, r, got, want)
+			}
+			for _, k := range []int{1, 2, 3, 8, 64, 1000, 1 << 20} {
+				got, want := SampleProb(eps, r, math.Sqrt(float64(k))), powSampleProb(eps, r, k)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("SampleProb(%g, %d, √%d) = %v, math.Pow form %v", eps, r, k, got, want)
+				}
+			}
+		}
 	}
 }
 
