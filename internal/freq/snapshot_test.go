@@ -1,6 +1,8 @@
 package freq
 
 import (
+	"encoding/binary"
+	"math"
 	"testing"
 
 	"repro/internal/track"
@@ -10,15 +12,15 @@ import (
 // (cell, count, mirror) triples in the given order.
 func freqSitePayload(cells ...[3]int64) []byte {
 	b := []byte{track.SnapTagFreq}
-	b = track.AppendSnapFloat(b, 1)
-	b = track.AppendSnapFloat(b, 3)
-	b = track.AppendSnapInt(b, 0)
-	b = track.AppendSnapInt(b, 0)
-	b = track.AppendSnapUint(b, uint64(len(cells)))
+	b = binary.AppendUvarint(b, math.Float64bits(1))
+	b = binary.AppendUvarint(b, math.Float64bits(3))
+	b = binary.AppendVarint(b, 0)
+	b = binary.AppendVarint(b, 0)
+	b = binary.AppendUvarint(b, uint64(len(cells)))
 	for _, c := range cells {
-		b = track.AppendSnapUint(b, uint64(c[0]))
-		b = track.AppendSnapInt(b, c[1])
-		b = track.AppendSnapInt(b, c[2])
+		b = binary.AppendUvarint(b, uint64(c[0]))
+		b = binary.AppendVarint(b, c[1])
+		b = binary.AppendVarint(b, c[2])
 	}
 	return b
 }
@@ -27,14 +29,14 @@ func freqSitePayload(cells ...[3]int64) []byte {
 // holding the given (cell, estimate) pairs in the given order.
 func freqCoordPayload(cells ...[2]int64) []byte {
 	b := []byte{track.SnapTagFreqCoord}
-	b = track.AppendSnapUint(b, uint64(len(cells)))
+	b = binary.AppendUvarint(b, uint64(len(cells)))
 	for _, c := range cells {
-		b = track.AppendSnapUint(b, uint64(c[0]))
-		b = track.AppendSnapInt(b, c[1])
+		b = binary.AppendUvarint(b, uint64(c[0]))
+		b = binary.AppendVarint(b, c[1])
 	}
-	b = track.AppendSnapUint(b, 2)
+	b = binary.AppendUvarint(b, 2)
 	for range 3 { // two per-site drifts, then their sum
-		b = track.AppendSnapInt(b, 0)
+		b = binary.AppendVarint(b, 0)
 	}
 	return b
 }
@@ -53,10 +55,9 @@ func TestFreqRestoreRejectsNonCanonical(t *testing.T) {
 		"decreasing": {freqSitePayload([3]int64{7, 5, 1}, [3]int64{2, 6, 0}), false},
 	}
 	for name, tc := range site {
-		r := track.NewSnapReader(tc.payload)
-		newFreqSite(0, 0.1, ExactMapper{}).RestoreSnapshot(r)
-		if ok := r.Err() == nil && r.Len() == 0; ok != tc.ok {
-			t.Errorf("freqSite %s: accepted=%v (err %v), want %v", name, ok, r.Err(), tc.ok)
+		err := track.Decode(tc.payload, newFreqSite(0, 0.1, ExactMapper{}).Snap)
+		if ok := err == nil; ok != tc.ok {
+			t.Errorf("freqSite %s: accepted=%v (err %v), want %v", name, ok, err, tc.ok)
 		}
 	}
 	// A drift vector sized for another k used to be skipped silently, so
@@ -73,10 +74,9 @@ func TestFreqRestoreRejectsNonCanonical(t *testing.T) {
 		"short drift vector": {short, false},
 	}
 	for name, tc := range coord {
-		r := track.NewSnapReader(tc.payload)
-		newFreqCoord(2).RestoreSnapshot(r)
-		if ok := r.Err() == nil && r.Len() == 0; ok != tc.ok {
-			t.Errorf("freqCoord %s: accepted=%v (err %v), want %v", name, ok, r.Err(), tc.ok)
+		err := track.Decode(tc.payload, newFreqCoord(2).Snap)
+		if ok := err == nil; ok != tc.ok {
+			t.Errorf("freqCoord %s: accepted=%v (err %v), want %v", name, ok, err, tc.ok)
 		}
 	}
 }

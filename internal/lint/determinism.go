@@ -18,7 +18,7 @@ import (
 //
 // "Can emit" is computed as a fixpoint over the package: a range body
 // emits if it directly calls an emit method (Send/SendTo/Broadcast/
-// AppendSnapshot), invokes a Recorder, passes an Outbox-typed value into
+// Snap), invokes a Recorder, passes an Outbox-typed value into
 // any call, or calls a same-package function that emits.
 //
 // Audited exceptions: //varlint:wallclock <reason> on the clock read,

@@ -81,7 +81,7 @@ func DefaultConfig() *Config {
 		DetExcludeFiles: map[string][]string{
 			"repro/internal/dist": {"net*.go"},
 		},
-		EmitMethods:     []string{"Send", "SendTo", "Broadcast", "AppendSnapshot"},
+		EmitMethods:     []string{"Send", "SendTo", "Broadcast", "Snap"},
 		OutboxTypeNames: []string{"Outbox"},
 		RecorderNames:   []string{"Recorder", "Events"},
 	}

@@ -35,22 +35,38 @@ func handle(k Kind) int {
 }
 `
 
-// mutSnapSrc is a fully-covered det-site snapshot pair; the mutation adds
-// an uncovered field.
+// mutSnapSrc is a fully-covered det-site snapshot method; the mutation
+// adds an uncovered field.
 const mutSnapSrc = `package mut
+
+type Codec struct {
+	dec bool
+	buf []int64
+}
+
+func (c *Codec) Decoding() bool { return c.dec }
+
+func (c *Codec) Int(p *int64) {
+	if c.dec {
+		*p, c.buf = c.buf[0], c.buf[1:]
+	} else {
+		c.buf = append(c.buf, *p)
+	}
+}
 
 type detSite struct {
 	n   int64
 	eps float64
 }
 
-func (s *detSite) AppendSnapshot(dst []int64) []int64 {
-	return append(dst, s.n, int64(s.eps*1e9))
-}
-
-func (s *detSite) RestoreSnapshot(src []int64) {
-	s.n = src[0]
-	s.eps = float64(src[1]) / 1e9
+func (s *detSite) Snap(c *Codec) error {
+	c.Int(&s.n)
+	e := int64(s.eps * 1e9)
+	c.Int(&e)
+	if c.Decoding() {
+		s.eps = float64(e) / 1e9
+	}
+	return nil
 }
 `
 

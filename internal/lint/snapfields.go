@@ -5,17 +5,20 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // SnapFields enforces the snapshot-coverage contract: for every struct
-// that has both a Snapshot-side method (AppendSnapshot / Snapshot*) and a
-// Restore-side method (Restore*), every field must be referenced on both
-// sides — directly or through same-package helpers the methods call — or
-// carry a //varlint:volatile <reason> tag stating why the field is
-// legitimately not persisted. Both PR-8 chaos-harness bugs were a piece
-// of state a recovery path didn't cover; this pass makes that a build
-// break the moment the field is added.
+// with a Snap method, the one method that codes its state in both
+// directions, every field must be referenced in both directions —
+// directly or through same-package helpers the method calls — or carry a
+// //varlint:volatile <reason> tag stating why the field is legitimately
+// not persisted. The pass walks Snap once per direction: the encoding walk
+// skips the branches an encoding pass cannot take (the body of
+// `if c.Decoding()`, the else of `if !c.Decoding()`) and the decoding walk
+// skips the others, so a field read only in a decoding block is still
+// missing from the snapshot path. Both bugs the chaos harness first caught
+// were a piece of state a recovery path didn't cover; this pass makes that
+// a build break the moment the field is added.
 func SnapFields(p *Package, cfg *Config) []Finding {
 	var out []Finding
 	for _, name := range p.Types.Scope().Names() {
@@ -31,25 +34,18 @@ func SnapFields(p *Package, cfg *Config) []Finding {
 		if !ok {
 			continue
 		}
-		var snaps, restores []*ast.FuncDecl
+		var snap *ast.FuncDecl
 		for i := 0; i < named.NumMethods(); i++ {
 			m := named.Method(i)
-			fd := p.Decls[m]
-			if fd == nil || fd.Body == nil {
-				continue
-			}
-			switch {
-			case isSnapshotName(m.Name()):
-				snaps = append(snaps, fd)
-			case strings.HasPrefix(m.Name(), "Restore"):
-				restores = append(restores, fd)
+			if fd := p.Decls[m]; m.Name() == "Snap" && fd != nil && fd.Body != nil {
+				snap = fd
 			}
 		}
-		if len(snaps) == 0 || len(restores) == 0 {
+		if snap == nil {
 			continue
 		}
-		snapRefs := fieldRefs(p, named, snaps)
-		restRefs := fieldRefs(p, named, restores)
+		snapRefs := fieldRefs(p, named, snap, false)
+		restRefs := fieldRefs(p, named, snap, true)
 		for i := 0; i < st.NumFields(); i++ {
 			f := st.Field(i)
 			pos := p.Fset.Position(f.Pos())
@@ -79,13 +75,26 @@ func SnapFields(p *Package, cfg *Config) []Finding {
 	return out
 }
 
-// isSnapshotName matches the snapshot-side method names: AppendSnapshot
-// and Snapshot* (but not the SnapshotHash integrity accessor).
-func isSnapshotName(name string) bool {
-	if name == "AppendSnapshot" {
-		return true
+// skippedBranch returns the branch of ifs that a pass in the given
+// direction never takes, or nil: when encoding, the body of
+// `if c.Decoding()` and the else of `if !c.Decoding()`; when decoding, the
+// other two.
+func skippedBranch(ifs *ast.IfStmt, decoding bool) ast.Stmt {
+	cond, test := ast.Unparen(ifs.Cond), true
+	if u, ok := cond.(*ast.UnaryExpr); ok && u.Op == token.NOT {
+		cond, test = ast.Unparen(u.X), false
 	}
-	return strings.HasPrefix(name, "Snapshot") && name != "SnapshotHash"
+	call, ok := cond.(*ast.CallExpr)
+	if !ok || len(call.Args) != 0 {
+		return nil
+	}
+	if sel, ok := call.Fun.(*ast.SelectorExpr); !ok || sel.Sel.Name != "Decoding" {
+		return nil
+	}
+	if test == decoding {
+		return ifs.Else
+	}
+	return ifs.Body
 }
 
 // annotsForFile finds the directive index of the file containing pos.
@@ -98,17 +107,16 @@ func annotsForFile(p *Package, pos token.Pos) *annots {
 	return nil
 }
 
-// fieldRefs returns the set of named's own struct fields referenced in
-// the given methods or in any same-package function they transitively
-// call. A selection of a field promoted through an embedded field counts
-// as a reference to the embedded field itself.
-func fieldRefs(p *Package, named *types.Named, roots []*ast.FuncDecl) map[*types.Var]bool {
+// fieldRefs returns the set of named's own struct fields referenced by a
+// pass of snap in one direction, in snap or in any same-package function
+// it transitively calls, skipping the branches that direction never takes
+// (see skippedBranch). A selection of a field promoted through an embedded
+// field counts as a reference to the embedded field itself.
+func fieldRefs(p *Package, named *types.Named, snap *ast.FuncDecl, decoding bool) map[*types.Var]bool {
 	st := named.Underlying().(*types.Struct)
 	refs := make(map[*types.Var]bool)
-
-	// Gather the closure of same-package functions reachable from roots.
 	visited := make(map[*ast.FuncDecl]bool)
-	queue := append([]*ast.FuncDecl(nil), roots...)
+	queue := []*ast.FuncDecl{snap}
 	for len(queue) > 0 {
 		fd := queue[0]
 		queue = queue[1:]
@@ -116,23 +124,22 @@ func fieldRefs(p *Package, named *types.Named, roots []*ast.FuncDecl) map[*types
 			continue
 		}
 		visited[fd] = true
+		skip := make(map[ast.Node]bool)
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
+			if n == nil || skip[n] {
+				return false
 			}
-			if callee := calleeObj(p, call); callee != nil {
-				if next, ok := p.Decls[callee]; ok {
-					queue = append(queue, next)
-				}
-			}
-			return true
-		})
-	}
-
-	for fd := range visited {
-		ast.Inspect(fd, func(n ast.Node) bool {
 			switch n := n.(type) {
+			case *ast.IfStmt:
+				if b := skippedBranch(n, decoding); b != nil {
+					skip[b] = true
+				}
+			case *ast.CallExpr:
+				if callee := calleeObj(p, n); callee != nil {
+					if next, ok := p.Decls[callee]; ok {
+						queue = append(queue, next)
+					}
+				}
 			case *ast.SelectorExpr:
 				sel := p.Info.Selections[n]
 				if sel == nil {

@@ -1,8 +1,8 @@
 // Package determinism is the golden fixture for the determinism pass:
 // wall-clock reads, global math/rand draws, and map iterations whose
-// bodies emit directly, through a helper, through an emitting method, or
-// through the transcript hook — plus the audited and genuinely
-// order-insensitive counterparts of each.
+// bodies emit directly, through a helper, through an emitting method,
+// through the transcript hook, or by writing a snapshot — plus the audited
+// and genuinely order-insensitive counterparts of each.
 package determinism
 
 import (
@@ -80,6 +80,18 @@ func (k *sink) push(c uint64, n int64) {
 func (s *State) FlushMethod(k *sink) {
 	for c, n := range s.cells { // want "map iteration order reaches an emission inside push"
 		k.push(c, n)
+	}
+}
+
+// Snapshotter writes its state into a snapshot.
+type Snapshotter interface {
+	Snap(dst *[]int64) error
+}
+
+// Checkpoint writes one snapshot section per part in map order.
+func (s *State) Checkpoint(dst *[]int64, parts map[uint64]Snapshotter) {
+	for _, x := range parts { // want "map iteration order reaches Snap"
+		x.Snap(dst)
 	}
 }
 

@@ -3,6 +3,7 @@ package obs_test
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -173,34 +174,67 @@ func TestRenderParseRoundTrip(t *testing.T) {
 	}
 }
 
+// TestParseLabelEscapes round-trips label values through Render and
+// ParseText: escapes, and braces inside the quoted value, which do not end
+// the label set.
 func TestParseLabelEscapes(t *testing.T) {
-	classes := []dist.Stats{{SiteToCoord: 1}}
+	for _, v := range []string{"a\\b\"c\nd", "a}b", "x} 1"} {
+		if err := labelRoundTrip(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// labelRoundTrip renders per-class samples whose class label is value and
+// checks that ParseText reads every one back with that value.
+func labelRoundTrip(value string) error {
 	m := &obs.Metrics{
 		Stats:      func() dist.Stats { return dist.Stats{SiteToCoord: 1} },
-		Classes:    func() []dist.Stats { return classes },
+		Classes:    func() []dist.Stats { return []dist.Stats{{SiteToCoord: 1}} },
 		ClassLabel: "q",
-		ClassValue: func(int) string { return "a\\b\"c\nd" },
+		ClassValue: func(int) string { return value },
 	}
 	var buf bytes.Buffer
 	if err := m.Render(&buf); err != nil {
-		t.Fatal(err)
+		return err
 	}
 	samples, err := obs.ParseText(buf.String())
 	if err != nil {
-		t.Fatal(err)
+		return fmt.Errorf("label %q: %w", value, err)
 	}
-	found := false
+	found := 0
 	for _, s := range samples {
-		if v := s.Label("q"); v != "" {
-			found = true
-			if v != "a\\b\"c\nd" {
-				t.Fatalf("label round-trip = %q, want %q", v, "a\\b\"c\nd")
+		if v, ok := s.Labels["q"]; ok {
+			found++
+			if v != value {
+				return fmt.Errorf("label round-trip = %q, want %q", v, value)
 			}
 		}
 	}
-	if !found {
-		t.Fatal("no labeled sample survived the round trip")
+	if found == 0 {
+		return fmt.Errorf("label %q: no labeled sample survived the round trip", value)
 	}
+	return nil
+}
+
+// FuzzParseText feeds arbitrary text to ParseText, which must never panic,
+// and renders an arbitrary class label value, which must parse back
+// unchanged.
+func FuzzParseText(f *testing.F) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "metrics.golden"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(string(golden), "q0")
+	f.Add("m{a=\"x} 1\"} 2\n", "a}b")
+	f.Add("m{a=\"\\\"} 1\n", "x} 1")
+	f.Add("m{} 1\nm{a=\"b\",} 2\n", "a\\b\"c\nd")
+	f.Fuzz(func(t *testing.T, text, value string) {
+		_, _ = obs.ParseText(text) // malformed text is an error, never a panic
+		if err := labelRoundTrip(value); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // randStats fills one Stats with bounded random counters.

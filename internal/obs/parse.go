@@ -51,16 +51,10 @@ func parseSample(line string) (Sample, error) {
 		return s, fmt.Errorf("empty metric name in %q", line)
 	}
 	if rest[0] == '{' {
-		end := strings.IndexByte(rest, '}')
-		if end < 0 {
-			return s, fmt.Errorf("unterminated label set in %q", line)
+		var err error
+		if s.Labels, rest, err = parseLabels(rest[1:]); err != nil {
+			return s, fmt.Errorf("%w in %q", err, line)
 		}
-		labels, err := parseLabels(rest[1:end])
-		if err != nil {
-			return s, err
-		}
-		s.Labels = labels
-		rest = rest[end+1:]
 	}
 	v, err := strconv.ParseFloat(strings.TrimSpace(rest), 64)
 	if err != nil {
@@ -70,37 +64,44 @@ func parseSample(line string) (Sample, error) {
 	return s, nil
 }
 
-func parseLabels(body string) (map[string]string, error) {
+// parseLabels consumes label pairs up to the closing brace, which ends the
+// set only outside a quoted value, and returns them plus the remainder.
+func parseLabels(body string) (map[string]string, string, error) {
 	labels := make(map[string]string)
-	for body != "" {
+	for {
+		body = strings.TrimSpace(body)
+		if body == "" {
+			return nil, "", fmt.Errorf("unterminated label set")
+		}
+		if body[0] == '}' {
+			return labels, body[1:], nil
+		}
 		eq := strings.IndexByte(body, '=')
-		if eq < 0 || len(body) < eq+2 || body[eq+1] != '"' {
-			return nil, fmt.Errorf("bad label pair in %q", body)
+		if eq < 0 || len(body) < eq+2 || body[eq+1] != '"' || strings.ContainsAny(body[:eq], "{}\",") {
+			return nil, "", fmt.Errorf("bad label pair")
 		}
 		key := strings.TrimSpace(body[:eq])
 		val, rest, err := parseQuoted(body[eq+1:])
 		if err != nil {
-			return nil, err
+			return nil, "", err
 		}
 		labels[key] = val
 		body = strings.TrimPrefix(strings.TrimSpace(rest), ",")
-		body = strings.TrimSpace(body)
 	}
-	return labels, nil
 }
 
 // parseQuoted consumes a leading quoted string (with \\, \", \n escapes)
 // and returns its unescaped value plus the remainder.
 func parseQuoted(s string) (string, string, error) {
 	if s == "" || s[0] != '"' {
-		return "", "", fmt.Errorf("expected quoted label value in %q", s)
+		return "", "", fmt.Errorf("expected quoted label value")
 	}
 	var b strings.Builder
 	for i := 1; i < len(s); i++ {
 		switch s[i] {
 		case '\\':
 			if i+1 >= len(s) {
-				return "", "", fmt.Errorf("dangling escape in %q", s)
+				return "", "", fmt.Errorf("dangling escape")
 			}
 			i++
 			switch s[i] {
@@ -115,5 +116,5 @@ func parseQuoted(s string) (string, string, error) {
 			b.WriteByte(s[i])
 		}
 	}
-	return "", "", fmt.Errorf("unterminated label value in %q", s)
+	return "", "", fmt.Errorf("unterminated label value")
 }

@@ -83,7 +83,7 @@ type queryState struct {
 	// coordinator snapshot pair (the threshold monitor adds its layer tag).
 	freqT  *freq.Tracker
 	thresh *track.ThresholdMonitor
-	snap   track.CoordSnapshotter
+	snap   track.Snapshotter
 
 	// coordOut is the coordinator-side tag outbox (site-side children each
 	// own their own); detached freezes the query at the coordinator.
@@ -488,8 +488,8 @@ type Site struct {
 	// delta of cacheItem not yet folded into the table. A run of one item
 	// (scalar streams, walks, heavy zipf heads) only adds to it; switching
 	// items folds it in with one Upsert. Readers of items flush it first.
-	cacheItem uint64 //varlint:volatile pending-delta cache; AppendSnapshot flushes it, RestoreSnapshot empties it
-	cacheN    int64  //varlint:volatile pending-delta cache; AppendSnapshot flushes it, RestoreSnapshot empties it
+	cacheItem uint64 //varlint:volatile pending-delta cache; Snap flushes it when encoding and empties it when decoding
+	cacheN    int64  //varlint:volatile pending-delta cache; Snap flushes it when encoding and empties it when decoding
 
 	// sent passes an OnUpdateBatch fan-out's sends on to the runtime's
 	// outbox and counts them, so the batch stops after the first update
@@ -499,7 +499,7 @@ type Site struct {
 	// rebuilt marks a replacement site (Coord.RebuildSite): the registry's
 	// prebuilt site halves belong to the dead predecessor, so attach must
 	// construct fresh child algorithms instead of reusing them.
-	rebuilt bool //varlint:volatile per-incarnation flag; RestoreSnapshot itself sets it
+	rebuilt bool //varlint:volatile per-incarnation flag; Snap sets it when decoding
 }
 
 // countOutbox forwards to a runtime outbox and counts the sends.

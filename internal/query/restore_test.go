@@ -28,15 +28,15 @@ func spinePayload(items ...[2]int64) []byte {
 	for _, it := range items {
 		plus += max(it[1], 0)
 	}
-	b = track.AppendSnapInt(b, plus)
-	b = track.AppendSnapInt(b, plus)
-	b = track.AppendSnapInt(b, 0)
-	b = track.AppendSnapUint(b, uint64(len(items)))
+	b = binary.AppendVarint(b, plus)
+	b = binary.AppendVarint(b, plus)
+	b = binary.AppendVarint(b, 0)
+	b = binary.AppendUvarint(b, uint64(len(items)))
 	for _, it := range items {
-		b = track.AppendSnapUint(b, uint64(it[0]))
-		b = track.AppendSnapInt(b, it[1])
+		b = binary.AppendUvarint(b, uint64(it[0]))
+		b = binary.AppendVarint(b, it[1])
 	}
-	return track.AppendSnapUint(b, 0)
+	return binary.AppendUvarint(b, 0)
 }
 
 // TestEngineSiteRestoreRejectsNonCanonical: the spine encoder writes items

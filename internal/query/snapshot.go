@@ -8,7 +8,7 @@ import (
 )
 
 // Crash-fault support for the multi-query engine: a Site composes its
-// children's snapshots into one blob (track.SiteSnapshotter), the Coord
+// children's snapshots into one blob (track.Snapshotter), the Coord
 // reacts to the runtime's failure-detection and takeover hooks, and
 // RebuildSite constructs the replacement half a warm takeover restores
 // into. The per-query protocol work — watermarked held state, the
@@ -17,110 +17,87 @@ import (
 // child and keeps the spine (the attach-history substrate) in the blob so
 // queries can keep attaching after a takeover.
 
-// AppendSnapshot implements track.SiteSnapshotter: the spine, then every
-// attached child's own snapshot, length-prefixed and keyed by query id.
-// Each child absorbs its pending run first, so the blob holds no state that
-// lives only in the fan-out.
-func (s *Site) AppendSnapshot(b []byte) ([]byte, error) {
-	s.syncAll()
-	s.flushItemCache()
-	b = append(b, track.SnapTagQuery)
-	b = track.AppendSnapInt(b, s.updates)
-	b = track.AppendSnapInt(b, s.plus)
-	b = track.AppendSnapInt(b, s.minus)
-	keys := s.items.SortedKeys(nil)
-	b = track.AppendSnapUint(b, uint64(len(keys)))
-	for _, item := range keys {
-		n, _ := s.items.Get(item)
-		b = track.AppendSnapUint(b, item)
-		b = track.AppendSnapInt(b, n)
+// Snap implements track.Snapshotter: the spine, then every attached
+// child's own snapshot, as a section keyed by query id. Each child absorbs
+// its pending run before encoding, so the blob holds no state that lives
+// only in the fan-out.
+//
+// Decoding builds child algorithms fresh through the query constructors
+// and overwrites them from their sections — never takes them from the
+// shared registry, whose site halves are the dead predecessor's objects.
+// Sections for queries detached while the snapshot sat on disk are
+// skipped; a section for a query the registry does not know is an error
+// (the restoring process must register the same specs first). Only what
+// encoding can write is accepted: spine items and child query ids strictly
+// increasing, and no zero spine count.
+func (s *Site) Snap(c *track.Codec) error {
+	if !c.Decoding() {
+		s.syncAll()
+		s.flushItemCache()
 	}
-	attached := 0
+	c.Tag(track.SnapTagQuery)
+	c.Int(&s.updates)
+	c.Int(&s.plus)
+	c.Int(&s.minus)
+	track.SnapTable(c, &s.items, func(c *track.Codec, n *int64) {
+		c.Int(n)
+		if c.Decoding() && *n == 0 {
+			c.Fail("zero spine count")
+		}
+	})
+	var attached uint64
 	for _, ch := range s.children {
 		if ch != nil {
 			attached++
 		}
 	}
-	b = track.AppendSnapUint(b, uint64(attached))
+	c.Uint(&attached)
+	if c.Decoding() {
+		s.cacheN = 0
+		s.children = s.children[:0]
+		s.rebuilt = true
+		return s.restoreChildren(c, attached)
+	}
 	for qid, ch := range s.children {
 		if ch == nil {
 			continue
 		}
-		blob, err := ch.block.AppendSnapshot(nil)
-		if err != nil {
-			return nil, fmt.Errorf("query: child %d: %w", qid, err)
+		id := uint64(qid)
+		c.Uint(&id)
+		if err := c.Sub(ch.block.Snap); err != nil {
+			return fmt.Errorf("query: child %d: %w", qid, err)
 		}
-		b = track.AppendSnapUint(b, uint64(qid))
-		b = track.AppendSnapUint(b, uint64(len(blob)))
-		b = append(b, blob...)
 	}
-	return b, nil
+	return nil
 }
 
-// RestoreSnapshot implements track.SiteSnapshotter. Child algorithms are
-// built fresh through the query constructors and then overwritten from
-// their blobs — never taken from the shared registry, whose site halves
-// are the dead predecessor's objects. Blobs for queries detached while the
-// snapshot sat on disk are skipped; a blob for a query the registry does
-// not know is an error (the restoring process must register the same specs
-// first). Only what AppendSnapshot can write is accepted: spine items and
-// child query ids strictly increasing, and no zero spine count.
-func (s *Site) RestoreSnapshot(r *track.SnapReader) error {
-	r.Tag(track.SnapTagQuery)
-	s.updates = r.Int()
-	s.plus = r.Int()
-	s.minus = r.Int()
-	s.items.Clear()
-	s.cacheN = 0
-	nitems := r.Uint()
-	for i, prev := uint64(0), uint64(0); i < nitems && r.Err() == nil; i++ {
-		item, n := r.Uint(), r.Int()
-		switch {
-		case i > 0 && item <= prev:
-			r.Fail("spine items not strictly increasing")
-		case n == 0:
-			r.Fail("zero spine count")
-		}
-		prev = item
-		*s.items.Upsert(item) = n
-	}
-	s.children = s.children[:0]
-	s.rebuilt = true
-	nchildren := r.Uint()
-	for i, prev := uint64(0), 0; i < nchildren && r.Err() == nil; i++ {
-		qid := int(r.Uint())
-		blob := r.Bytes(r.Uint())
+// restoreChildren decodes n child sections into freshly built children.
+func (s *Site) restoreChildren(c *track.Codec, n uint64) error {
+	for i, prev := uint64(0), uint64(0); i < n && c.Err() == nil; i++ {
+		var qid uint64
+		c.Uint(&qid)
 		if i > 0 && qid <= prev {
-			r.Fail("child query ids not strictly increasing")
-		}
-		if r.Err() != nil {
-			break
+			c.Fail("child query ids not strictly increasing")
 		}
 		prev = qid
-		q := s.eng.get(qid)
-		if q == nil {
+		q := s.eng.get(int(qid))
+		if q == nil && c.Err() == nil {
 			return fmt.Errorf("query: snapshot names unknown query %d (register the same specs before restoring)", qid)
 		}
-		if q.detached {
+		if q == nil || q.detached {
+			c.Sub(nil)
 			continue
 		}
 		qf, err := buildQuery(s.eng.k, q.spec)
 		if err != nil {
 			return fmt.Errorf("query: rebuild query %d: %w", qid, err)
 		}
-		ch := s.installChild(qid, q, qf.sites[s.id])
-		sr := track.NewSnapReader(blob)
-		if err := ch.block.RestoreSnapshot(sr); err != nil {
+		ch := s.installChild(int(qid), q, qf.sites[s.id])
+		if err := c.Sub(ch.block.Snap); err != nil {
 			return fmt.Errorf("query: child %d: %w", qid, err)
 		}
-		if sr.Err() != nil {
-			return fmt.Errorf("query: child %d: %w", qid, sr.Err())
-		}
-		if sr.Len() != 0 {
-			return fmt.Errorf("query: child %d: %d trailing bytes", qid, sr.Len())
-		}
 	}
-	return r.Err()
+	return c.Err()
 }
 
 // SetSnapshotHash implements track.SnapshotHashSetter by fan-out: every
@@ -148,93 +125,39 @@ func (s *Site) OnTakeover(out dist.Outbox) {
 	}
 }
 
-// AppendSnapshot implements track.CoordSnapshotter: the engine's dead-slot
-// marks, then every registered query's coordinator snapshot — detached ones
-// included, so frozen estimates survive a failover — length-prefixed and
-// keyed by query id. The engine coordinator holds no other state: specs are
-// re-registered by the restoring process, and the registry's site halves
-// belong to the sites, not to this blob.
-func (c *Coord) AppendSnapshot(b []byte) ([]byte, error) {
-	b = append(b, track.SnapTagQueryCoord)
-	b = track.AppendSnapUint(b, uint64(c.eng.k))
-	for _, dead := range c.eng.dead {
-		var d uint64
-		if dead {
-			d = 1
-		}
-		b = track.AppendSnapUint(b, d)
-	}
-	qs := c.eng.snapshot()
-	b = track.AppendSnapUint(b, uint64(len(qs)))
-	for qid, q := range qs {
-		blob, err := q.snap.AppendSnapshot(nil)
-		if err != nil {
-			return nil, fmt.Errorf("query: coordinator %d: %w", qid, err)
-		}
-		var det uint64
-		if q.detached {
-			det = 1
-		}
-		b = track.AppendSnapUint(b, uint64(qid))
-		b = track.AppendSnapUint(b, det)
-		b = track.AppendSnapUint(b, uint64(len(blob)))
-		b = append(b, blob...)
-	}
-	return b, nil
-}
-
-// RestoreSnapshot implements track.CoordSnapshotter. The restoring process
-// builds the engine with query.New over the same specs first; each blob
-// section is then restored in place into the registered query's coordinator
-// (so the engine's cached fast-path pointers stay valid). The blob must
-// cover exactly the registered queries, in query-id order, as AppendSnapshot
-// writes them: a section for a query the registry does not know is an
-// error, and so is a registered query the blob leaves out. A section marked
-// detached freezes the query exactly as Detach would, minus the broadcast —
-// the sites already know.
-func (c *Coord) RestoreSnapshot(r *track.SnapReader) error {
-	r.Tag(track.SnapTagQueryCoord)
-	if k := r.Uint(); r.Err() == nil && k != uint64(c.eng.k) {
-		return fmt.Errorf("query: coordinator snapshot is for k=%d, restoring into k=%d", k, c.eng.k)
-	}
+// Snap implements track.Snapshotter: the engine's dead-slot marks, then
+// every registered query's coordinator snapshot — detached ones included,
+// so frozen estimates survive a failover — as a section keyed by query id.
+// The engine coordinator holds no other state: specs are re-registered by
+// the restoring process, and the registry's site halves belong to the
+// sites, not to this blob.
+//
+// The restoring process builds the engine with query.New over the same
+// specs first; each section is then decoded in place into the registered
+// query's coordinator (so the engine's cached fast-path pointers stay
+// valid). The blob must cover exactly the registered queries, in query-id
+// order. A section marked detached freezes the query exactly as Detach
+// would, minus the broadcast — the sites already know.
+func (c *Coord) Snap(cd *track.Codec) error {
+	cd.Tag(track.SnapTagQueryCoord)
+	cd.Fixed(c.eng.k, "engine site count")
 	for i := range c.eng.dead {
-		c.eng.dead[i] = r.Bool()
+		cd.Bool(&c.eng.dead[i])
 	}
 	qs := c.eng.snapshot()
-	nq := r.Uint()
-	for i := uint64(0); i < nq && r.Err() == nil; i++ {
-		qid := r.Uint()
-		detached := r.Bool()
-		blob := r.Bytes(r.Uint())
-		if r.Err() != nil {
-			break
-		}
-		if qid >= uint64(len(qs)) {
-			return fmt.Errorf("query: snapshot names unknown query %d (register the same specs before restoring)", qid)
-		}
-		if qid != i {
-			r.Fail("query ids not dense and increasing")
-			break
-		}
-		q := qs[qid]
-		sr := track.NewSnapReader(blob)
-		if err := q.snap.RestoreSnapshot(sr); err != nil {
+	cd.Fixed(len(qs), "query count")
+	for qid, q := range qs {
+		cd.Fixed(qid, "query id")
+		detached := q.detached
+		cd.Bool(&detached)
+		if err := cd.Sub(q.snap.Snap); err != nil {
 			return fmt.Errorf("query: coordinator %d: %w", qid, err)
-		}
-		if sr.Err() != nil {
-			return fmt.Errorf("query: coordinator %d: %w", qid, sr.Err())
-		}
-		if sr.Len() != 0 {
-			return fmt.Errorf("query: coordinator %d: %d trailing bytes", qid, sr.Len())
 		}
 		if detached {
 			q.detached = true
 		}
 	}
-	if r.Err() == nil && nq != uint64(len(qs)) {
-		r.Fail("query count")
-	}
-	return r.Err()
+	return cd.Err()
 }
 
 // SetSnapshotHash implements track.SnapshotHashSetter by fan-out: every

@@ -139,7 +139,7 @@ func TestEngineSnapshotRoundTrip(t *testing.T) {
 // TestEngineSnapshotPendingRun snapshots an engine site over the
 // engine-mixed query set while one of its quiet children holds a pending
 // run, restores the blob into a rebuilt site and drives on: the snapshot
-// must carry the run (AppendSnapshot absorbs it first), so transcripts,
+// must carry the run (Snap absorbs it first), so transcripts,
 // every query's per-step estimates and both Stats views equal the
 // uninterrupted run, on Sim and on AsyncSim under latency.
 func TestEngineSnapshotPendingRun(t *testing.T) {

@@ -113,6 +113,48 @@ func TestBlockSiteRestoreRejectsPendingCount(t *testing.T) {
 	}
 }
 
+// TestBlockCoordRestoreRejectsReplyCount pins the open-collection bound a
+// coordinator restore enforces: every path that sets a replied flag counts
+// the reply, and the k-th reply closes the block, so an open collection
+// holds one reply per set flag and fewer than k of them. A blob that says
+// otherwise never closes its collection — every later reply reads as a
+// duplicate — and must be rejected. A closed collection keeps its last
+// flags and count, so those are accepted as they stand.
+func TestBlockCoordRestoreRejectsReplyCount(t *testing.T) {
+	const k = 3
+	for _, tc := range []struct {
+		collecting bool
+		flags      [k]bool
+		replies    int
+		ok         bool
+	}{
+		{true, [k]bool{}, 0, true},
+		{true, [k]bool{false, true, false}, 1, true},
+		{true, [k]bool{true, false, true}, 2, true},
+		{true, [k]bool{true, true, true}, 1, false},
+		{true, [k]bool{true, true, true}, 3, false},
+		{true, [k]bool{false, true, false}, 0, false},
+		{true, [k]bool{true, false, false}, 2, false},
+		{true, [k]bool{}, -1, false},
+		{false, [k]bool{true, true, true}, 3, true},
+		{false, [k]bool{}, 0, true},
+	} {
+		coord, _ := NewDeterministic(k, 0.1)
+		c := coord.(*BlockCoord)
+		c.collecting, c.replies = tc.collecting, tc.replies
+		copy(c.replied, tc.flags[:])
+		blob, err := SnapshotCoord(c)
+		if err != nil {
+			t.Fatalf("%+v: snapshot: %v", tc, err)
+		}
+		fresh, _ := NewDeterministic(k, 0.1)
+		if err := RestoreCoord(fresh, blob); (err == nil) != tc.ok {
+			t.Errorf("collecting=%v flags=%v replies=%d: RestoreCoord error %v, want accepted=%v",
+				tc.collecting, tc.flags, tc.replies, err, tc.ok)
+		}
+	}
+}
+
 // FuzzRestoreBlockSite feeds arbitrary payloads, framed with the magic and
 // a fresh integrity trailer so they reach the decoders, to the restore of
 // det, rand and threshold BlockSites. The decoder must never panic, any

@@ -147,7 +147,7 @@ type BlockSite struct {
 	innerQuiet  InBlockQuietSite //varlint:volatile derived from inner at construction
 	innerRejoin InBlockRejoiner  //varlint:volatile derived from inner at construction
 	r           int64
-	batch       int64 //varlint:volatile derived from r (the ⌈2^{r−1}⌉ report batch); RestoreSnapshot recomputes it
+	batch       int64 //varlint:volatile derived from r (the ⌈2^{r−1}⌉ report batch); Snap recomputes it when decoding
 	ci          int64 // updates since the last count report or state reply; in [0, batch) between calls
 	fi          int64 // net change in f since the last block broadcast
 	seenBlocks  int64 // block broadcasts adopted; the site's block sequence
@@ -179,13 +179,13 @@ type BlockSite struct {
 	// through its normal open/duplicate/straggler paths.
 	//
 	// None of this window state is snapshot-covered: its meaning is pinned
-	// to an announce this incarnation has in flight, so AppendSnapshot
-	// refuses to run while the window is open instead of persisting it.
-	takingOver     bool   //varlint:volatile takeover-window transient; AppendSnapshot errors while the window is open
-	heldCi, heldFi int64  //varlint:volatile takeover-window transient; AppendSnapshot errors while the window is open
-	defCi, defFi   int64  //varlint:volatile takeover-window transient; AppendSnapshot errors while the window is open
-	deferReply     bool   //varlint:volatile takeover-window transient; AppendSnapshot errors while the window is open
-	snapReplies    int64  //varlint:volatile takeover-window transient; AppendSnapshot errors while the window is open
+	// to an announce this incarnation has in flight, so Snap refuses to
+	// encode while the window is open instead of persisting it.
+	takingOver     bool   //varlint:volatile takeover-window transient; Snap refuses to encode while the window is open
+	heldCi, heldFi int64  //varlint:volatile takeover-window transient; Snap refuses to encode while the window is open
+	defCi, defFi   int64  //varlint:volatile takeover-window transient; Snap refuses to encode while the window is open
+	deferReply     bool   //varlint:volatile takeover-window transient; Snap refuses to encode while the window is open
+	snapReplies    int64  //varlint:volatile takeover-window transient; Snap refuses to encode while the window is open
 	snapHash       uint64 //varlint:volatile integrity hash of the restored blob; RestoreSite installs it after restore
 
 	// stamp is the reusable drift-report stamping wrapper; see stampOutbox.

@@ -35,7 +35,7 @@ type randSite struct {
 	src   *rng.Xoshiro256
 
 	p    float64
-	coin rng.Coin //varlint:volatile derived from p in Reset and RestoreSnapshot
+	coin rng.Coin //varlint:volatile derived from p in Reset and when Snap decodes
 	// d holds d_i^+ and d_i^−, the counts of +1 and −1 updates this
 	// block: copy 0 is A+, copy 1 is A−.
 	d [2]int64
@@ -94,7 +94,7 @@ type randCoord struct {
 	eps   float64 //varlint:volatile construction-time config; only the derived p is live state
 
 	p     float64
-	invP  float64   //varlint:volatile 1/p, derived in Reset and RestoreSnapshot
+	invP  float64   //varlint:volatile 1/p, derived in Reset and when Snap decodes
 	dplus []float64 // d̂_i^+ indexed by site id
 	dmin  []float64 // d̂_i^− indexed by site id
 	sum   float64   // Σ_i (d̂_i^+ − d̂_i^−), maintained incrementally

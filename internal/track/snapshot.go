@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"math"
 
+	"repro/internal/itemtab"
 	"repro/internal/rng"
 )
 
@@ -42,33 +43,18 @@ const (
 	SnapTagQueryCoord byte = 'M' // multi-query coordinator (internal/query)
 )
 
-// SiteSnapshotter is implemented by site algorithms that support the
-// snapshot contract. AppendSnapshot serializes the complete state onto b;
-// RestoreSnapshot overwrites the receiver's state from r, consuming
-// exactly what AppendSnapshot wrote (so snapshots compose: a multi-query
-// site concatenates its children's).
-type SiteSnapshotter interface {
-	AppendSnapshot(b []byte) ([]byte, error)
-	RestoreSnapshot(r *SnapReader) error
-}
-
-// InBlockSnapshotter is the in-block mirror of SiteSnapshotter, one layer
-// down (as InBlockRejoiner mirrors dist.SiteRejoiner). Serialization at
-// this layer cannot fail; decode errors surface through the reader.
-type InBlockSnapshotter interface {
-	AppendSnapshot(b []byte) []byte
-	RestoreSnapshot(r *SnapReader)
-}
-
-// CoordSnapshotter is the coordinator-side snapshot contract, the mirror of
-// SiteSnapshotter for crash-fault coordinator replacement: a standby
-// restored from the blob is indistinguishable from the original, so
-// restore-then-drive stays byte-identical to never having failed over. The
-// layer tags differ from the site ones, so a site blob restored into a
-// coordinator (or vice versa) is rejected, not misread.
-type CoordSnapshotter interface {
-	AppendSnapshot(b []byte) ([]byte, error)
-	RestoreSnapshot(r *SnapReader) error
+// Snapshotter is implemented by every layer that supports the snapshot
+// contract, site and coordinator alike. Snap runs one pass over the
+// layer's complete state in the codec's direction: encoding appends it,
+// decoding overwrites the receiver from what an encoding pass wrote,
+// consuming exactly that (so layers compose: a spine codes its in-block
+// estimator after its own fields, a multi-query site its children). For a
+// coordinator, a standby restored from the blob is indistinguishable from
+// the original, so restore-then-drive stays byte-identical to never having
+// failed over. Site and coordinator layer tags differ, so a site blob
+// restored into a coordinator (or vice versa) is rejected, not misread.
+type Snapshotter interface {
+	Snap(c *Codec) error
 }
 
 // SnapshotHashSetter receives the integrity hash of the blob an algorithm
@@ -84,26 +70,24 @@ type SnapshotHashSetter interface {
 // self-verifying blob. It errors when the algorithm does not support the
 // snapshot contract.
 func SnapshotSite(algo any) ([]byte, error) {
-	s, ok := algo.(SiteSnapshotter)
+	s, ok := algo.(Snapshotter)
 	if !ok {
 		return nil, fmt.Errorf("track: %T does not support snapshots", algo)
 	}
-	b := make([]byte, len(snapMagic), 256)
-	copy(b, snapMagic[:])
-	b, err := s.AppendSnapshot(b)
-	if err != nil {
+	c := &Codec{b: append(make([]byte, 0, 256), snapMagic[:]...)}
+	if err := s.Snap(c); err != nil {
 		return nil, err
 	}
 	h := fnv.New64a()
-	h.Write(b[len(snapMagic):])
-	return h.Sum(b), nil
+	h.Write(c.b[len(snapMagic):])
+	return h.Sum(c.b), nil
 }
 
 // RestoreSite overwrites a freshly constructed site algorithm's state from
 // a SnapshotSite blob, verifying the magic and the integrity hash, and
 // hands the hash to the algorithm when it implements SnapshotHashSetter.
 func RestoreSite(algo any, snap []byte) error {
-	s, ok := algo.(SiteSnapshotter)
+	s, ok := algo.(Snapshotter)
 	if !ok {
 		return fmt.Errorf("track: %T does not support snapshots", algo)
 	}
@@ -117,15 +101,8 @@ func RestoreSite(algo any, snap []byte) error {
 	if binary.BigEndian.Uint64(snap[len(snap)-8:]) != sum {
 		return fmt.Errorf("track: snapshot integrity hash mismatch")
 	}
-	r := &SnapReader{b: payload}
-	if err := s.RestoreSnapshot(r); err != nil {
+	if err := Decode(payload, s.Snap); err != nil {
 		return err
-	}
-	if r.err != nil {
-		return r.err
-	}
-	if len(r.b) != 0 {
-		return fmt.Errorf("track: %d trailing bytes after snapshot", len(r.b))
 	}
 	if hs, ok := algo.(SnapshotHashSetter); ok {
 		hs.SetSnapshotHash(sum)
@@ -135,25 +112,14 @@ func RestoreSite(algo any, snap []byte) error {
 
 // SnapshotCoord serializes a coordinator algorithm's complete state into
 // one self-verifying blob, in the same wire format as SnapshotSite (magic,
-// varint payload, trailing FNV-1a hash). It errors when the algorithm does
-// not support the coordinator snapshot contract.
-func SnapshotCoord(algo any) ([]byte, error) {
-	if _, ok := algo.(CoordSnapshotter); !ok {
-		return nil, fmt.Errorf("track: coordinator %T does not support snapshots", algo)
-	}
-	return SnapshotSite(algo)
-}
+// varint payload, trailing FNV-1a hash).
+func SnapshotCoord(algo any) ([]byte, error) { return SnapshotSite(algo) }
 
 // RestoreCoord overwrites a freshly constructed coordinator algorithm's
 // state from a SnapshotCoord blob, verifying the magic and the integrity
 // hash, and hands the hash to the algorithm when it implements
 // SnapshotHashSetter (the standby presents it in KindCoordTakeover).
-func RestoreCoord(algo any, snap []byte) error {
-	if _, ok := algo.(CoordSnapshotter); !ok {
-		return fmt.Errorf("track: coordinator %T does not support snapshots", algo)
-	}
-	return RestoreSite(algo, snap)
-}
+func RestoreCoord(algo any, snap []byte) error { return RestoreSite(algo, snap) }
 
 // SnapshotHash returns the integrity hash of a SnapshotSite blob (the
 // value a replacement presents in KindTakeover), or 0 for a malformed one.
@@ -164,371 +130,366 @@ func SnapshotHash(snap []byte) uint64 {
 	return binary.BigEndian.Uint64(snap[len(snap)-8:])
 }
 
-// AppendSnapInt appends a zig-zag varint.
-func AppendSnapInt(b []byte, x int64) []byte { return binary.AppendVarint(b, x) }
-
-// AppendSnapUint appends a varint.
-func AppendSnapUint(b []byte, x uint64) []byte { return binary.AppendUvarint(b, x) }
-
-// AppendSnapFloat appends a float64 as its IEEE bit pattern.
-func AppendSnapFloat(b []byte, x float64) []byte {
-	return binary.AppendUvarint(b, math.Float64bits(x))
+// Decode runs snap in the decoding direction over a bare payload (no magic,
+// no hash), which it must consume exactly.
+func Decode(payload []byte, snap func(*Codec) error) error {
+	c := &Codec{b: payload, dec: true}
+	err := snap(c)
+	if err == nil {
+		err = c.err
+	}
+	if err == nil && len(c.b) != 0 {
+		err = fmt.Errorf("track: %d trailing bytes after snapshot", len(c.b))
+	}
+	return err
 }
 
-// SnapReader decodes a snapshot payload with a sticky error: after the
-// first malformed field every further read returns zero and Err is set, so
-// restore code reads fields unconditionally and checks once.
-type SnapReader struct {
-	b   []byte
+// Codec is one snapshot pass in either direction. Each layer's Snap names
+// its fields once, in wire order: c.Int(&s.ci) appends s.ci when encoding
+// and reads it back into s.ci when decoding. Integers travel as varints
+// (zig-zag for signed ones), floats as the varint of their IEEE bit
+// pattern, flags as the varint 0 or 1.
+//
+// Decoding keeps a sticky error: after the first malformed field every
+// further read yields zero and Err is set, so Snap reads fields
+// unconditionally and the caller checks once. Only canonical blobs decode:
+// an overlong varint or a flag above 1 fails the read, since accepting
+// them would let two blobs decode to the same state.
+type Codec struct {
+	b   []byte // encoding: the blob so far; decoding: the unread payload
+	dec bool
 	err error
 }
 
-// NewSnapReader wraps a raw payload (tests and composition helpers; normal
-// restores go through RestoreSite).
-func NewSnapReader(b []byte) *SnapReader { return &SnapReader{b: b} }
+// Decoding reports the direction. Derived fields and the checks that only
+// a decoded blob needs go in one if c.Decoding() block per layer.
+func (c *Codec) Decoding() bool { return c.dec }
 
 // Err returns the first decode error, if any.
-func (r *SnapReader) Err() error { return r.err }
+func (c *Codec) Err() error { return c.err }
 
-// Len returns the number of unconsumed payload bytes.
-func (r *SnapReader) Len() int { return len(r.b) }
-
-// Fail records a decode error (the first one sticks): restore code calls it
-// when a field is well-formed but not what the encoder could have written,
-// such as a key list out of order, so only canonical blobs are accepted.
-func (r *SnapReader) Fail(what string) {
-	if r.err == nil {
-		r.err = fmt.Errorf("track: truncated or corrupt snapshot (%s)", what)
+// Fail records a decode error (the first one sticks): Snap calls it when a
+// field is well-formed but not what the encoder could have written, such
+// as a key list out of order, so only canonical blobs are accepted.
+func (c *Codec) Fail(what string) {
+	if c.err == nil {
+		c.err = fmt.Errorf("track: truncated or corrupt snapshot (%s)", what)
 	}
 }
 
-// Tag consumes one layer tag byte and checks it.
-func (r *SnapReader) Tag(want byte) {
-	if r.err != nil {
+// Tag codes one layer tag byte.
+func (c *Codec) Tag(t byte) {
+	if !c.dec {
+		c.b = append(c.b, t)
 		return
 	}
-	if len(r.b) == 0 || r.b[0] != want {
-		r.Fail(fmt.Sprintf("expected tag %q", want))
+	if c.err != nil {
 		return
 	}
-	r.b = r.b[1:]
+	if len(c.b) == 0 || c.b[0] != t {
+		c.Fail(fmt.Sprintf("expected tag %q", t))
+		return
+	}
+	c.b = c.b[1:]
 }
 
-// Uint consumes a varint. Overlong encodings (a multi-byte varint ending in
-// a zero byte) are rejected: the encoder never writes them, and accepting
-// them would let two blobs decode to the same state.
-func (r *SnapReader) Uint() uint64 {
-	if r.err != nil {
+// uint reads a canonical varint, or returns 0 once decoding has failed.
+func (c *Codec) uint() uint64 {
+	if c.err != nil {
 		return 0
 	}
-	x, n := binary.Uvarint(r.b)
-	if n <= 0 || (n > 1 && r.b[n-1] == 0) {
-		r.Fail("uvarint")
+	x, n := binary.Uvarint(c.b)
+	if n <= 0 || (n > 1 && c.b[n-1] == 0) {
+		c.Fail("varint")
 		return 0
 	}
-	r.b = r.b[n:]
+	c.b = c.b[n:]
 	return x
 }
 
-// Int consumes a zig-zag varint (canonical, as Uint).
-func (r *SnapReader) Int() int64 {
-	if r.err != nil {
-		return 0
-	}
-	x, n := binary.Varint(r.b)
-	if n <= 0 || (n > 1 && r.b[n-1] == 0) {
-		r.Fail("varint")
-		return 0
-	}
-	r.b = r.b[n:]
-	return x
+// int reads a canonical zig-zag varint.
+func (c *Codec) int() int64 {
+	x := c.uint()
+	return int64(x>>1) ^ -int64(x&1)
 }
 
-// Bool consumes a flag, which the encoders write as the varint 0 or 1;
-// anything larger is non-canonical and fails the read.
-func (r *SnapReader) Bool() bool {
-	x := r.Uint()
+// Uint codes an unsigned integer.
+func (c *Codec) Uint(p *uint64) {
+	if c.dec {
+		*p = c.uint()
+	} else {
+		c.b = binary.AppendUvarint(c.b, *p)
+	}
+}
+
+// Int codes a signed integer.
+func (c *Codec) Int(p *int64) {
+	if c.dec {
+		*p = c.int()
+	} else {
+		c.b = binary.AppendVarint(c.b, *p)
+	}
+}
+
+// Float codes a float64.
+func (c *Codec) Float(p *float64) {
+	if c.dec {
+		*p = math.Float64frombits(c.uint())
+	} else {
+		c.b = binary.AppendUvarint(c.b, math.Float64bits(*p))
+	}
+}
+
+// Bool codes a flag.
+func (c *Codec) Bool(p *bool) {
+	var x uint64
+	if *p {
+		x = 1
+	}
+	c.Uint(&x)
 	if x > 1 {
-		r.Fail("flag")
+		c.Fail("flag")
 	}
-	return x == 1
+	*p = x == 1
 }
 
-// Float consumes a float64 bit pattern.
-func (r *SnapReader) Float() float64 { return math.Float64frombits(r.Uint()) }
-
-// Bytes consumes n raw payload bytes (the body of a length-prefixed
-// sub-blob). The returned slice aliases the payload; callers consume it
-// before the next read.
-func (r *SnapReader) Bytes(n uint64) []byte {
-	if r.err != nil {
-		return nil
+// IntList codes a variable-length list as its length, then its elements.
+// Decoding replaces the list's contents.
+func (c *Codec) IntList(p *[]int64) {
+	if !c.dec {
+		b := binary.AppendUvarint(c.b, uint64(len(*p)))
+		for _, v := range *p {
+			b = binary.AppendVarint(b, v)
+		}
+		c.b = b
+		return
 	}
-	if uint64(len(r.b)) < n {
-		r.Fail("sub-blob")
-		return nil
+	*p = (*p)[:0]
+	for n := c.uint(); n > 0 && c.err == nil; n-- {
+		*p = append(*p, c.int())
 	}
-	out := r.b[:n:n]
-	r.b = r.b[n:]
-	return out
 }
 
-// AppendSnapshot implements SiteSnapshotter on the partition layer: the
-// spine (exponent, pending count, net in-block change, block sequence,
-// reply watermark) followed by the in-block estimator's state.
-func (s *BlockSite) AppendSnapshot(b []byte) ([]byte, error) {
-	in, ok := s.inner.(InBlockSnapshotter)
+// Fixed codes a value the decoding side already knows, such as a site
+// count or a section's position: it is written when encoding and must read
+// back equal when decoding.
+func (c *Codec) Fixed(n int, what string) {
+	if !c.dec {
+		c.b = binary.AppendUvarint(c.b, uint64(n))
+	} else if x := c.uint(); c.err == nil && x != uint64(n) {
+		c.Fail(fmt.Sprintf("%s %d, want %d", what, x, n))
+	}
+}
+
+// Sub codes a length-prefixed section holding one layer's snapshot, which
+// decoding must consume exactly. A nil f skips the section when decoding.
+// Errors from the section are returned, not made sticky, so the caller can
+// say which section failed.
+func (c *Codec) Sub(f func(*Codec) error) error {
+	if !c.dec {
+		sub := &Codec{}
+		if err := f(sub); err != nil {
+			return err
+		}
+		c.b = binary.AppendUvarint(c.b, uint64(len(sub.b)))
+		c.b = append(c.b, sub.b...)
+		return nil
+	}
+	n := c.uint()
+	if uint64(len(c.b)) < n {
+		c.Fail("section length")
+	}
+	if c.err != nil {
+		return nil
+	}
+	body := c.b[:n:n]
+	c.b = c.b[n:]
+	if f == nil {
+		return nil
+	}
+	return Decode(body, f)
+}
+
+// SnapTable codes an item table as its entry count, then each entry's key
+// and value in increasing key order, so equal tables give equal blobs.
+// Decoding replaces the table's contents and accepts only strictly
+// increasing keys: a repeated key would overwrite its first entry, and
+// the blob would not re-encode identically.
+func SnapTable[V any](c *Codec, t *itemtab.Table[V], val func(c *Codec, v *V)) {
+	if !c.dec {
+		keys := t.SortedKeys(nil)
+		c.b = binary.AppendUvarint(c.b, uint64(len(keys)))
+		var v V // one copy for the whole walk: &v escapes into val
+		for _, k := range keys {
+			v, _ = t.Get(k)
+			c.b = binary.AppendUvarint(c.b, k)
+			val(c, &v)
+		}
+		return
+	}
+	n := c.uint()
+	t.Clear()
+	for i, prev := uint64(0), uint64(0); i < n && c.err == nil; i++ {
+		k := c.uint()
+		if i > 0 && k <= prev {
+			c.Fail("table keys not strictly increasing")
+		}
+		prev = k
+		val(c, t.Upsert(k))
+	}
+}
+
+// Snap implements Snapshotter on the partition layer: the spine
+// (exponent, pending count, net in-block change, block sequence, reply
+// watermark) followed by the in-block estimator's state.
+func (s *BlockSite) Snap(c *Codec) error {
+	in, ok := s.inner.(Snapshotter)
 	if !ok {
-		return nil, fmt.Errorf("track: in-block estimator %T does not support snapshots", s.inner)
+		return fmt.Errorf("track: in-block estimator %T does not support snapshots", s.inner)
 	}
-	if s.takingOver {
+	if s.takingOver && !c.Decoding() {
 		// The held and deferred counters exist only relative to the
 		// takeover announce this incarnation has in flight; a blob taken
 		// now would silently drop them (their fate is undecided until the
 		// coordinator's acknowledgement). Refuse, like the engine refuses
 		// to snapshot a site mid-batch.
-		return nil, fmt.Errorf("track: snapshot during an open takeover window")
+		return fmt.Errorf("track: snapshot during an open takeover window")
 	}
-	b = append(b, snapTagBlock)
-	b = AppendSnapInt(b, s.r)
-	b = AppendSnapInt(b, s.ci)
-	b = AppendSnapInt(b, s.fi)
-	b = AppendSnapInt(b, s.seenBlocks)
-	b = AppendSnapInt(b, s.repliesSent)
-	b = AppendSnapInt(b, s.sentCi)
-	b = AppendSnapInt(b, s.sentFi)
-	b = AppendSnapInt(b, s.coordEpoch)
-	return in.AppendSnapshot(b), nil
-}
-
-// RestoreSnapshot implements SiteSnapshotter.
-func (s *BlockSite) RestoreSnapshot(r *SnapReader) error {
-	in, ok := s.inner.(InBlockSnapshotter)
-	if !ok {
-		return fmt.Errorf("track: in-block estimator %T does not support snapshots", s.inner)
+	c.Tag(snapTagBlock)
+	c.Int(&s.r)
+	c.Int(&s.ci)
+	c.Int(&s.fi)
+	c.Int(&s.seenBlocks)
+	c.Int(&s.repliesSent)
+	c.Int(&s.sentCi)
+	c.Int(&s.sentFi)
+	c.Int(&s.coordEpoch)
+	if c.Decoding() {
+		s.batch = ceilPow2Half(s.r)
+		if s.ci < 0 || s.ci >= s.batch {
+			// Every call leaves 0 ≤ ci < batch (OnUpdate reports when ci
+			// reaches the batch), so any other count is forged or corrupt.
+			c.Fail("pending count outside [0, batch)")
+		}
 	}
-	r.Tag(snapTagBlock)
-	s.r = r.Int()
-	s.batch = ceilPow2Half(s.r)
-	s.ci = r.Int()
-	if s.ci < 0 || s.ci >= s.batch {
-		// Every call leaves 0 ≤ ci < batch (OnUpdate reports when ci
-		// reaches the batch), so any other count is forged or corrupt.
-		r.Fail("pending count outside [0, batch)")
-	}
-	s.fi = r.Int()
-	s.seenBlocks = r.Int()
-	s.repliesSent = r.Int()
-	s.sentCi = r.Int()
-	s.sentFi = r.Int()
-	s.coordEpoch = r.Int()
-	in.RestoreSnapshot(r)
-	return r.Err()
+	return in.Snap(c)
 }
 
-// AppendSnapshot implements InBlockSnapshotter for the deterministic
-// estimator.
-func (s *detSite) AppendSnapshot(b []byte) []byte {
-	b = append(b, snapTagDet)
-	b = AppendSnapFloat(b, s.threshold)
-	b = AppendSnapInt(b, s.di)
-	b = AppendSnapInt(b, s.delta)
-	return b
+// Snap implements Snapshotter for the deterministic estimator.
+func (s *detSite) Snap(c *Codec) error {
+	c.Tag(snapTagDet)
+	c.Float(&s.threshold)
+	c.Int(&s.di)
+	c.Int(&s.delta)
+	return c.Err()
 }
 
-// RestoreSnapshot implements InBlockSnapshotter.
-func (s *detSite) RestoreSnapshot(r *SnapReader) {
-	r.Tag(snapTagDet)
-	s.threshold = r.Float()
-	s.di = r.Int()
-	s.delta = r.Int()
-}
-
-// AppendSnapshot implements InBlockSnapshotter for the randomized
-// estimator: the counters plus the generator state, so the restored site
-// draws exactly the coin sequence the original would have.
-func (s *randSite) AppendSnapshot(b []byte) []byte {
-	b = append(b, snapTagRand)
-	b = AppendSnapFloat(b, s.p)
-	b = AppendSnapInt(b, s.d[0])
-	b = AppendSnapInt(b, s.d[1])
-	for _, w := range s.src.State() {
-		b = AppendSnapUint(b, w)
-	}
-	return b
-}
-
-// RestoreSnapshot implements InBlockSnapshotter.
-func (s *randSite) RestoreSnapshot(r *SnapReader) {
-	r.Tag(snapTagRand)
-	s.p = r.Float()
-	s.coin = rng.NewCoin(s.p)
-	s.d[0] = r.Int()
-	s.d[1] = r.Int()
-	var st [4]uint64
+// Snap implements Snapshotter for the randomized estimator: the counters
+// plus the generator state, so the restored site draws exactly the coin
+// sequence the original would have.
+func (s *randSite) Snap(c *Codec) error {
+	c.Tag(snapTagRand)
+	c.Float(&s.p)
+	c.Int(&s.d[0])
+	c.Int(&s.d[1])
+	st := s.src.State()
 	for i := range st {
-		st[i] = r.Uint()
+		c.Uint(&st[i])
 	}
-	if st == [4]uint64{} && r.Err() == nil {
-		// SetState would swap in its guard constant; no encoder writes this.
-		r.Fail("zero generator state")
+	if c.Decoding() {
+		s.coin = rng.NewCoin(s.p)
+		if st == [4]uint64{} {
+			// SetState would swap in its guard constant; no encoder writes this.
+			c.Fail("zero generator state")
+		}
+		s.src.SetState(st)
 	}
-	s.src.SetState(st)
+	return c.Err()
 }
 
-// AppendSnapshot implements CoordSnapshotter on the partition layer: the
+// Snap implements Snapshotter on the coordinator's partition layer: the
 // full spine — block identity, open-collection bookkeeping, the per-slot
 // reply watermarks and fold totals, and the boundary diagnostics — followed
 // by the in-block coordinator's state. An open collection survives the
 // snapshot: the standby re-requests the replies still owed to it through
 // OnSiteRejoin when the takeover handshake runs.
-func (c *BlockCoord) AppendSnapshot(b []byte) ([]byte, error) {
-	in, ok := c.inner.(InBlockSnapshotter)
-	if !ok {
-		return nil, fmt.Errorf("track: in-block coordinator %T does not support snapshots", c.inner)
-	}
-	b = append(b, snapTagBlockCoord)
-	b = AppendSnapUint(b, uint64(c.k))
-	b = AppendSnapInt(b, c.r)
-	b = AppendSnapInt(b, c.fnj)
-	b = AppendSnapInt(b, c.tj)
-	b = AppendSnapInt(b, c.that)
-	var collecting uint64
-	if c.collecting {
-		collecting = 1
-	}
-	b = AppendSnapUint(b, collecting)
-	b = AppendSnapInt(b, int64(c.replies))
-	b = AppendSnapInt(b, c.fDelta)
-	for i := 0; i < c.k; i++ {
-		var replied, dead uint64
-		if c.replied[i] {
-			replied = 1
-		}
-		if c.deadSite[i] {
-			dead = 1
-		}
-		b = AppendSnapUint(b, replied)
-		b = AppendSnapUint(b, dead)
-		b = AppendSnapInt(b, c.replySeq[i])
-		b = AppendSnapInt(b, c.foldedCi[i])
-		b = AppendSnapInt(b, c.foldedFi[i])
-	}
-	b = AppendSnapInt(b, c.blocks)
-	b = AppendSnapUint(b, uint64(len(c.blockStart)))
-	for _, v := range c.blockStart {
-		b = AppendSnapInt(b, v)
-	}
-	b = AppendSnapUint(b, uint64(len(c.rHistory)))
-	for _, v := range c.rHistory {
-		b = AppendSnapInt(b, v)
-	}
-	return in.AppendSnapshot(b), nil
-}
-
-// RestoreSnapshot implements CoordSnapshotter.
-func (c *BlockCoord) RestoreSnapshot(r *SnapReader) error {
-	in, ok := c.inner.(InBlockSnapshotter)
+func (c *BlockCoord) Snap(cd *Codec) error {
+	in, ok := c.inner.(Snapshotter)
 	if !ok {
 		return fmt.Errorf("track: in-block coordinator %T does not support snapshots", c.inner)
 	}
-	r.Tag(snapTagBlockCoord)
-	if k := r.Uint(); r.Err() == nil && k != uint64(c.k) {
-		return fmt.Errorf("track: coordinator snapshot is for k=%d, restoring into k=%d", k, c.k)
-	}
-	c.r = r.Int()
-	c.fnj = r.Int()
-	c.tj = r.Int()
-	c.that = r.Int()
-	c.collecting = r.Bool()
-	c.replies = int(r.Int())
-	c.fDelta = r.Int()
+	cd.Tag(snapTagBlockCoord)
+	cd.Fixed(c.k, "coordinator site count")
+	cd.Int(&c.r)
+	cd.Int(&c.fnj)
+	cd.Int(&c.tj)
+	cd.Int(&c.that)
+	cd.Bool(&c.collecting)
+	replies := int64(c.replies)
+	cd.Int(&replies)
+	c.replies = int(replies)
+	cd.Int(&c.fDelta)
 	for i := 0; i < c.k; i++ {
-		c.replied[i] = r.Bool()
-		c.deadSite[i] = r.Bool()
-		c.replySeq[i] = r.Int()
-		c.foldedCi[i] = r.Int()
-		c.foldedFi[i] = r.Int()
+		cd.Bool(&c.replied[i])
+		cd.Bool(&c.deadSite[i])
+		cd.Int(&c.replySeq[i])
+		cd.Int(&c.foldedCi[i])
+		cd.Int(&c.foldedFi[i])
 	}
-	c.blocks = r.Int()
-	c.blockStart = c.blockStart[:0]
-	for n := r.Uint(); n > 0 && r.Err() == nil; n-- {
-		c.blockStart = append(c.blockStart, r.Int())
+	cd.Int(&c.blocks)
+	cd.IntList(&c.blockStart)
+	cd.IntList(&c.rHistory)
+	if cd.Decoding() {
+		// Every path that sets a replied flag counts the reply, and the
+		// k-th reply closes the block, so an open collection holds fewer
+		// than k replies, one per set flag. Any other count never closes
+		// the collection: every later reply reads as a duplicate.
+		set := 0
+		for _, ok := range c.replied {
+			if ok {
+				set++
+			}
+		}
+		if c.collecting && (c.replies != set || set >= c.k) {
+			cd.Fail("open collection reply count")
+		}
 	}
-	c.rHistory = c.rHistory[:0]
-	for n := r.Uint(); n > 0 && r.Err() == nil; n-- {
-		c.rHistory = append(c.rHistory, r.Int())
-	}
-	in.RestoreSnapshot(r)
-	return r.Err()
+	return in.Snap(cd)
 }
 
-// AppendSnapshot implements InBlockSnapshotter for the deterministic
-// coordinator.
-func (c *detCoord) AppendSnapshot(b []byte) []byte {
-	b = append(b, snapTagDetCoord)
-	b = AppendSnapUint(b, uint64(len(c.dhat)))
-	for _, v := range c.dhat {
-		b = AppendSnapInt(b, v)
-	}
-	return AppendSnapInt(b, c.sum)
-}
-
-// RestoreSnapshot implements InBlockSnapshotter.
-func (c *detCoord) RestoreSnapshot(r *SnapReader) {
-	r.Tag(snapTagDetCoord)
-	if n := r.Uint(); r.Err() == nil && n != uint64(len(c.dhat)) {
-		r.Fail("detCoord site count")
-		return
-	}
+// Snap implements Snapshotter for the deterministic coordinator.
+func (c *detCoord) Snap(cd *Codec) error {
+	cd.Tag(snapTagDetCoord)
+	cd.Fixed(len(c.dhat), "detCoord site count")
 	for i := range c.dhat {
-		c.dhat[i] = r.Int()
+		cd.Int(&c.dhat[i])
 	}
-	c.sum = r.Int()
+	cd.Int(&c.sum)
+	return cd.Err()
 }
 
-// AppendSnapshot implements InBlockSnapshotter for the randomized
-// coordinator.
-func (c *randCoord) AppendSnapshot(b []byte) []byte {
-	b = append(b, snapTagRandCoord)
-	b = AppendSnapFloat(b, c.p)
-	b = AppendSnapUint(b, uint64(len(c.dplus)))
-	for _, v := range c.dplus {
-		b = AppendSnapFloat(b, v)
-	}
-	for _, v := range c.dmin {
-		b = AppendSnapFloat(b, v)
-	}
-	return AppendSnapFloat(b, c.sum)
-}
-
-// RestoreSnapshot implements InBlockSnapshotter.
-func (c *randCoord) RestoreSnapshot(r *SnapReader) {
-	r.Tag(snapTagRandCoord)
-	c.p = r.Float()
-	c.invP = 1 / c.p
-	if n := r.Uint(); r.Err() == nil && n != uint64(len(c.dplus)) {
-		r.Fail("randCoord site count")
-		return
-	}
+// Snap implements Snapshotter for the randomized coordinator.
+func (c *randCoord) Snap(cd *Codec) error {
+	cd.Tag(snapTagRandCoord)
+	cd.Float(&c.p)
+	cd.Fixed(len(c.dplus), "randCoord site count")
 	for i := range c.dplus {
-		c.dplus[i] = r.Float()
+		cd.Float(&c.dplus[i])
 	}
 	for i := range c.dmin {
-		c.dmin[i] = r.Float()
+		cd.Float(&c.dmin[i])
 	}
-	c.sum = r.Float()
+	cd.Float(&c.sum)
+	if cd.Decoding() {
+		c.invP = 1 / c.p
+	}
+	return cd.Err()
 }
 
-// AppendSnapshot implements CoordSnapshotter for the threshold monitor: the
-// τ comparison itself is construction-constant, so the monitor contributes
-// only its layer tag ahead of the tracker's own blob.
-func (m *ThresholdMonitor) AppendSnapshot(b []byte) ([]byte, error) {
-	return m.BlockCoord.AppendSnapshot(append(b, snapTagThreshold))
-}
-
-// RestoreSnapshot implements CoordSnapshotter.
-func (m *ThresholdMonitor) RestoreSnapshot(r *SnapReader) error {
-	r.Tag(snapTagThreshold)
-	return m.BlockCoord.RestoreSnapshot(r)
+// Snap implements Snapshotter for the threshold monitor: the τ comparison
+// itself is construction-constant, so the monitor contributes only its
+// layer tag ahead of the tracker's own blob.
+func (m *ThresholdMonitor) Snap(c *Codec) error {
+	c.Tag(snapTagThreshold)
+	return m.BlockCoord.Snap(c)
 }

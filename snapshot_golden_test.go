@@ -24,8 +24,8 @@ const (
 // det, rand, threshold and exact-freq trackers and of a mixed five-query
 // engine every 37th update of one item stream, on AsyncSim with latency so
 // that some coordinator blobs hold an open collection, and pins the digest
-// of all blobs. Snapshots only read the trackers, so the run itself is the
-// same as one that takes none.
+// of all blobs. Taking a snapshot changes nothing a run observes, so the
+// run itself is the same as one that takes none.
 func TestSnapshotBlobsGolden(t *testing.T) {
 	const k, n, every = 4, 6_000, 37
 	specs, err := query.ParseSpecs("det;freq,filter=even;rand;threshold,tau=300;freq")
