@@ -118,25 +118,51 @@ func TestEngineQ1ByteIdentical(t *testing.T) {
 	}
 }
 
-// TestEngineMuxProjection checks isolation at Q = 6: the engine's
-// transcript, demultiplexed per query, must equal each query's standalone
-// transcript entry for entry, and the per-step per-query estimates must
-// match the standalone runs — multiplexing changes interleaving, never any
-// query's behaviour. The three det-family queries of engine-mixed
-// (threshold, and det under two filters) are quiet children in the engine,
-// so this is also their reference against a tracker that is called on
-// every update. A filtered query's standalone tracker is fed that query's
-// sub-stream, renumbered from 1, and the engine's times are mapped back to
-// sub-stream indices.
+// TestEngineMuxProjection checks isolation at Q = 8 over the engine-mixed
+// query set: the engine's transcript, demultiplexed per query, must equal
+// each query's standalone transcript entry for entry, and the per-query
+// estimates must match the standalone runs — multiplexing changes
+// interleaving, never any query's behaviour. The det-family queries
+// (threshold, and det under two filters) and the frequency queries are
+// quiet children in the engine, so this is also their reference against a
+// tracker that is called on every update; the filtered frequency query
+// pins a column whose filter rejects items the other one counts. A
+// filtered query's standalone tracker is fed that query's sub-stream,
+// renumbered from 1, and the engine's times are mapped back to sub-stream
+// indices. The engine is driven one Step at a time over a round-robin
+// stream, and through StepBatch at chunk sizes 1, 7 and whole over a
+// skewed one, whose same-site runs reach the batch path; estimates are
+// checked after every Step, and at every consumed-prefix boundary of a
+// batched drive.
 func TestEngineMuxProjection(t *testing.T) {
 	const k, n = 4, 15_000
-	ups := itemStream(n, k, 11)
 	specs, err := query.ParseSpecs("det,eps=0.1;rand,eps=0.05,seed=21;freq,eps=0.2;" +
-		"threshold,eps=0.1,tau=500;det,eps=0.05,filter=even;det,eps=0.2,filter=le:100")
+		"threshold,eps=0.1,tau=500;det,eps=0.05,filter=even;det,eps=0.2,filter=le:100;" +
+		"freq,eps=0.1,filter=mod:4:1;rand,eps=0.2,filter=odd")
 	if err != nil {
 		t.Fatal(err)
 	}
+	drives := []struct {
+		name  string
+		ups   []stream.Update
+		chunk int // 0 drives Step per update
+	}{
+		{"step", itemStream(n, k, 11), 0},
+		{"batch-1", skewedItemStream(n, k, 11), 1},
+		{"batch-7", skewedItemStream(n, k, 11), 7},
+		{"batch-whole", skewedItemStream(n, k, 11), n},
+	}
+	for _, d := range drives {
+		checkProjection(t, d.name, k, specs, d.ups, d.chunk)
+	}
+}
 
+// checkProjection drives ups through an engine over specs, by Step when
+// chunk is 0 and by StepBatch over chunks of that size otherwise, and
+// checks every query's projected transcript and estimates against its
+// standalone tracker on its sub-stream.
+func checkProjection(t *testing.T, name string, k int, specs []query.Spec, ups []stream.Update, chunk int) {
+	t.Helper()
 	eng, esites, err := query.New(k, specs)
 	if err != nil {
 		t.Fatal(err)
@@ -153,19 +179,32 @@ func TestEngineMuxProjection(t *testing.T) {
 		}
 		perQ[qid] = append(perQ[qid], dist.TranscriptEntry{T: e.T, To: to, Msg: inner})
 	}
+	// engEsts[qid][i] is query qid's estimate after update i+1, recorded
+	// where checked[i] is set.
 	engEsts := make([][]int64, len(specs))
 	for i := range engEsts {
 		engEsts[i] = make([]int64, len(ups))
 	}
-	for i, u := range ups {
-		sim.Step(u)
+	checked := make([]bool, len(ups))
+	observe := func(i int) {
+		checked[i] = true
 		for qid := range specs {
 			est, ok := eng.EstimateQuery(qid)
 			if !ok {
-				t.Fatalf("query %d missing", qid)
+				t.Fatalf("%s: query %d missing", name, qid)
 			}
 			engEsts[qid][i] = est
 		}
+	}
+	for i := 0; i < len(ups); {
+		if chunk == 0 {
+			sim.Step(ups[i])
+			i++
+		} else {
+			c, _ := sim.StepBatch(ups[i:min(i+chunk, len(ups))])
+			i += c
+		}
+		observe(i - 1)
 	}
 
 	for qid, spec := range specs {
@@ -183,13 +222,16 @@ func TestEngineMuxProjection(t *testing.T) {
 		initial := coord.Estimate()
 		wantTr, subEst, _, _ := runSim(coord, sites, nil, subUps)
 		for i, c := range sub {
+			if !checked[i] {
+				continue
+			}
 			want := initial
 			if c > 0 {
 				want = subEst[c-1]
 			}
 			if engEsts[qid][i] != want {
-				t.Fatalf("query %d (%s): estimate after update %d = %d, standalone %d",
-					qid, spec.Label(qid), i+1, engEsts[qid][i], want)
+				t.Fatalf("%s: query %d (%s): estimate after update %d = %d, standalone %d",
+					name, qid, spec.Label(qid), i+1, engEsts[qid][i], want)
 			}
 		}
 		got := perQ[qid]
@@ -197,8 +239,8 @@ func TestEngineMuxProjection(t *testing.T) {
 			got[i].T = sub[got[i].T-1]
 		}
 		if !reflect.DeepEqual(got, wantTr) {
-			t.Fatalf("query %d (%s): projected transcript diverges (%d vs %d entries)",
-				qid, spec.Label(qid), len(got), len(wantTr))
+			t.Fatalf("%s: query %d (%s): projected transcript diverges (%d vs %d entries)",
+				name, qid, spec.Label(qid), len(got), len(wantTr))
 		}
 	}
 }
