@@ -7,15 +7,30 @@ import "repro/internal/track"
 // state yields byte-equal blobs. The mirrors matter: a restored site must
 // agree with the coordinator's merged table about what has been reported,
 // or its next per-counter delta lands on the wrong base.
+//
+// A shared site's counts are the engine site's, restored first: decoding
+// checks each cell's count against its row instead of adopting it.
 func (s *freqSite) Snap(c *track.Codec) error {
+	if c.Decoding() && !s.shared {
+		*s.rows = Rows{} // a standalone site's table holds only its cells
+		s.col = s.rows.AddColumn()
+	}
 	c.Tag(track.SnapTagFreq)
-	c.Float(&s.cellThresh)
+	c.Float(&s.rows.cols[s.col].limit)
 	c.Float(&s.f1Thresh)
 	c.Int(&s.f1Drift)
 	c.Int(&s.f1Delta)
-	track.SnapTable(c, &s.cells, func(c *track.Codec, st *cellState) {
-		c.Int(&st.count)
+	s.rows.Snap(c, func(r *Row) bool { return s.rows.cell(r, s.col).live }, func(c *track.Codec, r *Row) {
+		count := r.Net
+		c.Int(&count)
+		st := s.rows.cell(r, s.col)
 		c.Int(&st.mirror)
+		st.live = true
+		if !s.shared {
+			r.Net = count
+		} else if count != r.Net {
+			c.Fail("cell count differs from the site's net count")
+		}
 	})
 	return c.Err()
 }

@@ -10,31 +10,30 @@ import (
 	"repro/internal/track"
 )
 
-// cellState is a site's view of one counter: its exact local value and the
-// coordinator's mirror of it.
-type cellState struct {
-	count  int64 // f_ic: net updates to cell c seen at this site
-	mirror int64 // the coordinator's current value for this site's share
-}
-
 // freqSite is the in-block site estimator of appendix H. It simultaneously
 // runs the §3.3 deterministic drift condition for F1 (so the coordinator
 // can estimate F1(n) mid-block) and the per-counter δ conditions for item
 // frequencies.
+//
+// Its counters are the cells of column col of rows: standalone, a table
+// of its own whose row counts are the counter values; on a query engine
+// site, the site's spine (shared), which applies each update to the row
+// before the site sees it.
 type freqSite struct {
 	id     int32   //varlint:volatile construction-time identity; the restore target is built with the same id
 	eps    float64 //varlint:volatile construction-time config; only the derived thresholds are live state
 	mapper Mapper  //varlint:volatile construction-time config; the restore target is built with the same mapper
 
-	cells itemtab.Table[cellState]
+	rows   *Rows //varlint:volatile wiring; Snap codes the site's column of it, and the cell threshold in its limit
+	col    int   //varlint:volatile wiring; the column is allocated at construction
+	shared bool  //varlint:volatile construction-time config
 	// cellBuf is the reusable CellsInto buffer; per-update cell lookups
 	// must not allocate.
 	cellBuf []uint64 //varlint:volatile reusable scratch buffer
 
-	cellThresh float64 // ε·2^r/3: per-counter flush and heavy-report threshold
-	f1Thresh   float64 // ε·2^r floored at 1: F1 drift condition (§3.3)
-	f1Drift    int64   // d_i for F1
-	f1Delta    int64   // δ_i for F1
+	f1Thresh float64 // ε·2^r floored at 1: F1 drift condition (§3.3)
+	f1Drift  int64   // d_i for F1
+	f1Delta  int64   // δ_i for F1
 
 	// heavyKeys is the reusable sort buffer for block-end sweeps: heavy
 	// reports go out in cell order, so transcripts are deterministic
@@ -45,11 +44,9 @@ type freqSite struct {
 }
 
 func newFreqSite(id int, eps float64, mapper Mapper) *freqSite {
-	return &freqSite{
-		id:     int32(id),
-		eps:    eps,
-		mapper: mapper,
-	}
+	s := &freqSite{id: int32(id), eps: eps, mapper: mapper, rows: new(Rows)}
+	s.col = s.rows.AddColumn()
+	return s
 }
 
 // blockThresholds returns the two send thresholds of a block with exponent
@@ -64,19 +61,19 @@ func blockThresholds(eps float64, r int64) (cell, f1 float64) {
 // exponent r. Heavy counters are reported exactly; everything else is
 // implicitly zero at the coordinator.
 func (s *freqSite) Reset(r int64, out dist.Outbox) {
-	s.cellThresh, s.f1Thresh = blockThresholds(s.eps, r)
+	s.rows.cols[s.col].limit, s.f1Thresh = blockThresholds(s.eps, r)
 	s.f1Drift = 0
 	s.f1Delta = 0
 	s.heavyKeys = s.heavyKeys[:0]
-	s.cells.Sweep(func(c uint64, st *cellState) bool {
-		if st.count == 0 {
+	s.rows.sweep(s.col, func(c uint64, row *Row, st *cell) bool {
+		if row.Net == 0 {
 			return false // bound site memory to live counters
 		}
-		if float64(absI64(st.count)) >= s.cellThresh {
+		if float64(absI64(row.Net)) >= s.rows.cols[s.col].limit {
 			if out != nil {
 				s.heavyKeys = append(s.heavyKeys, c)
 			}
-			st.mirror = st.count
+			st.mirror = row.Net
 		} else {
 			st.mirror = 0 // the coordinator zeroed all unreported counters
 		}
@@ -89,8 +86,8 @@ func (s *freqSite) Reset(r int64, out dist.Outbox) {
 func (s *freqSite) sendHeavy(out dist.Outbox) {
 	slices.Sort(s.heavyKeys)
 	for _, c := range s.heavyKeys {
-		st, _ := s.cells.Get(c)
-		out.Send(dist.Msg{Kind: dist.KindFreqEnd, Site: s.id, Item: c, A: st.count})
+		row, _ := s.rows.tab.Get(c)
+		out.Send(dist.Msg{Kind: dist.KindFreqEnd, Site: s.id, Item: c, A: row.Net})
 	}
 }
 
@@ -103,55 +100,85 @@ func (s *freqSite) OnUpdate(u stream.Update, out dist.Outbox) {
 		out.Send(dist.Msg{Kind: dist.KindDriftReport, Site: s.id, A: s.f1Drift})
 		s.f1Delta = 0
 	}
-	// Per-counter deltas.
+	// Per-counter deltas. A shared site's one cell is the item, whose row
+	// the engine has just updated.
+	if s.shared {
+		s.report(u.Item, s.rows.cur, out)
+		return
+	}
 	s.cellBuf = s.mapper.CellsInto(s.cellBuf, u.Item)
 	for _, c := range s.cellBuf {
-		st := s.cells.Upsert(c)
-		st.count += u.Delta
-		if d := st.count - st.mirror; float64(absI64(d)) >= s.cellThresh {
-			out.Send(dist.Msg{Kind: dist.KindFreqReport, Site: s.id, Item: c, A: d})
-			st.mirror = st.count
-		}
+		row := s.rows.Upsert(c)
+		row.Net += u.Delta
+		s.report(c, row, out)
 	}
 }
 
-// LiveCells returns the number of counters currently held at the site, the
-// space quantity appendix H.0.2 is about.
-func (s *freqSite) LiveCells() int { return s.cells.Len() }
+// report sends counter c's change since its last report, held in row,
+// once that reaches the counter threshold.
+//
+//varlint:zeroalloc
+func (s *freqSite) report(c uint64, row *Row, out dist.Outbox) {
+	if !s.rows.Touch(row, s.col) {
+		st := s.rows.cell(row, s.col)
+		out.Send(dist.Msg{Kind: dist.KindFreqReport, Site: s.id, Item: c, A: row.Net - st.mirror})
+		st.mirror = row.Net
+	}
+}
+
+// LiveCells returns the number of counters currently held at a standalone
+// site, whose table holds only its own cells: the space quantity appendix
+// H.0.2 is about.
+func (s *freqSite) LiveCells() int { return s.rows.tab.Len() }
+
+// columnSite is one site's half of a query engine's frequency query: a
+// shared freqSite over exact items, in its own column of the engine site's
+// rows. It joins the engine's quiet fan-out, so it is a
+// track.InBlockQuietSite with a caveat: Quiet bounds the F1 drift reports,
+// the same way the deterministic tracker's does, while the per-item
+// reports are bounded by the engine's per-row check (Rows.Touch). A
+// standalone freqSite has no such check and is not quiet.
+type columnSite struct{ *freqSite }
+
+// NewColumn builds site id's half of an engine frequency query with error
+// parameter eps over exact items, with its cells in a new column of rows,
+// the engine site's spine. It returns the site and its column, which the
+// engine frees when the query detaches.
+func NewColumn(id int, eps float64, rows *Rows) (*track.BlockSite, int) {
+	s := &freqSite{id: int32(id), eps: eps, mapper: ExactMapper{}, rows: rows, col: rows.AddColumn(), shared: true}
+	return track.NewBlockSite(id, columnSite{s}), s.col
+}
+
+// Quiet implements track.InBlockQuietSite for the F1 drift.
+func (s columnSite) Quiet() int64 { return track.DriftBudget(s.f1Thresh, s.f1Delta) }
+
+// Absorb implements track.InBlockQuietSite: the counters are the engine's
+// rows, which it has already updated.
+func (s columnSite) Absorb(n, sum int64) {
+	s.f1Drift += sum
+	s.f1Delta += sum
+}
 
 // BootstrapAttach implements track.InBlockBootstrapper for mid-stream
-// attach (internal/query): the site's net per-item history is folded
-// through the mapper into counter cells, established at the coordinator
-// with the same absolute KindFreqEnd reports a block boundary uses (the
-// coordinator side is freshly built, so the additive merge lands on zeros),
-// and the F1 drift estimator adopts the net mass as block-0 drift. Reports
-// go out in sorted cell order so transcripts are deterministic.
-func (s *freqSite) BootstrapAttach(st track.AttachState, out dist.Outbox) {
+// attach: each of the history's items is a row of the engine site already,
+// and becomes a cell, established at the freshly built coordinator with
+// the same absolute KindFreqEnd reports a block boundary uses; the F1 drift
+// estimator adopts the net mass as block-0 drift. Reports go out in sorted
+// item order so transcripts are deterministic.
+func (s columnSite) BootstrapAttach(st track.AttachState, out dist.Outbox) {
 	s.f1Drift = st.Net()
 	s.f1Delta = 0
 	if s.f1Drift != 0 {
 		out.Send(dist.Msg{Kind: dist.KindDriftReport, Site: s.id, A: s.f1Drift})
 	}
-	if st.Items != nil {
-		for item, v := range st.Items.Range {
-			if *v == 0 {
-				continue
-			}
-			s.cellBuf = s.mapper.CellsInto(s.cellBuf, item)
-			for _, c := range s.cellBuf {
-				s.cells.Upsert(c).count += *v
-			}
-		}
-	}
 	s.heavyKeys = s.heavyKeys[:0]
-	s.cells.Sweep(func(c uint64, cs *cellState) bool {
-		if cs.count == 0 {
-			return false
-		}
-		cs.mirror = cs.count
-		s.heavyKeys = append(s.heavyKeys, c)
-		return true
-	})
+	for item := range st.Items {
+		s.heavyKeys = append(s.heavyKeys, item)
+	}
+	for _, item := range s.heavyKeys {
+		row := s.rows.Upsert(item)
+		*s.rows.cell(row, s.col) = cell{mirror: row.Net, live: true}
+	}
 	s.sendHeavy(out)
 }
 
@@ -271,6 +298,20 @@ func (t *Tracker) SiteLiveCells() []int {
 // parameter eps and the given counter backend. It returns the coordinator
 // handle and the site algorithms.
 func New(k int, eps float64, mapper Mapper) (*Tracker, []dist.SiteAlgo) {
+	t := NewCoord(k, eps, mapper)
+	sites := make([]dist.SiteAlgo, k)
+	t.sites = make([]*freqSite, k)
+	for i := 0; i < k; i++ {
+		fs := newFreqSite(i, eps, mapper)
+		t.sites[i] = fs
+		sites[i] = track.NewBlockSite(i, fs)
+	}
+	return t, sites
+}
+
+// NewCoord builds New's coordinator handle alone, for a deployment whose
+// sites are built elsewhere: a query engine's, with NewColumn.
+func NewCoord(k int, eps float64, mapper Mapper) *Tracker {
 	if k <= 0 {
 		panic("freq: New needs k > 0")
 	}
@@ -278,7 +319,7 @@ func New(k int, eps float64, mapper Mapper) (*Tracker, []dist.SiteAlgo) {
 		panic("freq: New needs 0 < eps < 1")
 	}
 	inner := newFreqCoord(k)
-	t := &Tracker{
+	return &Tracker{
 		BlockCoord: track.NewBlockCoord(k, inner),
 		mapper:     mapper,
 		eps:        eps,
@@ -291,14 +332,6 @@ func New(k int, eps float64, mapper Mapper) (*Tracker, []dist.SiteAlgo) {
 			return out
 		},
 	}
-	sites := make([]dist.SiteAlgo, k)
-	t.sites = make([]*freqSite, k)
-	for i := 0; i < k; i++ {
-		fs := newFreqSite(i, eps, mapper)
-		t.sites[i] = fs
-		sites[i] = track.NewBlockSite(i, fs)
-	}
-	return t, sites
 }
 
 func absI64(x int64) int64 {

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/freq"
-	"repro/internal/itemtab"
 	"repro/internal/stream"
 	"repro/internal/track"
 )
@@ -72,7 +71,9 @@ func (o *tagOutbox) Broadcast(m dist.Msg) { o.inner.Broadcast(Tag(m, o.qid, o.k)
 // spec and the child pair, built once by the ordinary tracker constructors
 // and handed out to the coordinator and site halves. Every family is the
 // §3.1 partitioner, so the children are concrete: coord is the query's
-// *track.BlockCoord and each site a *track.BlockSite.
+// *track.BlockCoord and each site a *track.BlockSite. A frequency query has
+// no prebuilt sites: its site halves are columns of each engine site's
+// rows, built there.
 type queryState struct {
 	spec  Spec
 	coord *track.BlockCoord
@@ -105,7 +106,8 @@ func buildQuery(k int, spec Spec) (*queryState, error) {
 	case "rand":
 		coord, sites = track.NewRandomized(k, spec.Eps, spec.Seed)
 	case "freq":
-		q.freqT, sites = freq.New(k, spec.Eps, freq.ExactMapper{})
+		// The site halves are columns of each engine site's rows.
+		q.freqT = freq.NewCoord(k, spec.Eps, freq.ExactMapper{})
 		coord = q.freqT.BlockCoord
 	case "threshold":
 		q.thresh, sites = track.NewThresholdMonitor(k, spec.Eps, spec.Tau)
@@ -116,7 +118,7 @@ func buildQuery(k int, spec Spec) (*queryState, error) {
 	if q.thresh != nil {
 		q.snap = q.thresh
 	}
-	q.sites = make([]*track.BlockSite, k)
+	q.sites = make([]*track.BlockSite, len(sites))
 	for i, s := range sites {
 		q.sites[i] = s.(*track.BlockSite)
 	}
@@ -210,7 +212,7 @@ func New(k int, specs []Spec) (*Coord, []dist.SiteAlgo, error) {
 		}
 		qid := eng.register(q)
 		for _, s := range sites {
-			s.preattach(qid, q)
+			s.installChild(qid, q)
 		}
 	}
 	out := make([]dist.SiteAlgo, k)
@@ -424,8 +426,9 @@ func (c *Coord) Status() []Status {
 
 // siteChild is one attached query at one site.
 //
-// A quiet child is one whose BlockSite has a quiet path (det, threshold
-// and their filtered forms). An update that fits its budget is only
+// A quiet child is one whose BlockSite has a quiet path (det, threshold,
+// freq and their filtered forms). An update that fits its budget, and for
+// a frequency child passes the row check of its column col, is only
 // counted into the pending run (n, sum), which the child absorbs before
 // any call into it. budget is the cost the child can still take without a
 // call, −1 when stale; a child without a quiet path keeps it at −1, so it
@@ -434,6 +437,7 @@ type siteChild struct {
 	block  *track.BlockSite
 	filter func(uint64) bool
 	out    tagOutbox
+	col    int // the frequency child's column of the site's rows, −1 for other families
 
 	quiet  bool
 	budget int64
@@ -470,7 +474,9 @@ func (ch *siteChild) dst(out dist.Outbox) dist.Outbox {
 // fan-out over a run, up to the first update that sends), dist.SiteRejoiner
 // and dist.SiteTakeover. Alongside the children it maintains the spine —
 // update count, ± delta mass, and net per-item counts — which is what lets
-// a query attaching mid-stream bootstrap the history it never saw.
+// a query attaching mid-stream bootstrap the history it never saw. The
+// frequency children keep their counters in columns of the spine's item
+// rows, so an update probes one row for all of them.
 type Site struct {
 	eng *Engine //varlint:volatile wiring to the shared registry; the restoring process re-registers the same specs
 	id  int     //varlint:volatile construction-time identity; RebuildSite builds the restore target with the same id
@@ -482,14 +488,7 @@ type Site struct {
 	// The spine: everything a future attach might need to reconstruct.
 	updates     int64
 	plus, minus int64
-	items       itemtab.Table[int64]
-
-	// One-item pending-delta cache in front of items: cacheN is the net
-	// delta of cacheItem not yet folded into the table. A run of one item
-	// (scalar streams, walks, heavy zipf heads) only adds to it; switching
-	// items folds it in with one Upsert. Readers of items flush it first.
-	cacheItem uint64 //varlint:volatile pending-delta cache; Snap flushes it when encoding and empties it when decoding
-	cacheN    int64  //varlint:volatile pending-delta cache; Snap flushes it when encoding and empties it when decoding
+	rows        freq.Rows
 
 	// sent passes an OnUpdateBatch fan-out's sends on to the runtime's
 	// outbox and counts them, so the batch stops after the first update
@@ -512,23 +511,29 @@ func (o *countOutbox) Send(m dist.Msg)             { o.n++; o.inner.Send(m) }
 func (o *countOutbox) SendTo(site int, m dist.Msg) { o.n++; o.inner.SendTo(site, m) }
 func (o *countOutbox) Broadcast(m dist.Msg)        { o.n++; o.inner.Broadcast(m) }
 
-// preattach installs a child for an initial query, silently: no history
-// exists yet, so no bootstrap traffic — which keeps the Q = 1 engine
-// byte-identical to a standalone deployment.
-func (s *Site) preattach(qid int, q *queryState) {
-	s.installChild(qid, q, q.sites[s.id])
-}
-
-// installChild wires block in as the child for qid, a registered query id,
-// with a stale budget. Ordinary attaches pass the registry's prebuilt site
-// half; a site rebuilt after a crash passes a fresh one instead (the
-// registry's object is the dead predecessor's and still holds its state —
-// see snapshot.go).
-func (s *Site) installChild(qid int, q *queryState, block *track.BlockSite) *siteChild {
+// installChild builds the child for qid, a registered query id, with a
+// stale budget. A frequency child is a new column of the site's rows.
+// Otherwise an ordinary site takes the registry's prebuilt site half, and
+// a site rebuilt after a crash a fresh one (the registry's object is the
+// dead predecessor's and still holds its state — see snapshot.go).
+// Installing an initial query's child at construction is silent: no
+// history exists yet, so no bootstrap traffic — which keeps the Q = 1
+// engine byte-identical to a standalone deployment.
+func (s *Site) installChild(qid int, q *queryState) *siteChild {
 	for len(s.children) <= qid {
 		s.children = append(s.children, nil)
 	}
-	ch := &siteChild{block: block, out: tagOutbox{qid: qid, k: s.eng.k}, quiet: block.Quiet() >= 0, budget: -1}
+	ch := &siteChild{out: tagOutbox{qid: qid, k: s.eng.k}, col: -1, budget: -1}
+	switch {
+	case q.freqT != nil:
+		ch.block, ch.col = freq.NewColumn(s.id, q.spec.Eps, &s.rows)
+	case s.rebuilt:
+		qf, _ := buildQuery(s.eng.k, q.spec) // registration validated the spec
+		ch.block = qf.sites[s.id]
+	default:
+		ch.block = q.sites[s.id]
+	}
+	ch.quiet = ch.block.Quiet() >= 0
 	if q.spec.Filter != nil {
 		ch.filter = q.spec.Filter.Match
 	}
@@ -557,44 +562,22 @@ func (s *Site) spineMass(delta int64) {
 	s.minus += (-delta) & mask
 }
 
-// spineItem folds one item delta into the spine through the pending-delta
-// cache.
-//
-//varlint:zeroalloc
-func (s *Site) spineItem(item uint64, delta int64) {
-	if item != s.cacheItem {
-		s.flushItemCache()
-		s.cacheItem = item
-	}
-	s.cacheN += delta
-}
-
-// flushItemCache folds the pending delta into items, deleting a count that
-// reaches zero: items holds exactly the nonzero net counts.
-func (s *Site) flushItemCache() {
-	if s.cacheN == 0 {
-		return
-	}
-	n := s.items.Upsert(s.cacheItem)
-	*n += s.cacheN
-	if *n == 0 {
-		s.items.Delete(s.cacheItem)
-	}
-	s.cacheN = 0
-}
-
-// OnUpdate implements dist.SiteAlgo: maintain the spine, then fan the
-// update out to every attached child whose filter accepts it. An update
-// that fits a quiet child's budget joins its pending run. Any other
-// reaches the child after that run, and a quiet child's budget is re-read
-// after the call, whether or not it sent: until the next call only a
-// delivery can change the child, and a delivery makes the budget stale.
+// OnUpdate implements dist.SiteAlgo: apply the update to the spine and to
+// its item's row, then fan it out to every attached child whose filter
+// accepts it. An update that fits a quiet child's budget, and leaves a
+// frequency child's counter short of a report, joins the child's pending
+// run. Any other reaches the child after that run, and a quiet child's
+// budget is re-read after the call, whether or not it sent: until the next
+// call only a delivery can change the child, and a delivery makes the
+// budget stale. A frequency child reads the update's row, which the site
+// drops once the fan-out leaves it empty.
 //
 //varlint:zeroalloc
 func (s *Site) OnUpdate(u stream.Update, out dist.Outbox) {
 	s.updates++
 	s.spineMass(u.Delta)
-	s.spineItem(u.Item, u.Delta)
+	row := s.rows.Upsert(u.Item)
+	row.Net += u.Delta
 	// max(1, |Δ|), as in dist's quiet pass: a zero delta still counts
 	// towards the count reports.
 	cost := max(u.Delta, -u.Delta, 1)
@@ -602,7 +585,7 @@ func (s *Site) OnUpdate(u stream.Update, out dist.Outbox) {
 		if ch == nil || (ch.filter != nil && !ch.filter(u.Item)) {
 			continue
 		}
-		if ch.budget >= cost {
+		if ch.budget >= cost && (ch.col < 0 || s.rows.Touch(row, ch.col)) {
 			ch.budget -= cost
 			ch.n++
 			ch.sum += u.Delta
@@ -614,6 +597,7 @@ func (s *Site) OnUpdate(u stream.Update, out dist.Outbox) {
 			ch.budget = ch.block.Quiet()
 		}
 	}
+	s.rows.Settle(u.Item, row)
 }
 
 // OnUpdateBatch implements dist.BatchSiteAlgo: OnUpdate over us, stopping
@@ -644,7 +628,10 @@ func (s *Site) OnMessage(m dist.Msg, out dist.Outbox) {
 		s.syncAll()
 		if m.Kind == dist.KindAttach {
 			s.attach(qid, out)
-		} else if qid >= 0 && qid < len(s.children) {
+		} else if qid >= 0 && qid < len(s.children) && s.children[qid] != nil {
+			if col := s.children[qid].col; col >= 0 {
+				s.rows.FreeColumn(col)
+			}
 			s.children[qid] = nil
 		}
 		return
@@ -677,49 +664,30 @@ func (s *Site) attach(qid int, out dist.Outbox) {
 	if q == nil || (qid < len(s.children) && s.children[qid] != nil) {
 		return
 	}
-	if s.rebuilt {
-		qf, err := buildQuery(s.eng.k, q.spec)
-		if err != nil {
-			return
-		}
-		s.installChild(qid, q, qf.sites[s.id])
-	} else {
-		s.preattach(qid, q)
-	}
+	ch := s.installChild(qid, q)
 	if s.updates == 0 {
 		return
 	}
-	ch := s.children[qid]
 	ch.block.BootstrapAttach(s.history(q.spec.Filter), ch.dst(out))
 }
 
-// history snapshots the spine as a track.AttachState. An unfiltered query
-// gets the exact history — including the live items table, which the
-// bootstrapper contract forbids retaining past the call; a filtered one
-// gets the best reconstruction the net per-item counts allow (the ± split
-// and update count are lower bounds under cancellation — the first block
+// history snapshots the spine as a track.AttachState whose Items walks the
+// live rows, which the bootstrapper contract forbids retaining past the
+// call. An unfiltered query gets the exact history; a filtered one gets
+// the best reconstruction the net per-item counts allow (the ± split and
+// update count are lower bounds under cancellation — the first block
 // collection after bootstrap makes the boundary exact regardless, see
 // track/attach.go).
 func (s *Site) history(f *Filter) track.AttachState {
-	s.flushItemCache()
 	if f == nil {
-		return track.AttachState{Updates: s.updates, Plus: s.plus, Minus: s.minus, Items: &s.items}
+		return track.AttachState{Updates: s.updates, Plus: s.plus, Minus: s.minus, Items: s.rows.Counts(nil)}
 	}
-	st := track.AttachState{Items: new(itemtab.Table[int64])}
-	for item, n := range s.items.Range {
-		if !f.Match(item) {
-			continue
-		}
-		v := *n
-		*st.Items.Upsert(item) = v
-		if v > 0 {
-			st.Plus += v
-			st.Updates += v
-		} else {
-			st.Minus -= v
-			st.Updates -= v
-		}
+	st := track.AttachState{Items: s.rows.Counts(f.Match)}
+	for _, n := range st.Items {
+		st.Plus += max(n, 0)
+		st.Minus += max(-n, 0)
 	}
+	st.Updates = st.Plus + st.Minus
 	return st
 }
 

@@ -1,6 +1,7 @@
 package query_test
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -154,6 +155,107 @@ func TestEngineMuxProjection(t *testing.T) {
 	}
 	for _, d := range drives {
 		checkProjection(t, d.name, k, specs, d.ups, d.chunk)
+	}
+}
+
+// manyFreqSpecs hold four frequency queries, so a site's rows keep the
+// cells of two of them in arena blocks past the inline ones.
+const manyFreqSpecs = "freq,eps=0.2;freq,eps=0.1,filter=mod:4:1;det,eps=0.1;" +
+	"freq,eps=0.15,filter=odd;freq,eps=0.05,filter=le:200"
+
+// TestEngineManyFreqColumns is TestEngineMuxProjection over four frequency
+// queries, whose columns outnumber the cells a row holds inline.
+func TestEngineManyFreqColumns(t *testing.T) {
+	const k, n = 3, 12_000
+	specs, err := query.ParseSpecs(manyFreqSpecs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkProjection(t, "step", k, specs, itemStream(n, k, 5), 0)
+	checkProjection(t, "batch-7", k, specs, skewedItemStream(n, k, 5), 7)
+}
+
+// TestEngineFreqColumnChurn attaches and detaches frequency queries across
+// the cells a row holds inline: two initial columns, two attached
+// mid-stream (the first gives every existing row a block, the second
+// widens them), a detach, and an attach that reuses the freed column. After
+// every update each live frequency query answers every item within ε·F1
+// of its filtered count, and at the end every site's blob restores and
+// re-encodes byte for byte.
+func TestEngineFreqColumnChurn(t *testing.T) {
+	const k, n = 3, 9_000
+	ups := itemStream(n, k, 23)
+	specs, err := query.ParseSpecs("freq,eps=0.2;freq,eps=0.1,filter=odd;" +
+		"freq,eps=0.1,filter=mod:3:0;freq,eps=0.2,filter=le:40;freq,eps=0.1,filter=even")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, esites, err := query.New(k, specs[:2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := dist.NewSim(eng, esites)
+	ctrl := map[int]func(dist.Outbox) error{
+		n / 4:     func(out dist.Outbox) error { _, err := eng.Attach(specs[2], out); return err },
+		n / 3:     func(out dist.Outbox) error { _, err := eng.Attach(specs[3], out); return err },
+		n / 2:     func(out dist.Outbox) error { return eng.Detach(1, out) },
+		2 * n / 3: func(out dist.Outbox) error { _, err := eng.Attach(specs[4], out); return err },
+	}
+	live := []int{0, 1}
+	qspec := append([]query.Spec(nil), specs[:2]...)
+	exact := map[uint64]int64{}
+	for i, u := range ups {
+		sim.Step(u)
+		exact[u.Item] += u.Delta
+		if fn := ctrl[i+1]; fn != nil {
+			sim.Inject(func(out dist.Outbox) { err = fn(out) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			live = live[:0]
+			qspec = qspec[:0]
+			for _, st := range eng.Status() {
+				if !st.Detached {
+					live = append(live, st.ID)
+					qspec = append(qspec, specs[st.ID])
+				}
+			}
+		}
+		for qi, q := range live {
+			match := func(uint64) bool { return true }
+			if f := qspec[qi].Filter; f != nil {
+				match = f.Match
+			}
+			var f1 int64
+			for item, c := range exact {
+				if match(item) {
+					f1 += c
+				}
+			}
+			for item, c := range exact {
+				if !match(item) {
+					continue
+				}
+				got, _ := eng.Frequency(q, item)
+				if d := absI64(got - c); float64(d) > qspec[qi].Eps*float64(f1)+1e-9 {
+					t.Fatalf("after update %d: query %d item %d estimate %d, exact %d (F1 %d)", i+1, q, item, got, c, f1)
+				}
+			}
+		}
+	}
+	for j, s := range esites {
+		blob, err := track.SnapshotSite(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back := eng.RebuildSite(j)
+		if err := track.RestoreSite(back, blob); err != nil {
+			t.Fatalf("site %d: restore: %v", j, err)
+		}
+		again, err := track.SnapshotSite(back)
+		if err != nil || !bytes.Equal(again, blob) {
+			t.Fatalf("site %d: restored blob re-encodes differently (%v)", j, err)
+		}
 	}
 }
 

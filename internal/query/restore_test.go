@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"repro/internal/dist"
+	"repro/internal/freq"
 	"repro/internal/query"
+	"repro/internal/stream"
 	"repro/internal/track"
 )
 
@@ -65,6 +67,110 @@ func TestEngineSiteRestoreRejectsNonCanonical(t *testing.T) {
 		blob := wrapSnap(tc.payload)
 		site := eng.RebuildSite(0)
 		err := track.RestoreSite(site, blob)
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: RestoreSite error %v, want accepted=%v", name, err, tc.ok)
+			continue
+		}
+		if err != nil {
+			continue
+		}
+		again, err := track.SnapshotSite(site)
+		if err != nil {
+			t.Fatalf("%s: re-snapshot: %v", name, err)
+		}
+		if !bytes.Equal(again, blob) {
+			t.Errorf("%s: accepted blob re-encodes differently", name)
+		}
+	}
+}
+
+// freqSection is the snapshot payload of site 1 of a standalone exact
+// frequency tracker over three sites that has seen, for each item, count
+// updates of ±1 (a zero count: one of each), so its cells are the given
+// ones.
+func freqSection(tb testing.TB, cells map[uint64]int64) []byte {
+	tb.Helper()
+	_, sites := freq.New(3, 0.2, freq.ExactMapper{})
+	site := sites[1]
+	out := discard{}
+	for item, n := range cells {
+		if n == 0 {
+			site.OnUpdate(stream.Update{Item: item, Delta: 1, Site: 1}, out)
+			site.OnUpdate(stream.Update{Item: item, Delta: -1, Site: 1}, out)
+		}
+		for ; n != 0; n -= max(min(n, 1), -1) {
+			site.OnUpdate(stream.Update{Item: item, Delta: max(min(n, 1), -1), Site: 1}, out)
+		}
+	}
+	blob, err := track.SnapshotSite(site)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return blob[4 : len(blob)-8]
+}
+
+// discard is an outbox that drops every message.
+type discard struct{}
+
+func (discard) Send(dist.Msg)        {}
+func (discard) SendTo(int, dist.Msg) {}
+func (discard) Broadcast(dist.Msg)   {}
+
+// columnMismatchPayloads are engine-site payloads for the fuzzEngineSpecs
+// registry: a spine, then sections for its two frequency queries (query 2
+// counts every item, query 3 odd ones). Only the first is what an engine
+// site can write; each other one has frequency cells that disagree with the
+// spine or the query's filter.
+func columnMismatchPayloads(tb testing.TB) map[string]struct {
+	payload []byte
+	ok      bool
+} {
+	spine := [][2]int64{{3, 2}, {5, 1}, {8, -1}}
+	payload := func(q2, q3 map[uint64]int64) []byte {
+		b := spinePayload(spine...)
+		b = b[:len(b)-1] // the child count
+		b = binary.AppendUvarint(b, 2)
+		for qid, sec := range [][]byte{freqSection(tb, q2), freqSection(tb, q3)} {
+			b = binary.AppendUvarint(b, uint64(qid+2))
+			b = binary.AppendUvarint(b, uint64(len(sec)))
+			b = append(b, sec...)
+		}
+		return b
+	}
+	all := map[uint64]int64{3: 2, 5: 1, 6: 0, 8: -1}
+	odd := map[uint64]int64{3: 2, 5: 1, 7: 0}
+	return map[string]struct {
+		payload []byte
+		ok      bool
+	}{
+		"consistent":     {payload(all, odd), true},
+		"count differs":  {payload(map[uint64]int64{3: 2, 5: 2, 6: 0, 8: -1}, odd), false},
+		"count no row":   {payload(map[uint64]int64{3: 2, 5: 1, 8: -1, 9: 4}, odd), false},
+		"filter rejects": {payload(all, map[uint64]int64{3: 2, 5: 1, 6: 0}), false},
+		"cell missing":   {payload(map[uint64]int64{3: 2, 6: 0, 8: -1}, odd), false},
+		"odd missing":    {payload(all, map[uint64]int64{3: 2}), false},
+	}
+}
+
+// TestEngineSiteRestoreRejectsColumnMismatch: an engine site's frequency
+// queries keep their counters in columns of the spine's item rows, so a
+// restored section must agree with the spine: every cell's count is the
+// spine's net count for its item, no cell is for an item the query's
+// filter rejects, and every item the filter accepts with a nonzero count
+// has a cell. The consistent blob re-encodes to itself.
+func TestEngineSiteRestoreRejectsColumnMismatch(t *testing.T) {
+	specs, err := query.ParseSpecs(fuzzEngineSpecs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, tc := range columnMismatchPayloads(t) {
+		eng, _, err := query.New(3, specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		site := eng.RebuildSite(1)
+		blob := wrapSnap(tc.payload)
+		err = track.RestoreSite(site, blob)
 		if (err == nil) != tc.ok {
 			t.Errorf("%s: RestoreSite error %v, want accepted=%v", name, err, tc.ok)
 			continue
@@ -174,6 +280,9 @@ func FuzzRestoreEngineSite(f *testing.F) {
 			}
 			f.Add(snap[4 : len(snap)-8])
 		}
+	}
+	for _, tc := range columnMismatchPayloads(f) {
+		f.Add(tc.payload)
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		eng, _, err := query.New(k, specs)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/dist"
+	"repro/internal/freq"
 	"repro/internal/track"
 )
 
@@ -29,19 +30,23 @@ import (
 // skipped; a section for a query the registry does not know is an error
 // (the restoring process must register the same specs first). Only what
 // encoding can write is accepted: spine items and child query ids strictly
-// increasing, and no zero spine count.
+// increasing, no zero spine count, and frequency sections that the shared
+// rows can hold — each cell's count the spine's, and cells for exactly the
+// items the query's filter accepts with a nonzero count, plus zero-count
+// ones it accepts.
 func (s *Site) Snap(c *track.Codec) error {
 	if !c.Decoding() {
 		s.syncAll()
-		s.flushItemCache()
+	} else {
+		s.rows = freq.Rows{}
 	}
 	c.Tag(track.SnapTagQuery)
 	c.Int(&s.updates)
 	c.Int(&s.plus)
 	c.Int(&s.minus)
-	track.SnapTable(c, &s.items, func(c *track.Codec, n *int64) {
-		c.Int(n)
-		if c.Decoding() && *n == 0 {
+	s.rows.Snap(c, func(r *freq.Row) bool { return r.Net != 0 }, func(c *track.Codec, r *freq.Row) {
+		c.Int(&r.Net)
+		if r.Net == 0 {
 			c.Fail("zero spine count")
 		}
 	})
@@ -53,7 +58,6 @@ func (s *Site) Snap(c *track.Codec) error {
 	}
 	c.Uint(&attached)
 	if c.Decoding() {
-		s.cacheN = 0
 		s.children = s.children[:0]
 		s.rebuilt = true
 		return s.restoreChildren(c, attached)
@@ -88,13 +92,12 @@ func (s *Site) restoreChildren(c *track.Codec, n uint64) error {
 			c.Sub(nil)
 			continue
 		}
-		qf, err := buildQuery(s.eng.k, q.spec)
-		if err != nil {
-			return fmt.Errorf("query: rebuild query %d: %w", qid, err)
-		}
-		ch := s.installChild(int(qid), q, qf.sites[s.id])
+		ch := s.installChild(int(qid), q)
 		if err := c.Sub(ch.block.Snap); err != nil {
 			return fmt.Errorf("query: child %d: %w", qid, err)
+		}
+		if ch.col >= 0 && !s.rows.Matches(ch.col, ch.filter) {
+			c.Fail("frequency cells disagree with the spine and the query's filter")
 		}
 	}
 	return c.Err()

@@ -114,6 +114,13 @@ func TestEngineSnapshotRoundTrip(t *testing.T) {
 			{Algo: "det", Eps: 0.2},
 		},
 	}
+	// Four frequency queries: the third and fourth keep their cells in the
+	// rows' arena blocks, past the inline cells.
+	freq4, err := query.ParseSpecs(manyFreqSpecs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qsets["freq4"] = freq4
 	for qname, specs := range qsets {
 		for _, async := range []bool{false, true} {
 			rname := map[bool]string{false: "sim", true: "async"}[async]

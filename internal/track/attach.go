@@ -1,8 +1,9 @@
 package track
 
 import (
+	"iter"
+
 	"repro/internal/dist"
-	"repro/internal/itemtab"
 )
 
 // This file is the mid-stream attach machinery used by the multi-query
@@ -30,9 +31,12 @@ type AttachState struct {
 	// to f. For ±1 streams they are the update counts the randomized
 	// tracker's A+/A− estimator copies would have seen.
 	Plus, Minus int64
-	// Items holds the site's net per-item counts, nil when the engine does
-	// not track item history. Only frequency estimators consume it.
-	Items *itemtab.Table[int64]
+	// Items yields the site's nonzero net per-item counts (for a filtered
+	// query, those of the items the filter accepts), straight from the
+	// engine's live table: it is valid only during the bootstrap call, and
+	// the table must not change while it runs. Only frequency estimators
+	// consume it.
+	Items iter.Seq2[uint64, int64]
 }
 
 // Net returns the site's net contribution Plus − Minus.
@@ -50,8 +54,8 @@ type InBlockBootstrapper interface {
 // and emits the absolute-state messages that re-establish it at a freshly
 // constructed coordinator. Like the rejoin hooks, the messages are safe to
 // deliver on top of whatever the coordinator already holds. It consumes st
-// during the call and does not retain st.Items: the engine may hand out its
-// live per-item table rather than a copy.
+// during the call and does not retain st.Items, which walks the engine's
+// live per-item table.
 //
 // The inner estimator adopts and reports the historical drift first, so the
 // estimate is approximately right immediately; then the seeded update count

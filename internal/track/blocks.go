@@ -35,8 +35,12 @@ type InBlockSite interface {
 // most q sends no message, and Absorb(n, sum) applies n updates of net
 // change sum exactly as n OnUpdate calls would. Only an estimator that
 // decides to send from its counters alone can bound its sends this way:
-// the deterministic one qualifies, while the randomized and frequency
-// estimators draw or look up an item per update, so they do not.
+// the deterministic one qualifies, while the randomized estimator draws a
+// coin per update and a standalone frequency estimator looks up a counter
+// per update, so they do not. A query engine's frequency column qualifies
+// with a caveat: its budget bounds the F1 drift reports only, and the
+// engine checks the update's item row for a counter report before it
+// absorbs (internal/freq, Rows.Touch).
 type InBlockQuietSite interface {
 	InBlockSite
 	Quiet() int64

@@ -40,22 +40,25 @@ func (s *detSite) OnUpdate(u stream.Update, out dist.Outbox) {
 	}
 }
 
-// Quiet implements InBlockQuietSite. The site reports once |δ| reaches
-// the threshold, so it stays quiet while |δ| is at most the largest
-// integer below the threshold, and a run of updates moves |δ| by at most
-// the sum of their |Δ|. A report resets δ, so |δ| is below the threshold
-// between updates and the budget is never negative. A threshold past 2^62
-// (only a malformed exponent makes one) counts as 2^62, so the conversion
-// cannot overflow.
-func (s *detSite) Quiet() int64 {
+// Quiet implements InBlockQuietSite.
+func (s *detSite) Quiet() int64 { return DriftBudget(s.threshold, s.delta) }
+
+// DriftBudget is the quiet budget of a §3.3 drift condition that reports
+// once |δ| reaches threshold: δ stays below it while |δ| is at most the
+// largest integer below the threshold, and a run of updates moves |δ| by at
+// most the sum of their |Δ|. A report resets δ, so |δ| is below the
+// threshold between updates and the budget is never negative. A threshold
+// past 2^62 (only a malformed exponent makes one) counts as 2^62, so the
+// conversion cannot overflow.
+func DriftBudget(threshold float64, delta int64) int64 {
 	below := int64(1) << 62
-	if s.threshold < float64(below) {
-		below = int64(s.threshold)
-		if float64(below) == s.threshold {
+	if threshold < float64(below) {
+		below = int64(threshold)
+		if float64(below) == threshold {
 			below--
 		}
 	}
-	return below - absI64(s.delta)
+	return below - absI64(delta)
 }
 
 // Absorb implements InBlockQuietSite.
