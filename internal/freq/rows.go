@@ -17,8 +17,9 @@ import (
 // so a counter is an item) is a column of it: one probe per update serves
 // them all.
 //
-// A row holds the cells of the first inlineCols columns itself, so an
-// update and a block-end sweep touch the row alone. The cells of further
+// A row holds the cells of the first inlineCols columns itself, packed
+// beside its count, so an update and a block-end sweep touch the row
+// alone. The cells of further
 // columns are the row's block of the arena, which stays put while rows move
 // in the table. A row goes once its count is zero and no column holds a
 // cell for it. The zero Rows is empty.
@@ -36,11 +37,13 @@ const inlineCols = 2
 
 // Row is one item's row.
 type Row struct {
-	Net int64
-	in  [inlineCols]cell
-	blk int32 // the row's arena block, 1-based; 0 while it has none
+	Net    int64
+	mirror [inlineCols]int64 // the inline columns' cells
+	blk    int32             // the row's arena block, 1-based; 0 while it has none
+	live   [inlineCols]bool
 }
 
+// cell is an arena column's cell.
 type cell struct {
 	mirror int64 // the coordinator's value for this site's share of the counter
 	live   bool  // the column holds a counter for the item
@@ -86,11 +89,13 @@ func (t *Rows) block(b int32) []cell {
 	return t.arena[int(b-1)*x : int(b)*x]
 }
 
-func (t *Rows) cell(r *Row, j int) *cell {
+// cell returns column j's cell in r: its mirror and live flag.
+func (t *Rows) cell(r *Row, j int) (mirror *int64, live *bool) {
 	if j < inlineCols {
-		return &r.in[j]
+		return &r.mirror[j], &r.live[j]
 	}
-	return &t.block(r.blk)[j-inlineCols]
+	c := &t.block(r.blk)[j-inlineCols]
+	return &c.mirror, &c.live
 }
 
 // Touch marks column j's cell in r live and reports whether the count's
@@ -100,9 +105,9 @@ func (t *Rows) cell(r *Row, j int) *cell {
 //
 //varlint:zeroalloc
 func (t *Rows) Touch(r *Row, j int) bool {
-	c := t.cell(r, j)
-	c.live = true
-	return float64(absI64(r.Net-c.mirror)) < t.cols[j].limit
+	mirror, live := t.cell(r, j)
+	*live = true
+	return float64(absI64(r.Net-*mirror)) < t.cols[j].limit
 }
 
 // Settle drops item's row r if it has gone empty.
@@ -117,7 +122,7 @@ func (t *Rows) Settle(item uint64, r *Row) {
 // gone reports whether r is empty, a zero count and no cell, and if so
 // releases its block: the caller deletes the row.
 func (t *Rows) gone(r *Row) bool {
-	if r.Net != 0 || slices.ContainsFunc(r.in[:], isLive) || r.blk != 0 && slices.ContainsFunc(t.block(r.blk), isLive) {
+	if r.Net != 0 || slices.Contains(r.live[:], true) || r.blk != 0 && slices.ContainsFunc(t.block(r.blk), isLive) {
 		return false
 	}
 	if r.blk != 0 {
@@ -140,13 +145,13 @@ func (t *Rows) Counts(match func(uint64) bool) iter.Seq2[uint64, int64] {
 
 // sweep calls visit for each of column j's cells, clears the cells it
 // rejects, and drops the rows that leaves empty.
-func (t *Rows) sweep(j int, visit func(item uint64, r *Row, c *cell) bool) {
+func (t *Rows) sweep(j int, visit func(item uint64, r *Row, mirror *int64) bool) {
 	t.tab.Sweep(func(item uint64, r *Row) bool {
-		c := t.cell(r, j)
-		if !c.live || visit(item, r, c) {
+		mirror, live := t.cell(r, j)
+		if !*live || visit(item, r, mirror) {
 			return true
 		}
-		*c = cell{}
+		*mirror, *live = 0, false
 		return !t.gone(r)
 	})
 }
@@ -178,7 +183,7 @@ func (t *Rows) AddColumn() int {
 
 // FreeColumn clears column j and frees it for reuse.
 func (t *Rows) FreeColumn(j int) {
-	t.sweep(j, func(uint64, *Row, *cell) bool { return false })
+	t.sweep(j, func(uint64, *Row, *int64) bool { return false })
 	t.cols[j].used = false
 }
 
@@ -188,7 +193,8 @@ func (t *Rows) FreeColumn(j int) {
 // count.
 func (t *Rows) Matches(j int, match func(uint64) bool) bool {
 	for item, r := range t.tab.Range {
-		if live, in := t.cell(r, j).live, match == nil || match(item); live != in && (live || r.Net != 0) {
+		_, live := t.cell(r, j)
+		if in := match == nil || match(item); *live != in && (*live || r.Net != 0) {
 			return false
 		}
 	}
@@ -209,6 +215,7 @@ func (t *Rows) Snap(c *track.Codec, pick func(*Row) bool, val func(*track.Codec,
 	slices.Sort(items)
 	n := uint64(len(items))
 	c.Uint(&n)
+	var r Row // one copy for the whole walk: &r escapes into val
 	for i, prev := uint64(0), uint64(0); i < n && c.Err() == nil; i++ {
 		item := prev
 		if !c.Decoding() {
@@ -219,10 +226,11 @@ func (t *Rows) Snap(c *track.Codec, pick func(*Row) bool, val func(*track.Codec,
 			c.Fail("table keys not strictly increasing")
 		}
 		prev = item
-		r, _ := t.tab.Get(item)
 		row := &r
 		if c.Decoding() {
 			row = t.Upsert(item)
+		} else {
+			r, _ = t.tab.Get(item)
 		}
 		val(c, row)
 	}

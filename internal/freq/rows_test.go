@@ -22,7 +22,7 @@ func TestTouchReportsAtThreshold(t *testing.T) {
 	if rows.Touch(r, j) {
 		t.Error("drift -2 against threshold 2: quiet, want a report")
 	}
-	if !rows.cell(r, j).live {
+	if _, live := rows.cell(r, j); !*live {
 		t.Error("Touch left the cell dead")
 	}
 }

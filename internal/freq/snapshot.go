@@ -20,12 +20,12 @@ func (s *freqSite) Snap(c *track.Codec) error {
 	c.Float(&s.f1Thresh)
 	c.Int(&s.f1Drift)
 	c.Int(&s.f1Delta)
-	s.rows.Snap(c, func(r *Row) bool { return s.rows.cell(r, s.col).live }, func(c *track.Codec, r *Row) {
+	s.rows.Snap(c, func(r *Row) bool { _, live := s.rows.cell(r, s.col); return *live }, func(c *track.Codec, r *Row) {
 		count := r.Net
 		c.Int(&count)
-		st := s.rows.cell(r, s.col)
-		c.Int(&st.mirror)
-		st.live = true
+		mirror, live := s.rows.cell(r, s.col)
+		c.Int(mirror)
+		*live = true
 		if !s.shared {
 			r.Net = count
 		} else if count != r.Net {

@@ -65,7 +65,7 @@ func (s *freqSite) Reset(r int64, out dist.Outbox) {
 	s.f1Drift = 0
 	s.f1Delta = 0
 	s.heavyKeys = s.heavyKeys[:0]
-	s.rows.sweep(s.col, func(c uint64, row *Row, st *cell) bool {
+	s.rows.sweep(s.col, func(c uint64, row *Row, mirror *int64) bool {
 		if row.Net == 0 {
 			return false // bound site memory to live counters
 		}
@@ -73,9 +73,9 @@ func (s *freqSite) Reset(r int64, out dist.Outbox) {
 			if out != nil {
 				s.heavyKeys = append(s.heavyKeys, c)
 			}
-			st.mirror = row.Net
+			*mirror = row.Net
 		} else {
-			st.mirror = 0 // the coordinator zeroed all unreported counters
+			*mirror = 0 // the coordinator zeroed all unreported counters
 		}
 		return true
 	})
@@ -120,9 +120,9 @@ func (s *freqSite) OnUpdate(u stream.Update, out dist.Outbox) {
 //varlint:zeroalloc
 func (s *freqSite) report(c uint64, row *Row, out dist.Outbox) {
 	if !s.rows.Touch(row, s.col) {
-		st := s.rows.cell(row, s.col)
-		out.Send(dist.Msg{Kind: dist.KindFreqReport, Site: s.id, Item: c, A: row.Net - st.mirror})
-		st.mirror = row.Net
+		mirror, _ := s.rows.cell(row, s.col)
+		out.Send(dist.Msg{Kind: dist.KindFreqReport, Site: s.id, Item: c, A: row.Net - *mirror})
+		*mirror = row.Net
 	}
 }
 
@@ -177,7 +177,8 @@ func (s columnSite) BootstrapAttach(st track.AttachState, out dist.Outbox) {
 	}
 	for _, item := range s.heavyKeys {
 		row := s.rows.Upsert(item)
-		*s.rows.cell(row, s.col) = cell{mirror: row.Net, live: true}
+		mirror, live := s.rows.cell(row, s.col)
+		*mirror, *live = row.Net, true
 	}
 	s.sendHeavy(out)
 }
