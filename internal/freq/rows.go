@@ -19,10 +19,9 @@ import (
 //
 // A row holds the cells of the first inlineCols columns itself, packed
 // beside its count, so an update and a block-end sweep touch the row
-// alone. The cells of further
-// columns are the row's block of the arena, which stays put while rows move
-// in the table. A row goes once its count is zero and no column holds a
-// cell for it. The zero Rows is empty.
+// alone. The cells of further columns are the row's block of the arena,
+// which stays put while rows move in the table. A row goes once its count
+// is zero and no column holds a cell for it. The zero Rows is empty.
 type Rows struct {
 	tab    itemtab.Table[Row]
 	arena  []cell   //varlint:volatile block b's cells are arena[(b−1)·x : b·x], x = len(cols) − inlineCols; each column's site codes its cells

@@ -92,7 +92,7 @@ func freqSection(tb testing.TB, cells map[uint64]int64) []byte {
 	tb.Helper()
 	_, sites := freq.New(3, 0.2, freq.ExactMapper{})
 	site := sites[1]
-	out := discard{}
+	out := discardOutbox{}
 	for item, n := range cells {
 		if n == 0 {
 			site.OnUpdate(stream.Update{Item: item, Delta: 1, Site: 1}, out)
@@ -108,13 +108,6 @@ func freqSection(tb testing.TB, cells map[uint64]int64) []byte {
 	}
 	return blob[4 : len(blob)-8]
 }
-
-// discard is an outbox that drops every message.
-type discard struct{}
-
-func (discard) Send(dist.Msg)        {}
-func (discard) SendTo(int, dist.Msg) {}
-func (discard) Broadcast(dist.Msg)   {}
 
 // columnMismatchPayloads are engine-site payloads for the fuzzEngineSpecs
 // registry: a spine, then sections for its two frequency queries (query 2
