@@ -200,9 +200,8 @@ func (t *Rows) Matches(j int, match func(uint64) bool) bool {
 	return true
 }
 
-// Snap codes the rows pick selects as their number, then each one's item
-// and val in increasing item order, so equal tables give equal blobs.
-// Decoding accepts only strictly increasing items and hands val each
+// Snap codes the rows pick selects through track.SnapKeys, in increasing
+// item order, so equal tables give equal blobs. Decoding hands val each
 // item's row, inserted if absent.
 func (t *Rows) Snap(c *track.Codec, pick func(*Row) bool, val func(*track.Codec, *Row)) {
 	var items []uint64
@@ -212,25 +211,13 @@ func (t *Rows) Snap(c *track.Codec, pick func(*Row) bool, val func(*track.Codec,
 		}
 	}
 	slices.Sort(items)
-	n := uint64(len(items))
-	c.Uint(&n)
 	var r Row // one copy for the whole walk: &r escapes into val
-	for i, prev := uint64(0), uint64(0); i < n && c.Err() == nil; i++ {
-		item := prev
-		if !c.Decoding() {
-			item = items[i]
-		}
-		c.Uint(&item)
-		if i > 0 && item <= prev {
-			c.Fail("table keys not strictly increasing")
-		}
-		prev = item
-		row := &r
+	track.SnapKeys(c, items, func(c *track.Codec, item uint64) {
 		if c.Decoding() {
-			row = t.Upsert(item)
-		} else {
-			r, _ = t.tab.Get(item)
+			val(c, t.Upsert(item))
+			return
 		}
-		val(c, row)
-	}
+		r, _ = t.tab.Get(item)
+		val(c, &r)
+	})
 }

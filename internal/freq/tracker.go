@@ -145,7 +145,7 @@ type columnSite struct{ *freqSite }
 // the engine site's spine. It returns the site and its column, which the
 // engine frees when the query detaches.
 func NewColumn(id int, eps float64, rows *Rows) (*track.BlockSite, int) {
-	s := &freqSite{id: int32(id), eps: eps, mapper: ExactMapper{}, rows: rows, col: rows.AddColumn(), shared: true}
+	s := &freqSite{id: int32(id), eps: eps, rows: rows, col: rows.AddColumn(), shared: true}
 	return track.NewBlockSite(id, columnSite{s}), s.col
 }
 

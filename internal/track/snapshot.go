@@ -310,33 +310,46 @@ func (c *Codec) Sub(f func(*Codec) error) error {
 	return Decode(body, f)
 }
 
-// SnapTable codes an item table as its entry count, then each entry's key
-// and value in increasing key order, so equal tables give equal blobs.
-// Decoding replaces the table's contents and accepts only strictly
-// increasing keys: a repeated key would overwrite its first entry, and
-// the blob would not re-encode identically.
-func SnapTable[V any](c *Codec, t *itemtab.Table[V], val func(c *Codec, v *V)) {
-	if !c.dec {
-		keys := t.SortedKeys(nil)
-		c.b = binary.AppendUvarint(c.b, uint64(len(keys)))
-		var v V // one copy for the whole walk: &v escapes into val
-		for _, k := range keys {
-			v, _ = t.Get(k)
-			c.b = binary.AppendUvarint(c.b, k)
-			val(c, &v)
-		}
-		return
-	}
-	n := c.uint()
-	t.Clear()
+// SnapKeys codes a keyed list as its length, then each key followed by
+// what val codes for it. Encoding writes keys, which must be strictly
+// increasing; decoding hands val each key read and accepts only strictly
+// increasing ones: a repeated key would overwrite its first entry, and the
+// blob would not re-encode identically.
+func SnapKeys(c *Codec, keys []uint64, val func(c *Codec, k uint64)) {
+	n := uint64(len(keys))
+	c.Uint(&n)
 	for i, prev := uint64(0), uint64(0); i < n && c.err == nil; i++ {
-		k := c.uint()
+		var k uint64
+		if !c.dec {
+			k = keys[i]
+		}
+		c.Uint(&k)
 		if i > 0 && k <= prev {
 			c.Fail("table keys not strictly increasing")
 		}
 		prev = k
-		val(c, t.Upsert(k))
+		val(c, k)
 	}
+}
+
+// SnapTable codes an item table through SnapKeys in increasing key order,
+// so equal tables give equal blobs. Decoding replaces the table's contents.
+func SnapTable[V any](c *Codec, t *itemtab.Table[V], val func(c *Codec, v *V)) {
+	var keys []uint64
+	if c.dec {
+		t.Clear()
+	} else {
+		keys = t.SortedKeys(nil)
+	}
+	var v V // one copy for the whole walk: &v escapes into val
+	SnapKeys(c, keys, func(c *Codec, k uint64) {
+		if c.dec {
+			val(c, t.Upsert(k))
+			return
+		}
+		v, _ = t.Get(k)
+		val(c, &v)
+	})
 }
 
 // Snap implements Snapshotter on the partition layer: the spine
