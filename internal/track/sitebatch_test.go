@@ -15,12 +15,15 @@ import (
 type runPath struct{ dist.BatchSiteAlgo }
 
 // TestBlockSiteBatchEquivalence drives every in-block estimator through
-// StepBatch at several chunk sizes, with the quiet path hidden, over a
-// skewed assignment whose same-site runs reach BlockSite.OnUpdateBatch.
+// StepBatch at several chunk sizes over a skewed assignment whose same-site
+// runs reach BlockSite.OnUpdateBatch: once with the quiet path hidden, so
+// every run takes the batch path, and once with the sites as built, so
+// the estimators that are quiet absorb runs their budget covers.
 // Transcripts, stats, the estimate and, for the frequency trackers, every
 // per-item frequency must match the per-update Step path exactly: the
 // batch path must stop on the update a count report or an estimator send
-// happens on.
+// happens on, and only an estimator whose sends its budget bounds may be
+// quiet (a standalone frequency site reports per item, so it is not).
 func TestBlockSiteBatchEquivalence(t *testing.T) {
 	const k, n, universe = 3, 20_000, 400
 	ups := stream.Collect(stream.NewAssign(
@@ -62,10 +65,13 @@ func TestBlockSiteBatchEquivalence(t *testing.T) {
 			}
 			wantFreqs := freqs(coord)
 
-			for _, chunk := range []int{1, 7, 64, len(ups)} {
+			for pass := range 8 {
+				quiet, chunk := pass >= 4, []int{1, 7, 64, len(ups)}[pass%4]
 				coord, sites := b.build()
-				for i, s := range sites {
-					sites[i] = runPath{s.(dist.BatchSiteAlgo)}
+				if !quiet {
+					for i, s := range sites {
+						sites[i] = runPath{s.(dist.BatchSiteAlgo)}
+					}
 				}
 				sim := dist.NewSim(coord, sites)
 				var tr []dist.TranscriptEntry
@@ -78,14 +84,14 @@ func TestBlockSiteBatchEquivalence(t *testing.T) {
 					}
 				}
 				if sim.Estimate() != ref.Estimate() || sim.Stats() != ref.Stats() {
-					t.Fatalf("chunk=%d: end state diverges: estimate %d stats %+v, want %d %+v",
-						chunk, sim.Estimate(), sim.Stats(), ref.Estimate(), ref.Stats())
+					t.Fatalf("quiet=%t chunk=%d: end state diverges: estimate %d stats %+v, want %d %+v",
+						quiet, chunk, sim.Estimate(), sim.Stats(), ref.Estimate(), ref.Stats())
 				}
 				if !reflect.DeepEqual(freqs(coord), wantFreqs) {
-					t.Fatalf("chunk=%d: per-item frequencies diverge", chunk)
+					t.Fatalf("quiet=%t chunk=%d: per-item frequencies diverge", quiet, chunk)
 				}
 				if !reflect.DeepEqual(tr, refTr) {
-					t.Fatalf("chunk=%d: transcripts diverge (%d vs %d entries)", chunk, len(tr), len(refTr))
+					t.Fatalf("quiet=%t chunk=%d: transcripts diverge (%d vs %d entries)", quiet, chunk, len(tr), len(refTr))
 				}
 			}
 		})
