@@ -34,12 +34,7 @@ func NewDyadicMapper(bits int) DyadicMapper {
 // Bits returns the value-universe width.
 func (m DyadicMapper) Bits() int { return m.bits }
 
-// Cells implements Mapper: one cell per dyadic level.
-func (m DyadicMapper) Cells(item uint64) []uint64 {
-	return m.CellsInto(make([]uint64, 0, m.bits), item)
-}
-
-// CellsInto implements Mapper.
+// CellsInto implements Mapper: one cell per dyadic level.
 func (m DyadicMapper) CellsInto(buf []uint64, item uint64) []uint64 {
 	item &= (1 << uint(m.bits)) - 1
 	buf = buf[:0]

@@ -10,19 +10,19 @@ import (
 
 func TestDyadicMapperCells(t *testing.T) {
 	m := NewDyadicMapper(3)
-	cells := m.Cells(5) // 101b
+	cells := m.CellsInto(nil, 5) // 101b
 	// Level 1: prefix 1 → id 2+1 = 3; level 2: prefix 10b=2 → id 4+2 = 6;
 	// level 3: prefix 101b=5 → id 8+5 = 13.
 	want := []uint64{3, 6, 13}
 	for i := range want {
 		if cells[i] != want[i] {
-			t.Fatalf("Cells(5) = %v, want %v", cells, want)
+			t.Fatalf("CellsInto(nil, 5) = %v, want %v", cells, want)
 		}
 	}
 	// Ids unique across values and levels.
 	seen := map[uint64]bool{}
 	for v := uint64(0); v < 8; v++ {
-		leaf := m.Cells(v)[2]
+		leaf := m.CellsInto(nil, v)[2]
 		if seen[leaf] {
 			t.Fatalf("duplicate leaf id for %d", v)
 		}
@@ -33,7 +33,7 @@ func TestDyadicMapperCells(t *testing.T) {
 func TestDyadicMapperEstimateIsLeaf(t *testing.T) {
 	m := NewDyadicMapper(4)
 	table := map[uint64]int64{}
-	for _, c := range m.Cells(9) {
+	for _, c := range m.CellsInto(nil, 9) {
 		table[c] = 7
 	}
 	got := m.Estimate(func(c uint64) int64 { return table[c] }, 9)

@@ -25,9 +25,7 @@ import (
 // estimates from the coordinator's merged counter table. Implementations
 // must be deterministic and identical at every site and the coordinator.
 type Mapper interface {
-	// Cells returns the counter cells item contributes to.
-	Cells(item uint64) []uint64
-	// CellsInto is the allocation-free Cells: it writes the cells into buf
+	// CellsInto writes the counter cells item contributes to into buf
 	// (reusing its capacity, content overwritten) and returns the slice.
 	// The per-update site loops hold one buffer each and reuse it, keeping
 	// the appendix-H hot path free of per-update allocations.
@@ -42,9 +40,6 @@ type Mapper interface {
 
 // ExactMapper maps every item to its own counter: the H.0.1 algorithm.
 type ExactMapper struct{}
-
-// Cells implements Mapper.
-func (ExactMapper) Cells(item uint64) []uint64 { return []uint64{item} }
 
 // CellsInto implements Mapper.
 func (ExactMapper) CellsInto(buf []uint64, item uint64) []uint64 {
@@ -68,9 +63,6 @@ func NewCMMapper(eps float64, depth int, seed uint64) CMMapper {
 	return CMMapper{CM: sketch.NewCountMinForError(eps, depth, seed)}
 }
 
-// Cells implements Mapper.
-func (m CMMapper) Cells(item uint64) []uint64 { return m.CM.CellIndex(item) }
-
 // CellsInto implements Mapper.
 func (m CMMapper) CellsInto(buf []uint64, item uint64) []uint64 {
 	return m.CM.CellIndexInto(buf, item)
@@ -91,9 +83,6 @@ type CRMapper struct{ CR *sketch.CRPrecis }
 func NewCRMapper(eps float64, universeBits int) CRMapper {
 	return CRMapper{CR: sketch.NewCRPrecisForError(eps, universeBits)}
 }
-
-// Cells implements Mapper.
-func (m CRMapper) Cells(item uint64) []uint64 { return m.CR.CellIndex(item) }
 
 // CellsInto implements Mapper.
 func (m CRMapper) CellsInto(buf []uint64, item uint64) []uint64 {

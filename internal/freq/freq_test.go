@@ -219,9 +219,10 @@ func TestNewPanics(t *testing.T) {
 	}
 }
 
-// TestBlockThresholdsMatchPow pins the Ldexp form of the per-block
-// thresholds to the math.Pow(2, r) form it replaces, bit for bit, for
-// every r in [−1100, 1100] and shift-hostile values.
+// TestBlockThresholdsMatchPow pins the Ldexp form of the per-counter
+// threshold to the math.Pow(2, r) form it replaces, bit for bit, for
+// every r in [−1100, 1100] and shift-hostile values. (The F1 threshold is
+// the §3.3 one, pinned by track's TestScalesMatchPow.)
 func TestBlockThresholdsMatchPow(t *testing.T) {
 	rs := []int64{63, 64, 1 << 62, -1 << 62}
 	for r := int64(-1100); r <= 1100; r++ {
@@ -229,14 +230,9 @@ func TestBlockThresholdsMatchPow(t *testing.T) {
 	}
 	for _, r := range rs {
 		for _, eps := range []float64{1e-9, 0.001, 0.05, 0.1, 1.0 / 3, 0.999999} {
-			wantCell := eps * math.Pow(2, float64(r)) / 3
-			wantF1 := eps * math.Pow(2, float64(r))
-			if wantF1 < 1 {
-				wantF1 = 1
-			}
-			cell, f1 := blockThresholds(eps, r)
-			if math.Float64bits(cell) != math.Float64bits(wantCell) || math.Float64bits(f1) != math.Float64bits(wantF1) {
-				t.Fatalf("blockThresholds(%g, %d) = (%v, %v), math.Pow form (%v, %v)", eps, r, cell, f1, wantCell, wantF1)
+			want := eps * math.Pow(2, float64(r)) / 3
+			if got := cellThreshold(eps, r); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("cellThreshold(%g, %d) = %v, math.Pow form %v", eps, r, got, want)
 			}
 		}
 	}

@@ -58,9 +58,7 @@ type sampledSite struct {
 	// cellBuf is the reusable CellsInto buffer for the per-update loop.
 	cellBuf []uint64
 
-	f1Thresh float64
-	f1Drift  int64
-	f1Delta  int64
+	f1 track.Drift // the §3.3 drift condition on F1
 
 	// heavyKeys is the reusable sort buffer keeping block-end heavy
 	// reports in deterministic cell order; only reporting cells are
@@ -82,9 +80,8 @@ func newSampledSite(id int, eps float64, k int, mapper Mapper, src *rng.Xoshiro2
 // Reset implements track.InBlockSite.
 func (s *sampledSite) Reset(r int64, out dist.Outbox) {
 	s.coin = rng.NewCoin(track.SampleProb(s.eps, r, s.sqrtK))
-	s.cellThresh, s.f1Thresh = blockThresholds(s.eps, r)
-	s.f1Drift = 0
-	s.f1Delta = 0
+	s.cellThresh = cellThreshold(s.eps, r)
+	s.f1.Reset(s.eps, r)
 	if !s.sync {
 		// The naive variant carries sampled state across blocks.
 		return
@@ -110,11 +107,8 @@ func (s *sampledSite) Reset(r int64, out dist.Outbox) {
 
 // OnUpdate implements track.InBlockSite.
 func (s *sampledSite) OnUpdate(u stream.Update, out dist.Outbox) {
-	s.f1Drift += u.Delta
-	s.f1Delta += u.Delta
-	if float64(absI64(s.f1Delta)) >= s.f1Thresh {
-		out.Send(dist.Msg{Kind: dist.KindDriftReport, Site: s.id, A: s.f1Drift})
-		s.f1Delta = 0
+	if s.f1.Add(u.Delta) {
+		s.f1.Report(s.id, out)
 	}
 	s.cellBuf = s.mapper.CellsInto(s.cellBuf, u.Item)
 	for _, c := range s.cellBuf {
@@ -155,8 +149,7 @@ type sampledCoord struct {
 	minHat  map[siteCell]float64
 	drift   map[uint64]float64 // Σ over sites of (d̂+ − d̂−) per cell
 
-	f1Dhat []int64 // §3.3 d̂_i per site for F1, indexed by site id
-	f1Sum  int64
+	f1 track.Reports // §3.3 d̂_i per site for F1
 }
 
 func newSampledCoord(k int, eps float64, sync bool) *sampledCoord {
@@ -166,15 +159,14 @@ func newSampledCoord(k int, eps float64, sync bool) *sampledCoord {
 		plusHat: make(map[siteCell]float64),
 		minHat:  make(map[siteCell]float64),
 		drift:   make(map[uint64]float64),
-		f1Dhat:  make([]int64, k),
+		f1:      track.NewReports(k),
 	}
 }
 
 // Reset implements track.InBlockCoord.
 func (c *sampledCoord) Reset(r int64) {
 	c.invP = 1 / track.SampleProb(c.eps, r, c.sqrtK)
-	clear(c.f1Dhat)
-	c.f1Sum = 0
+	c.f1.Reset()
 	if !c.sync {
 		return
 	}
@@ -193,8 +185,7 @@ func (c *sampledCoord) OnMessage(m dist.Msg) {
 	//varlint:kinds KindAttach,KindCoordTakeover,KindCountReport,KindDetach,KindNewBlock,KindStateReply,KindStateRequest,KindTakeover,KindValueReport
 	switch m.Kind {
 	case dist.KindDriftReport:
-		c.f1Sum += m.A - c.f1Dhat[m.Site]
-		c.f1Dhat[m.Site] = m.A
+		c.f1.Put(m.Site, m.A)
 	case dist.KindFreqEnd:
 		c.base[m.Item] += m.A
 	case dist.KindFreqReport:
@@ -211,7 +202,7 @@ func (c *sampledCoord) OnMessage(m dist.Msg) {
 }
 
 // Drift implements track.InBlockCoord (F1).
-func (c *sampledCoord) Drift() int64 { return c.f1Sum }
+func (c *sampledCoord) Drift() int64 { return c.f1.Sum() }
 
 // get reads the merged estimate for a cell.
 func (c *sampledCoord) get(cell uint64) int64 {

@@ -17,9 +17,7 @@ func (s *freqSite) Snap(c *track.Codec) error {
 	}
 	c.Tag(track.SnapTagFreq)
 	c.Float(&s.rows.cols[s.col].limit)
-	c.Float(&s.f1Thresh)
-	c.Int(&s.f1Drift)
-	c.Int(&s.f1Delta)
+	s.f1.Snap(c)
 	s.rows.Snap(c, func(r *Row) bool { _, live := s.rows.cell(r, s.col); return *live }, func(c *track.Codec, r *Row) {
 		count := r.Net
 		c.Int(&count)
@@ -44,10 +42,6 @@ func (s *freqSite) Snap(c *track.Codec) error {
 func (c *freqCoord) Snap(cd *track.Codec) error {
 	cd.Tag(track.SnapTagFreqCoord)
 	track.SnapTable(cd, &c.est, (*track.Codec).Int)
-	cd.Fixed(len(c.f1Dhat), "freq coordinator site count")
-	for i := range c.f1Dhat {
-		cd.Int(&c.f1Dhat[i])
-	}
-	cd.Int(&c.f1Sum)
+	c.f1.Snap(cd)
 	return cd.Err()
 }

@@ -31,9 +31,7 @@ type freqSite struct {
 	// must not allocate.
 	cellBuf []uint64 //varlint:volatile reusable scratch buffer
 
-	f1Thresh float64 // ε·2^r floored at 1: F1 drift condition (§3.3)
-	f1Drift  int64   // d_i for F1
-	f1Delta  int64   // δ_i for F1
+	f1 track.Drift // the §3.3 drift condition on F1
 
 	// heavyKeys is the reusable sort buffer for block-end sweeps: heavy
 	// reports go out in cell order, so transcripts are deterministic
@@ -49,21 +47,18 @@ func newFreqSite(id int, eps float64, mapper Mapper) *freqSite {
 	return s
 }
 
-// blockThresholds returns the two send thresholds of a block with exponent
-// r: ε·2^r/3 per counter (flush and heavy report) and ε·2^r floored at 1
-// for F1 (§3.3).
-func blockThresholds(eps float64, r int64) (cell, f1 float64) {
-	scale := eps * math.Ldexp(1, int(r))
-	return scale / 3, max(scale, 1)
+// cellThreshold returns the per-counter send threshold of a block with
+// exponent r, ε·2^r/3 (flush and heavy report).
+func cellThreshold(eps float64, r int64) float64 {
+	return eps * math.Ldexp(1, int(r)) / 3
 }
 
 // Reset implements track.InBlockSite: end the old block and start one with
 // exponent r. Heavy counters are reported exactly; everything else is
 // implicitly zero at the coordinator.
 func (s *freqSite) Reset(r int64, out dist.Outbox) {
-	s.rows.cols[s.col].limit, s.f1Thresh = blockThresholds(s.eps, r)
-	s.f1Drift = 0
-	s.f1Delta = 0
+	s.rows.cols[s.col].limit = cellThreshold(s.eps, r)
+	s.f1.Reset(s.eps, r)
 	s.heavyKeys = s.heavyKeys[:0]
 	s.rows.sweep(s.col, func(c uint64, row *Row, mirror *int64) bool {
 		if row.Net == 0 {
@@ -93,12 +88,8 @@ func (s *freqSite) sendHeavy(out dist.Outbox) {
 
 // OnUpdate implements track.InBlockSite.
 func (s *freqSite) OnUpdate(u stream.Update, out dist.Outbox) {
-	// F1 drift (deterministic §3.3 condition on the scalar F1).
-	s.f1Drift += u.Delta
-	s.f1Delta += u.Delta
-	if float64(absI64(s.f1Delta)) >= s.f1Thresh {
-		out.Send(dist.Msg{Kind: dist.KindDriftReport, Site: s.id, A: s.f1Drift})
-		s.f1Delta = 0
+	if s.f1.Add(u.Delta) {
+		s.f1.Report(s.id, out)
 	}
 	// Per-counter deltas. A shared site's one cell is the item, whose row
 	// the engine has just updated.
@@ -150,14 +141,11 @@ func NewColumn(id int, eps float64, rows *Rows) (*track.BlockSite, int) {
 }
 
 // Quiet implements track.InBlockQuietSite for the F1 drift.
-func (s columnSite) Quiet() int64 { return track.DriftBudget(s.f1Thresh, s.f1Delta) }
+func (s columnSite) Quiet() int64 { return s.f1.Budget() }
 
 // Absorb implements track.InBlockQuietSite: the counters are the engine's
 // rows, which it has already updated.
-func (s columnSite) Absorb(n, sum int64) {
-	s.f1Drift += sum
-	s.f1Delta += sum
-}
+func (s columnSite) Absorb(n, sum int64) { s.f1.Absorb(sum) }
 
 // BootstrapAttach implements track.InBlockBootstrapper for mid-stream
 // attach: each of the history's items is a row of the engine site already,
@@ -166,11 +154,7 @@ func (s columnSite) Absorb(n, sum int64) {
 // estimator adopts the net mass as block-0 drift. Reports go out in sorted
 // item order so transcripts are deterministic.
 func (s columnSite) BootstrapAttach(st track.AttachState, out dist.Outbox) {
-	s.f1Drift = st.Net()
-	s.f1Delta = 0
-	if s.f1Drift != 0 {
-		out.Send(dist.Msg{Kind: dist.KindDriftReport, Site: s.id, A: s.f1Drift})
-	}
+	s.f1.Bootstrap(s.id, st.Net(), out)
 	s.heavyKeys = s.heavyKeys[:0]
 	for item := range st.Items {
 		s.heavyKeys = append(s.heavyKeys, item)
@@ -184,27 +168,20 @@ func (s columnSite) BootstrapAttach(st track.AttachState, out dist.Outbox) {
 }
 
 // freqCoord is the in-block coordinator estimator: a merged counter table
-// (Σ over sites) plus the deterministic F1 drift estimator. The per-site
-// F1 drifts are a dense slice — k is fixed at construction and site ids
-// index it directly.
+// (Σ over sites) plus the deterministic F1 drift estimator.
 type freqCoord struct {
 	est itemtab.Table[int64] // merged Σ_i f̂_ic
-
-	f1Dhat []int64 // §3.3 d̂_i per site for F1, indexed by site id
-	f1Sum  int64
+	f1  track.Reports        // §3.3 d̂_i per site for F1
 }
 
-func newFreqCoord(k int) *freqCoord {
-	return &freqCoord{f1Dhat: make([]int64, k)}
-}
+func newFreqCoord(k int) *freqCoord { return &freqCoord{f1: track.NewReports(k)} }
 
 // Reset implements track.InBlockCoord: zero every counter (unreported ones
 // stay zero; heavy ones are re-established by the KindFreqEnd reports that
 // follow the block broadcast) and restart the F1 drift estimator.
 func (c *freqCoord) Reset(r int64) {
 	c.est.Clear()
-	clear(c.f1Dhat)
-	c.f1Sum = 0
+	c.f1.Reset()
 }
 
 // OnMessage implements track.InBlockCoord: the in-block layer sees only
@@ -214,15 +191,14 @@ func (c *freqCoord) OnMessage(m dist.Msg) {
 	//varlint:kinds KindAttach,KindCoordTakeover,KindCountReport,KindDetach,KindNewBlock,KindStateReply,KindStateRequest,KindTakeover,KindValueReport
 	switch m.Kind {
 	case dist.KindDriftReport:
-		c.f1Sum += m.A - c.f1Dhat[m.Site]
-		c.f1Dhat[m.Site] = m.A
+		c.f1.Put(m.Site, m.A)
 	case dist.KindFreqReport, dist.KindFreqEnd:
 		*c.est.Upsert(m.Item) += m.A
 	}
 }
 
 // Drift implements track.InBlockCoord (the F1 drift).
-func (c *freqCoord) Drift() int64 { return c.f1Sum }
+func (c *freqCoord) Drift() int64 { return c.f1.Sum() }
 
 // get reads a merged counter.
 func (c *freqCoord) get(cell uint64) int64 {

@@ -203,7 +203,7 @@ func New(k int, specs []Spec) (*Coord, []dist.SiteAlgo, error) {
 	coord := &Coord{eng: eng}
 	sites := make([]*Site, k)
 	for i := range sites {
-		sites[i] = &Site{eng: eng, id: i}
+		sites[i] = &Site{eng: eng, id: i, children: make([]*siteChild, 0, len(specs))}
 	}
 	for _, spec := range specs {
 		q, err := buildQuery(k, spec)
@@ -520,8 +520,8 @@ func (o *countOutbox) Broadcast(m dist.Msg)        { o.n++; o.inner.Broadcast(m)
 // history exists yet, so no bootstrap traffic — which keeps the Q = 1
 // engine byte-identical to a standalone deployment.
 func (s *Site) installChild(qid int, q *queryState) *siteChild {
-	for len(s.children) <= qid {
-		s.children = append(s.children, nil)
+	if n := qid + 1 - len(s.children); n > 0 {
+		s.children = append(s.children, make([]*siteChild, n)...)
 	}
 	ch := &siteChild{out: tagOutbox{qid: qid, k: s.eng.k}, col: -1, budget: -1}
 	switch {

@@ -78,11 +78,7 @@ func (s *BlockSite) BootstrapAttach(st AttachState, out dist.Outbox) {
 // tracker: the history becomes block-0 drift, reported absolutely (the
 // coordinator overwrites d̂_i idempotently, as on rejoin).
 func (s *detSite) BootstrapAttach(st AttachState, out dist.Outbox) {
-	s.di = st.Net()
-	s.delta = 0
-	if s.di != 0 {
-		out.Send(dist.Msg{Kind: dist.KindDriftReport, Site: s.id, A: s.di})
-	}
+	s.drift.Bootstrap(s.id, st.Net(), out)
 }
 
 // BootstrapAttach implements InBlockBootstrapper for the randomized

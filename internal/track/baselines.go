@@ -78,20 +78,14 @@ func (s *cmySite) OnUpdate(u stream.Update, out dist.Outbox) {
 // OnMessage implements dist.SiteAlgo.
 func (s *cmySite) OnMessage(m dist.Msg, out dist.Outbox) {}
 
-// cmyCoord sums the last-reported counts, kept dense by site id.
-type cmyCoord struct {
-	last []int64
-	sum  int64
-}
+// cmyCoord sums the last-reported counts.
+type cmyCoord struct{ counts Reports }
 
 // OnMessage implements dist.CoordAlgo.
-func (c *cmyCoord) OnMessage(m dist.Msg, out dist.Outbox) {
-	c.sum += m.A - c.last[m.Site]
-	c.last[m.Site] = m.A
-}
+func (c *cmyCoord) OnMessage(m dist.Msg, out dist.Outbox) { c.counts.Put(m.Site, m.A) }
 
 // Estimate implements dist.CoordAlgo.
-func (c *cmyCoord) Estimate() int64 { return c.sum }
+func (c *cmyCoord) Estimate() int64 { return c.counts.Sum() }
 
 // NewCMY builds the deterministic monotone counter: each site reports its
 // local count when it grows by a (1+ε) factor, so each site's unreported
@@ -108,7 +102,7 @@ func NewCMY(k int, eps float64) (dist.CoordAlgo, []dist.SiteAlgo) {
 	for i := 0; i < k; i++ {
 		sites[i] = &cmySite{id: int32(i), eps: eps}
 	}
-	return &cmyCoord{last: make([]int64, k)}, sites
+	return &cmyCoord{counts: NewReports(k)}, sites
 }
 
 // hyzSite samples reports with round-dependent probability.

@@ -35,12 +35,14 @@ type InBlockSite interface {
 // most q sends no message, and Absorb(n, sum) applies n updates of net
 // change sum exactly as n OnUpdate calls would. Only an estimator that
 // decides to send from its counters alone can bound its sends this way:
-// the deterministic one qualifies, while the randomized estimator draws a
-// coin per update and a standalone frequency estimator looks up a counter
-// per update, so they do not. A query engine's frequency column qualifies
-// with a caveat: its budget bounds the F1 drift reports only, and the
-// engine checks the update's item row for a counter report before it
-// absorbs (internal/freq, Rows.Touch).
+// the deterministic one qualifies, its budget being its Drift's, while the
+// randomized estimator draws a coin per update and a standalone frequency
+// estimator looks up a counter per update, so they do not. The frequency
+// estimators hold their F1 Drift as a named field, not an embedded one, so
+// Drift's methods do not make them quiet. A query engine's frequency
+// column qualifies with a caveat: its budget, too, is its F1 Drift's and
+// bounds the drift reports only, and the engine checks the update's item
+// row for a counter report before it absorbs (internal/freq, Rows.Touch).
 type InBlockQuietSite interface {
 	InBlockSite
 	Quiet() int64

@@ -391,10 +391,15 @@ func (s *BlockSite) Snap(c *Codec) error {
 // Snap implements Snapshotter for the deterministic estimator.
 func (s *detSite) Snap(c *Codec) error {
 	c.Tag(snapTagDet)
-	c.Float(&s.threshold)
-	c.Int(&s.di)
-	c.Int(&s.delta)
+	s.drift.Snap(c)
 	return c.Err()
+}
+
+// Snap codes the drift condition: the threshold, d_i and δ_i.
+func (d *Drift) Snap(c *Codec) {
+	c.Float(&d.threshold)
+	c.Int(&d.d)
+	c.Int(&d.delta)
 }
 
 // Snap implements Snapshotter for the randomized estimator: the counters
@@ -473,12 +478,18 @@ func (c *BlockCoord) Snap(cd *Codec) error {
 // Snap implements Snapshotter for the deterministic coordinator.
 func (c *detCoord) Snap(cd *Codec) error {
 	cd.Tag(snapTagDetCoord)
-	cd.Fixed(len(c.dhat), "detCoord site count")
-	for i := range c.dhat {
-		cd.Int(&c.dhat[i])
-	}
-	cd.Int(&c.sum)
+	c.dhat.Snap(cd)
 	return cd.Err()
+}
+
+// Snap codes the books, sized for this coordinator's sites: the site
+// count, each site's latest value, then their sum.
+func (b *Reports) Snap(c *Codec) {
+	c.Fixed(len(b.last), "reporting site count")
+	for i := range b.last {
+		c.Int(&b.last[i])
+	}
+	c.Int(&b.sum)
 }
 
 // Snap implements Snapshotter for the randomized coordinator.
