@@ -14,17 +14,10 @@ func PartitionMessages(k int, v float64) float64 {
 	return 25*float64(k)*v + 3*float64(k)
 }
 
-// PartitionPerBlock is the per-block partition message cap (5k).
-func PartitionPerBlock(k int) float64 { return 5 * float64(k) }
-
-// BlocksUpper bounds the number of completed blocks by 5·v + 1 (Δv ≥ 1/5
-// per block as stated in §3.1; the provable per-block constant is 1/10 for
-// r ≥ 1 blocks, so 10·v + 1 is the fully-safe form, returned by
-// BlocksUpperSafe).
-func BlocksUpper(v float64) float64 { return 5*v + 1 }
-
-// BlocksUpperSafe is the conservative block-count bound 10·v + 1; see
-// BlocksUpper.
+// BlocksUpperSafe bounds the number of completed blocks by 10·v + 1. §3.1
+// states Δv ≥ 1/5 per block, which would give 5·v + 1; the provable
+// per-block constant is 1/10 for r ≥ 1 blocks, so this is the fully safe
+// form.
 func BlocksUpperSafe(v float64) float64 { return 10*v + 1 }
 
 // DetInBlockMessages is the §3.3 per-run in-block message bound: each block

@@ -30,23 +30,11 @@ func NearlyMonotoneBound(beta float64, fn int64) float64 {
 	return 4 * (1 + beta) * (1 + math.Log2(2*(1+beta)*float64(fn)))
 }
 
-// RandomWalkBound is the theorem 2.2 bound: for a symmetric ±1 random walk,
-// E[v(n)] ≤ c·√n·log n. The proof gives E[v] ≤ c1·Σ_t (1+2H_t)/√t, which is
-// bounded by ~c·√n·ln n with a modest constant; we expose the exact partial
-// sum (RandomWalkBoundExact) for tight comparisons and this asymptotic form
-// with c = 3 for table headers.
-func RandomWalkBound(n int64) float64 {
-	if n <= 1 {
-		return 1
-	}
-	nf := float64(n)
-	return 3 * math.Sqrt(nf) * math.Log(nf)
-}
-
-// RandomWalkBoundExact evaluates the proof's intermediate bound
-// Σ_{t=1..n} c1·(1 + 2·H_t)/√t with the local-CLT constant c1 = 1
-// (P(f(t)=s) ≤ c1/√t; for the lazy-free ±1 walk c1 ≈ 0.8 suffices, so 1 is
-// safe). This is the sharpest form the paper's proof yields.
+// RandomWalkBoundExact is the theorem 2.2 bound for a symmetric ±1 random
+// walk, E[v(n)] = O(√n·log n), in the proof's intermediate form: it
+// evaluates Σ_{t=1..n} c1·(1 + 2·H_t)/√t with the local-CLT constant
+// c1 = 1 (P(f(t)=s) ≤ c1/√t; for the lazy-free ±1 walk c1 ≈ 0.8 suffices,
+// so 1 is safe). This is the sharpest form the paper's proof yields.
 func RandomWalkBoundExact(n int64) float64 {
 	sum := 0.0
 	h := 0.0

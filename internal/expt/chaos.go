@@ -201,20 +201,11 @@ func chaosDrive(ups []stream.Update, k int, specs []query.Spec,
 
 	// Invariant: the per-query tables sum exactly to the aggregate on
 	// every message counter, drops and EpochDrops included; StalenessMax
-	// aggregates as a maximum.
+	// aggregates as a maximum. Class tables never carry the liveness
+	// counters, so merging them leaves those at zero.
 	var sum dist.Stats
 	for _, cs := range sim.ClassStats() {
-		sum.SiteToCoord += cs.SiteToCoord
-		sum.CoordToSite += cs.CoordToSite
-		sum.Bytes += cs.Bytes
-		sum.CompactBits += cs.CompactBits
-		sum.Dropped += cs.Dropped
-		sum.Retransmitted += cs.Retransmitted
-		sum.StalenessSum += cs.StalenessSum
-		sum.EpochDrops += cs.EpochDrops
-		if cs.StalenessMax > sum.StalenessMax {
-			sum.StalenessMax = cs.StalenessMax
-		}
+		sum.Merge(cs)
 	}
 	agg := st.WithoutLiveness()
 	agg.EpochDrops = st.EpochDrops // EpochDrops is per-class, not liveness-only

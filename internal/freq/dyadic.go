@@ -31,9 +31,6 @@ func NewDyadicMapper(bits int) DyadicMapper {
 	return DyadicMapper{bits: bits}
 }
 
-// Bits returns the value-universe width.
-func (m DyadicMapper) Bits() int { return m.bits }
-
 // CellsInto implements Mapper: one cell per dyadic level.
 func (m DyadicMapper) CellsInto(buf []uint64, item uint64) []uint64 {
 	item &= (1 << uint(m.bits)) - 1

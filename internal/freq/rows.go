@@ -25,7 +25,7 @@ import (
 type Rows struct {
 	tab    itemtab.Table[Row]
 	arena  []cell   //varlint:volatile block b's cells are arena[(b−1)·x : b·x], x = len(cols) − inlineCols; each column's site codes its cells
-	cols   []column //varlint:volatile restoring the sites allocates their columns again, and each codes its threshold
+	cols   []column //varlint:volatile restoring the sites allocates their columns again, and each site's Reset sets its limit
 	free   []int32  // released blocks, with capacity for all of them
 	blocks int32    //varlint:volatile blocks handed out; decoding hands them out afresh
 	cur    *Row     //varlint:volatile the row the last Upsert returned

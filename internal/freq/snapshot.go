@@ -6,29 +6,21 @@ import "repro/internal/track"
 // live counter with its coordinator mirror, in sorted cell order so equal
 // state yields byte-equal blobs. The mirrors matter: a restored site must
 // agree with the coordinator's merged table about what has been reported,
-// or its next per-counter delta lands on the wrong base.
+// or its next per-counter delta lands on the wrong base. The cell limit is
+// the block's, set by Reset before Snap decodes.
 //
-// A shared site's counts are the engine site's, restored first: decoding
-// checks each cell's count against its row instead of adopting it.
+// A shared site's counts are the engine site's spine, restored first, so
+// its cells code only their mirrors.
 func (s *freqSite) Snap(c *track.Codec) error {
-	if c.Decoding() && !s.shared {
-		*s.rows = Rows{} // a standalone site's table holds only its cells
-		s.col = s.rows.AddColumn()
-	}
 	c.Tag(track.SnapTagFreq)
-	c.Float(&s.rows.cols[s.col].limit)
 	s.f1.Snap(c)
 	s.rows.Snap(c, func(r *Row) bool { _, live := s.rows.cell(r, s.col); return *live }, func(c *track.Codec, r *Row) {
-		count := r.Net
-		c.Int(&count)
+		if !s.shared {
+			c.Int(&r.Net)
+		}
 		mirror, live := s.rows.cell(r, s.col)
 		c.Int(mirror)
 		*live = true
-		if !s.shared {
-			r.Net = count
-		} else if count != r.Net {
-			c.Fail("cell count differs from the site's net count")
-		}
 	})
 	return c.Err()
 }

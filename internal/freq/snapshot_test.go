@@ -2,7 +2,6 @@ package freq
 
 import (
 	"encoding/binary"
-	"math"
 	"testing"
 
 	"repro/internal/track"
@@ -12,8 +11,6 @@ import (
 // (cell, count, mirror) triples in the given order.
 func freqSitePayload(cells ...[3]int64) []byte {
 	b := []byte{track.SnapTagFreq}
-	b = binary.AppendUvarint(b, math.Float64bits(1))
-	b = binary.AppendUvarint(b, math.Float64bits(3))
 	b = binary.AppendVarint(b, 0)
 	b = binary.AppendVarint(b, 0)
 	b = binary.AppendUvarint(b, uint64(len(cells)))
@@ -35,7 +32,7 @@ func freqCoordPayload(cells ...[2]int64) []byte {
 		b = binary.AppendVarint(b, c[1])
 	}
 	b = binary.AppendUvarint(b, 2)
-	for range 3 { // two per-site drifts, then their sum
+	for range 2 { // the two per-site drifts
 		b = binary.AppendVarint(b, 0)
 	}
 	return b
@@ -63,7 +60,7 @@ func TestFreqRestoreRejectsNonCanonical(t *testing.T) {
 	// A drift vector sized for another k used to be skipped silently, so
 	// the blob decoded as zeros and re-encoded with the right size.
 	short := freqCoordPayload([2]int64{2, 5})
-	short = append(short[:len(short)-4], 1)
+	short = append(short[:len(short)-3], 1)
 	coord := map[string]struct {
 		payload []byte
 		ok      bool

@@ -21,10 +21,10 @@ import (
 // before the site sees it.
 type freqSite struct {
 	id     int32   //varlint:volatile construction-time identity; the restore target is built with the same id
-	eps    float64 //varlint:volatile construction-time config; only the derived thresholds are live state
+	eps    float64 //varlint:volatile construction-time config; Reset derives the thresholds from it
 	mapper Mapper  //varlint:volatile construction-time config; the restore target is built with the same mapper
 
-	rows   *Rows //varlint:volatile wiring; Snap codes the site's column of it, and the cell threshold in its limit
+	rows   *Rows //varlint:volatile wiring; Snap codes the site's column of it, and Reset sets the column's limit
 	col    int   //varlint:volatile wiring; the column is allocated at construction
 	shared bool  //varlint:volatile construction-time config
 	// cellBuf is the reusable CellsInto buffer; per-update cell lookups

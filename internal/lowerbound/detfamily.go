@@ -6,11 +6,7 @@
 // Index_N one-way communication reduction used in both lower bounds.
 package lowerbound
 
-import (
-	"math"
-
-	"repro/internal/core"
-)
+import "math"
 
 // DetFamily describes the theorem 4.1 construction: sequences of length n
 // that start at f(0) = m and flip between the levels m and m+3 at the r
@@ -142,8 +138,3 @@ func LogChoose2(n, r int64) float64 {
 	return (ln - lr - lnr) / math.Ln2
 }
 
-// SequenceVariability computes the variability of a value sequence starting
-// from f(0) = f0 (wrapper over internal/core for convenience here).
-func SequenceVariability(f0 int64, values []int64) float64 {
-	return core.VariabilityOfValues(f0, values)
-}

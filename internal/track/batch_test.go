@@ -116,41 +116,47 @@ func TestBlockSiteRestoreRejectsPendingCount(t *testing.T) {
 // TestBlockCoordRestoreRejectsReplyCount pins the open-collection bound a
 // coordinator restore enforces: every path that sets a replied flag counts
 // the reply, and the k-th reply closes the block, so an open collection
-// holds one reply per set flag and fewer than k of them. A blob that says
-// otherwise never closes its collection — every later reply reads as a
-// duplicate — and must be rejected. A closed collection keeps its last
-// flags and count, so those are accepted as they stand.
+// holds fewer than k replies, one per set flag (restore recounts them). A
+// blob with all k flags set while collecting never closes its collection —
+// every later reply reads as a duplicate — and must be rejected. A closed
+// collection keeps its last flags, so those are accepted as they stand.
 func TestBlockCoordRestoreRejectsReplyCount(t *testing.T) {
 	const k = 3
 	for _, tc := range []struct {
 		collecting bool
 		flags      [k]bool
-		replies    int
 		ok         bool
 	}{
-		{true, [k]bool{}, 0, true},
-		{true, [k]bool{false, true, false}, 1, true},
-		{true, [k]bool{true, false, true}, 2, true},
-		{true, [k]bool{true, true, true}, 1, false},
-		{true, [k]bool{true, true, true}, 3, false},
-		{true, [k]bool{false, true, false}, 0, false},
-		{true, [k]bool{true, false, false}, 2, false},
-		{true, [k]bool{}, -1, false},
-		{false, [k]bool{true, true, true}, 3, true},
-		{false, [k]bool{}, 0, true},
+		{true, [k]bool{}, true},
+		{true, [k]bool{false, true, false}, true},
+		{true, [k]bool{true, false, true}, true},
+		{true, [k]bool{true, true, true}, false},
+		{false, [k]bool{true, true, true}, true},
+		{false, [k]bool{}, true},
 	} {
 		coord, _ := NewDeterministic(k, 0.1)
 		c := coord.(*BlockCoord)
-		c.collecting, c.replies = tc.collecting, tc.replies
+		c.collecting = tc.collecting
 		copy(c.replied, tc.flags[:])
 		blob, err := SnapshotCoord(c)
 		if err != nil {
 			t.Fatalf("%+v: snapshot: %v", tc, err)
 		}
 		fresh, _ := NewDeterministic(k, 0.1)
-		if err := RestoreCoord(fresh, blob); (err == nil) != tc.ok {
-			t.Errorf("collecting=%v flags=%v replies=%d: RestoreCoord error %v, want accepted=%v",
-				tc.collecting, tc.flags, tc.replies, err, tc.ok)
+		err = RestoreCoord(fresh, blob)
+		if (err == nil) != tc.ok {
+			t.Errorf("collecting=%v flags=%v: RestoreCoord error %v, want accepted=%v",
+				tc.collecting, tc.flags, err, tc.ok)
+			continue
+		}
+		set := 0
+		for _, f := range tc.flags {
+			if f {
+				set++
+			}
+		}
+		if got := fresh.(*BlockCoord).replies; err == nil && got != set {
+			t.Errorf("collecting=%v flags=%v: restored reply count %d, want %d", tc.collecting, tc.flags, got, set)
 		}
 	}
 }
@@ -241,8 +247,9 @@ func FuzzRestoreBlockSite(f *testing.F) {
 // restored coordinator must then take 64 OnMessage calls — reports,
 // collection replies and takeover traffic from every site — without
 // panicking. Seeds are real snapshots taken just before and just after
-// block boundaries, plus rand blobs whose p is 0, +Inf or NaN: restore
-// re-derives 1/p from the decoded p, so those must not break delivery.
+// block boundaries, plus rand blobs whose exponent no honest run reaches
+// (below 0, just past the largest, far past it), which restore rejects
+// before any scale is computed from them.
 func FuzzRestoreCoord(f *testing.F) {
 	const k = 3
 	builders := []struct {
@@ -283,8 +290,9 @@ func FuzzRestoreCoord(f *testing.F) {
 			seed(coord)
 		}
 		if b.name == "rand" {
-			for _, p := range []float64{0, math.Inf(1), math.NaN()} {
-				coord.(*BlockCoord).inner.(*randCoord).p = p
+			bc := coord.(*BlockCoord)
+			for _, r := range []int64{-1, blockExponent(math.MaxInt64, k) + 1, 5000} {
+				bc.r = r
 				seed(coord)
 			}
 		}

@@ -453,11 +453,11 @@ type BlockCoord struct {
 
 	r    int64
 	fnj  int64 // exact f at the last block boundary
-	tj   int64 // block-end threshold ⌈2^{r−1}⌉·k
+	tj   int64 //varlint:volatile block-end threshold ⌈2^{r−1}⌉·k, derived from r; Snap recomputes it when decoding
 	that int64 // t̂: updates heard of since the block began
 
 	collecting bool
-	replies    int
+	replies    int    //varlint:volatile count of set replied flags; Snap recounts it when decoding
 	replied    []bool // per-site: reply received for the open collection
 	fDelta     int64  // Σ f_i accumulated from state replies
 
@@ -480,10 +480,7 @@ type BlockCoord struct {
 	foldedFi []int64
 	snapHash uint64 //varlint:volatile integrity hash of the restored blob; RestoreCoord installs it after restore
 
-	// Diagnostics for experiments and tests.
-	blocks     int64   // completed blocks
-	blockStart []int64 // f(n_j) at each completed boundary (incl. initial 0)
-	rHistory   []int64 // exponent of each completed block
+	blocks int64 // completed blocks; the coordinator's block sequence
 }
 
 // NewBlockCoord wraps inner with the partition protocol for k sites.
@@ -492,7 +489,6 @@ func NewBlockCoord(k int, inner InBlockCoord) *BlockCoord {
 		replied: make([]bool, k), replySeq: make([]int64, k),
 		deadSite: make([]bool, k),
 		foldedCi: make([]int64, k), foldedFi: make([]int64, k)}
-	c.blockStart = append(c.blockStart, 0)
 	inner.Reset(0)
 	return c
 }
@@ -721,8 +717,6 @@ func (c *BlockCoord) finishBlock(out dist.Outbox) {
 	c.that = 0
 	c.collecting = false
 	c.blocks++
-	c.blockStart = append(c.blockStart, c.fnj)
-	c.rHistory = append(c.rHistory, c.r)
 	out.Broadcast(dist.Msg{Kind: dist.KindNewBlock, Site: dist.CoordID, A: c.r, B: c.fnj})
 	c.inner.Reset(c.r)
 }
@@ -735,13 +729,6 @@ func (c *BlockCoord) Blocks() int64 { return c.blocks }
 
 // R returns the current block exponent.
 func (c *BlockCoord) R() int64 { return c.r }
-
-// BlockBoundaryValues returns f(n_j) at each completed block boundary,
-// starting with f(n_0) = 0.
-func (c *BlockCoord) BlockBoundaryValues() []int64 { return c.blockStart }
-
-// RHistory returns the exponent chosen at the start of each completed block.
-func (c *BlockCoord) RHistory() []int64 { return c.rHistory }
 
 // epsThreshold returns the in-block send threshold ε·2^r, floored at 1 so a
 // single ±1 update can always trigger (the r = 0 "|δ_i| = 1" condition and

@@ -19,7 +19,7 @@ import (
 // frequency trackers on F1 (appendix H). It sends the absolute drift d_i
 // once δ_i, its change since the last report, reaches ε·2^r.
 type Drift struct {
-	threshold float64 // ε·2^r floored at 1
+	threshold float64 //varlint:volatile ε·2^r floored at 1, derived from (ε, r) in Reset
 	d         int64   // d_i: drift this block
 	delta     int64   // δ_i: change in d_i since the last report
 }
@@ -85,7 +85,7 @@ func (d *Drift) Bootstrap(id int32, net int64, out dist.Outbox) {
 // an array write, not a map probe), and their running sum.
 type Reports struct {
 	last []int64 // latest value per site, indexed by site id
-	sum  int64   // Σ last, maintained incrementally
+	sum  int64   //varlint:volatile Σ last, maintained incrementally; Snap sums the entries when decoding
 }
 
 // NewReports returns the books of k sites, all at zero.
@@ -109,7 +109,7 @@ func (b *Reports) Sum() int64 { return b.sum }
 // detSite is the site half of the deterministic tracker.
 type detSite struct {
 	id    int32   //varlint:volatile construction-time identity; the restore target is built with the same id
-	eps   float64 //varlint:volatile construction-time config; only the derived threshold is live state
+	eps   float64 //varlint:volatile construction-time config; Reset derives the threshold from it
 	drift Drift
 }
 

@@ -70,31 +70,23 @@ func TestSingleSiteInvariantProperty(t *testing.T) {
 
 func TestBlockBoundariesAlwaysExact(t *testing.T) {
 	// At every completed block boundary the coordinator knows f(n_j)
-	// exactly; verify across random streams by replaying boundary values.
+	// exactly; verify across random streams against the boundary value
+	// each block broadcast carries.
 	f := func(seed uint64) bool {
 		k, eps := 4, 0.2
 		coord, sites := NewDeterministic(k, eps)
-		bc := coord.(*BlockCoord)
-		st := assign(stream.BiasedWalk(6000, 0.25, seed), k)
-		ups := stream.Collect(st)
-
-		// Run step-by-step; whenever a block completes, compare the
-		// coordinator's boundary value to the exact prefix sum.
 		sim := dist.NewSim(coord, sites)
+		broadcasts := recordNewBlocks(sim)
 		var fexact int64
-		lastBlocks := int64(0)
-		for _, u := range ups {
+		for _, u := range stream.Collect(assign(stream.BiasedWalk(6000, 0.25, seed), k)) {
+			seen := len(*broadcasts)
 			sim.Step(u)
 			fexact += u.Delta
-			if bc.Blocks() != lastBlocks {
-				lastBlocks = bc.Blocks()
-				vals := bc.BlockBoundaryValues()
-				if vals[len(vals)-1] != fexact {
-					return false
-				}
+			if len(*broadcasts) > seen && (*broadcasts)[len(*broadcasts)-1].B != fexact {
+				return false
 			}
 		}
-		return true
+		return len(*broadcasts) > 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)

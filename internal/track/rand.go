@@ -30,12 +30,11 @@ import (
 // randSite is the site half of the randomized tracker.
 type randSite struct {
 	id    int32   //varlint:volatile construction-time identity; the restore target is built with the same id
-	eps   float64 //varlint:volatile construction-time config; only the derived p is live state
-	sqrtK float64 //varlint:volatile construction-time config; only the derived p is live state
+	eps   float64 //varlint:volatile construction-time config; Reset derives the coin from it
+	sqrtK float64 //varlint:volatile construction-time config; Reset derives the coin from it
 	src   *rng.Xoshiro256
 
-	p    float64
-	coin rng.Coin //varlint:volatile derived from p in Reset and when Snap decodes
+	coin rng.Coin //varlint:volatile the block's Bernoulli(p), derived from (ε, k, r) in Reset
 	// d holds d_i^+ and d_i^−, the counts of +1 and −1 updates this
 	// block: copy 0 is A+, copy 1 is A−.
 	d [2]int64
@@ -57,8 +56,7 @@ func SampleProb(eps float64, r int64, sqrtK float64) float64 {
 
 // Reset implements InBlockSite.
 func (s *randSite) Reset(r int64, out dist.Outbox) {
-	s.p = SampleProb(s.eps, r, s.sqrtK)
-	s.coin = rng.NewCoin(s.p)
+	s.coin = rng.NewCoin(SampleProb(s.eps, r, s.sqrtK))
 	s.d = [2]int64{}
 }
 
@@ -90,11 +88,11 @@ func (s *randSite) OnRejoin(out dist.Outbox) {
 // randCoord is the coordinator half of the randomized tracker. As in
 // detCoord, the per-site estimates are dense slices indexed by site id.
 type randCoord struct {
-	sqrtK float64 //varlint:volatile construction-time config; only the derived p is live state
-	eps   float64 //varlint:volatile construction-time config; only the derived p is live state
+	sqrtK float64 //varlint:volatile construction-time config; Reset derives p from it
+	eps   float64 //varlint:volatile construction-time config; Reset derives p from it
 
-	p     float64
-	invP  float64   //varlint:volatile 1/p, derived in Reset and when Snap decodes
+	p     float64   //varlint:volatile derived from (ε, k, r) in Reset
+	invP  float64   //varlint:volatile 1/p, derived in Reset
 	dplus []float64 // d̂_i^+ indexed by site id
 	dmin  []float64 // d̂_i^− indexed by site id
 	sum   float64   // Σ_i (d̂_i^+ − d̂_i^−), maintained incrementally

@@ -7,7 +7,6 @@ import (
 	"math"
 
 	"repro/internal/itemtab"
-	"repro/internal/rng"
 )
 
 // This file is the snapshot contract for crash-fault site replacement: a
@@ -24,7 +23,7 @@ import (
 // no cross-version negotiation beyond the magic.
 
 // snapMagic identifies a snapshot blob (and its format version).
-var snapMagic = [4]byte{'V', 'S', 'N', '1'}
+var snapMagic = [4]byte{'V', 'S', 'N', '2'}
 
 // Per-layer tags catch a blob restored into the wrong algorithm shape.
 // This block is the registry: layers in other packages take their tag from
@@ -253,23 +252,6 @@ func (c *Codec) Bool(p *bool) {
 	*p = x == 1
 }
 
-// IntList codes a variable-length list as its length, then its elements.
-// Decoding replaces the list's contents.
-func (c *Codec) IntList(p *[]int64) {
-	if !c.dec {
-		b := binary.AppendUvarint(c.b, uint64(len(*p)))
-		for _, v := range *p {
-			b = binary.AppendVarint(b, v)
-		}
-		c.b = b
-		return
-	}
-	*p = (*p)[:0]
-	for n := c.uint(); n > 0 && c.err == nil; n-- {
-		*p = append(*p, c.int())
-	}
-}
-
 // Fixed codes a value the decoding side already knows, such as a site
 // count or a section's position: it is written when encoding and must read
 // back equal when decoding.
@@ -354,7 +336,11 @@ func SnapTable[V any](c *Codec, t *itemtab.Table[V], val func(c *Codec, v *V)) {
 
 // Snap implements Snapshotter on the partition layer: the spine
 // (exponent, pending count, net in-block change, block sequence, reply
-// watermark) followed by the in-block estimator's state.
+// watermark) followed by the in-block estimator's state. Decoding resets
+// the freshly built estimator at the decoded exponent before its own
+// fields decode, so every scale of the block (threshold, sampling
+// probability, cell limit) is derived, never read: the blob carries
+// independent state only.
 func (s *BlockSite) Snap(c *Codec) error {
 	in, ok := s.inner.(Snapshotter)
 	if !ok {
@@ -378,12 +364,20 @@ func (s *BlockSite) Snap(c *Codec) error {
 	c.Int(&s.sentFi)
 	c.Int(&s.coordEpoch)
 	if c.Decoding() {
+		// A site adopts only exponents the coordinator picks, none above
+		// blockExponent's for the largest |f| and one site (a site does not
+		// know k), so no scale is ever computed from a forged one.
+		if s.r < 0 || s.r > blockExponent(math.MaxInt64, 1) {
+			c.Fail("block exponent out of range")
+			return c.Err()
+		}
 		s.batch = ceilPow2Half(s.r)
 		if s.ci < 0 || s.ci >= s.batch {
 			// Every call leaves 0 ≤ ci < batch (OnUpdate reports when ci
 			// reaches the batch), so any other count is forged or corrupt.
 			c.Fail("pending count outside [0, batch)")
 		}
+		s.inner.Reset(s.r, nil)
 	}
 	return in.Snap(c)
 }
@@ -395,19 +389,18 @@ func (s *detSite) Snap(c *Codec) error {
 	return c.Err()
 }
 
-// Snap codes the drift condition: the threshold, d_i and δ_i.
+// Snap codes the drift condition's counters, d_i and δ_i; the threshold
+// is the block's, set by Reset.
 func (d *Drift) Snap(c *Codec) {
-	c.Float(&d.threshold)
 	c.Int(&d.d)
 	c.Int(&d.delta)
 }
 
 // Snap implements Snapshotter for the randomized estimator: the counters
 // plus the generator state, so the restored site draws exactly the coin
-// sequence the original would have.
+// sequence the original would have. The block's coin is Reset's.
 func (s *randSite) Snap(c *Codec) error {
 	c.Tag(snapTagRand)
-	c.Float(&s.p)
 	c.Int(&s.d[0])
 	c.Int(&s.d[1])
 	st := s.src.State()
@@ -415,7 +408,6 @@ func (s *randSite) Snap(c *Codec) error {
 		c.Uint(&st[i])
 	}
 	if c.Decoding() {
-		s.coin = rng.NewCoin(s.p)
 		if st == [4]uint64{} {
 			// SetState would swap in its guard constant; no encoder writes this.
 			c.Fail("zero generator state")
@@ -426,9 +418,11 @@ func (s *randSite) Snap(c *Codec) error {
 }
 
 // Snap implements Snapshotter on the coordinator's partition layer: the
-// full spine — block identity, open-collection bookkeeping, the per-slot
-// reply watermarks and fold totals, and the boundary diagnostics — followed
-// by the in-block coordinator's state. An open collection survives the
+// spine — block identity, open-collection bookkeeping, the per-slot reply
+// watermarks and fold totals — followed by the in-block coordinator's
+// state. Decoding derives the block-end threshold and the reply count, and
+// resets the in-block coordinator at the decoded exponent before its own
+// fields decode, as BlockSite.Snap does. An open collection survives the
 // snapshot: the standby re-requests the replies still owed to it through
 // OnSiteRejoin when the takeover handshake runs.
 func (c *BlockCoord) Snap(cd *Codec) error {
@@ -440,12 +434,8 @@ func (c *BlockCoord) Snap(cd *Codec) error {
 	cd.Fixed(c.k, "coordinator site count")
 	cd.Int(&c.r)
 	cd.Int(&c.fnj)
-	cd.Int(&c.tj)
 	cd.Int(&c.that)
 	cd.Bool(&c.collecting)
-	replies := int64(c.replies)
-	cd.Int(&replies)
-	c.replies = int(replies)
 	cd.Int(&c.fDelta)
 	for i := 0; i < c.k; i++ {
 		cd.Bool(&c.replied[i])
@@ -455,22 +445,26 @@ func (c *BlockCoord) Snap(cd *Codec) error {
 		cd.Int(&c.foldedFi[i])
 	}
 	cd.Int(&c.blocks)
-	cd.IntList(&c.blockStart)
-	cd.IntList(&c.rHistory)
 	if cd.Decoding() {
+		if c.r < 0 || c.r > blockExponent(math.MaxInt64, c.k) {
+			cd.Fail("block exponent out of range")
+			return cd.Err()
+		}
+		c.tj = ceilPow2Half(c.r) * int64(c.k)
 		// Every path that sets a replied flag counts the reply, and the
 		// k-th reply closes the block, so an open collection holds fewer
-		// than k replies, one per set flag. Any other count never closes
+		// than k replies, one per set flag. All k set would never close
 		// the collection: every later reply reads as a duplicate.
-		set := 0
+		c.replies = 0
 		for _, ok := range c.replied {
 			if ok {
-				set++
+				c.replies++
 			}
 		}
-		if c.collecting && (c.replies != set || set >= c.k) {
+		if c.collecting && c.replies >= c.k {
 			cd.Fail("open collection reply count")
 		}
+		c.inner.Reset(c.r)
 	}
 	return in.Snap(cd)
 }
@@ -483,19 +477,23 @@ func (c *detCoord) Snap(cd *Codec) error {
 }
 
 // Snap codes the books, sized for this coordinator's sites: the site
-// count, each site's latest value, then their sum.
+// count, then each site's latest value. Decoding sums them.
 func (b *Reports) Snap(c *Codec) {
 	c.Fixed(len(b.last), "reporting site count")
 	for i := range b.last {
 		c.Int(&b.last[i])
 	}
-	c.Int(&b.sum)
+	if c.Decoding() {
+		b.sum = 0
+		for _, v := range b.last {
+			b.sum += v
+		}
+	}
 }
 
 // Snap implements Snapshotter for the randomized coordinator.
 func (c *randCoord) Snap(cd *Codec) error {
 	cd.Tag(snapTagRandCoord)
-	cd.Float(&c.p)
 	cd.Fixed(len(c.dplus), "randCoord site count")
 	for i := range c.dplus {
 		cd.Float(&c.dplus[i])
@@ -504,9 +502,6 @@ func (c *randCoord) Snap(cd *Codec) error {
 		cd.Float(&c.dmin[i])
 	}
 	cd.Float(&c.sum)
-	if cd.Decoding() {
-		c.invP = 1 / c.p
-	}
 	return cd.Err()
 }
 

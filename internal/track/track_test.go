@@ -216,64 +216,48 @@ func TestPartitionBlockMessages(t *testing.T) {
 	}
 }
 
+// recordNewBlocks makes sim's Recorder keep one copy (site 0's) of every
+// block broadcast: A is the new block's exponent r, B is f(n_j).
+func recordNewBlocks(sim *dist.Sim) *[]dist.Msg {
+	var blocks []dist.Msg
+	sim.Recorder = func(e dist.TranscriptEntry) {
+		if e.Msg.Kind == dist.KindNewBlock && e.To == 0 {
+			blocks = append(blocks, e.Msg)
+		}
+	}
+	return &blocks
+}
+
 // TestBlockLengthFacts verifies the paper's algebra: with exponent r, block
-// length is between ⌈2^{r−1}⌉·k and 2^r·k updates.
+// length is between ⌈2^{r−1}⌉·k and 2^r·k updates. Boundaries and their
+// exponents are read from the block broadcasts.
 func TestBlockLengthFacts(t *testing.T) {
 	k, eps := 4, 0.1
 	coord, sites := NewDeterministic(k, eps)
-	bc := coord.(*BlockCoord)
-
-	// Instrument via BlockBoundaryValues/RHistory plus step counting.
-	type boundary struct {
-		step int64
-		r    int64
-	}
-	var bounds []boundary
-	st := assign(stream.BiasedWalk(40000, 0.3, 17), k)
-	simResult := Run("biased", st, coord, sites, eps)
-	_ = simResult
-	// Reconstruct boundaries from a fresh run with explicit stepping.
-	coord2, sites2 := NewDeterministic(k, eps)
-	bc2 := coord2.(*BlockCoord)
-	st2 := assign(stream.BiasedWalk(40000, 0.3, 17), k)
-	res := int64(0)
-	last := int64(0)
-	lastBlocks := int64(0)
-	sim := dist.NewSim(coord2, sites2)
-	for {
-		u, ok := st2.Next()
-		if !ok {
-			break
-		}
+	sim := dist.NewSim(coord, sites)
+	broadcasts := recordNewBlocks(sim)
+	type block struct{ length, r int64 }
+	var blocks []block
+	r, start := int64(0), int64(0) // block 0 runs at r = 0
+	for i, u := range stream.Collect(assign(stream.BiasedWalk(40000, 0.3, 17), k)) {
+		seen := len(*broadcasts)
 		sim.Step(u)
-		res++
-		if bc2.Blocks() != lastBlocks {
-			lastBlocks = bc2.Blocks()
-			bounds = append(bounds, boundary{step: res - last, r: bc2.RHistory()[len(bc2.RHistory())-1]})
-			last = res
+		if len(*broadcasts) > seen {
+			end := int64(i + 1)
+			blocks = append(blocks, block{end - start, r})
+			start, r = end, (*broadcasts)[len(*broadcasts)-1].A
 		}
 	}
-	if len(bounds) < 3 {
-		t.Fatalf("too few blocks: %d", len(bounds))
+	if len(blocks) < 3 {
+		t.Fatalf("too few blocks: %d", len(blocks))
 	}
-	// bounds[j].step is the length of block j; the r *governing* block j is
-	// the exponent chosen at its start, i.e. RHistory[j-1] (block 0 has r=0).
-	rh := bc2.RHistory()
-	for j, b := range bounds {
-		var r int64
-		if j > 0 {
-			r = rh[j-1]
-		}
-		lo := ceilPow2Half(r) * int64(k)
-		hi := (int64(1) << uint(r)) * int64(k)
-		if r == 0 {
-			hi = int64(k)
-		}
-		if b.step < lo || b.step > hi {
-			t.Errorf("block %d (r=%d): length %d outside [%d, %d]", j, r, b.step, lo, hi)
+	for j, b := range blocks {
+		lo := ceilPow2Half(b.r) * int64(k)
+		hi := (int64(1) << uint(b.r)) * int64(k)
+		if b.length < lo || b.length > hi {
+			t.Errorf("block %d (r=%d): length %d outside [%d, %d]", j, b.r, b.length, lo, hi)
 		}
 	}
-	_ = bc
 }
 
 func TestRandomizedGuarantee(t *testing.T) {

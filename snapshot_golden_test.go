@@ -18,10 +18,10 @@ import (
 // The engine attach/detach deployment is hashed on its own.
 const (
 	goldenBlobCount  = 4050
-	goldenBlobDigest = 0xc3f7bf99b4780412
+	goldenBlobDigest = 0x23d6cc4248a6fcb9
 
 	goldenAttachBlobCount  = 810
-	goldenAttachBlobDigest = 0x5e7f6455bd94a08b
+	goldenAttachBlobDigest = 0x42c3d45edd2cbe84
 )
 
 // deployment is one tracker under test and its constructor.
