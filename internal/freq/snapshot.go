@@ -12,6 +12,9 @@ import "repro/internal/track"
 // A shared site's counts are the engine site's spine, restored first, so
 // its cells code only their mirrors.
 func (s *freqSite) Snap(c *track.Codec) error {
+	if c.Decoding() && !s.shared {
+		s.rows.tab.Clear() // a standalone site's table holds only its cells
+	}
 	c.Tag(track.SnapTagFreq)
 	s.f1.Snap(c)
 	s.rows.Snap(c, func(r *Row) bool { _, live := s.rows.cell(r, s.col); return *live }, func(c *track.Codec, r *Row) {

@@ -13,9 +13,9 @@
 //     never draw from the global math/rand state, and never emit protocol
 //     traffic (or write snapshots/transcripts) from inside a map
 //     iteration, whose order Go randomizes.
-//   - snapfields: every struct with a paired Snapshot*/Restore* method set
-//     persists every field in both directions, or tags the field
-//     //varlint:volatile with an audit reason — so "a piece of state
+//   - snapfields: every struct with a Snap method (one for both directions)
+//     codes every field on the encoding and the decoding path, or tags the
+//     field //varlint:volatile with an audit reason — so "a piece of state
 //     existed that a recovery path didn't cover" is a build break.
 //
 // The passes are written against the standard library only (go/parser,

@@ -137,4 +137,3 @@ func LogChoose2(n, r int64) float64 {
 	lnr, _ := math.Lgamma(float64(n - r + 1))
 	return (ln - lr - lnr) / math.Ln2
 }
-

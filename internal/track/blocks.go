@@ -153,7 +153,7 @@ type BlockSite struct {
 	innerQuiet  InBlockQuietSite //varlint:volatile derived from inner at construction
 	innerRejoin InBlockRejoiner  //varlint:volatile derived from inner at construction
 	r           int64
-	batch       int64 //varlint:volatile derived from r (the ⌈2^{r−1}⌉ report batch); Snap recomputes it when decoding
+	batch       int64 //varlint:volatile derived from r (the ⌈2^{r−1}⌉ report batch) by startBlock
 	ci          int64 // updates since the last count report or state reply; in [0, batch) between calls
 	fi          int64 // net change in f since the last block broadcast
 	seenBlocks  int64 // block broadcasts adopted; the site's block sequence
@@ -212,11 +212,18 @@ func (s *BlockSite) stamped(out dist.Outbox) dist.Outbox {
 
 // NewBlockSite wraps inner with the partition protocol for site id.
 func NewBlockSite(id int, inner InBlockSite) *BlockSite {
-	s := &BlockSite{id: int32(id), inner: inner, batch: ceilPow2Half(0)}
+	s := &BlockSite{id: int32(id), inner: inner}
 	s.innerQuiet, _ = inner.(InBlockQuietSite)
 	s.innerRejoin, _ = inner.(InBlockRejoiner)
-	inner.Reset(0, nil)
+	s.startBlock(0, nil)
 	return s
+}
+
+// startBlock adopts exponent r and everything that derives from it: the
+// report batch and the in-block estimator's scales, which Reset sets.
+func (s *BlockSite) startBlock(r int64, out dist.Outbox) {
+	s.r, s.batch = r, ceilPow2Half(r)
+	s.inner.Reset(r, out)
 }
 
 // OnUpdate implements dist.SiteAlgo.
@@ -329,9 +336,7 @@ func (s *BlockSite) OnMessage(m dist.Msg, out dist.Outbox) {
 				s.reply(out)
 			}
 		}
-		s.r = m.A
-		s.batch = ceilPow2Half(s.r)
-		s.inner.Reset(s.r, s.stamped(out))
+		s.startBlock(m.A, s.stamped(out))
 		// Adopting a missed boundary from a resync copy leaves the
 		// coordinator's in-block mirror for this slot stale: the
 		// coordinator cleared everyone's estimate at the boundary, then
@@ -453,7 +458,7 @@ type BlockCoord struct {
 
 	r    int64
 	fnj  int64 // exact f at the last block boundary
-	tj   int64 //varlint:volatile block-end threshold ⌈2^{r−1}⌉·k, derived from r; Snap recomputes it when decoding
+	tj   int64 //varlint:volatile block-end threshold ⌈2^{r−1}⌉·k, derived from r by startBlock
 	that int64 // t̂: updates heard of since the block began
 
 	collecting bool
@@ -485,12 +490,19 @@ type BlockCoord struct {
 
 // NewBlockCoord wraps inner with the partition protocol for k sites.
 func NewBlockCoord(k int, inner InBlockCoord) *BlockCoord {
-	c := &BlockCoord{k: k, inner: inner, tj: ceilPow2Half(0) * int64(k),
+	c := &BlockCoord{k: k, inner: inner,
 		replied: make([]bool, k), replySeq: make([]int64, k),
 		deadSite: make([]bool, k),
 		foldedCi: make([]int64, k), foldedFi: make([]int64, k)}
-	inner.Reset(0)
+	c.startBlock(0)
 	return c
+}
+
+// startBlock enters a block with exponent r and everything that derives
+// from it: t_j and the in-block coordinator's scales, which Reset sets.
+func (c *BlockCoord) startBlock(r int64) {
+	c.r, c.tj = r, ceilPow2Half(r)*int64(c.k)
+	c.inner.Reset(r)
 }
 
 // OnMessage implements dist.CoordAlgo. The partition spine handles its
@@ -712,13 +724,11 @@ func (c *BlockCoord) OnCoordTakeover(site int, epoch int64, out dist.Outbox) {
 // is chosen, and the new block is broadcast.
 func (c *BlockCoord) finishBlock(out dist.Outbox) {
 	c.fnj += c.fDelta
-	c.r = blockExponent(c.fnj, c.k)
-	c.tj = ceilPow2Half(c.r) * int64(c.k)
 	c.that = 0
 	c.collecting = false
 	c.blocks++
+	c.startBlock(blockExponent(c.fnj, c.k))
 	out.Broadcast(dist.Msg{Kind: dist.KindNewBlock, Site: dist.CoordID, A: c.r, B: c.fnj})
-	c.inner.Reset(c.r)
 }
 
 // Estimate implements dist.CoordAlgo.

@@ -336,11 +336,10 @@ func SnapTable[V any](c *Codec, t *itemtab.Table[V], val func(c *Codec, v *V)) {
 
 // Snap implements Snapshotter on the partition layer: the spine
 // (exponent, pending count, net in-block change, block sequence, reply
-// watermark) followed by the in-block estimator's state. Decoding resets
-// the freshly built estimator at the decoded exponent before its own
-// fields decode, so every scale of the block (threshold, sampling
-// probability, cell limit) is derived, never read: the blob carries
-// independent state only.
+// watermark) followed by the in-block estimator's state. Decoding starts
+// the decoded block on the freshly built estimator before its own fields
+// decode, so every scale of the block (batch, threshold, sampling
+// probability, cell limit) is derived, never read.
 func (s *BlockSite) Snap(c *Codec) error {
 	in, ok := s.inner.(Snapshotter)
 	if !ok {
@@ -371,13 +370,12 @@ func (s *BlockSite) Snap(c *Codec) error {
 			c.Fail("block exponent out of range")
 			return c.Err()
 		}
-		s.batch = ceilPow2Half(s.r)
+		s.startBlock(s.r, nil)
 		if s.ci < 0 || s.ci >= s.batch {
 			// Every call leaves 0 ≤ ci < batch (OnUpdate reports when ci
 			// reaches the batch), so any other count is forged or corrupt.
 			c.Fail("pending count outside [0, batch)")
 		}
-		s.inner.Reset(s.r, nil)
 	}
 	return in.Snap(c)
 }
@@ -420,9 +418,9 @@ func (s *randSite) Snap(c *Codec) error {
 // Snap implements Snapshotter on the coordinator's partition layer: the
 // spine — block identity, open-collection bookkeeping, the per-slot reply
 // watermarks and fold totals — followed by the in-block coordinator's
-// state. Decoding derives the block-end threshold and the reply count, and
-// resets the in-block coordinator at the decoded exponent before its own
-// fields decode, as BlockSite.Snap does. An open collection survives the
+// state. Decoding starts the decoded block on the in-block coordinator
+// before its own fields decode, as BlockSite.Snap does, and recounts the
+// replies from their flags. An open collection survives the
 // snapshot: the standby re-requests the replies still owed to it through
 // OnSiteRejoin when the takeover handshake runs.
 func (c *BlockCoord) Snap(cd *Codec) error {
@@ -450,7 +448,7 @@ func (c *BlockCoord) Snap(cd *Codec) error {
 			cd.Fail("block exponent out of range")
 			return cd.Err()
 		}
-		c.tj = ceilPow2Half(c.r) * int64(c.k)
+		c.startBlock(c.r)
 		// Every path that sets a replied flag counts the reply, and the
 		// k-th reply closes the block, so an open collection holds fewer
 		// than k replies, one per set flag. All k set would never close
@@ -464,7 +462,6 @@ func (c *BlockCoord) Snap(cd *Codec) error {
 		if c.collecting && c.replies >= c.k {
 			cd.Fail("open collection reply count")
 		}
-		c.inner.Reset(c.r)
 	}
 	return in.Snap(cd)
 }
