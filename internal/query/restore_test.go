@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/fnv"
-	"maps"
-	"slices"
 	"testing"
 
 	"repro/internal/dist"
@@ -84,22 +82,22 @@ func TestEngineSiteRestoreRejectsNonCanonical(t *testing.T) {
 	}
 }
 
-// freqSection hand-builds an engine frequency child's payload at r = 0: a
-// partition spine and an F1 drift estimator at zero, then a cell holding
-// the given mirror for each of the given items. The counts are the engine
-// site's spine's.
-func freqSection(mirrors map[uint64]int64) []byte {
-	b := []byte{'B'}
-	for range 8 { // r, ci, fi, block sequence, reply watermark and totals, epoch
+// freqSection hand-builds an engine frequency child's payload: a partition
+// spine at exponent r with nothing pending, an F1 drift estimator at zero,
+// then one cell per (item, mirror) pair, in the given order. The counts are
+// the engine site's spine's.
+func freqSection(r int64, cells ...[2]int64) []byte {
+	b := binary.AppendVarint([]byte{'B'}, r)
+	for range 7 { // ci, fi, block sequence, reply watermark and totals, epoch
 		b = binary.AppendVarint(b, 0)
 	}
 	b = append(b, track.SnapTagFreq)
 	b = binary.AppendVarint(b, 0) // d_i
 	b = binary.AppendVarint(b, 0) // δ_i
-	b = binary.AppendUvarint(b, uint64(len(mirrors)))
-	for _, item := range slices.Sorted(maps.Keys(mirrors)) {
-		b = binary.AppendUvarint(b, item)
-		b = binary.AppendVarint(b, mirrors[item])
+	b = binary.AppendUvarint(b, uint64(len(cells)))
+	for _, c := range cells {
+		b = binary.AppendUvarint(b, uint64(c[0]))
+		b = binary.AppendVarint(b, c[1])
 	}
 	return b
 }
@@ -108,33 +106,35 @@ func freqSection(mirrors map[uint64]int64) []byte {
 // registry: a spine, then sections for its two frequency queries (query 2
 // counts every item, query 3 odd ones). Only the first is what an engine
 // site can write; each other one has frequency cells that disagree with the
-// spine or the query's filter.
+// spine or the query's filter, cells out of order, or a forged exponent.
 func columnMismatchPayloads() map[string]struct {
 	payload []byte
 	ok      bool
 } {
 	spine := [][2]int64{{3, 2}, {5, 1}, {8, -1}}
-	payload := func(q2, q3 map[uint64]int64) []byte {
+	payload := func(q2, q3 []byte) []byte {
 		b := spinePayload(spine...)
 		b = b[:len(b)-1] // the child count
 		b = binary.AppendUvarint(b, 2)
-		for qid, sec := range [][]byte{freqSection(q2), freqSection(q3)} {
+		for qid, sec := range [][]byte{q2, q3} {
 			b = binary.AppendUvarint(b, uint64(qid+2))
 			b = binary.AppendUvarint(b, uint64(len(sec)))
 			b = append(b, sec...)
 		}
 		return b
 	}
-	all := map[uint64]int64{3: 2, 5: 1, 6: 0, 8: -1}
-	odd := map[uint64]int64{3: 2, 5: 1, 7: 0}
+	all := freqSection(0, [2]int64{3, 2}, [2]int64{5, 1}, [2]int64{6, 0}, [2]int64{8, -1})
+	odd := freqSection(0, [2]int64{3, 2}, [2]int64{5, 1}, [2]int64{7, 0})
 	return map[string]struct {
 		payload []byte
 		ok      bool
 	}{
-		"consistent":     {payload(all, odd), true},
-		"filter rejects": {payload(all, map[uint64]int64{3: 2, 5: 1, 6: 0}), false},
-		"cell missing":   {payload(map[uint64]int64{3: 2, 6: 0, 8: -1}, odd), false},
-		"odd missing":    {payload(all, map[uint64]int64{3: 2}), false},
+		"consistent":      {payload(all, odd), true},
+		"filter rejects":  {payload(all, freqSection(0, [2]int64{3, 2}, [2]int64{5, 1}, [2]int64{6, 0})), false},
+		"cell missing":    {payload(freqSection(0, [2]int64{3, 2}, [2]int64{6, 0}, [2]int64{8, -1}), odd), false},
+		"odd missing":     {payload(all, freqSection(0, [2]int64{3, 2})), false},
+		"cells repeated":  {payload(freqSection(0, [2]int64{3, 2}, [2]int64{5, 1}, [2]int64{5, 1}, [2]int64{8, -1}), odd), false},
+		"exponent forged": {payload(all, freqSection(62, [2]int64{3, 2}, [2]int64{5, 1}, [2]int64{7, 0})), false},
 	}
 }
 
@@ -142,7 +142,9 @@ func columnMismatchPayloads() map[string]struct {
 // queries keep their counters in columns of the spine's item rows, so a
 // restored section must agree with the spine: no cell is for an item the
 // query's filter rejects, and every item the filter accepts with a nonzero
-// count has a cell. The consistent blob re-encodes to itself.
+// count has a cell. A section codes its cells' mirrors only, in strictly
+// increasing item order, and its exponent must be one an honest run
+// reaches. The consistent blob re-encodes to itself.
 func TestEngineSiteRestoreRejectsColumnMismatch(t *testing.T) {
 	specs, err := query.ParseSpecs(fuzzEngineSpecs)
 	if err != nil {
