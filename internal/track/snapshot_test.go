@@ -164,3 +164,49 @@ func TestSnapshotIntegrity(t *testing.T) {
 		t.Fatalf("deterministic blob restored into a frequency site")
 	}
 }
+
+// discard is an Outbox that drops every message.
+type discard struct{}
+
+func (discard) Send(dist.Msg)        {}
+func (discard) SendTo(int, dist.Msg) {}
+func (discard) Broadcast(dist.Msg)   {}
+
+// TestBlockSiteRestoreAfterNewBlockExponent: every state a message can
+// leave a site in must be one its own snapshot restores from, or a warm
+// takeover of that site fails. A KindNewBlock broadcast carries the block
+// exponent A; restore accepts r in [0, 61] (blockExponent(MaxInt64, 1)),
+// so a site handed an exponent outside that range must refuse the message
+// and keep its state, while one inside it is adopted and restores.
+func TestBlockSiteRestoreAfterNewBlockExponent(t *testing.T) {
+	const k = 3
+	builds := map[string]func() []dist.SiteAlgo{
+		"det":  func() []dist.SiteAlgo { _, s := track.NewDeterministic(k, 0.1); return s },
+		"rand": func() []dist.SiteAlgo { _, s := track.NewRandomized(k, 0.1, 5); return s },
+		"freq": func() []dist.SiteAlgo { _, s := freq.New(k, 0.1, freq.ExactMapper{}); return s },
+		"threshold": func() []dist.SiteAlgo {
+			_, s := track.NewThresholdMonitor(k, 0.1, 100)
+			return s
+		},
+	}
+	for name, build := range builds {
+		for _, a := range []int64{-1, 0, 3, 61, 62, 5000} {
+			site := build()[1]
+			before, err := track.SnapshotSite(site)
+			if err != nil {
+				t.Fatalf("%s A=%d: snapshot: %v", name, a, err)
+			}
+			site.OnMessage(dist.Msg{Kind: dist.KindNewBlock, Site: dist.CoordID, Item: 2, A: a}, discard{})
+			blob, err := track.SnapshotSite(site)
+			if err != nil {
+				t.Fatalf("%s A=%d: snapshot after the broadcast: %v", name, a, err)
+			}
+			if err := track.RestoreSite(build()[1], blob); err != nil {
+				t.Errorf("%s A=%d: the site's own snapshot does not restore: %v", name, a, err)
+			}
+			if refused := a < 0 || a > 61; refused != reflect.DeepEqual(blob, before) {
+				t.Errorf("%s A=%d: state changed %v, want %v", name, a, !reflect.DeepEqual(blob, before), !refused)
+			}
+		}
+	}
+}
