@@ -96,6 +96,15 @@ func blockExponent(f int64, k int) int64 {
 	return int64(bits.Len64(uint64(af/(2*kk)))) - 1
 }
 
+// siteExponentOK reports whether a site may adopt block exponent r: r lies
+// in [0, blockExponent(MaxInt64, 1)], the range of the exponents any
+// coordinator picks (a site does not know k, and k = 1 gives the largest).
+// Live adoption and snapshot decoding both check here, so every state a
+// KindNewBlock can leave a site in is one its snapshot restores from.
+func siteExponentOK(r int64) bool {
+	return r >= 0 && r <= blockExponent(math.MaxInt64, 1)
+}
+
 // stampOutbox is the outbox BlockSite hands its in-block estimator: it
 // stamps every outgoing drift report with the site's block sequence
 // (Item is unused by all KindDriftReport senders), forwards everything
@@ -293,6 +302,9 @@ func (s *BlockSite) OnMessage(m dist.Msg, out dist.Outbox) {
 		// over into the next block rather than be dropped.
 		s.reply(out)
 	case dist.KindNewBlock:
+		if !siteExponentOK(m.A) {
+			return // no coordinator picks it: refused, the site unchanged
+		}
 		// A set low Item bit marks a resync copy sent by
 		// BlockCoord.OnSiteRejoin; the remaining bits carry the
 		// coordinator's completed-block count. Comparing that against the

@@ -363,10 +363,9 @@ func (s *BlockSite) Snap(c *Codec) error {
 	c.Int(&s.sentFi)
 	c.Int(&s.coordEpoch)
 	if c.Decoding() {
-		// A site adopts only exponents the coordinator picks, none above
-		// blockExponent's for the largest |f| and one site (a site does not
-		// know k), so no scale is ever computed from a forged one.
-		if s.r < 0 || s.r > blockExponent(math.MaxInt64, 1) {
+		// A site adopts only exponents the coordinator picks, so no scale
+		// is ever computed from a forged one.
+		if !siteExponentOK(s.r) {
 			c.Fail("block exponent out of range")
 			return c.Err()
 		}
