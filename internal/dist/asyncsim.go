@@ -1,23 +1,32 @@
 package dist
 
 import (
+	"math"
+
 	"repro/internal/rng"
 	"repro/internal/stream"
 )
 
-// AsyncSim is the fault-injecting asynchronous runtime: a deterministic
-// discrete-event scheduler (virtual clock, seeded RNG, no wall time) that
-// runs unchanged CoordAlgo/SiteAlgo pairs under a NetModel. Update T of the
-// driven stream arrives at virtual tick T·UpdateGap; every message a node
-// emits becomes a delivery event whose time is shaped by the model's
-// latency, jitter, reorder window, loss, and retransmission, and whose
-// processing order is the total order (time, sequence number) — so two runs
-// with the same seed and inputs are identical, message for message.
+// AsyncSim is the one simulated runtime: a deterministic discrete-event
+// scheduler (virtual clock, seeded RNG, no wall time) that runs unchanged
+// CoordAlgo/SiteAlgo pairs under a NetModel. Update T of the driven stream
+// arrives at virtual tick T·UpdateGap; every message a node emits becomes
+// a delivery event whose time is shaped by the model's latency, jitter,
+// reorder window, loss, and retransmission, and whose processing order is
+// the total order (time, sequence number) — so two runs with the same seed
+// and inputs are identical, message for message.
 //
 // Under the zero NetModel every delivery lands at its send tick and events
-// pop in send (FIFO) order, which is exactly Sim's drain loop: transcripts,
-// Stats, and per-step estimates are byte-identical to Sim across any
-// algorithm pair. TestAsyncSimZeroFaultByteIdentical pins this.
+// pop in send (FIFO) order: the synchronous model, in which each Step
+// delivers everything its update triggers before it returns. There the
+// runtime takes the lane: while the model has no latency, jitter, reorder,
+// loss or heartbeat and nothing has been scheduled, sends go into a FIFO
+// ring and are delivered at the current tick, in the order the event queue
+// would pop them, and the network state is never built. The first
+// Schedule* call leaves the lane for good. NewSim is this runtime under
+// the zero model. TestAsyncSimZeroFaultByteIdentical pins the lane against
+// the event queue: transcripts, Stats and per-step estimates are
+// byte-identical across every algorithm pair.
 //
 // Site churn: ScheduleDown/ScheduleUp partition one site's link for a
 // virtual-time window. While partitioned the site still ingests its local
@@ -26,14 +35,13 @@ import (
 // SiteRejoiner/CoordRejoiner resync hooks so protocol layers can
 // re-establish shared state (see track.BlockSite/track.BlockCoord).
 //
-// Updates reach the sites through ingest, the core Sim feeds its sites
-// with too; StepBatch adds AsyncSim's stop rule and budget invalidation.
+// Updates reach the sites through ingest; StepBatch adds the runtime's
+// stop rule and budget invalidation.
 //
-// An AsyncSim is not safe for concurrent use.
+// An AsyncSim is not safe for concurrent use; run one per goroutine.
 type AsyncSim struct {
 	// Recorder, when non-nil, observes every delivered message in delivery
-	// order, stamped with the T of the latest arrived update — identical
-	// to Sim's stamping under the zero model.
+	// order, stamped with the T of the latest arrived update.
 	Recorder func(TranscriptEntry)
 
 	// ledger attributes deliveries AND drops, retransmissions, and
@@ -49,12 +57,29 @@ type AsyncSim struct {
 	ingest
 	coord CoordAlgo
 	model NetModel
-	src   *rng.Xoshiro256
+	seed  uint64
+	// ring is the lane's delivery queue, empty between calls.
+	ring msgRing
+	// network is the event queue and fault state: &idleNet, which nothing
+	// writes, while the runtime is on the lane.
+	*network
+	// closing stops the self-rescheduling beacon rounds so Flush
+	// terminates.
+	closing bool
+
+	coordOut *asyncOutbox
+	siteOut  []*asyncOutbox
+}
+
+// network is the state the event queue delivers through: the queue, the
+// model's RNG, the link floors and partitions, and the crash-fault state.
+type network struct {
+	queue eventQueue
+	src   rng.Xoshiro256
 	// dropT is rng.Threshold(model.Drop): an attempt is lost when
 	// src.Uint64()>>11 < dropT, the integer form of src.Float64() <
 	// model.Drop, and no draw is made when Drop is 0.
 	dropT uint64
-	queue eventQueue
 
 	// linkAt[i] is the latest delivery time scheduled on link i (site i →
 	// coordinator for i < k, coordinator → site i−k otherwise): the FIFO
@@ -71,14 +96,12 @@ type AsyncSim struct {
 	// the members that changed incarnation since. A dead slot is held in
 	// ingest, whose backlog is its durable local update queue, replayed
 	// into the replacement at takeover; replacement holds the algorithm a
-	// ScheduleTakeover will splice in; closing stops the self-rescheduling
-	// beacon rounds so Flush terminates.
+	// ScheduleTakeover will splice in.
 	live        liveness
 	epoch       []uint32
 	incarnation uint32
 	epochAt     []uint32
 	replacement []SiteAlgo
-	closing     bool
 
 	// Coordinator crash-fault state, mirroring the per-site fields above:
 	// coordCrashed marks the coordinator process dead, coordEpoch is the
@@ -92,10 +115,11 @@ type AsyncSim struct {
 	coordCrashed bool
 	coordEpoch   uint32
 	coordStandby CoordAlgo
-
-	coordOut *asyncOutbox
-	siteOut  []*asyncOutbox
 }
+
+// idleNet is the network a runtime on the lane reads: an empty queue whose
+// earliest tick is never due. Nothing writes it.
+var idleNet = network{queue: eventQueue{top: math.MaxInt64}}
 
 // eventKind discriminates scheduler events.
 type eventKind uint8
@@ -142,10 +166,11 @@ type event struct {
 	msg     Msg
 }
 
-// NewAsyncSim builds the asynchronous simulator over a coordinator, its k
-// site algorithms, a network model, and the seed of the model's RNG (drawn
-// only for jitter, loss, and nothing else, in event order — so runs are
-// reproducible bit for bit).
+// NewAsyncSim builds the simulator over a coordinator, its k site
+// algorithms, a network model, and the seed of the model's RNG (drawn only
+// for jitter, loss, and nothing else, in event order — so runs are
+// reproducible bit for bit). Under a model with no delay, loss or
+// heartbeat the runtime starts on the lane.
 func NewAsyncSim(coord CoordAlgo, sites []SiteAlgo, model NetModel, seed uint64) *AsyncSim {
 	if coord == nil || len(sites) == 0 {
 		panic("dist: NewAsyncSim needs a coordinator and at least one site")
@@ -153,18 +178,35 @@ func NewAsyncSim(coord CoordAlgo, sites []SiteAlgo, model NetModel, seed uint64)
 	if err := model.check(); err != nil {
 		panic(err.Error())
 	}
-	s := &AsyncSim{
-		coord:       coord,
-		model:       model,
-		src:         rng.New(seed),
+	s := &AsyncSim{coord: coord, model: model, seed: seed, network: &idleNet,
+		ingest: ingest{sites: sites}}
+	s.coordOut = &asyncOutbox{s: s, from: CoordID}
+	s.siteOut = make([]*asyncOutbox, len(sites))
+	for i := range sites {
+		s.siteOut[i] = &asyncOutbox{s: s, from: int32(i)}
+	}
+	if !model.instant() {
+		s.buildNetwork()
+	}
+	return s
+}
+
+// onLane reports whether the runtime is still on the lane.
+func (s *AsyncSim) onLane() bool { return s.network == &idleNet }
+
+// buildNetwork leaves the lane for good: it builds the state the event
+// queue delivers through and starts the beacon rounds. The lane's ring is
+// empty between calls, so no message is in flight.
+func (s *AsyncSim) buildNetwork() {
+	k, model := len(s.sites), s.model
+	n := &network{
+		src:         *rng.New(s.seed),
 		dropT:       rng.Threshold(model.Drop),
-		linkAt:      make([]int64, 2*len(sites)),
-		down:        make([]bool, len(sites)),
-		epoch:       make([]uint32, len(sites)),
-		epochAt:     make([]uint32, len(sites)),
-		replacement: make([]SiteAlgo, len(sites)),
-		ingest: ingest{sites: sites, slots: make([]ingestSlot, len(sites)),
-			backlog: make(backlog, len(sites))},
+		linkAt:      make([]int64, 2*k),
+		down:        make([]bool, k),
+		epoch:       make([]uint32, k),
+		epochAt:     make([]uint32, k),
+		replacement: make([]SiteAlgo, k),
 	}
 	// Beacon rounds cover up to 64 sites. When a beacon's arrival and the
 	// site's next beacon fall on the same tick (Latency == HeartbeatEvery),
@@ -175,57 +217,57 @@ func NewAsyncSim(coord CoordAlgo, sites []SiteAlgo, model NetModel, seed uint64)
 	if model.HeartbeatEvery > 0 && model.Latency == model.HeartbeatEvery {
 		width = 1
 	}
-	s.queue.init((len(sites)+width-1)/width + 1)
-	s.coordOut = &asyncOutbox{s: s, from: CoordID}
-	s.live = newLiveness(&s.coord, s.coordOut, &s.ledger, len(sites))
+	n.queue.init((k+width-1)/width + 1)
+	// The lane's deliveries count as popped events.
+	n.queue.seq = uint64(s.stats.Total())
+	n.live = newLiveness(&s.coord, s.coordOut, &s.ledger, k)
 	// A beacon is overdue one full interval beyond its cadence plus the
 	// link latency it rides.
-	s.live.arm(2*model.HeartbeatEvery+model.Latency, model.HeartbeatMiss)
-	s.siteOut = make([]*asyncOutbox, len(sites))
-	for i := range sites {
-		s.siteOut[i] = &asyncOutbox{s: s, from: int32(i)}
-	}
+	n.live.arm(2*model.HeartbeatEvery+model.Latency, model.HeartbeatMiss)
+	s.network = n
+	s.backlog = make(backlog, k)
+	s.synced = -1 // the lane's quiet-budget token is not the queue's
 	if model.HeartbeatEvery > 0 {
-		for base := 0; base < len(sites); base += width {
-			members := ^uint64(0) >> (64 - min(width, len(sites)-base))
+		for base := 0; base < k; base += width {
+			members := ^uint64(0) >> (64 - min(width, k-base))
 			s.scheduleBeacon(base, members, 0, model.HeartbeatEvery)
 		}
 		s.schedule(evHbCheck, CoordID, model.HeartbeatEvery)
 	}
-	return s
 }
 
 // Step advances the virtual clock to update u's arrival tick, delivering
 // everything the network owes before then, hands u to its site (or, while
-// the slot is crashed, to its backlog), and processes all events due at
-// the arrival tick (under the zero model, the whole triggered cascade —
-// Sim.Step's drain).
+// the slot is crashed, to its backlog), and delivers everything due at the
+// arrival tick: on the lane and under the zero model, the whole triggered
+// cascade.
 func (s *AsyncSim) Step(u stream.Update) {
 	arrival := u.T * s.model.Gap()
 	s.runUntil(arrival)
 	s.now, s.t = max(s.now, arrival), u.T
 	s.step(u, s.siteOut[u.Site])
+	s.drain()
 	s.runUntil(s.now + 1)
 }
 
-// Run drives an entire stream through the simulator and returns the number
-// of updates processed. It does not Flush: messages still in flight after
-// the last arrival stay pending until Flush is called.
-func (s *AsyncSim) Run(st stream.Stream) int64 { return runStream(s, st) }
-
 // StepBatch feeds a prefix of us (a stream slice with nondecreasing T) to
 // the sites and returns how many updates it consumed, plus whether any
-// event was processed during the call. Like Sim.StepBatch it is a sequence
-// of Steps, never a reordering, fault models included, and it returns
-// right after the first update in whose step any event ran.
+// message was delivered (any event was processed) during the call. It is a
+// sequence of Steps, never a reordering, fault models included, and it
+// returns right after the first update in whose step any event ran. When
+// delivered is false, no OnMessage ran, so Estimate() is unchanged.
 //
-// Events due before the head update run first; if any did, the head is fed
-// alone. Otherwise a feed takes the updates arriving before the next
-// pending event's tick and the first one arriving on it (events at a tick
-// fire after it), and its sends leave at its last update's tick. Quiet
-// budgets go stale after any event: a rejoin's OnRejoin and a takeover's
-// backlog replay change sites without a delivery.
+// On the lane a call is one feed (see laneBatch). Otherwise events due
+// before the head update run first; if any did, the head is fed alone.
+// Otherwise a feed takes the updates arriving before the next pending
+// event's tick and the first one arriving on it (events at a tick fire
+// after it), and its sends leave at its last update's tick. Quiet budgets
+// go stale after any event: a rejoin's OnRejoin and a takeover's backlog
+// replay change sites without a delivery.
 func (s *AsyncSim) StepBatch(us []stream.Update) (int, bool) {
+	if s.onLane() {
+		return s.laneBatch(us)
+	}
 	gap := s.model.Gap()
 	i := 0
 	for i < len(us) {
@@ -271,16 +313,6 @@ func untilTick(us []stream.Update, gap, top int64) int {
 		lo++
 	}
 	return lo
-}
-
-// RunBatch drives an entire stream through the batched ingest path,
-// filling the caller-owned buffer from the stream and feeding it through
-// StepBatch. A nil or empty buf gets a default-sized one. every and visit
-// are Sim.RunBatch's; delivered reports whether any event ran. The end
-// state is byte-identical to Run; it does not Flush.
-func (s *AsyncSim) RunBatch(st stream.Stream, buf []stream.Update, every int64,
-	visit func(run []stream.Update, delivered bool)) int64 {
-	return runBatched(s, st, buf, every, visit)
 }
 
 // Flush runs the event loop to exhaustion — every in-flight delivery,
@@ -331,10 +363,12 @@ func (s *AsyncSim) Estimate() int64 { return s.coord.Estimate() }
 // Inject runs fn with the coordinator's outbox at the current virtual time
 // and then processes everything due at that tick — the hook for
 // coordinator-initiated control traffic (e.g. attaching a tracking query
-// mid-stream). Messages fn emits travel through the modeled network like
-// any others: they can be delayed, dropped, and retransmitted.
+// mid-stream) that no inbound message triggers. Messages fn emits travel
+// through the modeled network like any others: they can be delayed,
+// dropped, and retransmitted. Call it only between Steps.
 func (s *AsyncSim) Inject(fn func(Outbox)) {
 	fn(s.coordOut)
+	s.drain()
 	s.runUntil(s.now + 1)
 }
 
@@ -359,8 +393,12 @@ func (s *AsyncSim) ScheduleUp(site int, at int64) {
 	s.schedule(evUp, int32(site), at)
 }
 
-// schedule pushes a bare event of kind for node to at tick at.
+// schedule pushes a bare event of kind for node to at tick at, leaving the
+// lane if the runtime is still on it.
 func (s *AsyncSim) schedule(kind eventKind, to int32, at int64) {
+	if s.onLane() {
+		s.buildNetwork()
+	}
 	e := event{at: at, kind: kind, to: to}
 	s.pushEvent(&e)
 }
@@ -495,48 +533,151 @@ func (s *AsyncSim) deliver(e *event) {
 		return
 	}
 
-	s.delivered(&e.msg, e.to, s.now-e.sent)
-	if s.Recorder != nil {
-		s.Recorder(TranscriptEntry{T: s.t, To: e.to, Msg: e.msg})
+	s.dispatch(e.to, &e.msg, s.now-e.sent)
+}
+
+// laneBatch is StepBatch on the lane: one feed, then its captured sends,
+// delivered in order — they head the FIFO — and the drain. Quiet budgets
+// go stale when CoordToSite moves: on det, the one quiet protocol, a site
+// only receives broadcasts.
+//
+//varlint:zeroalloc
+func (s *AsyncSim) laneBatch(us []stream.Update) (consumed int, delivered bool) {
+	n := s.feed(us, s.stats.CoordToSite)
+	if n <= 0 {
+		if n < 0 {
+			panic("dist: OnUpdateBatch consumed no updates")
+		}
+		return 0, false
 	}
-	if e.to == CoordID {
-		s.coord.OnMessage(e.msg, s.coordOut)
-	} else {
-		s.sites[e.to].OnMessage(e.msg, s.siteOut[e.to])
+	// Keep the transcript stamp current across message-free prefixes too,
+	// so a subsequent Inject stamps its cascade with the same T the
+	// per-update loop would have.
+	last := us[n-1]
+	s.t, s.now = last.T, last.T*s.model.Gap()
+	if len(s.out.msgs) == 0 {
+		return n, false
+	}
+	for i := range s.out.msgs {
+		s.dispatch(CoordID, &s.out.msgs[i], 0)
+	}
+	s.out.msgs = s.out.msgs[:0]
+	s.drain()
+	return n, true
+}
+
+// drain delivers the lane's queued messages to quiescence. The envelope is
+// delivered from its ring slot (released first, so handler sends can grow
+// the ring freely); dispatch completes all reads before the handler runs.
+//
+//varlint:zeroalloc
+func (s *AsyncSim) drain() {
+	for s.ring.n > 0 {
+		e := s.ring.peek()
+		s.ring.drop()
+		s.dispatch(e.to, &e.msg, 0)
 	}
 }
 
-// asyncOutbox routes messages for node `from` through the modeled network.
+// dispatch is the delivery the lane and the event queue share: it accounts
+// (and traces), records, and hands one message to node to, lag ticks after
+// its original send. Handlers may send further messages. m may point into
+// the ring at an already-released slot: every read of *m happens before
+// the handler runs (the call copies *m), so sends that recycle or grow the
+// ring mid-delivery cannot corrupt the delivery.
+//
+//varlint:zeroalloc
+func (s *AsyncSim) dispatch(to int32, m *Msg, lag int64) {
+	s.delivered(m, to, lag)
+	if s.Recorder != nil {
+		s.Recorder(TranscriptEntry{T: s.t, To: to, Msg: *m})
+	}
+	if to == CoordID {
+		s.coord.OnMessage(*m, s.coordOut)
+	} else {
+		s.sites[to].OnMessage(*m, s.siteOut[to])
+	}
+}
+
+// asyncOutbox routes messages for node `from` (CoordID or a site index):
+// on the lane into the ring, else through the modeled network. The three
+// methods open-code the ring push, so the lane's per-message path is the
+// virtual call plus straight-line stores; grow runs once per high-water
+// mark.
 type asyncOutbox struct {
 	s    *AsyncSim
 	from int32
 }
 
 // Send implements Outbox.
+//
+//varlint:zeroalloc
 func (o *asyncOutbox) Send(m Msg) {
 	if o.from == CoordID {
 		o.Broadcast(m)
 		return
 	}
-	o.s.send(o.from, CoordID, m)
+	s := o.s
+	if !s.onLane() {
+		s.send(o.from, CoordID, m)
+		return
+	}
+	q := &s.ring
+	if q.n == len(q.buf) {
+		q.grow()
+	}
+	e := &q.buf[(q.head+q.n)&(len(q.buf)-1)]
+	q.n++
+	e.to = CoordID
+	e.msg = m
 }
 
 // SendTo implements Outbox.
+//
+//varlint:zeroalloc
 func (o *asyncOutbox) SendTo(site int, m Msg) {
 	if o.from != CoordID {
 		o.Send(m)
 		return
 	}
-	o.s.send(o.from, int32(site), m)
+	s := o.s
+	if !s.onLane() {
+		s.send(o.from, int32(site), m)
+		return
+	}
+	q := &s.ring
+	if q.n == len(q.buf) {
+		q.grow()
+	}
+	e := &q.buf[(q.head+q.n)&(len(q.buf)-1)]
+	q.n++
+	e.to = int32(site)
+	e.msg = m
 }
 
 // Broadcast implements Outbox.
+//
+//varlint:zeroalloc
 func (o *asyncOutbox) Broadcast(m Msg) {
 	if o.from != CoordID {
 		o.Send(m)
 		return
 	}
-	for i := range o.s.sites {
-		o.s.send(o.from, int32(i), m)
+	s := o.s
+	if !s.onLane() {
+		for i := range s.sites {
+			s.send(o.from, int32(i), m)
+		}
+		return
+	}
+	q := &s.ring
+	for i := range s.sites {
+		if q.n == len(q.buf) {
+			q.grow()
+		}
+		e := &q.buf[(q.head+q.n)&(len(q.buf)-1)]
+		q.n++
+		e.to = int32(i)
+		e.msg = m
 	}
 }

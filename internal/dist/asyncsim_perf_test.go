@@ -70,6 +70,33 @@ func feedBatched(sim *dist.AsyncSim, st stream.Stream, buf []stream.Update, n in
 	return calls
 }
 
+// TestNewSimAllocs pins what building the synchronous runtime costs, in
+// allocations rather than time: the runtime, the coordinator outbox, the
+// site outbox slice and one outbox per site. The lane builds no network
+// state, and the ingest slots wait for the first feed.
+func TestNewSimAllocs(t *testing.T) {
+	coord, sites := track.NewDeterministic(8, 0.1)
+	if a := testing.AllocsPerRun(100, func() { dist.NewSim(coord, sites) }); a != 11 {
+		t.Fatalf("NewSim over 8 sites allocated %v objects, want 11", a)
+	}
+}
+
+// TestNewAsyncSimAllocs pins a fault-model deployment's construction, the
+// tracker included as the benchmark builds it per chunk: at most 46
+// allocations for NewDeterministic(8) and NewAsyncSim under faultModel.
+func TestNewAsyncSimAllocs(t *testing.T) {
+	model, err := dist.ParseNetModel(faultModel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		coord, sites := track.NewDeterministic(8, 0.1)
+		dist.NewAsyncSim(coord, sites, model, 11)
+	}); a > 46 {
+		t.Fatalf("NewDeterministic(8) and NewAsyncSim under %q allocated %v objects, want at most 46", faultModel, a)
+	}
+}
+
 // TestAsyncSimStepBatchZeroAlloc pins the allocation-free steady state of
 // AsyncSim's batched path under loss, retransmission and heartbeats, on
 // each benchmark input. Once warm, the scheduler queue recycles its slab

@@ -10,12 +10,14 @@ import (
 	"repro/internal/track"
 )
 
-// runAsyncRecorded drives updates through a fresh tracker on AsyncSim,
-// capturing the transcript and the estimate after every Step — the async
-// mirror of runRecorded in batch_test.go.
+// runAsyncRecorded drives updates through a fresh tracker on AsyncSim's
+// event queue, under the zero model too, capturing the transcript and the
+// estimate after every Step — the queue's mirror of runRecorded in
+// batch_test.go.
 func runAsyncRecorded(coord dist.CoordAlgo, sites []dist.SiteAlgo, model dist.NetModel,
 	seed uint64, ups []stream.Update) ([]dist.TranscriptEntry, []int64, dist.Stats) {
 	sim := dist.NewAsyncSim(coord, sites, model, seed)
+	sim.LeaveLane()
 	var transcript []dist.TranscriptEntry
 	sim.Recorder = func(e dist.TranscriptEntry) { transcript = append(transcript, e) }
 	ests := make([]int64, len(ups))
@@ -28,9 +30,9 @@ func runAsyncRecorded(coord dist.CoordAlgo, sites []dist.SiteAlgo, model dist.Ne
 }
 
 // TestAsyncSimZeroFaultByteIdentical is the property anchoring the async
-// subsystem: under the zero NetModel, AsyncSim must reproduce Sim's
-// transcripts, per-step estimates, and stats byte for byte, for every
-// tracker family and assignment pattern.
+// subsystem: under the zero NetModel, the event queue must reproduce the
+// lane's (Sim's) transcripts, per-step estimates, and stats byte for byte,
+// for every tracker family and assignment pattern.
 func TestAsyncSimZeroFaultByteIdentical(t *testing.T) {
 	const k, n = 5, 30_000
 	streams := map[string]func() stream.Stream{
@@ -69,6 +71,64 @@ func TestAsyncSimZeroFaultByteIdentical(t *testing.T) {
 				t.Fatalf("%s/%s: transcripts diverge (%d vs %d entries)",
 					sname, bname, len(gotTr), len(wantTr))
 			}
+		}
+	}
+}
+
+// TestLaneSwitchOff pins the lane's one transition. Under the zero model a
+// runtime stays on its lane until the first Schedule* call, which leaves
+// it for good; a run that leaves it mid-stream, with a partition and
+// rejoin scheduled there, must match a run on the event queue throughout,
+// byte for byte: transcript, the estimate after every StepBatch call, and
+// Stats. The det sites take the quiet path, whose budgets must not
+// survive the switch.
+func TestLaneSwitchOff(t *testing.T) {
+	const k, n, batch = 4, 20_000, 64
+	ups := stream.Collect(stream.NewAssign(stream.BiasedWalk(n, 0.2, 13), stream.NewSkewed(k, 1.2, 14)))
+	builders := map[string]func() (dist.CoordAlgo, []dist.SiteAlgo){
+		"det":  func() (dist.CoordAlgo, []dist.SiteAlgo) { return track.NewDeterministic(k, 0.1) },
+		"rand": func() (dist.CoordAlgo, []dist.SiteAlgo) { return track.NewRandomized(k, 0.1, 9) },
+	}
+	type run struct {
+		tr    []dist.TranscriptEntry
+		ests  []int64
+		stats dist.Stats
+	}
+	for name, build := range builders {
+		drive := func(lane bool) run {
+			var r run
+			sim := dist.NewSim(build())
+			if !lane {
+				sim.LeaveLane()
+			}
+			sim.Recorder = func(e dist.TranscriptEntry) { r.tr = append(r.tr, e) }
+			scheduled := false
+			for i := 0; i < n; {
+				if sim.OnLane() != (lane && !scheduled) {
+					t.Fatalf("%s: on the lane %v before update %d", name, sim.OnLane(), i)
+				}
+				if i >= n/2 && !scheduled {
+					scheduled = true
+					sim.ScheduleDown(2, sim.Now()+1)
+					sim.ScheduleUp(2, sim.Now()+500)
+				}
+				c, _ := sim.StepBatch(ups[i:min(n, i+batch)])
+				i += c
+				r.ests = append(r.ests, sim.Estimate())
+			}
+			sim.Flush()
+			r.stats = sim.Stats()
+			return r
+		}
+		want, got := drive(false), drive(true)
+		if got.stats != want.stats {
+			t.Fatalf("%s: stats %+v, want %+v", name, got.stats, want.stats)
+		}
+		if !reflect.DeepEqual(got.ests, want.ests) {
+			t.Fatalf("%s: estimates diverge", name)
+		}
+		if !reflect.DeepEqual(got.tr, want.tr) {
+			t.Fatalf("%s: transcripts diverge (%d vs %d entries)", name, len(got.tr), len(want.tr))
 		}
 	}
 }

@@ -83,8 +83,8 @@ func (s *AsyncSim) ScheduleTakeover(site int, at int64, algo SiteAlgo) {
 	if algo == nil {
 		panic("dist: ScheduleTakeover needs a site algorithm")
 	}
-	s.replacement[site] = algo
 	s.schedule(evTakeover, int32(site), at)
+	s.replacement[site] = algo
 }
 
 // WithSite runs fn on site's current algorithm; between events every
@@ -109,15 +109,15 @@ func (s *AsyncSim) ScheduleCoordTakeover(at int64, algo CoordAlgo) {
 	if algo == nil {
 		panic("dist: ScheduleCoordTakeover needs a coordinator algorithm")
 	}
-	s.coordStandby = algo
 	s.schedule(evCoordTakeover, CoordID, at)
+	s.coordStandby = algo
 }
 
 // ReplaceCoord swaps the coordinator algorithm in place, with no protocol
-// traffic, no epoch change, and no crash required. It exists for the
-// snapshot property tests: the caller guarantees the replacement's state is
-// identical to the old algorithm's (track.RestoreCoord), so the swap is
-// unobservable.
+// traffic, no epoch change, and no crash required — ReplaceSite's
+// coordinator-side twin. It exists for the snapshot property tests: the
+// caller guarantees the replacement's state is identical to the old
+// algorithm's (track.RestoreCoord), so the swap is unobservable.
 func (s *AsyncSim) ReplaceCoord(algo CoordAlgo) { s.coord = algo }
 
 // CoordCrashed reports whether the coordinator slot is currently
@@ -125,13 +125,18 @@ func (s *AsyncSim) ReplaceCoord(algo CoordAlgo) { s.coord = algo }
 func (s *AsyncSim) CoordCrashed() bool { return s.coordCrashed }
 
 // Crashed reports whether site's slot is currently crash-faulted.
-func (s *AsyncSim) Crashed(site int) bool { return s.live.slots[site].ended }
+func (s *AsyncSim) Crashed(site int) bool { return !s.onLane() && s.live.slots[site].ended }
 
 // Suspected reports the failure detector's current verdict on site.
-func (s *AsyncSim) Suspected(site int) bool { return s.live.slots[site].dead }
+func (s *AsyncSim) Suspected(site int) bool { return !s.onLane() && s.live.slots[site].dead }
 
 // BacklogLen returns the number of updates queued for a dead slot.
-func (s *AsyncSim) BacklogLen(site int) int { return len(s.backlog[site]) }
+func (s *AsyncSim) BacklogLen(site int) int {
+	if s.onLane() {
+		return 0
+	}
+	return len(s.backlog[site])
+}
 
 func (s *AsyncSim) processCrash(e *event) {
 	site := int(e.to)
@@ -139,7 +144,7 @@ func (s *AsyncSim) processCrash(e *event) {
 		return
 	}
 	s.live.ended(site)
-	s.slots[site].held, s.mode = true, ingestUnprobed // see heldSite
+	s.hold(site)
 	s.bumpEpoch(site)
 	s.live.emit(EvSiteCrash, e.to, int64(s.epoch[site]), 0)
 }

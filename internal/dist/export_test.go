@@ -17,5 +17,22 @@ const KindHello = kindHello
 // false until the first StepBatch call.
 func (c *ingest) QuietMode() bool { return c.mode == ingestQuiet }
 
-// EventsPopped returns how many scheduler events have been processed so far.
-func (s *AsyncSim) EventsPopped() uint64 { return s.queue.popped() }
+// EventsPopped returns how many scheduler events have been processed so
+// far, each lane delivery counting as one.
+func (s *AsyncSim) EventsPopped() uint64 {
+	if s.onLane() {
+		return uint64(s.stats.Total())
+	}
+	return s.queue.popped()
+}
+
+// LeaveLane builds s's network state, so that it delivers through its
+// event queue from here on, under the zero model too.
+func (s *AsyncSim) LeaveLane() {
+	if s.onLane() {
+		s.buildNetwork()
+	}
+}
+
+// OnLane reports whether s still delivers on its lane.
+func (s *AsyncSim) OnLane() bool { return s.onLane() }

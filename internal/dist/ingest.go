@@ -2,15 +2,15 @@ package dist
 
 import "repro/internal/stream"
 
-// ingest is the site-ingest core Sim and AsyncSim share. Each runtime
-// keeps only its own rules: how far one feed may reach, the token that
-// says when quiet budgets go stale, and the network the captured sends
-// then travel through.
+// ingest is AsyncSim's site-ingest core, on the lane and on the event
+// queue alike. The runtime keeps its own rules: how far one feed may
+// reach, the token that says when quiet budgets go stale, and the network
+// the captured sends then travel through.
 type ingest struct {
 	sites []SiteAlgo
-	// slots is each site's fast-path state. The first feed (probe) asserts
-	// its capabilities, so building a deployment costs no type assertions;
-	// ReplaceSite makes the next feed assert them again.
+	// slots is each site's fast-path state. The first feed (probe) builds
+	// it and asserts the sites' capabilities, so building a deployment
+	// costs neither; ReplaceSite makes the next feed assert them again.
 	slots []ingestSlot
 	fed   []SiteAlgo // what a feed calls: the site, or a heldSite
 	mode  ingestMode
@@ -19,8 +19,8 @@ type ingest struct {
 	synced  int64
 	touched []int   // sites with absorbed updates pending in a quiet pass
 	out     capture // what the fed sites sent
-	// backlog holds the updates of held slots (AsyncSim's crashed sites)
-	// for replay into their next incarnation.
+	// backlog holds the updates of held slots (crashed sites) for replay
+	// into their next incarnation; the runtime builds it with its network.
 	backlog backlog
 }
 
@@ -109,6 +109,15 @@ func (c *ingest) probe() {
 	}
 }
 
+// hold marks site's slot dead: the next feed probes a heldSite into it.
+// The slots may not exist yet, since no feed may have run.
+func (c *ingest) hold(site int) {
+	if c.slots == nil {
+		c.slots = make([]ingestSlot, len(c.sites))
+	}
+	c.slots[site].held, c.mode = true, ingestUnprobed
+}
+
 // ReplaceSite swaps site's algorithm in place with no protocol traffic,
 // for the snapshot property tests: the caller guarantees the replacement's
 // state is identical to the old algorithm's (track.RestoreSite), so the
@@ -118,12 +127,12 @@ func (c *ingest) ReplaceSite(site int, algo SiteAlgo) {
 	c.mode = ingestUnprobed
 }
 
-// step is AsyncSim's per-update path: u goes to its site with the
-// runtime's outbox, or to the backlog when its slot is held.
+// step is the per-update path: u goes to its site with the runtime's
+// outbox, or to the backlog when its slot is held.
 //
 //varlint:zeroalloc
 func (c *ingest) step(u stream.Update, out Outbox) {
-	if c.slots[u.Site].held {
+	if c.slots != nil && c.slots[u.Site].held {
 		c.backlog.hold(u)
 		return
 	}

@@ -13,9 +13,10 @@ import (
 // in flight while four updates land).
 //
 // The zero value is the perfect network: zero latency, no jitter, strict
-// per-link FIFO, no loss. Under it AsyncSim reproduces Sim's transcripts,
-// stats, and per-step estimates byte for byte — the property test anchoring
-// the subsystem.
+// per-link FIFO, no loss — the synchronous model. Under it AsyncSim
+// delivers on its lane, and its event queue reproduces the lane's
+// transcripts, stats, and per-step estimates byte for byte — the property
+// test anchoring the subsystem.
 //
 // Every duration is capped at 2^32 ticks (maxTicks), so the clock arithmetic
 // now + RTO + Latency + Jitter cannot wrap, and neither can an arrival tick
@@ -66,6 +67,13 @@ func (m NetModel) Gap() int64 {
 		return 1
 	}
 	return m.UpdateGap
+}
+
+// instant reports whether every message lands at its send tick and none is
+// lost, with no beacon running: the synchronous model, in which AsyncSim
+// takes its lane. UpdateGap only scales the clock.
+func (m NetModel) instant() bool {
+	return m.Latency == 0 && m.Jitter == 0 && m.Reorder == 0 && m.Drop == 0 && m.HeartbeatEvery == 0
 }
 
 // maxTicks caps every NetModel duration; see NetModel.

@@ -11,8 +11,8 @@ import (
 	"repro/internal/track"
 )
 
-// quietRuntime is the surface the quiet identity test drives: Sim and
-// AsyncSim alike.
+// quietRuntime is the surface the quiet identity test drives: the lane and
+// the event queue alike.
 type quietRuntime interface {
 	Step(stream.Update)
 	StepBatch([]stream.Update) (int, bool)
@@ -24,7 +24,7 @@ type quietRuntime interface {
 
 // quietEnv is one fresh deployment under test: the runtime, its recorded
 // transcript, a counter that moves in any step that does more than feed a
-// site (deliveries on Sim, processed events on AsyncSim), the mid-stream
+// site (deliveries on the lane, processed events on the queue), the mid-stream
 // actions keyed by the index of the update they run before, and what to do
 // after the last update.
 type quietEnv struct {
@@ -86,13 +86,14 @@ func newQuietSim(t *testing.T, build quietBuild, cut int) quietEnv {
 	}
 }
 
-// newQuietAsync deploys build on AsyncSim under model with four faults
-// mid-stream: site 1 crashes and a warm replacement takes over, its backlog
-// replayed; site 3 is partitioned and rejoins; site 2 is spliced at cut; the
-// coordinator crashes and a warm standby takes over.
+// newQuietAsync deploys build on AsyncSim's event queue under model with
+// four faults mid-stream: site 1 crashes and a warm replacement takes
+// over, its backlog replayed; site 3 is partitioned and rejoins; site 2 is
+// spliced at cut; the coordinator crashes and a warm standby takes over.
 func newQuietAsync(t *testing.T, build quietBuild, model dist.NetModel, cut int) quietEnv {
 	coord, sites := build()
 	sim := dist.NewAsyncSim(coord, sites, model, 7)
+	sim.LeaveLane()
 	var transcript []dist.TranscriptEntry
 	sim.Recorder = func(e dist.TranscriptEntry) { transcript = append(transcript, e) }
 	const outage = 600 // past the detector's verdict under faultModel
@@ -149,8 +150,8 @@ func newQuietAsync(t *testing.T, build quietBuild, model dist.NetModel, cut int)
 // quiet pass). Calls shorter than four updates per site take the run path
 // even over quiet sites, so batch sizes 1 and 7 pin that switch too.
 //
-// The asyncsim cases run the same check on AsyncSim under the zero model
-// and under faultModel, with a site crash and warm takeover (a backlog
+// The asyncsim cases run the same check on AsyncSim's event queue under
+// the zero model and under faultModel, with a site crash and warm takeover (a backlog
 // replay), a partition and rejoin, and a coordinator crash and warm
 // takeover on top of the splice: a pass must stop at the next event's
 // tick, budgets must go stale after any event, a crashed slot's updates

@@ -1,21 +1,47 @@
 package dist
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/stream"
+)
+
+type nopSite struct{}
+
+func (nopSite) OnUpdate(stream.Update, Outbox) {}
+func (nopSite) OnMessage(Msg, Outbox)          {}
+
+type nopCoord struct{}
+
+func (nopCoord) OnMessage(Msg, Outbox) {}
+func (nopCoord) Estimate() int64       { return 0 }
+
+// laneRing returns a runtime on the lane whose coordinator outbox pushes
+// into its ring: SendTo is the one push path.
+func laneRing() *AsyncSim { return NewSim(nopCoord{}, []SiteAlgo{nopSite{}}) }
+
+// take releases and returns the ring's oldest envelope.
+func take(r *msgRing) envelope {
+	e := *r.peek()
+	r.drop()
+	return e
+}
 
 func TestMsgRingFIFOAndGrowth(t *testing.T) {
-	var r msgRing
+	s := laneRing()
+	r := &s.ring
 	// Interleave pushes and pops so head wraps around the backing array
 	// several times while the ring grows through multiple capacities.
 	next, expect := int64(0), int64(0)
 	push := func(k int) {
 		for i := 0; i < k; i++ {
-			*r.slot() = envelope{to: int32(next % 7), msg: Msg{A: next}}
+			s.coordOut.SendTo(int(next%7), Msg{A: next})
 			next++
 		}
 	}
 	pop := func(k int) {
 		for i := 0; i < k; i++ {
-			e := r.pop()
+			e := take(r)
 			if e.msg.A != expect || e.to != int32(expect%7) {
 				t.Fatalf("pop %d: got A=%d to=%d", expect, e.msg.A, e.to)
 			}
@@ -33,33 +59,24 @@ func TestMsgRingFIFOAndGrowth(t *testing.T) {
 	}
 }
 
-func TestMsgRingPopEmptyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("pop on empty ring did not panic")
-		}
-	}()
-	var r msgRing
-	r.pop()
-}
-
 func TestMsgRingSteadyStateReusesBuffer(t *testing.T) {
-	var r msgRing
+	s := laneRing()
+	r := &s.ring
 	for i := 0; i < 10; i++ {
-		*r.slot() = envelope{msg: Msg{A: int64(i)}}
+		s.coordOut.SendTo(0, Msg{A: int64(i)})
 	}
 	for r.n > 0 {
-		r.pop()
+		take(r)
 	}
 	base := &r.buf[0]
 	// A full cycle that stays within the high-water mark must not
 	// reallocate the backing array.
 	for round := 0; round < 50; round++ {
 		for i := 0; i < 10; i++ {
-			*r.slot() = envelope{msg: Msg{A: int64(i)}}
+			s.coordOut.SendTo(0, Msg{A: int64(i)})
 		}
 		for r.n > 0 {
-			r.pop()
+			take(r)
 		}
 	}
 	if &r.buf[0] != base {

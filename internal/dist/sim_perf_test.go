@@ -119,7 +119,7 @@ var simBenchCases = []simBenchCase{
 // feedChunks drives seg through sim.StepBatch in slices of at most 1<<14
 // updates, as the benchmark's closed loop does between polls, and returns
 // the number of StepBatch calls.
-func feedChunks(sim *dist.Sim, seg []stream.Update) int64 {
+func feedChunks(sim *dist.AsyncSim, seg []stream.Update) int64 {
 	const chunk = 1 << 14
 	var calls int64
 	for i := 0; i < len(seg); {

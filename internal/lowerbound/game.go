@@ -9,7 +9,7 @@ import (
 // singleTrackerGame bundles the k = 1 deterministic tracker, its simulator,
 // and a transcript summary — the Alice side of the Index reductions.
 type singleTrackerGame struct {
-	sim     *dist.Sim
+	sim     *dist.AsyncSim
 	summary *TranscriptSummary
 	now     int64
 }

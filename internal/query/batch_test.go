@@ -12,8 +12,8 @@ import (
 // This file pins the engine's batch fast path (Site.OnUpdateBatch) against
 // the per-update reference: same transcript, same per-step estimates at
 // every batch boundary, same aggregate and per-query Stats — on Sim, on
-// zero-fault AsyncSim, and under the four fault models, with mid-stream
-// attach/detach landing inside a batch boundary. The skewed site
+// zero-fault AsyncSim's event queue, and under three fault models, with
+// mid-stream attach/detach landing inside a batch boundary. The skewed site
 // assignment matters: round-robin interleaves sites into runs of length
 // one, which bypasses the batch machinery entirely, so without it these
 // tests would pass vacuously.
@@ -44,16 +44,6 @@ func specsForQ(q int, seed uint64) []query.Spec {
 	return all[:q]
 }
 
-// batchRunner abstracts the two runtimes for the batched drive.
-type batchRunner interface {
-	StepBatch(us []stream.Update) (int, bool)
-	Step(u stream.Update)
-	Inject(fn func(dist.Outbox))
-	Stats() dist.Stats
-	ClassStats() []dist.Stats
-	Estimate() int64
-}
-
 // control is a coordinator action injected after a given update count.
 type control struct {
 	after int64
@@ -62,7 +52,7 @@ type control struct {
 
 // driveRef drives ups one Step at a time, firing controls at their exact
 // positions and recording the per-step estimate of query 0.
-func driveRef(sim batchRunner, eng *query.Coord, ups []stream.Update, ctrls []control) []int64 {
+func driveRef(sim *dist.AsyncSim, eng *query.Coord, ups []stream.Update, ctrls []control) []int64 {
 	ests := make([]int64, len(ups))
 	for i, u := range ups {
 		sim.Step(u)
@@ -82,7 +72,7 @@ func driveRef(sim batchRunner, eng *query.Coord, ups []stream.Update, ctrls []co
 // an attach or detach lands inside what would otherwise be one batch), and
 // checks the estimate at every consumed-prefix boundary against the
 // reference per-step estimates.
-func driveBatched(t *testing.T, sim batchRunner, eng *query.Coord, ups []stream.Update,
+func driveBatched(t *testing.T, sim *dist.AsyncSim, eng *query.Coord, ups []stream.Update,
 	ctrls []control, bs int, refEst []int64, label string) {
 	t.Helper()
 	i := 0
@@ -114,22 +104,14 @@ func driveBatched(t *testing.T, sim batchRunner, eng *query.Coord, ups []stream.
 	}
 }
 
-// record wires a transcript recorder into a Sim or AsyncSim.
-func record(sim batchRunner, tr *[]dist.TranscriptEntry) {
-	switch s := sim.(type) {
-	case *dist.Sim:
-		s.Recorder = func(e dist.TranscriptEntry) { *tr = append(*tr, e) }
-	case *dist.AsyncSim:
-		s.Recorder = func(e dist.TranscriptEntry) { *tr = append(*tr, e) }
-	}
-}
-
 // TestEngineBatchByteIdentical is the batch↔per-update property for the
-// engine: for Q ∈ {1, 3, 8}, batch sizes 1/7/64/256, on Sim, zero-fault
-// AsyncSim, and the four fault models, with an attach landing at n/3 and a
-// detach at 2n/3 (both inside a batch boundary for the larger sizes), the
-// batched drive must produce the identical transcript, Stats, per-query
-// Stats, and per-boundary estimates as the per-update drive.
+// engine: for Q ∈ {1, 3, 8}, batch sizes 1/7/64/256, on Sim (the lane),
+// on the event queue under the zero model, and under three fault models,
+// with an attach landing at n/3 and a detach at 2n/3 (both inside a batch
+// boundary for the larger sizes), the batched drive must produce the
+// identical transcript, Stats, per-query Stats, and per-boundary estimates
+// as the per-update drive. Under the zero model the per-update drive on
+// the event queue must also match the lane's byte for byte.
 func TestEngineBatchByteIdentical(t *testing.T) {
 	const k, n = 4, 12_000
 	models := []dist.NetModel{
@@ -154,10 +136,10 @@ func TestEngineBatchByteIdentical(t *testing.T) {
 
 	type build struct {
 		name string
-		mk   func(coord dist.CoordAlgo, sites []dist.SiteAlgo, cl dist.Classifier) batchRunner
+		mk   func(coord dist.CoordAlgo, sites []dist.SiteAlgo, cl dist.Classifier) *dist.AsyncSim
 	}
 	builds := []build{
-		{"sim", func(coord dist.CoordAlgo, sites []dist.SiteAlgo, cl dist.Classifier) batchRunner {
+		{"sim", func(coord dist.CoordAlgo, sites []dist.SiteAlgo, cl dist.Classifier) *dist.AsyncSim {
 			s := dist.NewSim(coord, sites)
 			s.SetClassifier(cl)
 			return s
@@ -165,30 +147,47 @@ func TestEngineBatchByteIdentical(t *testing.T) {
 	}
 	for mi, model := range models {
 		model := model
-		name := "async0"
-		if mi > 0 {
-			name = "async" + string(rune('0'+mi))
-		}
-		builds = append(builds, build{name, func(coord dist.CoordAlgo, sites []dist.SiteAlgo, cl dist.Classifier) batchRunner {
+		name := "async" + string(rune('0'+mi))
+		builds = append(builds, build{name, func(coord dist.CoordAlgo, sites []dist.SiteAlgo, cl dist.Classifier) *dist.AsyncSim {
 			s := dist.NewAsyncSim(coord, sites, model, 91)
 			s.SetClassifier(cl)
+			if mi == 0 {
+				onQueue(s, coord)
+			}
 			return s
 		}})
 	}
 
+	// run is one drive's observable outcome.
+	type run struct {
+		tr    []dist.TranscriptEntry
+		ests  []int64
+		stats dist.Stats
+		class []dist.Stats
+	}
 	for _, q := range []int{1, 3, 8} {
 		specs := specsForQ(q, 7)
+		var lane run
 		for _, b := range builds {
 			// Per-update reference.
 			eng, esites, err := query.New(k, specs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var wantTr []dist.TranscriptEntry
+			var want run
 			ref := b.mk(eng, esites, eng)
-			record(ref, &wantTr)
-			wantEst := driveRef(ref, eng, ups, ctrls)
-			wantStats, wantClass := ref.Stats(), ref.ClassStats()
+			ref.Recorder = func(e dist.TranscriptEntry) { want.tr = append(want.tr, e) }
+			want.ests = driveRef(ref, eng, ups, ctrls)
+			want.stats, want.class = ref.Stats(), ref.ClassStats()
+			// The zero model's event queue against the lane.
+			switch b.name {
+			case "sim":
+				lane = want
+			case "async0":
+				if !reflect.DeepEqual(want, lane) {
+					t.Fatalf("Q=%d: the event queue under the zero model diverges from the lane", q)
+				}
+			}
 
 			for _, bs := range []int{1, 7, 64, 256} {
 				eng2, esites2, err := query.New(k, specs)
@@ -197,18 +196,17 @@ func TestEngineBatchByteIdentical(t *testing.T) {
 				}
 				var gotTr []dist.TranscriptEntry
 				sim := b.mk(eng2, esites2, eng2)
-				record(sim, &gotTr)
-				label := b.name
-				driveBatched(t, sim, eng2, ups, ctrls, bs, wantEst, label)
-				if got := sim.Stats(); got != wantStats {
-					t.Fatalf("Q=%d %s bs=%d: stats %+v, want %+v", q, b.name, bs, got, wantStats)
+				sim.Recorder = func(e dist.TranscriptEntry) { gotTr = append(gotTr, e) }
+				driveBatched(t, sim, eng2, ups, ctrls, bs, want.ests, b.name)
+				if got := sim.Stats(); got != want.stats {
+					t.Fatalf("Q=%d %s bs=%d: stats %+v, want %+v", q, b.name, bs, got, want.stats)
 				}
-				if got := sim.ClassStats(); !reflect.DeepEqual(got, wantClass) {
-					t.Fatalf("Q=%d %s bs=%d: per-query stats %+v, want %+v", q, b.name, bs, got, wantClass)
+				if got := sim.ClassStats(); !reflect.DeepEqual(got, want.class) {
+					t.Fatalf("Q=%d %s bs=%d: per-query stats %+v, want %+v", q, b.name, bs, got, want.class)
 				}
-				if !reflect.DeepEqual(gotTr, wantTr) {
+				if !reflect.DeepEqual(gotTr, want.tr) {
 					t.Fatalf("Q=%d %s bs=%d: transcripts diverge (%d vs %d entries)",
-						q, b.name, bs, len(gotTr), len(wantTr))
+						q, b.name, bs, len(gotTr), len(want.tr))
 				}
 			}
 		}

@@ -39,10 +39,18 @@ func runSim(coord dist.CoordAlgo, sites []dist.SiteAlgo, cl dist.Classifier,
 	return tr, ests, sim.Stats(), sim.ClassStats()
 }
 
-// runAsyncZero is runSim on a zero-fault AsyncSim.
+// onQueue takes sim off its lane with a schedule that changes nothing (a
+// standby for a coordinator that never crashes), so it delivers through
+// its event queue even under the zero model.
+func onQueue(sim *dist.AsyncSim, coord dist.CoordAlgo) {
+	sim.ScheduleCoordTakeover(0, coord)
+}
+
+// runAsyncZero is runSim on a zero-fault AsyncSim's event queue.
 func runAsyncZero(coord dist.CoordAlgo, sites []dist.SiteAlgo, cl dist.Classifier,
 	ups []stream.Update) ([]dist.TranscriptEntry, []int64, dist.Stats, []dist.Stats) {
 	sim := dist.NewAsyncSim(coord, sites, dist.NetModel{}, 1)
+	onQueue(sim, coord)
 	if cl != nil {
 		sim.SetClassifier(cl)
 	}
@@ -77,7 +85,9 @@ func standalone(k int, spec query.Spec) (dist.CoordAlgo, []dist.SiteAlgo) {
 // engine: with a single query the engine's transcript, per-step estimates,
 // aggregate stats, AND the per-query stats view must be byte-identical to
 // running the child tracker standalone — on Sim and on zero-fault
-// AsyncSim, across det, rand, and freq.
+// AsyncSim, across det, rand, and freq. The two runtimes take different
+// paths, Sim its lane and the AsyncSim its event queue, so every run must
+// also match the standalone tracker on the lane.
 func TestEngineQ1ByteIdentical(t *testing.T) {
 	const k, n = 5, 20_000
 	ups := itemStream(n, k, 7)
@@ -92,28 +102,37 @@ func TestEngineQ1ByteIdentical(t *testing.T) {
 		"async": runAsyncZero,
 	}
 	for _, spec := range specs {
+		coord, sites := standalone(k, spec)
+		wantTr, wantEst, wantStats, _ := runSim(coord, sites, nil, ups)
 		for rname, run := range runtimes {
-			coord, sites := standalone(k, spec)
-			wantTr, wantEst, wantStats, _ := run(coord, sites, nil, ups)
-
-			eng, esites, err := query.New(k, []query.Spec{spec})
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotTr, gotEst, gotStats, classStats := run(eng, esites, eng, ups)
-
-			if gotStats != wantStats {
-				t.Fatalf("%s/%s: aggregate stats %+v, want %+v", spec.Algo, rname, gotStats, wantStats)
-			}
-			if len(classStats) != 1 || classStats[0] != wantStats {
-				t.Fatalf("%s/%s: per-query stats %+v, want [%+v]", spec.Algo, rname, classStats, wantStats)
-			}
-			if !reflect.DeepEqual(gotEst, wantEst) {
-				t.Fatalf("%s/%s: per-step estimates diverge", spec.Algo, rname)
-			}
-			if !reflect.DeepEqual(gotTr, wantTr) {
-				t.Fatalf("%s/%s: transcripts diverge (%d vs %d entries)",
-					spec.Algo, rname, len(gotTr), len(wantTr))
+			for _, engine := range []bool{false, true} {
+				var gotTr []dist.TranscriptEntry
+				var gotEst []int64
+				var gotStats dist.Stats
+				if engine {
+					eng, esites, err := query.New(k, []query.Spec{spec})
+					if err != nil {
+						t.Fatal(err)
+					}
+					var classStats []dist.Stats
+					gotTr, gotEst, gotStats, classStats = run(eng, esites, eng, ups)
+					if len(classStats) != 1 || classStats[0] != wantStats {
+						t.Fatalf("%s/%s: per-query stats %+v, want [%+v]", spec.Algo, rname, classStats, wantStats)
+					}
+				} else {
+					coord, sites := standalone(k, spec)
+					gotTr, gotEst, gotStats, _ = run(coord, sites, nil, ups)
+				}
+				if gotStats != wantStats {
+					t.Fatalf("%s/%s engine=%v: aggregate stats %+v, want %+v", spec.Algo, rname, engine, gotStats, wantStats)
+				}
+				if !reflect.DeepEqual(gotEst, wantEst) {
+					t.Fatalf("%s/%s engine=%v: per-step estimates diverge", spec.Algo, rname, engine)
+				}
+				if !reflect.DeepEqual(gotTr, wantTr) {
+					t.Fatalf("%s/%s engine=%v: transcripts diverge (%d vs %d entries)",
+						spec.Algo, rname, engine, len(gotTr), len(wantTr))
+				}
 			}
 		}
 	}

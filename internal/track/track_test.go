@@ -218,7 +218,7 @@ func TestPartitionBlockMessages(t *testing.T) {
 
 // recordNewBlocks makes sim's Recorder keep one copy (site 0's) of every
 // block broadcast: A is the new block's exponent r, B is f(n_j).
-func recordNewBlocks(sim *dist.Sim) *[]dist.Msg {
+func recordNewBlocks(sim *dist.AsyncSim) *[]dist.Msg {
 	var blocks []dist.Msg
 	sim.Recorder = func(e dist.TranscriptEntry) {
 		if e.Msg.Kind == dist.KindNewBlock && e.To == 0 {
