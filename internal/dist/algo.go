@@ -2,8 +2,8 @@ package dist
 
 import "repro/internal/stream"
 
-// Outbox is how an algorithm emits messages. The runtime (Sim or the TCP
-// transport) routes them through the star topology.
+// Outbox is how an algorithm emits messages. The runtime (AsyncSim or the
+// TCP transport) routes them through the star topology.
 type Outbox interface {
 	// Send delivers to the node's peer: the coordinator when called at a
 	// site, every site (a broadcast) when called at the coordinator.

@@ -19,11 +19,10 @@ import (
 // Under the zero NetModel every delivery lands at its send tick and events
 // pop in send (FIFO) order: the synchronous model, in which each Step
 // delivers everything its update triggers before it returns. There the
-// runtime takes the lane: while the model has no latency, jitter, reorder,
-// loss or heartbeat and nothing has been scheduled, sends go into a FIFO
-// ring and are delivered at the current tick, in the order the event queue
-// would pop them, and the network state is never built. The first
-// Schedule* call leaves the lane for good. NewSim is this runtime under
+// runtime takes the lane: while nothing has been scheduled, sends go into
+// a FIFO ring and are delivered at the current tick, in the order the
+// event queue would pop them, and the network state is never built. The
+// first Schedule* call leaves the lane for good. NewSim is this runtime under
 // the zero model. TestAsyncSimZeroFaultByteIdentical pins the lane against
 // the event queue: transcripts, Stats and per-step estimates are
 // byte-identical across every algorithm pair.
@@ -56,24 +55,22 @@ type AsyncSim struct {
 	// backlog.
 	ingest
 	coord CoordAlgo
-	model NetModel
-	seed  uint64
 	// ring is the lane's delivery queue, empty between calls.
 	ring msgRing
-	// network is the event queue and fault state: &idleNet, which nothing
-	// writes, while the runtime is on the lane.
+	// network is the model and the event queue and fault state: &idleNet,
+	// the zero model's, which nothing writes, while the runtime is on the
+	// lane.
 	*network
-	// closing stops the self-rescheduling beacon rounds so Flush
-	// terminates.
-	closing bool
 
 	coordOut *asyncOutbox
 	siteOut  []*asyncOutbox
 }
 
-// network is the state the event queue delivers through: the queue, the
-// model's RNG, the link floors and partitions, and the crash-fault state.
+// network is the state the event queue delivers through: the model, the
+// queue, the model's RNG, the link floors and partitions, and the
+// crash-fault state.
 type network struct {
+	model NetModel
 	queue eventQueue
 	src   rng.Xoshiro256
 	// dropT is rng.Threshold(model.Drop): an attempt is lost when
@@ -96,12 +93,14 @@ type network struct {
 	// the members that changed incarnation since. A dead slot is held in
 	// ingest, whose backlog is its durable local update queue, replayed
 	// into the replacement at takeover; replacement holds the algorithm a
-	// ScheduleTakeover will splice in.
+	// ScheduleTakeover will splice in; closing stops the self-rescheduling
+	// beacon rounds so Flush terminates.
 	live        liveness
 	epoch       []uint32
 	incarnation uint32
 	epochAt     []uint32
 	replacement []SiteAlgo
+	closing     bool
 
 	// Coordinator crash-fault state, mirroring the per-site fields above:
 	// coordCrashed marks the coordinator process dead, coordEpoch is the
@@ -117,8 +116,8 @@ type network struct {
 	coordStandby CoordAlgo
 }
 
-// idleNet is the network a runtime on the lane reads: an empty queue whose
-// earliest tick is never due. Nothing writes it.
+// idleNet is the network a runtime on the lane reads: the zero model and
+// an empty queue whose earliest tick is never due. Nothing writes it.
 var idleNet = network{queue: eventQueue{top: math.MaxInt64}}
 
 // eventKind discriminates scheduler events.
@@ -169,8 +168,8 @@ type event struct {
 // NewAsyncSim builds the simulator over a coordinator, its k site
 // algorithms, a network model, and the seed of the model's RNG (drawn only
 // for jitter, loss, and nothing else, in event order — so runs are
-// reproducible bit for bit). Under a model with no delay, loss or
-// heartbeat the runtime starts on the lane.
+// reproducible bit for bit). Under the zero model the runtime starts on
+// the lane.
 func NewAsyncSim(coord CoordAlgo, sites []SiteAlgo, model NetModel, seed uint64) *AsyncSim {
 	if coord == nil || len(sites) == 0 {
 		panic("dist: NewAsyncSim needs a coordinator and at least one site")
@@ -178,15 +177,14 @@ func NewAsyncSim(coord CoordAlgo, sites []SiteAlgo, model NetModel, seed uint64)
 	if err := model.check(); err != nil {
 		panic(err.Error())
 	}
-	s := &AsyncSim{coord: coord, model: model, seed: seed, network: &idleNet,
-		ingest: ingest{sites: sites}}
+	s := &AsyncSim{coord: coord, network: &idleNet, ingest: ingest{sites: sites}}
 	s.coordOut = &asyncOutbox{s: s, from: CoordID}
 	s.siteOut = make([]*asyncOutbox, len(sites))
 	for i := range sites {
 		s.siteOut[i] = &asyncOutbox{s: s, from: int32(i)}
 	}
-	if !model.instant() {
-		s.buildNetwork()
+	if model != (NetModel{}) {
+		s.buildNetwork(model, seed)
 	}
 	return s
 }
@@ -195,12 +193,13 @@ func NewAsyncSim(coord CoordAlgo, sites []SiteAlgo, model NetModel, seed uint64)
 func (s *AsyncSim) onLane() bool { return s.network == &idleNet }
 
 // buildNetwork leaves the lane for good: it builds the state the event
-// queue delivers through and starts the beacon rounds. The lane's ring is
-// empty between calls, so no message is in flight.
-func (s *AsyncSim) buildNetwork() {
-	k, model := len(s.sites), s.model
+// queue delivers through under model and starts the beacon rounds. The
+// lane's ring is empty between calls, so no message is in flight.
+func (s *AsyncSim) buildNetwork(model NetModel, seed uint64) {
+	k := len(s.sites)
 	n := &network{
-		src:         *rng.New(s.seed),
+		model:       model,
+		src:         *rng.New(seed),
 		dropT:       rng.Threshold(model.Drop),
 		linkAt:      make([]int64, 2*k),
 		down:        make([]bool, k),
@@ -322,6 +321,9 @@ func untilTick(us []stream.Update, gap, top int64) int {
 // sweeps stop so the loop terminates, and they do not restart if more
 // updates are driven.
 func (s *AsyncSim) Flush() {
+	if s.onLane() {
+		return // nothing is ever in flight between calls
+	}
 	s.closing = true
 	for s.queue.len() > 0 {
 		e := s.queue.pop()
@@ -394,10 +396,11 @@ func (s *AsyncSim) ScheduleUp(site int, at int64) {
 }
 
 // schedule pushes a bare event of kind for node to at tick at, leaving the
-// lane if the runtime is still on it.
+// lane if the runtime is still on it. The zero model draws nothing from
+// the RNG, so its seed is immaterial.
 func (s *AsyncSim) schedule(kind eventKind, to int32, at int64) {
 	if s.onLane() {
-		s.buildNetwork()
+		s.buildNetwork(NetModel{}, 0)
 	}
 	e := event{at: at, kind: kind, to: to}
 	s.pushEvent(&e)
@@ -554,7 +557,7 @@ func (s *AsyncSim) laneBatch(us []stream.Update) (consumed int, delivered bool) 
 	// so a subsequent Inject stamps its cascade with the same T the
 	// per-update loop would have.
 	last := us[n-1]
-	s.t, s.now = last.T, last.T*s.model.Gap()
+	s.t, s.now = last.T, last.T // the zero model's gap is 1
 	if len(s.out.msgs) == 0 {
 		return n, false
 	}

@@ -2,6 +2,7 @@ package dist_test
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/dist"
@@ -131,6 +132,38 @@ func TestLaneSwitchOff(t *testing.T) {
 			t.Fatalf("%s: transcripts diverge (%d vs %d entries)", name, len(got.tr), len(want.tr))
 		}
 	}
+}
+
+// TestLaneSharedIdleNetwork drives runtimes on their lanes from several
+// goroutines at once, with every query a runtime on its lane answers from
+// the shared idle network value; under -race it pins that nothing writes
+// that value. Each one then leaves its lane.
+func TestLaneSharedIdleNetwork(t *testing.T) {
+	const k, n = 4, 5_000
+	ups := stream.Collect(stream.NewAssign(stream.RandomWalk(n, 21), stream.NewRoundRobin(k)))
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sim := dist.NewSim(track.NewRandomized(k, 0.1, uint64(g)))
+			for i := 0; i < n; {
+				c, _ := sim.StepBatch(ups[i:min(n, i+64)])
+				i += c
+				if sim.Pending() != 0 || sim.Crashed(1) || sim.Suspected(1) || sim.CoordCrashed() || sim.BacklogLen(1) != 0 {
+					t.Error("a runtime on its lane reports network state")
+					return
+				}
+			}
+			sim.Flush()
+			sim.ScheduleCrash(1, sim.Now()) // due before the next arrival
+			sim.Step(stream.Update{T: n + 1, Site: 1, Delta: 1})
+			if !sim.Crashed(1) || sim.BacklogLen(1) != 1 {
+				t.Error("a crash scheduled after the lane did not take effect")
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestAsyncSimDeterministic pins bit-for-bit reproducibility under heavy

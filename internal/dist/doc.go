@@ -1,8 +1,8 @@
 // Package dist is the distributed-monitoring runtime beneath every tracker
 // in this repository: the message contract, the algorithm interfaces, a
-// deterministic synchronous simulator, a fault-injecting asynchronous one,
-// and a real TCP transport. The same CoordAlgo/SiteAlgo pair runs
-// unchanged on every runtime.
+// deterministic simulator that runs the synchronous model and injects
+// faults, and a real TCP transport. The same CoordAlgo/SiteAlgo pair runs
+// unchanged on both runtimes.
 //
 // # Model
 //
@@ -28,15 +28,20 @@
 // the coordinator; Send or Broadcast at the coordinator delivers to every
 // site; SendTo addresses one site.
 //
-// # Synchronous simulator
+// # Simulator
 //
-// Sim drives one update at a time: Step delivers the update to its site,
-// then drains the message queue to quiescence — every message triggered
-// (transitively) by the update is delivered, in FIFO order, before Step
-// returns. This realizes the paper's synchronous model in which the
-// per-step guarantee |f(n) − f̂(n)| ≤ ε·|f(n)| is stated. Sim counts every
-// delivered message in Stats and exposes a Recorder hook that observes the
-// full transcript — the appendix-D replay construction
+// AsyncSim is a discrete-event scheduler on a virtual clock; a NetModel
+// shapes each delivery's latency, order and loss, and Schedule* calls
+// inject partitions and crash faults. NewSim builds it under the zero
+// model, the synchronous one: Step delivers the update to its site, then
+// every message triggered (transitively) by the update is delivered, in
+// FIFO order, before Step returns. This realizes the paper's synchronous
+// model in which the per-step guarantee |f(n) − f̂(n)| ≤ ε·|f(n)| is
+// stated. There the runtime delivers on its lane, a ring buffer, until the
+// first Schedule* call builds the event queue; both paths share one
+// delivery, and the queue reproduces the lane byte for byte. The runtime
+// counts every delivered message in Stats and exposes a Recorder hook that
+// observes the full transcript — the appendix-D replay construction
 // (lowerbound.TranscriptSummary) is built on it.
 //
 // # TCP transport

@@ -1,7 +1,7 @@
 package dist
 
-// Protocol event tracing. An EventSink installed on a runtime (Sim.Events,
-// AsyncSim.Events, Coordinator.SetEventSink) observes the protocol's
+// Protocol event tracing. An EventSink installed on a runtime
+// (AsyncSim.Events, Coordinator.SetEventSink) observes the protocol's
 // control plane as a stream of structured Events: block boundaries, state
 // collections, takeover handshakes, liveness verdicts, and losses. Report
 // kinds (drift, count, frequency, value) are deliberately not traced —
@@ -13,7 +13,7 @@ package dist
 // ledger.delivered, ledger.dropped, liveness.emit), and stamped with its
 // clock. The disabled path is free: each is a nil check on the sink, and
 // Events are passed by value, so with no sink installed the hot
-// paths stay zero-alloc (pinned by TestSimZeroAllocSteadyState and the
+// paths stay zero-alloc (pinned by TestSimStepZeroAllocTraced and the
 // varlint zeroalloc pass).
 
 // EventKind tags the protocol role of a traced Event.

@@ -30,7 +30,7 @@ func (s *AsyncSim) EventsPopped() uint64 {
 // event queue from here on, under the zero model too.
 func (s *AsyncSim) LeaveLane() {
 	if s.onLane() {
-		s.buildNetwork()
+		s.buildNetwork(NetModel{}, 0)
 	}
 }
 

@@ -69,13 +69,6 @@ func (m NetModel) Gap() int64 {
 	return m.UpdateGap
 }
 
-// instant reports whether every message lands at its send tick and none is
-// lost, with no beacon running: the synchronous model, in which AsyncSim
-// takes its lane. UpdateGap only scales the clock.
-func (m NetModel) instant() bool {
-	return m.Latency == 0 && m.Jitter == 0 && m.Reorder == 0 && m.Drop == 0 && m.HeartbeatEvery == 0
-}
-
 // maxTicks caps every NetModel duration; see NetModel.
 const maxTicks = 1 << 32
 

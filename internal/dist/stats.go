@@ -19,9 +19,9 @@ type Stats struct {
 
 	// The fault counters below are populated by AsyncSim, and — for Dropped
 	// only — by the TCP transport when failure detection is enabled and a
-	// message is addressed to a dead slot. Sim delivers every message
+	// message is addressed to a dead slot. The lane delivers every message
 	// immediately, so they stay zero there — which is exactly what the
-	// zero-fault AsyncSim equivalence property requires.
+	// zero-fault equivalence of the lane and the event queue requires.
 
 	// Dropped counts messages lost for good: every transmission attempt
 	// (1 + NetModel.Retrans of them) failed. Dropped messages appear in no
@@ -147,7 +147,7 @@ type ledger struct {
 	Events EventSink
 
 	// t and now stamp every event: the stream step of the latest arrived
-	// update and the runtime clock (Sim keeps now == t). wall, when
+	// update and the runtime clock (the virtual tick). wall, when
 	// non-nil, replaces now: the TCP coordinator stamps wall nanoseconds.
 	t, now int64
 	wall   func() int64

@@ -22,7 +22,7 @@ import (
 // countingSite wraps an engine site and counts entry calls — one per
 // OnUpdate or OnUpdateBatch invocation — the deterministic proxy for the
 // dispatch overhead the batch path amortizes. It forwards the batch
-// interface so Sim.StepBatch still sees a BatchSiteAlgo through the wrap.
+// interface so StepBatch still sees a BatchSiteAlgo through the wrap.
 type countingSite struct {
 	inner   dist.SiteAlgo
 	batch   dist.BatchSiteAlgo

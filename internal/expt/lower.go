@@ -169,7 +169,7 @@ func E18OverlapChain(cfg Config) *Table {
 
 // E19NetTransport runs the deterministic tracker over real TCP sockets on
 // loopback, in lockstep: after every update, NetCluster.Settle runs the
-// network to quiescence — the TCP analogue of Sim.Step's drain loop. That
+// network to quiescence — the TCP analogue of the lane's drain loop. That
 // makes the message set (and hence this table) deterministic, and lets the
 // experiment verify the strict per-step guarantee over real sockets rather
 // than only convergence at the end.

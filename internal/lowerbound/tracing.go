@@ -14,7 +14,7 @@ import (
 // bounds for tracing imply space+communication lower bounds for tracking.
 //
 // TranscriptSummary is that construction made concrete: hook it to a
-// dist.Sim, and it records every coordinator-bound message; Query(t)
+// dist.NewSim runtime, and it records every coordinator-bound message; Query(t)
 // replays the prefix through a fresh coordinator state machine and returns
 // its estimate. It doubles as a useful artifact — an auditable history of
 // the tracked function, the "historical queries" use case of section 1.
@@ -33,7 +33,7 @@ func NewTranscriptSummary(factory func() dist.CoordAlgo) *TranscriptSummary {
 	return &TranscriptSummary{factory: factory}
 }
 
-// Recorder returns the hook to install as dist.Sim.Recorder. Only messages
+// Recorder returns the hook to install as the runtime's Recorder. Only messages
 // delivered to the coordinator are retained: the coordinator's estimate is
 // a function of exactly that prefix.
 func (ts *TranscriptSummary) Recorder() func(dist.TranscriptEntry) {

@@ -1,7 +1,7 @@
 // Package query is the multi-tenant monitoring engine: it multiplexes Q
 // concurrent tracking queries — different aggregates, ε's, tracker
 // families, and item filters — over one shared site topology and one shared
-// runtime (dist.Sim, dist.AsyncSim, or the TCP transport), where the naive
+// runtime (dist.AsyncSim, its NewSim lane, or TCP), where the naive
 // deployment would run Q coordinators, Q×k sockets, and Q passes over the
 // stream.
 //

@@ -75,7 +75,7 @@ type BlockCoordSource interface {
 // the exact value after every step. The stream's updates must already carry
 // site assignments in [0, k).
 //
-// Run drives the batched ingest path, dist.Sim.RunBatch, which is
+// Run drives the batched ingest path, RunBatch on dist.NewSim, which is
 // byte-identical to a per-update Step loop. The per-step error check still
 // runs for every update — across a message-free run the coordinator state
 // is untouched, so the estimate is read once per delivering run instead of
