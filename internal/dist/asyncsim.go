@@ -171,18 +171,10 @@ type event struct {
 // reproducible bit for bit). Under the zero model the runtime starts on
 // the lane.
 func NewAsyncSim(coord CoordAlgo, sites []SiteAlgo, model NetModel, seed uint64) *AsyncSim {
-	if coord == nil || len(sites) == 0 {
-		panic("dist: NewAsyncSim needs a coordinator and at least one site")
-	}
 	if err := model.check(); err != nil {
 		panic(err.Error())
 	}
-	s := &AsyncSim{coord: coord, network: &idleNet, ingest: ingest{sites: sites}}
-	s.coordOut = &asyncOutbox{s: s, from: CoordID}
-	s.siteOut = make([]*asyncOutbox, len(sites))
-	for i := range sites {
-		s.siteOut[i] = &asyncOutbox{s: s, from: int32(i)}
-	}
+	s := NewSim(coord, sites)
 	if model != (NetModel{}) {
 		s.buildNetwork(model, seed)
 	}

@@ -83,7 +83,7 @@ func (s *AsyncSim) ScheduleTakeover(site int, at int64, algo SiteAlgo) {
 	if algo == nil {
 		panic("dist: ScheduleTakeover needs a site algorithm")
 	}
-	s.schedule(evTakeover, int32(site), at)
+	s.schedule(evTakeover, int32(site), at) // first: it leaves the lane
 	s.replacement[site] = algo
 }
 
@@ -109,7 +109,7 @@ func (s *AsyncSim) ScheduleCoordTakeover(at int64, algo CoordAlgo) {
 	if algo == nil {
 		panic("dist: ScheduleCoordTakeover needs a coordinator algorithm")
 	}
-	s.schedule(evCoordTakeover, CoordID, at)
+	s.schedule(evCoordTakeover, CoordID, at) // first: it leaves the lane
 	s.coordStandby = algo
 }
 

@@ -66,7 +66,16 @@ func (r *msgRing) grow() {
 // every message an update triggers, FIFO, before Step returns — the
 // synchronous model the paper's per-step guarantee assumes.
 func NewSim(coord CoordAlgo, sites []SiteAlgo) *AsyncSim {
-	return NewAsyncSim(coord, sites, NetModel{}, 0)
+	if coord == nil || len(sites) == 0 {
+		panic("dist: a runtime needs a coordinator and at least one site")
+	}
+	s := &AsyncSim{coord: coord, network: &idleNet, ingest: ingest{sites: sites}}
+	s.coordOut = &asyncOutbox{s: s, from: CoordID}
+	s.siteOut = make([]*asyncOutbox, len(sites))
+	for i := range sites {
+		s.siteOut[i] = &asyncOutbox{s: s, from: int32(i)}
+	}
+	return s
 }
 
 // Run drives an entire stream through the runtime, one Step per update,
