@@ -209,8 +209,6 @@ func (s *AsyncSim) buildNetwork(model NetModel, seed uint64) {
 		width = 1
 	}
 	n.queue.init((k+width-1)/width + 1)
-	// The lane's deliveries count as popped events.
-	n.queue.seq = uint64(s.stats.Total())
 	n.live = newLiveness(&s.coord, s.coordOut, &s.ledger, k)
 	// A beacon is overdue one full interval beyond its cadence plus the
 	// link latency it rides.

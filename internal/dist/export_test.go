@@ -18,7 +18,8 @@ const KindHello = kindHello
 func (c *ingest) QuietMode() bool { return c.mode == ingestQuiet }
 
 // EventsPopped returns how many scheduler events have been processed so
-// far, each lane delivery counting as one.
+// far: on the lane, one per delivery; off it, the events the queue popped
+// since the runtime left the lane.
 func (s *AsyncSim) EventsPopped() uint64 {
 	if s.onLane() {
 		return uint64(s.stats.Total())

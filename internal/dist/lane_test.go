@@ -83,3 +83,15 @@ func TestMsgRingSteadyStateReusesBuffer(t *testing.T) {
 		t.Fatal("steady-state push/pop reallocated the ring buffer")
 	}
 }
+
+// TestLeaveLaneStalesBudgets: the lane's quiet-budget token counts
+// coordinator-to-site deliveries and the queue's counts popped events.
+// The two share no meaning, so leaving the lane makes every budget stale.
+func TestLeaveLaneStalesBudgets(t *testing.T) {
+	s := laneRing()
+	s.synced = 3
+	s.ScheduleDown(0, 10)
+	if s.onLane() || s.synced != -1 {
+		t.Fatalf("after the first schedule: on the lane %v, budgets read under token %d, want off and stale (-1)", s.onLane(), s.synced)
+	}
+}
