@@ -24,9 +24,9 @@ type quietRuntime interface {
 
 // quietEnv is one fresh deployment under test: the runtime, its recorded
 // transcript, a counter that moves in any step that does more than feed a
-// site (deliveries on the lane, processed events on the queue), the mid-stream
-// actions keyed by the index of the update they run before, and what to do
-// after the last update.
+// site (deliveries on the lane, processed events on the queue), the
+// mid-stream actions keyed by the index of the update they run before, and
+// what to do after the last update.
 type quietEnv struct {
 	rt         quietRuntime
 	transcript *[]dist.TranscriptEntry
@@ -151,9 +151,9 @@ func newQuietAsync(t *testing.T, build quietBuild, model dist.NetModel, cut int)
 // even over quiet sites, so batch sizes 1 and 7 pin that switch too.
 //
 // The asyncsim cases run the same check on AsyncSim's event queue under
-// the zero model and under faultModel, with a site crash and warm takeover (a backlog
-// replay), a partition and rejoin, and a coordinator crash and warm
-// takeover on top of the splice: a pass must stop at the next event's
+// the zero model and under faultModel, with a site crash and warm takeover
+// (a backlog replay), a partition and rejoin, and a coordinator crash and
+// warm takeover on top of the splice: a pass must stop at the next event's
 // tick, budgets must go stale after any event, a crashed slot's updates
 // must reach its backlog, and a pass's sends must leave at its last
 // update's tick.
