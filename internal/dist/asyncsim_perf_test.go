@@ -130,9 +130,12 @@ func TestAsyncSimStepBatchZeroAlloc(t *testing.T) {
 
 // BenchmarkAsyncSimStepBatch measures AsyncSim's batched path under
 // faultModel per update (ns/op) and per scheduler event (ns/event). The
-// input is one pregenerated segment replayed with shifted T, so stream
-// generation stays outside the timed loop. An untimed pass with counting
-// wrappers reports the updates absorbed in bulk per StepBatch call.
+// input is one pregenerated segment, so stream generation stays outside the
+// timed loop, and each pass over it runs on a fresh deployment, built with
+// the timer stopped, as each async-faults chunk does: replaying the segment
+// on one deployment would let f drift away from the input's level and
+// measure a quieter regime. An untimed pass with counting wrappers reports
+// the updates absorbed in bulk per StepBatch call.
 func BenchmarkAsyncSimStepBatch(b *testing.B) {
 	const segLen = 1 << 16
 	for _, bc := range asyncBenchCases {
@@ -142,31 +145,28 @@ func BenchmarkAsyncSimStepBatch(b *testing.B) {
 			buf := make([]stream.Update, 64)
 			calls := feedBatched(newFaultSim(b, &absorbed), stream.NewSlice(seg), buf, segLen)
 			sim := newFaultSim(b, nil)
-			var shift int64
 			next := 0
-			ev0 := sim.EventsScheduled()
+			events := -sim.EventsScheduled()
 			b.ResetTimer()
 			for fed := 0; fed < b.N; {
-				m := copy(buf, seg[next:])
-				if m > b.N-fed {
-					m = b.N - fed
-				}
-				for i := range buf[:m] {
-					buf[i].T += shift
-				}
-				for i := 0; i < m; {
-					c, _ := sim.StepBatch(buf[i:m])
+				end := min(next+len(buf), len(seg), next+b.N-fed)
+				for i := next; i < end; {
+					c, _ := sim.StepBatch(seg[i:end])
 					i += c
 				}
-				fed += m
-				if next += m; next == len(seg) {
-					next, shift = 0, shift+segLen
+				fed += end - next
+				if next = end; next == len(seg) {
+					b.StopTimer()
+					events += sim.EventsScheduled()
+					sim, next = newFaultSim(b, nil), 0
+					events -= sim.EventsScheduled()
+					b.StartTimer()
 				}
 			}
 			b.StopTimer()
-			events := float64(sim.EventsScheduled() - ev0)
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/events, "ns/event")
-			b.ReportMetric(events/float64(b.N), "events/update")
+			events += sim.EventsScheduled()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+			b.ReportMetric(float64(events)/float64(b.N), "events/update")
 			b.ReportMetric(float64(absorbed)/float64(calls), "absorbed/call")
 		})
 	}
