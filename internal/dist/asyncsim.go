@@ -263,7 +263,7 @@ func (s *AsyncSim) StepBatch(us []stream.Update) (int, bool) {
 		active := s.runUntil(us[i].T * gap)
 		run := us[i : i+1]
 		if !active {
-			run = us[i : i+untilTick(us[i:], gap, s.queue.topAt())]
+			run = us[i : i+feedCut(us[i:], gap, s.queue.topAt())]
 		}
 		n := s.feed(run, int64(s.queue.popped()))
 		if n < 0 {
@@ -283,9 +283,26 @@ func (s *AsyncSim) StepBatch(us []stream.Update) (int, bool) {
 	return i, false
 }
 
-// untilTick returns how many leading updates of us to feed before the
-// event at tick top, galloping from the head so that a feed a send ends
-// early costs no scan of the rest.
+// feedCut returns how many leading updates of us (nonempty, nondecreasing
+// T) arrive before tick top, plus one arriving on it: computed as if T ran
+// consecutively, confirmed on each side of the cut, else searched for.
+func feedCut(us []stream.Update, gap, top int64) int {
+	c := 0
+	if d := top - us[0].T*gap; d > 0 {
+		c = int(min((d-1)/gap+1, int64(len(us))))
+	}
+	if (c > 0 && us[c-1].T*gap >= top) || (c < len(us) && us[c].T*gap < top) {
+		c = untilTick(us, gap, top)
+	}
+	if c < len(us) && us[c].T*gap == top {
+		c++
+	}
+	return c
+}
+
+// untilTick returns how many leading updates of us arrive before tick top,
+// galloping from the head so that a feed a send ends early costs no scan
+// of the rest.
 func untilTick(us []stream.Update, gap, top int64) int {
 	lo, hi := 0, 1 // us[:lo] arrive before top
 	for hi < len(us) && us[hi].T*gap < top {
@@ -297,9 +314,6 @@ func untilTick(us []stream.Update, gap, top int64) int {
 		} else {
 			hi = mid
 		}
-	}
-	if lo < len(us) && us[lo].T*gap == top {
-		lo++
 	}
 	return lo
 }
@@ -316,11 +330,7 @@ func (s *AsyncSim) Flush() {
 	}
 	s.closing = true
 	for s.queue.len() > 0 {
-		e := s.queue.pop()
-		if e.at > s.now {
-			s.now = e.at
-		}
-		s.process(&e)
+		s.processNext()
 	}
 }
 
@@ -339,14 +349,20 @@ func (s *AsyncSim) runUntil(t int64) bool {
 func (s *AsyncSim) drainUntil(t int64) bool {
 	active := false
 	for s.queue.topAt() < t {
-		e := s.queue.pop()
-		if e.at > s.now {
-			s.now = e.at
-		}
-		s.process(&e)
+		s.processNext()
 		active = true
 	}
 	return active
+}
+
+// processNext pops the earliest event and processes it in its slot, freed
+// only after the handler (whose sends must not reuse it) unless relinked.
+func (s *AsyncSim) processNext() {
+	idx := s.queue.pop()
+	s.now = max(s.now, s.queue.slab[idx].at)
+	if !s.process(idx) {
+		s.queue.release(idx)
+	}
 }
 
 // Estimate returns the coordinator's current estimate f̂.
@@ -392,19 +408,18 @@ func (s *AsyncSim) schedule(kind eventKind, to int32, at int64) {
 	if s.onLane() {
 		s.buildNetwork(NetModel{}, 0)
 	}
-	e := event{at: at, kind: kind, to: to}
-	s.pushEvent(&e)
+	idx, e := s.queue.alloc()
+	*e = event{at: at, kind: kind, to: to}
+	s.queue.link(idx, s.now)
 }
-
-// pushEvent queues e at the current clock, clamping it to now.
-func (s *AsyncSim) pushEvent(e *event) { s.queue.push(e, s.now) }
 
 // send schedules one transmission of a freshly emitted message, stamped
 // with the current incarnations of both its endpoints' slots.
 func (s *AsyncSim) send(from, to int32, m Msg) {
-	e := event{kind: evDeliver, from: from, to: to, sent: s.now, msg: m,
-		epoch: s.epoch[s.siteEnd(from, to)], cepoch: s.coordEpoch}
-	s.transmit(&e, s.now)
+	idx, e := s.queue.alloc()
+	e.kind, e.from, e.to, e.attempt, e.sent = evDeliver, from, to, 0, s.now
+	e.epoch, e.cepoch, e.msg = s.epoch[s.siteEnd(from, to)], s.coordEpoch, m
+	s.transmit(idx, s.now)
 }
 
 // siteEnd returns the site endpoint of a delivery (every link has exactly
@@ -416,9 +431,10 @@ func (s *AsyncSim) siteEnd(from, to int32) int32 {
 	return to
 }
 
-// transmit schedules a delivery attempt of e departing at tick depart,
-// applying latency, jitter, and the per-link ordering floor.
-func (s *AsyncSim) transmit(e *event, depart int64) {
+// transmit schedules a delivery attempt of slot idx departing at tick
+// depart, applying latency, jitter, and the per-link ordering floor.
+func (s *AsyncSim) transmit(idx int32, depart int64) {
+	e := &s.queue.slab[idx]
 	at := depart + s.model.Latency
 	if s.model.Jitter > 0 {
 		at += s.src.Int63n(s.model.Jitter + 1)
@@ -435,7 +451,7 @@ func (s *AsyncSim) transmit(e *event, depart int64) {
 	}
 	e.at = at
 	e.attempt++
-	s.pushEvent(e)
+	s.queue.link(idx, s.now)
 }
 
 // link maps a (from, to) pair to its index in linkAt: site i → coordinator
@@ -447,20 +463,13 @@ func (s *AsyncSim) link(from, to int32) int {
 	return len(s.sites) + int(to)
 }
 
-// linkDown reports whether the link of a delivery event is partitioned:
-// any leg touching a down site is dead in both directions.
-func (s *AsyncSim) linkDown(e *event) bool {
-	if e.to == CoordID {
-		return s.down[e.from]
-	}
-	return s.down[e.to]
-}
-
-// process handles one popped event at the current virtual time.
-func (s *AsyncSim) process(e *event) {
+// process handles popped slot idx now and reports whether it linked it
+// again. A send may grow the slab: handlers read the event before sending.
+func (s *AsyncSim) process(idx int32) (relinked bool) {
+	e := &s.queue.slab[idx]
 	switch e.kind {
 	case evDeliver:
-		s.deliver(e)
+		return s.deliver(idx)
 	case evDown:
 		s.down[e.to] = true
 	case evUp:
@@ -490,10 +499,13 @@ func (s *AsyncSim) process(e *event) {
 	case evHbCheck:
 		s.processHbCheck(e)
 	}
+	return false
 }
 
-// deliver makes one delivery attempt at the current virtual time.
-func (s *AsyncSim) deliver(e *event) {
+// deliver makes one delivery attempt of slot idx at the current virtual
+// time and reports whether it linked the slot again to retransmit.
+func (s *AsyncSim) deliver(idx int32) (relinked bool) {
+	e := &s.queue.slab[idx]
 	// A delivery crossing a crashed slot, or belonging to a previous
 	// incarnation of either endpoint (sent before a crash or a takeover of
 	// the site or of the coordinator), is lost for good with no
@@ -506,27 +518,29 @@ func (s *AsyncSim) deliver(e *event) {
 	if s.live.slots[end].ended || s.epoch[end] != e.epoch ||
 		s.coordCrashed || e.cepoch != s.coordEpoch {
 		s.dropped(&e.msg, EvEpochDrop, end, e.to)
-		return
+		return false
 	}
 
-	// A delivery attempt: lost if the link is partitioned or the iid coin
-	// says so, in which case the bounded retransmission budget decides
-	// between a retry RTO ticks out and giving the message up for dropped.
-	lost := s.linkDown(e)
+	// A delivery attempt: lost if the link is partitioned (any leg touching
+	// a down site is dead in both directions) or the iid coin says so, in
+	// which case the bounded retransmission budget decides between a retry
+	// RTO ticks out and giving the message up for dropped.
+	lost := s.down[end]
 	if !lost && s.dropT > 0 && s.src.Uint64()>>11 < s.dropT {
 		lost = true
 	}
 	if lost {
 		if e.attempt <= s.model.Retrans {
 			s.retransmitted(&e.msg)
-			s.transmit(e, s.now+s.model.rto())
-		} else {
-			s.dropped(&e.msg, EvDrop, end, e.to)
+			s.transmit(idx, s.now+s.model.rto())
+			return true
 		}
-		return
+		s.dropped(&e.msg, EvDrop, end, e.to)
+		return false
 	}
 
 	s.dispatch(e.to, &e.msg, s.now-e.sent)
+	return false
 }
 
 // laneBatch is StepBatch on the lane: one feed, then its captured sends,

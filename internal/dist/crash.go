@@ -150,7 +150,7 @@ func (s *AsyncSim) processCrash(e *event) {
 }
 
 func (s *AsyncSim) processTakeover(e *event) {
-	site := int(e.to)
+	site, at := int(e.to), e.at
 	algo := s.replacement[site]
 	s.replacement[site] = nil
 	if algo == nil || !s.live.slots[site].ended {
@@ -162,7 +162,7 @@ func (s *AsyncSim) processTakeover(e *event) {
 	// Control-plane registration first (on TCP the re-dial handshake
 	// precedes all frames), then the replacement's own announcement, then
 	// the replay of the durable local queue.
-	s.live.splice(site, e.at, int64(s.epoch[site]), int64(len(s.backlog[site])))
+	s.live.splice(site, at, int64(s.epoch[site]), int64(len(s.backlog[site])))
 	if t, ok := algo.(SiteTakeover); ok {
 		t.OnTakeover(s.siteOut[site])
 	}
@@ -170,7 +170,7 @@ func (s *AsyncSim) processTakeover(e *event) {
 		algo.OnUpdate(u, s.siteOut[site])
 	}
 	if s.model.HeartbeatEvery > 0 && !s.closing {
-		s.scheduleBeacon(site, 1, 0, e.at+s.model.HeartbeatEvery)
+		s.scheduleBeacon(site, 1, 0, at+s.model.HeartbeatEvery)
 	}
 }
 
@@ -209,16 +209,17 @@ func (s *AsyncSim) processCoordTakeover(e *event) {
 	}
 }
 
-// scheduleBeacon pushes a beacon round at tick at over the sites base+b
+// scheduleBeacon schedules a beacon round at tick at over the sites base+b
 // for each bit b: send holds the members that beacon then, arrive the
 // members whose earlier beacon lands then, sent under the current
 // incarnations.
 //
 //varlint:zeroalloc
 func (s *AsyncSim) scheduleBeacon(base int, send, arrive uint64, at int64) {
-	e := event{at: at, kind: evBeacon, from: int32(base), msg: Msg{Item: send, A: int64(arrive)},
-		epoch: s.incarnation, cepoch: s.coordEpoch}
-	s.pushEvent(&e)
+	idx, e := s.queue.alloc()
+	e.at, e.kind, e.from, e.msg = at, evBeacon, int32(base), Msg{Item: send, A: int64(arrive)}
+	e.epoch, e.cepoch = s.incarnation, s.coordEpoch
+	s.queue.link(idx, s.now)
 }
 
 // processBeacon fires one beacon round. It walks the members in ascending
@@ -230,7 +231,7 @@ func (s *AsyncSim) scheduleBeacon(base int, send, arrive uint64, at int64) {
 //
 //varlint:zeroalloc
 func (s *AsyncSim) processBeacon(e *event) {
-	base := int(e.from)
+	base, at, epoch, cepoch := int(e.from), e.at, e.epoch, e.cepoch
 	send, arrive := e.msg.Item, uint64(e.msg.A)
 	if s.closing {
 		send = 0
@@ -239,8 +240,8 @@ func (s *AsyncSim) processBeacon(e *event) {
 	for m := send | arrive; m != 0; m &= m - 1 {
 		b := bits.TrailingZeros64(m)
 		bit, site := uint64(1)<<b, base+b
-		if arrive&bit != 0 && s.beaconLands(site, e) {
-			s.live.beat(site, e.at)
+		if arrive&bit != 0 && s.beaconLands(site, epoch, cepoch) {
+			s.live.beat(site, at)
 		}
 		if send&bit == 0 || s.live.slots[site].ended {
 			continue
@@ -252,20 +253,20 @@ func (s *AsyncSim) processBeacon(e *event) {
 		}
 	}
 	if up != 0 {
-		s.scheduleBeacon(base, 0, up, e.at+s.model.Latency)
+		s.scheduleBeacon(base, 0, up, at+s.model.Latency)
 	}
 	if sent != 0 {
-		s.scheduleBeacon(base, sent, 0, e.at+s.model.HeartbeatEvery)
+		s.scheduleBeacon(base, sent, 0, at+s.model.HeartbeatEvery)
 	}
 }
 
-// beaconLands reports whether site's beacon in round e reaches the
-// detector: it is lost if the site's incarnation ended or changed since
-// the send, the partition ate it, or the coordinator it was sent to is
-// gone.
-func (s *AsyncSim) beaconLands(site int, e *event) bool {
-	return !s.live.slots[site].ended && s.epochAt[site] <= e.epoch && !s.down[site] &&
-		!s.coordCrashed && e.cepoch == s.coordEpoch
+// beaconLands reports whether site's beacon, sent under the incarnation
+// counter epoch and coordinator epoch cepoch, reaches the detector: it is
+// lost if the site's incarnation ended or changed since the send, the
+// partition ate it, or the coordinator it was sent to is gone.
+func (s *AsyncSim) beaconLands(site int, epoch, cepoch uint32) bool {
+	return !s.live.slots[site].ended && s.epochAt[site] <= epoch && !s.down[site] &&
+		!s.coordCrashed && cepoch == s.coordEpoch
 }
 
 // processHbCheck runs one detector sweep and schedules the next. No
@@ -277,8 +278,9 @@ func (s *AsyncSim) processHbCheck(e *event) {
 	if s.closing {
 		return
 	}
+	at := e.at
 	if !s.coordCrashed {
-		s.live.sweep(e.at)
+		s.live.sweep(at)
 	}
-	s.schedule(evHbCheck, CoordID, e.at+s.model.HeartbeatEvery)
+	s.schedule(evHbCheck, CoordID, at+s.model.HeartbeatEvery)
 }

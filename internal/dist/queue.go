@@ -20,10 +20,10 @@ const topUnknown = math.MinInt64
 // eventQueue is AsyncSim's scheduler queue, a min-queue over (at, seq) in
 // three parts:
 //
-//   - slab holds the event payloads. A pushed event is copied in once and
-//     stays in its slot until popped; freed slots are recycled through a
-//     free list threaded through event.next. Index 0 is the nil link and is
-//     never handed out, so zeroed link arrays need no init loop.
+//   - slab holds the events, each built (alloc, link), popped and freed
+//     (release) in its slot; freed slots are recycled through a free list
+//     threaded through event.next. Index 0 is the nil link and is never
+//     handed out, so zeroed link arrays need no init loop.
 //   - The wheel links every event due in [now, now+wheelSpan) into the FIFO
 //     list of its tick's bucket (at mod wheelSpan); occ marks the non-empty
 //     buckets.
@@ -129,28 +129,36 @@ func (q *eventQueue) firstBucket() int {
 	return -1
 }
 
-// push schedules a copy of e at the clock now, clamping e.at to now and
-// stamping e.seq.
+// alloc takes a free slot to build an event in; its address holds until
+// the next alloc.
 //
 //varlint:zeroalloc
-func (q *eventQueue) push(e *event, now int64) {
-	if e.at < now {
-		e.at = now
-	}
-	e.seq = q.seq
-	q.seq++
-	q.now = now
+func (q *eventQueue) alloc() (int32, *event) {
 	idx := q.free
 	if idx != 0 {
 		q.free = q.slab[idx].next
-	} else {
-		idx = q.grow()
+	} else { // the one allocating edge, once per high-water mark
+		q.slab = append(q.slab, event{})
+		idx = int32(len(q.slab) - 1)
 	}
+	return idx, &q.slab[idx]
+}
+
+// link schedules the event in slot idx, alloc'd or popped and not yet
+// released, at the clock now, clamping its at to now and stamping its seq.
+//
+//varlint:zeroalloc
+func (q *eventQueue) link(idx int32, now int64) {
 	p := &q.slab[idx]
-	*p = *e
+	if p.at < now {
+		p.at = now
+	}
+	p.seq = q.seq
+	q.seq++
+	q.now = now
 	p.next = 0
-	if e.at-now < wheelSpan {
-		b := e.at & (wheelSpan - 1)
+	if p.at-now < wheelSpan {
+		b := p.at & (wheelSpan - 1)
 		if t := q.tail[b]; t != 0 {
 			q.slab[t].next = idx
 		} else {
@@ -159,26 +167,19 @@ func (q *eventQueue) push(e *event, now int64) {
 		}
 		q.tail[b] = idx
 	} else {
-		q.farPush(farKey{at: e.at, seq: e.seq, idx: idx})
+		q.farPush(farKey{at: p.at, seq: p.seq, idx: idx})
 	}
 	q.n++
-	if e.at < q.top { // topUnknown is below every tick, so it stays unknown
-		q.top = e.at
+	if p.at < q.top { // topUnknown is below every tick, so it stays unknown
+		q.top = p.at
 	}
 }
 
-// grow appends a fresh slot to the slab and returns its index: the one
-// allocating edge, taken once per high-water mark.
-func (q *eventQueue) grow() int32 {
-	q.slab = append(q.slab, event{})
-	return int32(len(q.slab) - 1)
-}
-
-// pop removes and returns the earliest pending event (by at, then seq). The
-// queue must not be empty.
+// pop unlinks the earliest pending event (by at, then seq) and returns its
+// slot, held until released or linked again. The queue must not be empty.
 //
 //varlint:zeroalloc
-func (q *eventQueue) pop() event {
+func (q *eventQueue) pop() int32 {
 	at := q.topAt()
 	b := at & (wheelSpan - 1)
 	idx := q.head[b] // the bucket, when occupied, holds tick at (see above)
@@ -196,11 +197,14 @@ func (q *eventQueue) pop() event {
 	if q.head[b] == 0 && !farTie {
 		q.top = topUnknown
 	}
-	p := &q.slab[idx]
-	p.next, q.free = q.free, idx
 	q.n--
-	return *p
+	return idx
 }
+
+// release returns a popped slot to the free list.
+//
+//varlint:zeroalloc
+func (q *eventQueue) release(idx int32) { q.slab[idx].next, q.free = q.free, idx }
 
 func (k *farKey) less(o *farKey) bool {
 	return k.at < o.at || (k.at == o.at && k.seq < o.seq)
