@@ -35,7 +35,11 @@ func runQueueProgram(t *testing.T, prog []byte) {
 	var q eventQueue
 	q.init(2)
 	var ref queueRef
-	var held []event // popped events whose slots are held, by slot in .next
+	type slot struct {
+		idx int32
+		e   event // the event popped into it
+	}
+	var held []slot
 	var now, last int64
 	var popped uint64
 	next := func() int64 {
@@ -77,11 +81,11 @@ func runQueueProgram(t *testing.T, prog []byte) {
 		ref.ev = append(ref.ev, e)
 	}
 	// check fails unless held slot h still holds the event popped into it.
-	check := func(h event) {
-		got := q.slab[h.next]
-		if got.at != h.at || got.seq != h.seq || got.msg.A != h.msg.A || got.kind != h.kind || got.to != h.to {
+	check := func(h slot) {
+		got, want := q.slab[h.idx], h.e
+		if got.at != want.at || got.seq != want.seq || got.msg.A != want.msg.A || got.kind != want.kind || got.to != want.to {
 			t.Fatalf("held slot %d = (at %d, seq %d, id %d), want (at %d, seq %d, id %d)",
-				h.next, got.at, got.seq, got.msg.A, h.at, h.seq, h.msg.A)
+				h.idx, got.at, got.seq, got.msg.A, want.at, want.seq, want.msg.A)
 		}
 	}
 	for id := int64(0); len(prog) > 0; id++ {
@@ -91,7 +95,7 @@ func runQueueProgram(t *testing.T, prog []byte) {
 			at := tick((op >> 2) & 7)
 			idx, e := q.alloc()
 			for _, h := range held {
-				if h.next == idx {
+				if h.idx == idx {
 					t.Fatalf("alloc handed out held slot %d", idx)
 				}
 			}
@@ -120,8 +124,7 @@ func runQueueProgram(t *testing.T, prog []byte) {
 				if (op>>2)&3 == 0 {
 					q.release(idx)
 				} else {
-					got.next = idx
-					held = append(held, got)
+					held = append(held, slot{idx, got})
 				}
 			case 2: // link the latest held slot again at a new tick
 				if len(held) == 0 {
@@ -131,8 +134,8 @@ func runQueueProgram(t *testing.T, prog []byte) {
 				held = held[:len(held)-1]
 				check(h)
 				at := tick((op >> 4) & 7)
-				q.slab[h.next].at = at
-				link(h.next, at)
+				q.slab[h.idx].at = at
+				link(h.idx, at)
 			case 3: // release the latest held slot
 				if len(held) == 0 {
 					continue
@@ -140,7 +143,7 @@ func runQueueProgram(t *testing.T, prog []byte) {
 				h := held[len(held)-1]
 				held = held[:len(held)-1]
 				check(h)
-				q.release(h.next)
+				q.release(h.idx)
 			}
 		case 3: // advance the clock, never past the earliest pending event
 			now += next()
