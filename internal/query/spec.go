@@ -87,9 +87,6 @@ func ParseFilter(s string) (*Filter, error) {
 		if err1 != nil || err2 != nil || m == 0 || r >= m {
 			return nil, fmt.Errorf("query: filter %q wants mod:M:R with R < M", s)
 		}
-		if m&(m-1) == 0 { // a power of two: mask instead of dividing
-			return mk(func(i uint64) bool { return i&(m-1) == r })
-		}
 		return mk(func(i uint64) bool { return i%m == r })
 	case strings.HasPrefix(s, "le:"):
 		n, err := strconv.ParseUint(s[3:], 10, 64)

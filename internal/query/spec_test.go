@@ -1,7 +1,6 @@
 package query_test
 
 import (
-	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -22,33 +21,6 @@ func TestSpecRejectsNonFiniteEps(t *testing.T) {
 	for _, eps := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, 1} {
 		if _, _, err := query.New(3, []query.Spec{{Algo: "det", Eps: eps}}); err == nil {
 			t.Errorf("New accepted eps=%g", eps)
-		}
-	}
-}
-
-// TestParseFilterModMatchesRemainder: mod:M:R matches exactly the items
-// with i % M == R, whether M is a power of two (masked) or not, on the
-// items 0–4095 and the 4096 largest.
-func TestParseFilterModMatchesRemainder(t *testing.T) {
-	for _, m := range []uint64{1, 2, 3, 4, 6, 8, 1 << 32, 1 << 63} {
-		for _, r := range []uint64{0, 1, 2, 3, 5, 7, m / 2, m - 1} {
-			if r >= m {
-				continue
-			}
-			name := fmt.Sprintf("mod:%d:%d", m, r)
-			f, err := query.ParseFilter(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for j := uint64(0); j < 2*4096; j++ {
-				i := j
-				if j >= 4096 {
-					i = j - 4096 - 4096 // wraps to the top of the range
-				}
-				if got, want := f.Match(i), i%m == r; got != want {
-					t.Fatalf("%s: Match(%d) = %v, want %v", name, i, got, want)
-				}
-			}
 		}
 	}
 }
