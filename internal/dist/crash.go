@@ -217,8 +217,8 @@ func (s *AsyncSim) processCoordTakeover(e *event) {
 //varlint:zeroalloc
 func (s *AsyncSim) scheduleBeacon(base int, send, arrive uint64, at int64) {
 	idx, e := s.queue.alloc()
-	e.at, e.kind, e.from, e.msg = at, evBeacon, int32(base), Msg{Item: send, A: int64(arrive)}
-	e.epoch, e.cepoch = s.incarnation, s.coordEpoch
+	e.at, e.kind, e.from, e.to, e.attempt, e.sent = at, evBeacon, int32(base), 0, 0, 0
+	e.epoch, e.cepoch, e.msg = s.incarnation, s.coordEpoch, Msg{Item: send, A: int64(arrive)}
 	s.queue.link(idx, s.now)
 }
 

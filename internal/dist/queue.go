@@ -130,7 +130,8 @@ func (q *eventQueue) firstBucket() int {
 }
 
 // alloc takes a free slot to build an event in; its address holds until
-// the next alloc.
+// the next alloc. The slot keeps what its last event left there, so the
+// caller writes every field but seq and next (link stamps those).
 //
 //varlint:zeroalloc
 func (q *eventQueue) alloc() (int32, *event) {
