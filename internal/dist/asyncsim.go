@@ -284,38 +284,26 @@ func (s *AsyncSim) StepBatch(us []stream.Update) (int, bool) {
 }
 
 // feedCut returns how many leading updates of us (nonempty, nondecreasing
-// T) arrive before tick top, plus one arriving on it: computed as if T ran
-// consecutively, confirmed on each side of the cut, else searched for.
+// T) arrive before tick top, plus one arriving on it. It starts where the
+// cut falls if T runs consecutively from the head, as the streams here
+// number it, and walks to the true cut from there: one comparison each
+// way when T is consecutive (an empty queue's top of MaxInt64 included),
+// and one step more per update a repeated or skipped T moves the cut.
 func feedCut(us []stream.Update, gap, top int64) int {
 	c := 0
-	if d := top - us[0].T*gap; d > 0 {
+	if d := top - us[0].T*gap; d > 0 { // a distance, so MaxInt64 cannot overflow
 		c = int(min((d-1)/gap+1, int64(len(us))))
 	}
-	if (c > 0 && us[c-1].T*gap >= top) || (c < len(us) && us[c].T*gap < top) {
-		c = untilTick(us, gap, top)
+	for c > 0 && us[c-1].T*gap >= top {
+		c--
+	}
+	for c < len(us) && us[c].T*gap < top {
+		c++
 	}
 	if c < len(us) && us[c].T*gap == top {
 		c++
 	}
 	return c
-}
-
-// untilTick returns how many leading updates of us arrive before tick top,
-// galloping from the head so that a feed a send ends early costs no scan
-// of the rest.
-func untilTick(us []stream.Update, gap, top int64) int {
-	lo, hi := 0, 1 // us[:lo] arrive before top
-	for hi < len(us) && us[hi].T*gap < top {
-		lo, hi = hi+1, 2*hi+1
-	}
-	for hi = min(hi, len(us)); lo < hi; {
-		if mid := int(uint(lo+hi) >> 1); us[mid].T*gap < top {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }
 
 // Flush runs the event loop to exhaustion — every in-flight delivery,

@@ -30,8 +30,8 @@ func (r *queueRef) min() int {
 // its contents, and a held slot is later released or linked again at a
 // new tick (a retransmission). The clock follows AsyncSim's rule: it never
 // passes the earliest pending event, and a pop moves it up to the popped
-// tick.
-func runQueueProgram(t *testing.T, prog []byte) {
+// tick. It returns the largest number of events pending at once.
+func runQueueProgram(t *testing.T, prog []byte) (peak int) {
 	var q eventQueue
 	q.init(2)
 	var ref queueRef
@@ -154,6 +154,7 @@ func runQueueProgram(t *testing.T, prog []byte) {
 		if q.len() != len(ref.ev) {
 			t.Fatalf("len = %d, want %d", q.len(), len(ref.ev))
 		}
+		peak = max(peak, q.len())
 		if q.popped() != popped {
 			t.Fatalf("popped = %d, want %d", q.popped(), popped)
 		}
@@ -168,6 +169,7 @@ func runQueueProgram(t *testing.T, prog []byte) {
 	for _, h := range held {
 		check(h)
 	}
+	return peak
 }
 
 // FuzzEventQueue: random interleavings of pushes (same-tick ties, offsets
@@ -188,14 +190,14 @@ func FuzzEventQueue(f *testing.F) {
 	f.Add([]byte{0, 0, 5, 0, 13, 0, 1, 1, 1})
 	// Link a held slot at a tick below now, clamped to now.
 	f.Add([]byte{20, 30, 20, 40, 3, 9, 5, 0x79, 4, 1, 1, 1})
-	f.Fuzz(runQueueProgram)
+	f.Fuzz(func(t *testing.T, prog []byte) { runQueueProgram(t, prog) })
 }
 
 // TestEventQueueLongRun drives one long pseudo-random program through the
 // queue so slab growth, free-list reuse and many wheel revolutions are
-// covered on every test run, not only under -fuzz. Pushes and pops are
-// about equally likely, so the queue random-walks through sizes in the
-// hundreds.
+// covered on every test run, not only under -fuzz. Pushes and relinks put
+// events in as often as pops take them out, so the queue random-walks
+// through sizes in the hundreds; the run fails if it never gets there.
 func TestEventQueueLongRun(t *testing.T) {
 	prog := make([]byte, 200_000)
 	x := uint32(1)
@@ -204,28 +206,31 @@ func TestEventQueueLongRun(t *testing.T) {
 		x ^= x >> 17
 		x ^= x << 5
 		op := byte(x>>8) &^ 3 // a push, with a random offset class
-		switch r := x % 20; {
-		case r >= 18:
+		switch r := x % 40; {
+		case r >= 37:
 			op |= 3 // a clock advance
-		case r >= 8:
+		case r >= 21:
 			op = op&^12 | 1 // a pop, releasing its slot
-		case r == 7:
+		case r >= 19:
 			op = op&^12 | 1 | 1<<2 // a pop, holding its slot
-		case r == 6:
-			op |= 1 | 2<<2 // link a held slot again
-		case r == 5:
-			op |= 1 | 3<<2 // release a held slot
+		case r == 18:
+			op = op&^12 | 1 | 2<<2 // link a held slot again
+		case r == 17:
+			op = op&^12 | 1 | 3<<2 // release a held slot
 		}
 		prog[i] = op
 	}
-	runQueueProgram(t, prog)
+	if peak := runQueueProgram(t, prog); peak < 200 {
+		t.Fatalf("at most %d events pending at once, want the queue to reach 200", peak)
+	}
 }
 
 // TestAsyncSimFeedCutMatchesScan checks StepBatch's feed cut against a
 // linear scan for every top from two ticks below the head's arrival to two
 // past the last update's, and for an empty queue (math.MaxInt64): on
-// slices whose T values run consecutively, repeat (as the appendix-C
-// splitter's do), skip, or both, at update gaps 1 and 3.
+// slices whose T values run consecutively (as every stream here numbers
+// them), repeat, skip, or both (StepBatch takes any nondecreasing T), at
+// update gaps 1 and 3.
 func TestAsyncSimFeedCutMatchesScan(t *testing.T) {
 	scan := func(us []stream.Update, gap, top int64) int {
 		c := 0
