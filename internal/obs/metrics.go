@@ -1,10 +1,10 @@
 package obs
 
 import (
-	"bufio"
 	"io"
 	"runtime"
 	"strconv"
+	"sync"
 
 	"repro/internal/dist"
 )
@@ -100,52 +100,65 @@ var statFields = []statField{
 		func(s *dist.Stats) int64 { return s.EpochDrops }},
 }
 
-// Render writes the full exposition to w.
+// renderBuf is one Render call's scratch: the exposition, and the
+// aggregate Stats the statFields getters read, whose address would
+// otherwise cost a heap object per call. Handlers may render one Metrics
+// concurrently, so the scratch is per call, pooled so a scrape allocates
+// none.
+type renderBuf struct {
+	b     []byte
+	stats dist.Stats
+}
+
+var renderBufs = sync.Pool{New: func() any { return new(renderBuf) }}
+
+// Render writes the full exposition to w in one Write, appended piece by
+// piece into a pooled buffer.
 func (m *Metrics) Render(w io.Writer) error {
-	bw := bufio.NewWriter(w)
+	rb := renderBufs.Get().(*renderBuf)
+	b := rb.b[:0]
 	if m.Health != nil {
-		h := m.Health()
 		v := int64(0)
-		if h.OK {
+		if m.Health().OK {
 			v = 1
 		}
-		writeHeader(bw, "varmon_healthy", "Whether the runtime is fully live (no dead site, no takeover in progress).", "gauge")
-		writeSample(bw, "varmon_healthy", "", v)
+		b = appendHeader(b, "", "healthy", "Whether the runtime is fully live (no dead site, no takeover in progress).", "gauge")
+		b = appendSample(b, "healthy", v)
 	}
-	stats := m.Stats()
+	rb.stats = m.Stats()
 	for i := range statFields {
 		f := &statFields[i]
-		writeHeader(bw, "varmon_"+f.name, f.help, f.typ)
-		writeSample(bw, "varmon_"+f.name, "", f.get(&stats))
+		b = appendHeader(b, "", f.name, f.help, f.typ)
+		b = appendSample(b, f.name, f.get(&rb.stats))
 	}
 	if m.Ring != nil {
-		writeHeader(bw, "varmon_events_total", "Protocol events ever traced.", "counter")
-		writeSample(bw, "varmon_events_total", "", int64(m.Ring.Total()))
-		writeHeader(bw, "varmon_events_retained", "Protocol events currently retained in the trace ring.", "gauge")
-		writeSample(bw, "varmon_events_retained", "", int64(m.Ring.Len()))
-		writeHeader(bw, "varmon_events_evicted_total", "Protocol events evicted from the trace ring.", "counter")
-		writeSample(bw, "varmon_events_evicted_total", "", int64(m.Ring.Evicted()))
+		b = appendHeader(b, "", "events_total", "Protocol events ever traced.", "counter")
+		b = appendSample(b, "events_total", int64(m.Ring.Total()))
+		b = appendHeader(b, "", "events_retained", "Protocol events currently retained in the trace ring.", "gauge")
+		b = appendSample(b, "events_retained", int64(m.Ring.Len()))
+		b = appendHeader(b, "", "events_evicted_total", "Protocol events evicted from the trace ring.", "counter")
+		b = appendSample(b, "events_evicted_total", int64(m.Ring.Evicted()))
 	}
 	if m.Gauges != nil {
+		rb.b = b // the callback appends through rb, so b stays off the heap
 		m.Gauges(func(name, help string, value float64) {
-			writeHeader(bw, "varmon_"+name, help, "gauge")
-			bw.WriteString("varmon_" + name)
-			bw.WriteByte(' ')
-			bw.WriteString(strconv.FormatFloat(value, 'g', -1, 64))
-			bw.WriteByte('\n')
+			b := appendHeader(rb.b, "", name, help, "gauge")
+			b = strconv.AppendFloat(append(appendName(b, "", name), ' '), value, 'g', -1, 64)
+			rb.b = append(b, '\n')
 		})
+		b = rb.b
 	}
 	if m.Runtime {
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
-		writeHeader(bw, "varmon_go_heap_alloc_bytes", "Live heap bytes (runtime.MemStats.HeapAlloc).", "gauge")
-		writeSample(bw, "varmon_go_heap_alloc_bytes", "", int64(ms.HeapAlloc))
-		writeHeader(bw, "varmon_go_total_alloc_bytes", "Cumulative heap bytes allocated.", "counter")
-		writeSample(bw, "varmon_go_total_alloc_bytes", "", int64(ms.TotalAlloc))
-		writeHeader(bw, "varmon_go_gc_cycles_total", "Completed GC cycles.", "counter")
-		writeSample(bw, "varmon_go_gc_cycles_total", "", int64(ms.NumGC))
-		writeHeader(bw, "varmon_go_goroutines", "Live goroutines.", "gauge")
-		writeSample(bw, "varmon_go_goroutines", "", int64(runtime.NumGoroutine()))
+		b = appendHeader(b, "", "go_heap_alloc_bytes", "Live heap bytes (runtime.MemStats.HeapAlloc).", "gauge")
+		b = appendSample(b, "go_heap_alloc_bytes", int64(ms.HeapAlloc))
+		b = appendHeader(b, "", "go_total_alloc_bytes", "Cumulative heap bytes allocated.", "counter")
+		b = appendSample(b, "go_total_alloc_bytes", int64(ms.TotalAlloc))
+		b = appendHeader(b, "", "go_gc_cycles_total", "Completed GC cycles.", "counter")
+		b = appendSample(b, "go_gc_cycles_total", int64(ms.NumGC))
+		b = appendHeader(b, "", "go_goroutines", "Live goroutines.", "gauge")
+		b = appendSample(b, "go_goroutines", int64(runtime.NumGoroutine()))
 	}
 	if m.Classes != nil {
 		if classes := m.Classes(); len(classes) > 0 {
@@ -153,71 +166,70 @@ func (m *Metrics) Render(w io.Writer) error {
 			if label == "" {
 				label = "class"
 			}
-			value := m.ClassValue
-			if value == nil {
-				value = strconv.Itoa
-			}
 			for i := range statFields {
 				f := &statFields[i]
-				name := "varmon_" + label + "_" + f.name
-				writeHeader(bw, name, "Per-"+label+" split of varmon_"+f.name+".", f.typ)
+				b = appendHeader(b, label, f.name, "", f.typ)
 				for ci := range classes {
-					writeSample(bw, name, label+"=\""+escapeLabel(value(ci))+"\"", f.get(&classes[ci]))
+					b = append(append(appendName(b, label, f.name), '{'), label...)
+					b = append(b, "=\""...)
+					if m.ClassValue != nil {
+						b = appendLabelValue(b, m.ClassValue(ci))
+					} else {
+						b = strconv.AppendInt(b, int64(ci), 10)
+					}
+					b = append(strconv.AppendInt(append(b, "\"} "...), f.get(&classes[ci]), 10), '\n')
 				}
 			}
 		}
 	}
-	return bw.Flush()
+	_, err := w.Write(b)
+	rb.b = b
+	renderBufs.Put(rb)
+	return err
 }
 
-func writeHeader(bw *bufio.Writer, name, help, typ string) {
-	bw.WriteString("# HELP ")
-	bw.WriteString(name)
-	bw.WriteByte(' ')
-	bw.WriteString(help)
-	bw.WriteString("\n# TYPE ")
-	bw.WriteString(name)
-	bw.WriteByte(' ')
-	bw.WriteString(typ)
-	bw.WriteByte('\n')
+// appendName appends the name of a family: varmon_<name>, or with label
+// set the per-label family varmon_<label>_<name>.
+func appendName(b []byte, label, name string) []byte {
+	b = append(b, "varmon_"...)
+	if label != "" {
+		b = append(append(b, label...), '_')
+	}
+	return append(b, name...)
 }
 
-func writeSample(bw *bufio.Writer, name, labels string, v int64) {
-	bw.WriteString(name)
-	if labels != "" {
-		bw.WriteByte('{')
-		bw.WriteString(labels)
-		bw.WriteByte('}')
+// appendHeader appends a family's HELP and TYPE lines. A per-label
+// family's help is "Per-<label> split of varmon_<name>.".
+func appendHeader(b []byte, label, name, help, typ string) []byte {
+	b = append(appendName(append(b, "# HELP "...), label, name), ' ')
+	if label != "" {
+		b = append(append(append(append(b, "Per-"...), label...), " split of varmon_"...), name...)
+		b = append(b, '.')
+	} else {
+		b = append(b, help...)
 	}
-	bw.WriteByte(' ')
-	bw.WriteString(strconv.FormatInt(v, 10))
-	bw.WriteByte('\n')
+	b = append(appendName(append(b, "\n# TYPE "...), label, name), ' ')
+	return append(append(b, typ...), '\n')
 }
 
-// escapeLabel escapes a label value per the text exposition format.
-func escapeLabel(s string) string {
-	clean := true
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\\' || s[i] == '"' || s[i] == '\n' {
-			clean = false
-			break
-		}
-	}
-	if clean {
-		return s
-	}
-	out := make([]byte, 0, len(s)+4)
+// appendSample appends the one sample of the unlabeled family varmon_<name>.
+func appendSample(b []byte, name string, v int64) []byte {
+	return append(strconv.AppendInt(append(appendName(b, "", name), ' '), v, 10), '\n')
+}
+
+// appendLabelValue appends s escaped per the text exposition format.
+func appendLabelValue(b []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
 		switch s[i] {
 		case '\\':
-			out = append(out, '\\', '\\')
+			b = append(b, '\\', '\\')
 		case '"':
-			out = append(out, '\\', '"')
+			b = append(b, '\\', '"')
 		case '\n':
-			out = append(out, '\\', 'n')
+			b = append(b, '\\', 'n')
 		default:
-			out = append(out, s[i])
+			b = append(b, s[i])
 		}
 	}
-	return string(out)
+	return b
 }

@@ -336,3 +336,67 @@ func TestParseTextRejectsGarbage(t *testing.T) {
 		t.Fatalf("comments and blanks should parse to zero samples, got %v, %v", got, err)
 	}
 }
+
+// TestRenderZeroAlloc pins the scrape's cost for engine-mixed's registry
+// shape (aggregate Stats plus eight query classes, no Gauges): after the
+// first render has grown the pooled buffer, a render allocates nothing.
+func TestRenderZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	agg := dist.Stats{SiteToCoord: 120, CoordToSite: 45, Bytes: 3300}
+	classes := make([]dist.Stats, 8)
+	for i := range classes {
+		classes[i] = dist.Stats{SiteToCoord: int64(100 * i), Bytes: int64(2900 * i), StalenessMax: int64(i)}
+	}
+	m := &obs.Metrics{
+		Stats:      func() dist.Stats { return agg },
+		Classes:    func() []dist.Stats { return classes },
+		ClassLabel: "query",
+	}
+	var buf bytes.Buffer
+	if err := m.Render(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		buf.Reset()
+		_ = m.Render(&buf) // a bytes.Buffer write cannot fail
+	}); a != 0 {
+		t.Fatalf("Render allocated %v objects per call after warm-up, want 0", a)
+	}
+}
+
+// TestRenderConcurrent renders one registry from several goroutines at
+// once, as concurrent /metrics handlers do: each output must equal the
+// golden file, so no two renders share a buffer. Run it under -race.
+func TestRenderConcurrent(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "metrics.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := goldenMetrics()
+	const workers, renders = 4, 50
+	errs := make(chan error, workers)
+	for range workers {
+		go func() {
+			var buf bytes.Buffer
+			for range renders {
+				buf.Reset()
+				if err := m.Render(&buf); err != nil {
+					errs <- err
+					return
+				}
+				if !bytes.Equal(buf.Bytes(), want) {
+					errs <- fmt.Errorf("concurrent render differs from the golden file:\n%s", buf.Bytes())
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for range workers {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
