@@ -34,12 +34,17 @@ type Rows struct {
 // inlineCols is the number of columns whose cells a row holds itself.
 const inlineCols = 2
 
-// Row is one item's row.
+// Row is one item's row, 32 bytes.
 type Row struct {
 	Net    int64
 	mirror [inlineCols]int64 // the inline columns' cells
 	blk    int32             // the row's arena block, 1-based; 0 while it has none
 	live   [inlineCols]bool
+	// Match is free for the table's owner to cache a classification of
+	// the item in, in what was padding: an engine site keeps which of its
+	// filters accept the item. A new row holds 0, and Snap does not code
+	// it.
+	Match uint16
 }
 
 // cell is an arena column's cell.
@@ -49,6 +54,13 @@ type cell struct {
 }
 
 func isLive(c cell) bool { return c.live }
+
+// ClearMatches sets every row's Match to 0.
+func (t *Rows) ClearMatches() {
+	for _, r := range t.tab.Range {
+		r.Match = 0
+	}
+}
 
 type column struct {
 	used  bool
@@ -142,17 +154,57 @@ func (t *Rows) Counts(match func(uint64) bool) iter.Seq2[uint64, int64] {
 	}
 }
 
-// sweep calls visit for each of column j's cells, clears the cells it
-// rejects, and drops the rows that leaves empty.
-func (t *Rows) sweep(j int, visit func(item uint64, r *Row, mirror *int64) bool) {
-	t.tab.Sweep(func(item uint64, r *Row) bool {
-		mirror, live := t.cell(r, j)
-		if !*live || visit(item, r, mirror) {
-			return true
+// sweep ends a block in column j. It clears each cell whose count is zero,
+// or every cell with drop set. Each other cell's mirror becomes the count
+// when that reaches the column's limit, its item appended to heavy, and 0
+// otherwise. The rows the cleared cells leave empty are dropped after the
+// walk (a backward shift mid-walk would move rows past the cursor). It
+// returns heavy.
+//
+// The walk reads the table's slots directly: a free slot reads as a zero
+// row, whose cells are dead. An inline column's loop handles a light cell,
+// the common case, itself.
+func (t *Rows) sweep(j int, drop bool, heavy []uint64) []uint64 {
+	limit := t.cols[j].limit
+	if j < inlineCols {
+		for i := range t.tab.Slots() {
+			item, r := t.tab.Slot(i)
+			switch {
+			case r == nil || !r.live[j]:
+			case !drop && r.Net != 0 && float64(absI64(r.Net)) < limit:
+				r.mirror[j] = 0
+			default:
+				heavy = t.endCell(item, r, &r.mirror[j], &r.live[j], drop, limit, heavy)
+			}
 		}
+	} else {
+		for i := range t.tab.Slots() {
+			if item, r := t.tab.Slot(i); r != nil && r.blk != 0 {
+				if c := &t.block(r.blk)[j-inlineCols]; c.live {
+					heavy = t.endCell(item, r, &c.mirror, &c.live, drop, limit, heavy)
+				}
+			}
+		}
+	}
+	t.tab.Purge()
+	return heavy
+}
+
+// endCell is sweep's step for one live cell of item's row r.
+func (t *Rows) endCell(item uint64, r *Row, mirror *int64, live *bool, drop bool, limit float64, heavy []uint64) []uint64 {
+	switch {
+	case drop || r.Net == 0:
 		*mirror, *live = 0, false
-		return !t.gone(r)
-	})
+		if t.gone(r) {
+			t.tab.Doom(item)
+		}
+	case float64(absI64(r.Net)) >= limit:
+		*mirror = r.Net
+		heavy = append(heavy, item)
+	default:
+		*mirror = 0
+	}
+	return heavy
 }
 
 // AddColumn allocates a column with no cells, reusing a freed one before
@@ -182,7 +234,7 @@ func (t *Rows) AddColumn() int {
 
 // FreeColumn clears column j and frees it for reuse.
 func (t *Rows) FreeColumn(j int) {
-	t.sweep(j, func(uint64, *Row, *int64) bool { return false })
+	t.sweep(j, true, nil)
 	t.cols[j].used = false
 }
 

@@ -59,22 +59,12 @@ func cellThreshold(eps float64, r int64) float64 {
 func (s *freqSite) Reset(r int64, out dist.Outbox) {
 	s.rows.cols[s.col].limit = cellThreshold(s.eps, r)
 	s.f1.Reset(s.eps, r)
-	s.heavyKeys = s.heavyKeys[:0]
-	s.rows.sweep(s.col, func(c uint64, row *Row, mirror *int64) bool {
-		if row.Net == 0 {
-			return false // bound site memory to live counters
-		}
-		if float64(absI64(row.Net)) >= s.rows.cols[s.col].limit {
-			if out != nil {
-				s.heavyKeys = append(s.heavyKeys, c)
-			}
-			*mirror = row.Net
-		} else {
-			*mirror = 0 // the coordinator zeroed all unreported counters
-		}
-		return true
-	})
-	s.sendHeavy(out)
+	// Zero counters go, which bounds site memory to live counters; the
+	// coordinator zeroes every counter not reported here.
+	s.heavyKeys = s.rows.sweep(s.col, false, s.heavyKeys[:0])
+	if out != nil {
+		s.sendHeavy(out)
+	}
 }
 
 // sendHeavy reports the counters in heavyKeys absolutely, in cell order.

@@ -53,7 +53,7 @@ type Table[V any] struct {
 	hasMax bool // maxKey is present, with value maxVal
 	maxVal V
 
-	doomed []uint64 // Sweep's reusable deletion queue
+	doomed []uint64 // Doom's reusable deletion queue
 }
 
 // home returns k's home slot.
@@ -173,20 +173,50 @@ func (t *Table[V]) Range(yield func(uint64, *V) bool) {
 	}
 }
 
+// Slots returns the number of cursor positions Slot walks.
+func (t *Table[V]) Slots() int { return len(t.slots) + 1 }
+
+// Slot returns the key at cursor position i, 0 ≤ i < Slots(), and a
+// pointer to its value: the slot array in order, then the key kept out of
+// band, whose position yields a nil pointer when it is absent. A free slot
+// yields its value, the zero V, and a meaningless key: a caller that walks
+// the positions itself tells a free slot by its value, with no call or
+// occupancy branch per slot. It must leave a free slot's value zero, and
+// must not insert or delete keys during the walk (Doom defers deletions).
+func (t *Table[V]) Slot(i int) (uint64, *V) {
+	if i < len(t.slots) {
+		s := &t.slots[i]
+		return ^s.inv, &s.val
+	}
+	if t.hasMax {
+		return maxKey, &t.maxVal
+	}
+	return maxKey, nil
+}
+
 // Sweep calls visit for each key and a pointer to its value, in Range
 // order, then deletes the keys for which visit returned false. The
 // deletions wait until after the walk (a backward shift mid-walk would move
 // entries past the cursor), queued in a scratch slice the table reuses.
 func (t *Table[V]) Sweep(visit func(uint64, *V) bool) {
-	t.doomed = t.doomed[:0]
 	for k, v := range t.Range {
 		if !visit(k, v) {
-			t.doomed = append(t.doomed, k)
+			t.Doom(k)
 		}
 	}
+	t.Purge()
+}
+
+// Doom queues k for deletion by the next Purge, so a walk can delete the
+// keys it visits once it is done.
+func (t *Table[V]) Doom(k uint64) { t.doomed = append(t.doomed, k) }
+
+// Purge deletes the keys Doom queued.
+func (t *Table[V]) Purge() {
 	for _, k := range t.doomed {
 		t.Delete(k)
 	}
+	t.doomed = t.doomed[:0]
 }
 
 // SortedKeys appends every key to dst[:0] in increasing order and returns

@@ -60,6 +60,30 @@ func checkModel(t *testing.T, tab *Table[int64], model map[uint64]int64, step in
 	if len(seen) != len(model) {
 		t.Fatalf("step %d: Range visited %d keys, want %d", step, len(seen), len(model))
 	}
+	// The slot cursor yields every key Range does, at the same value, and
+	// a zero value at every other position.
+	keyAt := make(map[*int64]uint64, len(model))
+	for k, v := range tab.Range {
+		keyAt[v] = k
+	}
+	for i := range tab.Slots() {
+		k, v := tab.Slot(i)
+		if v == nil {
+			continue
+		}
+		want, ok := keyAt[v]
+		switch {
+		case ok && k != want:
+			t.Fatalf("step %d: Slot(%d) has key %d, Range %d", step, i, k, want)
+		case ok:
+			delete(keyAt, v)
+		case *v != 0:
+			t.Fatalf("step %d: Slot(%d) = %d,%d, a free slot must read 0", step, i, k, *v)
+		}
+	}
+	if len(keyAt) != 0 {
+		t.Fatalf("step %d: the slot cursor missed %d keys", step, len(keyAt))
+	}
 }
 
 // apply runs one operation on both the table and the model. op selects
