@@ -1,6 +1,9 @@
 package freq
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 // TestTouchReportsAtThreshold pins the counter send condition at its
 // boundary: a counter reports once its drift from the mirror reaches the
@@ -24,5 +27,14 @@ func TestTouchReportsAtThreshold(t *testing.T) {
 	}
 	if _, live := rows.cell(r, j); !*live {
 		t.Error("Touch left the cell dead")
+	}
+}
+
+// TestRowIs32Bytes pins a row at 32 bytes: the match mask an engine site
+// caches in it lives in what was padding, and a wider row would make
+// every table slot, and every probe and sweep, wider too.
+func TestRowIs32Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Row{}); n != 32 {
+		t.Fatalf("Row is %d bytes, want 32", n)
 	}
 }

@@ -215,6 +215,9 @@ func New(k int, specs []Spec) (*Coord, []dist.SiteAlgo, error) {
 			s.installChild(qid, q)
 		}
 	}
+	for _, s := range sites {
+		s.rebit()
+	}
 	out := make([]dist.SiteAlgo, k)
 	for i, s := range sites {
 		out[i] = s
@@ -426,6 +429,10 @@ func (c *Coord) Status() []Status {
 
 // siteChild is one attached query at one site.
 //
+// bit is the child's bit in a row's match mask (Site.rebit): the
+// classified bit for an unfiltered child, which accepts every item, and 0
+// for a filtered child past the mask's bits, which calls its filter.
+//
 // A quiet child is one whose BlockSite has a quiet path (det, threshold,
 // freq and their filtered forms). An update that fits its budget, and for
 // a frequency child passes the row check of its column col, is only
@@ -438,6 +445,7 @@ type siteChild struct {
 	filter func(uint64) bool
 	out    tagOutbox
 	col    int // the frequency child's column of the site's rows, −1 for other families
+	bit    uint16
 
 	quiet  bool
 	budget int64
@@ -541,6 +549,42 @@ func (s *Site) installChild(qid int, q *queryState) *siteChild {
 	return ch
 }
 
+// classified marks a row's match mask as filled in: bit i below it is
+// set when the i-th filtered child accepts the row's item.
+const classified = 1 << 15
+
+// rebit gives each filtered child, in query order, the next bit of the
+// rows' match mask while bits last, and clears every row's mask, so each
+// row is classified again on its next update. Attach, detach and restore
+// call it: the bits move when the children do.
+func (s *Site) rebit() {
+	next := uint16(1)
+	for _, ch := range s.children {
+		switch {
+		case ch == nil:
+		case ch.filter == nil:
+			ch.bit = classified
+		case next < classified:
+			ch.bit, next = next, next<<1
+		default:
+			ch.bit = 0
+		}
+	}
+	s.rows.ClearMatches()
+}
+
+// classify returns the match mask of item: the classified bit, and the
+// bit of each filtered child that accepts it.
+func (s *Site) classify(item uint64) uint16 {
+	m := uint16(classified)
+	for _, ch := range s.children {
+		if ch != nil && ch.bit&(classified-1) != 0 && ch.filter(item) {
+			m |= ch.bit
+		}
+	}
+	return m
+}
+
 // syncAll syncs every child: the calls that reach every child, or the
 // state of all of them, go after it.
 func (s *Site) syncAll() {
@@ -578,11 +622,15 @@ func (s *Site) OnUpdate(u stream.Update, out dist.Outbox) {
 	s.spineMass(u.Delta)
 	row := s.rows.Upsert(u.Item)
 	row.Net += u.Delta
+	if row.Match == 0 {
+		row.Match = s.classify(u.Item)
+	}
+	m := row.Match
 	// max(1, |Δ|), as in dist's quiet pass: a zero delta still counts
 	// towards the count reports.
 	cost := max(u.Delta, -u.Delta, 1)
 	for _, ch := range s.children {
-		if ch == nil || (ch.filter != nil && !ch.filter(u.Item)) {
+		if ch == nil || m&ch.bit == 0 && (ch.bit != 0 || !ch.filter(u.Item)) {
 			continue
 		}
 		if ch.budget >= cost && (ch.col < 0 || s.rows.Touch(row, ch.col)) {
@@ -633,6 +681,7 @@ func (s *Site) OnMessage(m dist.Msg, out dist.Outbox) {
 				s.rows.FreeColumn(col)
 			}
 			s.children[qid] = nil
+			s.rebit()
 		}
 		return
 	}
@@ -665,6 +714,7 @@ func (s *Site) attach(qid int, out dist.Outbox) {
 		return
 	}
 	ch := s.installChild(qid, q)
+	s.rebit()
 	if s.updates == 0 {
 		return
 	}

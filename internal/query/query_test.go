@@ -2,6 +2,7 @@ package query_test
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -177,6 +178,80 @@ func TestEngineMuxProjection(t *testing.T) {
 	}
 	for _, d := range drives {
 		checkProjection(t, d.name, k, specs, d.ups, d.chunk)
+	}
+}
+
+// TestEngineFilterBits is TestEngineMuxProjection over seventeen filtered
+// queries beside an unfiltered one: a row's match mask has fifteen filter
+// bits, so the last two filtered children have none and call their
+// filters on every update.
+func TestEngineFilterBits(t *testing.T) {
+	const k, n = 3, 6_000
+	plan := "det,eps=0.1"
+	for i := range 17 {
+		if i%2 == 0 {
+			plan += fmt.Sprintf(";det,eps=0.1,filter=item:%d", i)
+		} else {
+			plan += fmt.Sprintf(";det,eps=0.2,filter=le:%d", 10*i)
+		}
+	}
+	specs, err := query.ParseSpecs(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkProjection(t, "step", k, specs, itemStream(n, k, 31), 0)
+	checkProjection(t, "batch-7", k, specs, skewedItemStream(n, k, 31), 7)
+}
+
+// TestEngineFilterBitReuse attaches a filtered query once every row of
+// every site has been classified, detaches it, and attaches another whose
+// filter disagrees with the first into the freed bit: each must see
+// exactly its own items, so its det estimate stays within ε of its
+// filtered count at every step.
+func TestEngineFilterBitReuse(t *testing.T) {
+	const k, n = 3, 9_000
+	ups := itemStream(n, k, 17)
+	specs, err := query.ParseSpecs("det,eps=0.1;det,eps=0.1,filter=even;" +
+		"det,eps=0.1,filter=mod:3:1;det,eps=0.1,filter=le:20")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, esites, err := query.New(k, specs[:2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := dist.NewSim(eng, esites)
+	ctrl := map[int]func(dist.Outbox) error{
+		n / 3:     func(out dist.Outbox) error { _, err := eng.Attach(specs[2], out); return err },
+		n / 2:     func(out dist.Outbox) error { return eng.Detach(2, out) },
+		2 * n / 3: func(out dist.Outbox) error { _, err := eng.Attach(specs[3], out); return err },
+	}
+	f := make([]int64, len(specs))
+	for i, u := range ups {
+		sim.Step(u)
+		for q, sp := range specs {
+			if sp.Filter == nil || sp.Filter.Match(u.Item) {
+				f[q] += u.Delta
+			}
+		}
+		if fn := ctrl[i+1]; fn != nil {
+			sim.Inject(func(out dist.Outbox) { err = fn(out) })
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		for q := range eng.NumQueries() {
+			if q == 2 && i+1 > n/2 {
+				continue // detached: its estimate is frozen
+			}
+			est, _ := eng.EstimateQuery(q)
+			if d := absI64(est - f[q]); float64(d) > specs[q].Eps*float64(absI64(f[q])) {
+				t.Fatalf("update %d: query %d estimate %d, filtered count %d", i+1, q, est, f[q])
+			}
+		}
+	}
+	if eng.NumQueries() != 4 {
+		t.Fatalf("%d queries registered, want 4", eng.NumQueries())
 	}
 }
 

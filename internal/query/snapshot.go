@@ -60,7 +60,9 @@ func (s *Site) Snap(c *track.Codec) error {
 	if c.Decoding() {
 		s.children = s.children[:0]
 		s.rebuilt = true
-		return s.restoreChildren(c, attached)
+		err := s.restoreChildren(c, attached)
+		s.rebit()
+		return err
 	}
 	for qid, ch := range s.children {
 		if ch == nil {
