@@ -92,3 +92,40 @@ func TestXoshiroKnownAnswers(t *testing.T) {
 		}
 	}
 }
+
+// uint64nKAT pins Uint64n: the first 16 draws of New(11) for each bound
+// and the state after them. AsyncSim's delivery jitter draws through it
+// (Int63n), so a rewrite, Lemire's multiply-shift method for one, must
+// not change a draw or the number of Uint64 outputs a draw consumes. The
+// bound 2^63+1 rejects almost half the outputs.
+var uint64nKAT = []struct {
+	n     uint64
+	out   [16]uint64
+	final [4]uint64
+}{
+	{n: 5, out: [16]uint64{0, 1, 4, 0, 0, 0, 2, 0, 0, 1, 4, 4, 4, 4, 4, 2},
+		final: [4]uint64{0x5f48128ced07e71f, 0xe82dc4fe66f51045, 0x0008f7a0f4d7c188, 0x7045eedc59aab206}},
+	{n: 7, out: [16]uint64{0, 5, 2, 1, 1, 3, 2, 4, 1, 0, 2, 5, 3, 6, 2, 5},
+		final: [4]uint64{0x5f48128ced07e71f, 0xe82dc4fe66f51045, 0x0008f7a0f4d7c188, 0x7045eedc59aab206}},
+	{n: 1 << 10, out: [16]uint64{991, 129, 173, 568, 598, 399, 699, 793, 473, 903, 483, 828, 849, 534, 128, 605},
+		final: [4]uint64{0x5f48128ced07e71f, 0xe82dc4fe66f51045, 0x0008f7a0f4d7c188, 0x7045eedc59aab206}},
+	{n: 1<<63 + 1, out: [16]uint64{4118682332196087775, 1609190652402573441, 4524261822856303789, 8186203469158895160,
+		1572621373277208150, 5657094326528388495, 4226375597405381511, 1170811111865358819,
+		6249991440498483004, 1382952951901082134, 6912044330007054464, 418935974268900068,
+		1691383327343343514, 3665620057837974441, 3375745111433617071, 5309939619586149826},
+		final: [4]uint64{0x9fb57fd970f8b417, 0xe3a497e81a239248, 0xd2f29ef1cbd9b630, 0xadf41c7a3ffa9526}},
+}
+
+func TestUint64nKnownAnswers(t *testing.T) {
+	for _, tc := range uint64nKAT {
+		x := New(11)
+		for i, want := range tc.out {
+			if got := x.Uint64n(tc.n); got != want {
+				t.Fatalf("n %#x: draw %d = %d, want %d", tc.n, i, got, want)
+			}
+		}
+		if got := x.State(); got != tc.final {
+			t.Fatalf("n %#x: state after 16 draws = %#x, want %#x", tc.n, got, tc.final)
+		}
+	}
+}

@@ -90,8 +90,10 @@ func (x *Xoshiro256) Int63n(n int64) int64 {
 	return int64(x.Uint64n(uint64(n)))
 }
 
-// Uint64n returns a uniform value in [0, n) using Lemire's nearly-divisionless
-// method with a rejection step to remove modulo bias. It panics if n == 0.
+// Uint64n returns a uniform value in [0, n). It panics if n == 0. A power
+// of two masks one output; any other n rejects outputs at or above the
+// largest multiple of n that fits in 64 bits and reduces the first one
+// below it modulo n, which costs two 64-bit divisions per call.
 func (x *Xoshiro256) Uint64n(n uint64) uint64 {
 	if n == 0 {
 		panic("rng: Uint64n called with n == 0")
