@@ -40,10 +40,8 @@ type Row struct {
 	mirror [inlineCols]int64 // the inline columns' cells
 	blk    int32             // the row's arena block, 1-based; 0 while it has none
 	live   [inlineCols]bool
-	// Match is free for the table's owner to cache a classification of
-	// the item in, in what was padding: an engine site keeps which of its
-	// filters accept the item. A new row holds 0, and Snap does not code
-	// it.
+	// Match caches, in what was padding, which of an engine site's
+	// filters accept the item. A new row holds 0; Snap does not code it.
 	Match uint16
 }
 
@@ -55,7 +53,7 @@ type cell struct {
 
 func isLive(c cell) bool { return c.live }
 
-// ClearMatches sets every row's Match to 0.
+// ClearMatches zeroes every row's Match.
 func (t *Rows) ClearMatches() {
 	for _, r := range t.tab.Range {
 		r.Match = 0
@@ -74,7 +72,7 @@ type column struct {
 //varlint:zeroalloc
 func (t *Rows) Upsert(item uint64) *Row {
 	r := t.tab.Upsert(item)
-	if r.blk == 0 && len(t.cols) > inlineCols {
+	if len(t.cols) > inlineCols && r.blk == 0 {
 		r.blk = t.alloc()
 	}
 	t.cur = r
@@ -157,13 +155,9 @@ func (t *Rows) Counts(match func(uint64) bool) iter.Seq2[uint64, int64] {
 // sweep ends a block in column j. It clears each cell whose count is zero,
 // or every cell with drop set. Each other cell's mirror becomes the count
 // when that reaches the column's limit, its item appended to heavy, and 0
-// otherwise. The rows the cleared cells leave empty are dropped after the
-// walk (a backward shift mid-walk would move rows past the cursor). It
-// returns heavy.
-//
-// The walk reads the table's slots directly: a free slot reads as a zero
-// row, whose cells are dead. An inline column's loop handles a light cell,
-// the common case, itself.
+// otherwise. It drops the rows the cleared cells leave empty and returns
+// heavy. It walks the slots directly, where a free slot reads as a row
+// with dead cells, and an inline column's loop zeroes a light cell itself.
 func (t *Rows) sweep(j int, drop bool, heavy []uint64) []uint64 {
 	limit := t.cols[j].limit
 	if j < inlineCols {

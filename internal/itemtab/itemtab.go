@@ -176,13 +176,11 @@ func (t *Table[V]) Range(yield func(uint64, *V) bool) {
 // Slots returns the number of cursor positions Slot walks.
 func (t *Table[V]) Slots() int { return len(t.slots) + 1 }
 
-// Slot returns the key at cursor position i, 0 ≤ i < Slots(), and a
-// pointer to its value: the slot array in order, then the key kept out of
-// band, whose position yields a nil pointer when it is absent. A free slot
-// yields its value, the zero V, and a meaningless key: a caller that walks
-// the positions itself tells a free slot by its value, with no call or
-// occupancy branch per slot. It must leave a free slot's value zero, and
-// must not insert or delete keys during the walk (Doom defers deletions).
+// Slot returns the key and value at cursor position i: the slots in order,
+// then the out-of-band key (a nil value when absent). A free slot yields
+// the zero V, which the caller must leave zero, and a meaningless key, so
+// a walk that acts only on nonzero values needs no occupancy branch. Keys
+// must not be inserted or deleted during the walk (Doom defers deletions).
 func (t *Table[V]) Slot(i int) (uint64, *V) {
 	if i < len(t.slots) {
 		s := &t.slots[i]

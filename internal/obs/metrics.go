@@ -100,11 +100,9 @@ var statFields = []statField{
 		func(s *dist.Stats) int64 { return s.EpochDrops }},
 }
 
-// renderBuf is one Render call's scratch: the exposition, and the
-// aggregate Stats the statFields getters read, whose address would
-// otherwise cost a heap object per call. Handlers may render one Metrics
-// concurrently, so the scratch is per call, pooled so a scrape allocates
-// none.
+// renderBuf is one Render call's pooled scratch (handlers may render
+// concurrently): the exposition, and the Stats the getters read, whose
+// address would otherwise cost a heap object per call.
 type renderBuf struct {
 	b     []byte
 	stats dist.Stats
@@ -122,22 +120,17 @@ func (m *Metrics) Render(w io.Writer) error {
 		if m.Health().OK {
 			v = 1
 		}
-		b = appendHeader(b, "", "healthy", "Whether the runtime is fully live (no dead site, no takeover in progress).", "gauge")
-		b = appendSample(b, "healthy", v)
+		b = appendFamily(b, "healthy", "Whether the runtime is fully live (no dead site, no takeover in progress).", "gauge", v)
 	}
 	rb.stats = m.Stats()
 	for i := range statFields {
 		f := &statFields[i]
-		b = appendHeader(b, "", f.name, f.help, f.typ)
-		b = appendSample(b, f.name, f.get(&rb.stats))
+		b = appendFamily(b, f.name, f.help, f.typ, f.get(&rb.stats))
 	}
 	if m.Ring != nil {
-		b = appendHeader(b, "", "events_total", "Protocol events ever traced.", "counter")
-		b = appendSample(b, "events_total", int64(m.Ring.Total()))
-		b = appendHeader(b, "", "events_retained", "Protocol events currently retained in the trace ring.", "gauge")
-		b = appendSample(b, "events_retained", int64(m.Ring.Len()))
-		b = appendHeader(b, "", "events_evicted_total", "Protocol events evicted from the trace ring.", "counter")
-		b = appendSample(b, "events_evicted_total", int64(m.Ring.Evicted()))
+		b = appendFamily(b, "events_total", "Protocol events ever traced.", "counter", int64(m.Ring.Total()))
+		b = appendFamily(b, "events_retained", "Protocol events currently retained in the trace ring.", "gauge", int64(m.Ring.Len()))
+		b = appendFamily(b, "events_evicted_total", "Protocol events evicted from the trace ring.", "counter", int64(m.Ring.Evicted()))
 	}
 	if m.Gauges != nil {
 		rb.b = b // the callback appends through rb, so b stays off the heap
@@ -151,14 +144,10 @@ func (m *Metrics) Render(w io.Writer) error {
 	if m.Runtime {
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
-		b = appendHeader(b, "", "go_heap_alloc_bytes", "Live heap bytes (runtime.MemStats.HeapAlloc).", "gauge")
-		b = appendSample(b, "go_heap_alloc_bytes", int64(ms.HeapAlloc))
-		b = appendHeader(b, "", "go_total_alloc_bytes", "Cumulative heap bytes allocated.", "counter")
-		b = appendSample(b, "go_total_alloc_bytes", int64(ms.TotalAlloc))
-		b = appendHeader(b, "", "go_gc_cycles_total", "Completed GC cycles.", "counter")
-		b = appendSample(b, "go_gc_cycles_total", int64(ms.NumGC))
-		b = appendHeader(b, "", "go_goroutines", "Live goroutines.", "gauge")
-		b = appendSample(b, "go_goroutines", int64(runtime.NumGoroutine()))
+		b = appendFamily(b, "go_heap_alloc_bytes", "Live heap bytes (runtime.MemStats.HeapAlloc).", "gauge", int64(ms.HeapAlloc))
+		b = appendFamily(b, "go_total_alloc_bytes", "Cumulative heap bytes allocated.", "counter", int64(ms.TotalAlloc))
+		b = appendFamily(b, "go_gc_cycles_total", "Completed GC cycles.", "counter", int64(ms.NumGC))
+		b = appendFamily(b, "go_goroutines", "Live goroutines.", "gauge", int64(runtime.NumGoroutine()))
 	}
 	if m.Classes != nil {
 		if classes := m.Classes(); len(classes) > 0 {
@@ -212,9 +201,11 @@ func appendHeader(b []byte, label, name, help, typ string) []byte {
 	return append(append(b, typ...), '\n')
 }
 
-// appendSample appends the one sample of the unlabeled family varmon_<name>.
-func appendSample(b []byte, name string, v int64) []byte {
-	return append(strconv.AppendInt(append(appendName(b, "", name), ' '), v, 10), '\n')
+// appendFamily appends the unlabeled family varmon_<name> and its one
+// sample, v.
+func appendFamily(b []byte, name, help, typ string, v int64) []byte {
+	b = append(appendName(appendHeader(b, "", name, help, typ), "", name), ' ')
+	return append(strconv.AppendInt(b, v, 10), '\n')
 }
 
 // appendLabelValue appends s escaped per the text exposition format.

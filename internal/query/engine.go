@@ -429,10 +429,6 @@ func (c *Coord) Status() []Status {
 
 // siteChild is one attached query at one site.
 //
-// bit is the child's bit in a row's match mask (Site.rebit): the
-// classified bit for an unfiltered child, which accepts every item, and 0
-// for a filtered child past the mask's bits, which calls its filter.
-//
 // A quiet child is one whose BlockSite has a quiet path (det, threshold,
 // freq and their filtered forms). An update that fits its budget, and for
 // a frequency child passes the row check of its column col, is only
@@ -444,8 +440,8 @@ type siteChild struct {
 	block  *track.BlockSite
 	filter func(uint64) bool
 	out    tagOutbox
-	col    int // the frequency child's column of the site's rows, −1 for other families
-	bit    uint16
+	col    int    // the frequency child's column of the site's rows, −1 for other families
+	bit    uint16 // the child's bit of a row's match mask (Site.rebit)
 
 	quiet  bool
 	budget int64
@@ -554,20 +550,18 @@ func (s *Site) installChild(qid int, q *queryState) *siteChild {
 const classified = 1 << 15
 
 // rebit gives each filtered child, in query order, the next bit of the
-// rows' match mask while bits last, and clears every row's mask, so each
-// row is classified again on its next update. Attach, detach and restore
-// call it: the bits move when the children do.
+// rows' match mask while bits last (0 after: it calls its filter), and
+// an unfiltered child the classified bit, which every mask holds. It
+// clears every mask, so rows are classified again under the new bits.
 func (s *Site) rebit() {
-	next := uint16(1)
+	next := uint16(1) // shifts to the classified bit, then out: no bit
 	for _, ch := range s.children {
 		switch {
 		case ch == nil:
 		case ch.filter == nil:
 			ch.bit = classified
-		case next < classified:
-			ch.bit, next = next, next<<1
 		default:
-			ch.bit = 0
+			ch.bit, next = next&^classified, next<<1
 		}
 	}
 	s.rows.ClearMatches()
@@ -578,7 +572,7 @@ func (s *Site) rebit() {
 func (s *Site) classify(item uint64) uint16 {
 	m := uint16(classified)
 	for _, ch := range s.children {
-		if ch != nil && ch.bit&(classified-1) != 0 && ch.filter(item) {
+		if ch != nil && ch.bit&^classified != 0 && ch.filter(item) {
 			m |= ch.bit
 		}
 	}
